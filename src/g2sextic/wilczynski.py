@@ -12,9 +12,12 @@ invariants Theta_r are assembled from the canonical-form coefficients by
 
 and every eta must cancel - a residual eta is a hard failure.
 
-Generalized invariants of y^(n) = F substitute
--binom(n,r)^(-1) D_x^k(dF/dy^(n-r)) for p_r^(k), with D_x the on-equation
-total derivative.
+Every concrete equation - a linear ODE in x, a graph y = y(x), the
+generic equation of the p-form, or y^(n) = F - gets its Theta_r the same
+way: its semi-invariants P_i^(k) = D^k(P_i(p)) are substituted into the
+P-form of Theta_r.  For y^(n) = F, p_r^(k) is
+-binom(n,r)^(-1) D_x^k(dF/dy^(n-r)) with D_x the on-equation total
+derivative.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .diffpoly import (
     PoleError,
     free_total_derivative_map,
     on_equation_derivative_map,
-    total_derivative,
 )
 
 
@@ -80,8 +82,6 @@ def _poly_derive(p: Poly, dmap: dict) -> Poly:
             raise EtaResidueError(
                 f"derivative of {p.ctx.names[v]} exceeds the declared order budget"
             )
-        if img is False:
-            continue  # constants of the ring
         dp = p.diff(p.ctx.names[v])
         if not dp.is_zero():
             total = total + dp * img
@@ -90,36 +90,41 @@ def _poly_derive(p: Poly, dmap: dict) -> Poly:
 
 @lru_cache(maxsize=None)
 def _p_ring(n: int):
-    """Ring of p_i and their formal x-derivatives, i = 1..n."""
+    """Ring of p_i and their formal x-derivatives, i = 1..n.
+
+    Returns (ctx, dmap, keys) with keys[v] = (i, k) for the variable p_i^(k).
+    """
     depth = n + 3
-    names = [f"p{i}_{k}" for i in range(1, n + 1) for k in range(depth + 1)]
-    ctx = JetContext.plain(tuple(names))
-    dmap = {}
-    for i in range(1, n + 1):
-        for k in range(depth):
-            dmap[f"p{i}_{k}"] = ctx.var(f"p{i}_{k + 1}")
-        dmap[f"p{i}_{depth}"] = None
-    return ctx, dmap
+    keys = tuple((i, k) for i in range(1, n + 1) for k in range(depth + 1))
+    ctx = JetContext.plain(tuple(f"p{i}_{k}" for i, k in keys))
+    dmap = {
+        f"p{i}_{k}": ctx.var(f"p{i}_{k + 1}") if k < depth else None
+        for i, k in keys
+    }
+    return ctx, dmap, keys
 
 
 @lru_cache(maxsize=None)
 def _w_ring(n: int):
-    """Ring carrying v = sqrt(xi'), eta, and the semi-invariants P_i."""
+    """Ring carrying v = sqrt(xi'), eta, and the semi-invariants P_i.
+
+    Returns (ctx, dmap, keys) with keys[v] = (i, k) for the variable P_i^(k)
+    and None for v and eta.
+    """
     depth = n + 3
-    names = ["v", "eta"] + [
-        f"P{i}_{k}" for i in range(2, n + 1) for k in range(depth + 1)
-    ]
+    keys = (None, None) + tuple(
+        (i, k) for i in range(2, n + 1) for k in range(depth + 1)
+    )
+    names = ["v", "eta"] + [f"P{i}_{k}" for i, k in keys[2:]]
     ctx = JetContext.plain(tuple(names))
     v, eta = ctx.var("v"), ctx.var("eta")
     dmap = {
         "v": (v * eta).scale(Fraction(1, 2)),
         "eta": (eta * eta).scale(Fraction(1, 2)) + ctx.var("P2_0").scale(Fraction(6, n + 1)),
     }
-    for i in range(2, n + 1):
-        for k in range(depth):
-            dmap[f"P{i}_{k}"] = ctx.var(f"P{i}_{k + 1}")
-        dmap[f"P{i}_{depth}"] = None
-    return ctx, dmap
+    for i, k in keys[2:]:
+        dmap[f"P{i}_{k}"] = ctx.var(f"P{i}_{k + 1}") if k < depth else None
+    return ctx, dmap, keys
 
 
 class DiffOp:
@@ -198,7 +203,7 @@ def semi_invariants(n: int) -> dict:
     D by D - p1; the Y^(n-1) coefficient of the result vanishes
     identically (asserted).
     """
-    ctx, dmap = _p_ring(n)
+    ctx, dmap, _ = _p_ring(n)
     one = ctx.const(1)
     ell = -ctx.var("p1_0")
     base = DiffOp(ctx, dmap, None, [ell, one])  # D + ell
@@ -228,40 +233,6 @@ def wil_coefficient(r: int, s: int) -> Fraction:
     return Fraction((-1) ** s * num, 2 * den)
 
 
-def _poly_subs(poly: Poly, mapping: dict, target_ctx: JetContext) -> Poly:
-    """Image of poly under name -> Poly substitution (complete on used vars)."""
-    total = target_ctx.const(0)
-    powers: dict = {}
-    for exps, coef in poly.terms.items():
-        term = target_ctx.const(coef)
-        for v, k in enumerate(exps):
-            if not k:
-                continue
-            name = poly.ctx.names[v]
-            key = (name, k)
-            if key not in powers:
-                powers[key] = mapping[name] ** k
-            term = term * powers[key]
-        total = total + term
-    return total
-
-
-def _orders_needed(polys) -> dict:
-    """Max derivative order used per p-index across the given polynomials."""
-    needed: dict = {}
-    for poly in polys:
-        ctx = poly.ctx
-        for exps in poly.terms:
-            for v, k in enumerate(exps):
-                if not k:
-                    continue
-                name = ctx.names[v]
-                idx, order = name[1:].split("_")
-                cur = needed.get(int(idx), -1)
-                needed[int(idx)] = max(cur, int(order))
-    return needed
-
-
 @lru_cache(maxsize=None)
 def classical_theta(n: int) -> dict:
     """Theta_3..Theta_n for order n, in both P- and p-variables.
@@ -271,12 +242,15 @@ def classical_theta(n: int) -> dict:
     """
     if n < 3:
         raise ValueError("need order n >= 3")
-    ctx, dmap = _w_ring(n)
-    zero = ctx.const(0)
-    v = ctx.var("v")
-    v2 = v * v
-    vm2 = Poly(ctx, {tuple(-2 if i == ctx.index["v"] else 0 for i in range(ctx.nvars)): Fraction(1)})
-    dx_op = DiffOp(ctx, dmap, vm2, [zero, v2])  # D_x = M_(v^2) E
+    ctx, dmap, _ = _w_ring(n)
+    v_idx, eta_idx = ctx.index["v"], ctx.index["eta"]
+
+    def v_power(e: int) -> Poly:
+        """v^e; e may be negative."""
+        return Poly(ctx, {tuple(e if i == v_idx else 0 for i in range(ctx.nvars)): Fraction(1)})
+
+    vm2 = v_power(-2)
+    dx_op = DiffOp(ctx, dmap, vm2, [ctx.const(0), v_power(2)])  # D_x = M_(v^2) E
     op = dx_op ** n
     for i in range(2, n + 1):
         term = (dx_op ** (n - i)).left_multiply(
@@ -284,23 +258,10 @@ def classical_theta(n: int) -> dict:
         )
         op = op + term
     # compose with multiplication by v^(1-n):  Y = (xi')^(-(n-1)/2) W
-    m = Poly(
-        ctx,
-        {tuple((1 - n) if i == ctx.index["v"] else 0 for i in range(ctx.nvars)): Fraction(1)},
-    )
-    op = op * DiffOp(ctx, dmap, vm2, [m])
-    lead = op.coefficient(n)
-    expected_lead = Poly(
-        ctx,
-        {tuple(n + 1 if i == ctx.index["v"] else 0 for i in range(ctx.nvars)): Fraction(1)},
-    )
-    if lead != expected_lead:
+    op = op * DiffOp(ctx, dmap, vm2, [v_power(1 - n)])
+    if op.coefficient(n) != v_power(n + 1):
         raise EtaResidueError("unexpected leading coefficient in canonical form")
-    inv_lead = Poly(
-        ctx,
-        {tuple(-(n + 1) if i == ctx.index["v"] else 0 for i in range(ctx.nvars)): Fraction(1)},
-    )
-    coeffs = [op.coefficient(j) * inv_lead for j in range(n + 1)]
+    coeffs = [op.coefficient(j) * v_power(-(n + 1)) for j in range(n + 1)]
     if not coeffs[n - 1].is_zero():
         raise EtaResidueError("q_1 failed to vanish")
     q = {i: coeffs[n - i].scale(Fraction(1, comb(n, i))) for i in range(2, n + 1)}
@@ -308,7 +269,6 @@ def classical_theta(n: int) -> dict:
     def e_derive(g: Poly) -> Poly:
         return _poly_derive(g, dmap) * vm2
 
-    v_idx, eta_idx = ctx.index["v"], ctx.index["eta"]
     theta_P = {}
     for r in range(3, n + 1):
         theta = ctx.const(0)
@@ -332,22 +292,78 @@ def classical_theta(n: int) -> dict:
             stripped[tuple(bare)] = coef
         theta_P[r] = Poly(ctx, stripped)
 
-    # P{i}_{k} -> k-th derivative of P_i(p), built only to the used orders
-    p_ctx, p_dmap = _p_ring(n)
-    semis = semi_invariants(n)
-    needed = _orders_needed(theta_P.values())
-    subs_map = {}
-    for i, top in needed.items():
-        cur = semis[i]
-        for k in range(top + 1):
-            subs_map[f"P{i}_{k}"] = cur
-            if k < top:
-                cur = _poly_derive(cur, p_dmap)
+    # the generic equation: p_i^(k) is the variable p{i}_{k}
+    p_ctx, p_dmap, _ = _p_ring(n)
+    generic = _Equation(
+        n,
+        lambda i: p_ctx.var(f"p{i}_0"),
+        lambda f: _poly_derive(f, p_dmap),
+        p_ctx.const(1),
+    )
+    theta_p = generic.thetas(theta_P)
+    return {r: {"P": poly, "p": theta_p[r]} for r, poly in theta_P.items()}
 
-    return {
-        r: {"P": poly, "p": _poly_subs(poly, subs_map, p_ctx)}
-        for r, poly in theta_P.items()
-    }
+
+def _substitute(poly: Poly, image, one):
+    """poly with each variable v replaced by image(v), a Poly, JetFunction
+    or ExtendedJetFunction; one is the unit of the target ring."""
+    powers: dict = {}
+    total = None
+    for exps, coef in poly.terms.items():
+        term = None
+        for v, k in enumerate(exps):
+            if not k:
+                continue
+            if (v, k) not in powers:
+                powers[v, k] = image(v) ** k
+            term = powers[v, k] if term is None else term * powers[v, k]
+        piece = (one if term is None else term) * coef
+        total = piece if total is None else total + piece
+    return one * 0 if total is None else total
+
+
+class _Equation:
+    """A concrete order-n equation seen through its semi-invariants.
+
+    p_of(i) is the coefficient p_i, derive the x-derivation of the ring it
+    lives in and one that ring's unit.  P_i^(k) is built on first use:
+    P_i^(0) is P_i(p) with p_i^(k) = derive^k(p_of(i)), and
+    P_i^(k+1) = derive(P_i^(k)).
+    """
+
+    def __init__(self, n: int, p_of, derive, one):
+        self.n, self.p_of, self.derive, self.one = n, p_of, derive, one
+        self._jets: dict = {}
+
+    def _jet(self, kind: str, i: int, k: int):
+        key = (kind, i, k)
+        if key not in self._jets:
+            if k:
+                value = self.derive(self._jet(kind, i, k - 1))
+            elif kind == "p":
+                value = self.p_of(i)
+            else:
+                p_keys = _p_ring(self.n)[2]
+                value = _substitute(
+                    semi_invariants(self.n)[i],
+                    lambda v: self._jet("p", *p_keys[v]),
+                    self.one,
+                )
+            self._jets[key] = value
+        return self._jets[key]
+
+    def P(self, i: int, k: int = 0):
+        return self._jet("P", i, k)
+
+    def thetas(self, forms: dict | None = None) -> dict:
+        """Theta_r of the equation from the P-forms (default: classical_theta)."""
+        if forms is None:
+            forms = {r: data["P"] for r, data in classical_theta(self.n).items()}
+        w_keys = _w_ring(self.n)[2]
+        return {
+            r: _substitute(form, lambda v: self.P(*w_keys[v]), self.one)
+            for r, form in sorted(forms.items())
+        }
 
 
 # -- linear ODEs ----------------------------------------------------------------
@@ -365,42 +381,13 @@ class LinearODE:
             raise ValueError("need exactly n coefficient functions")
 
 
+def _linear_equation(ode: LinearODE) -> _Equation:
+    return _Equation(ode.order, lambda i: ode.p[i - 1], x_derivative, x_fn(1))
+
+
 def classical_theta_of_ode(ode: LinearODE) -> dict:
     """Theta_3..Theta_n of a concrete linear ODE as functions of x."""
-    n = ode.order
-    thetas = classical_theta(n)
-    table = {}
-    for i in range(1, n + 1):
-        cur = ode.p[i - 1]
-        for k in range(n + 4):
-            table[f"p{i}_{k}"] = cur
-            cur = x_derivative(cur)
-    return {r: _subs_into_jets(data["p"], table) for r, data in thetas.items()}
-
-
-def _subs_into_jets(poly: Poly, table: dict):
-    total = None
-    for exps, coef in poly.terms.items():
-        term = None
-        for v, k in enumerate(exps):
-            if not k:
-                continue
-            factor = table[poly.ctx.names[v]] ** k
-            term = factor if term is None else term * factor
-        piece = term * coef if term is not None else None
-        if piece is None:
-            piece = _const_like(table) * coef
-        total = piece if total is None else total + piece
-    if total is None:
-        total = _const_like(table) * 0
-    return total
-
-
-def _const_like(table):
-    any_val = next(iter(table.values()))
-    if isinstance(any_val, ExtendedJetFunction):
-        return ExtendedJetFunction(any_val.ctx.fn(1), base=any_val.base)
-    return any_val.ctx.fn(1)
+    return _linear_equation(ode).thetas()
 
 
 def graph_ode(f: JetFunction) -> LinearODE:
@@ -482,35 +469,23 @@ def halphen_theta3(ctx: JetContext) -> JetFunction:
 HALPHEN_VS_SEMI = Fraction(-54)  # halphen_theta3 == -54 * (P3 - 3/2 P2')
 
 
-def curve_p_substitution(ctx: JetContext, polys) -> dict:
-    """p-variable table for a graph y = y(x): p1 = -y3/(3 y2), p2 = p3 = 0.
-
-    Derivatives are built only to the orders the given polynomials use, so
-    the jet universe is never exceeded.
-    """
+def _graph_equation(ctx: JetContext) -> _Equation:
+    """The graph y = y(x) as a third-order equation: p1 = -y3/(3 y2), p2 = p3 = 0."""
     dmap = free_total_derivative_map(ctx)
-    needed = _orders_needed(polys)
     p1 = -(ctx.fn("y3") / (ctx.fn("y2") * 3))
     zero = ctx.fn(0)
-    table = {}
-    for i, top in needed.items():
-        val = p1 if i == 1 else zero
-        for k in range(top + 1):
-            table[f"p{i}_{k}"] = val
-            if k < top and i == 1:
-                val = val.derivative(dmap)
-    return table
+    return _Equation(
+        3, lambda i: p1 if i == 1 else zero, lambda f: f.derivative(dmap), ctx.fn(1)
+    )
 
 
 def curve_theta3(ctx: JetContext) -> JetFunction:
     """Theta_3 = P3 - (3/2) P2' on graphs; equals halphen_theta3 / (-54)."""
-    theta = classical_theta(3)[3]["p"]
-    return _subs_into_jets(theta, curve_p_substitution(ctx, [theta]))
+    return _graph_equation(ctx).thetas()[3]
 
 
 def curve_p2(ctx: JetContext) -> JetFunction:
-    p2 = semi_invariants(3)[2]
-    return _subs_into_jets(p2, curve_p_substitution(ctx, [p2]))
+    return _graph_equation(ctx).P(2)
 
 
 def theta_double(theta_r: JetFunction, p2: JetFunction, derive, r: int = 3):
@@ -529,8 +504,8 @@ def theta8(theta3: JetFunction, p2: JetFunction, derive) -> JetFunction:
 
 
 def curve_theta8(ctx: JetContext) -> JetFunction:
-    dmap = free_total_derivative_map(ctx)
-    return theta8(curve_theta3(ctx), curve_p2(ctx), lambda f: f.derivative(dmap))
+    graph = _graph_equation(ctx)
+    return theta8(graph.thetas()[3], graph.P(2), graph.derive)
 
 
 # -- projective curvature --------------------------------------------------------
@@ -547,19 +522,11 @@ def curvature_kappa_of_ode(ode: LinearODE) -> Fraction:
     """kappa = Theta_8^3 / Theta_3^8 for a third-order linear ODE."""
     if ode.order != 3:
         raise ValueError("curvature needs the third-order curve ODE")
-    thetas = classical_theta_of_ode(ode)
-    theta3 = thetas[3]
+    equation = _linear_equation(ode)
+    theta3 = equation.thetas()[3]
     if theta3.is_zero():
         raise CurvatureUndefinedError("Theta_3 vanishes: conic or degenerate curve")
-    semis = semi_invariants(3)
-    table = {}
-    for i in (1, 2, 3):
-        cur = ode.p[i - 1]
-        for k in range(7):
-            table[f"p{i}_{k}"] = cur
-            cur = x_derivative(cur)
-    p2_semi = _subs_into_jets(semis[2], table)
-    t8 = theta8(theta3, p2_semi, x_derivative)
+    t8 = theta8(theta3, equation.P(2), x_derivative)
     kappa = t8 ** 3 / theta3 ** 8
     if not kappa.partial("x").is_zero():
         raise DiffAlgebraError("curvature came out x-dependent")
@@ -616,12 +583,12 @@ def linear_as_nonlinear(ode: LinearODE, ctx: JetContext) -> NonlinearODE:
 
 
 def _embed_x_function(f: JetFunction, ctx: JetContext) -> JetFunction:
-    mapping = {"x": ctx.var("x")}
-    num = _poly_subs(f.num, mapping, ctx)
-    factors = {}
-    for poly, e in f.factors.items():
-        factors[_poly_subs(poly, mapping, ctx)] = e
-    return JetFunction(ctx, num, factors)
+    x, one = ctx.var("x"), ctx.const(1)
+
+    def embed(poly: Poly) -> Poly:
+        return _substitute(poly, lambda v: x, one)
+
+    return JetFunction(ctx, embed(f.num), {embed(p): e for p, e in f.factors.items()})
 
 
 def curvature_context(symbolic: bool) -> JetContext:
@@ -640,7 +607,6 @@ def curvature_ode(kappa=None) -> NonlinearODE:
         raise ValueError("kappa must be nonzero")
     ctx = curvature_context(symbolic)
     theta3 = curve_theta3(ctx)
-    p2 = curve_p2(ctx)
     t8 = curve_theta8(ctx)
     a_coef = t8.partial("y7")
     if a_coef.is_zero():
@@ -663,20 +629,14 @@ def generalized_theta(ode: NonlinearODE) -> dict:
     p_r^(k) -> -binom(n,r)^(-1) D_x^k(dF/dy^(n-r))."""
     n = ode.order
     ctx = ode.ctx
-    thetas = classical_theta(n)
     dmap = on_equation_derivative_map(ctx, n, ode.rhs)
-    needed = _orders_needed([data["p"] for data in thetas.values()])
-    table = {}
-    for i, top in needed.items():
-        target = ctx.jet_name(n - i)
-        val = ode.rhs.partial(target) * Fraction(-1, comb(n, i))
-        for k in range(top + 1):
-            table[f"p{i}_{k}"] = val
-            if k < top:
-                val = val.derivative(dmap)
-    return {
-        r: _subs_into_jets(data["p"], table) for r, data in sorted(thetas.items())
-    }
+    equation = _Equation(
+        n,
+        lambda i: ode.rhs.partial(ctx.jet_name(n - i)) * Fraction(-1, comb(n, i)),
+        lambda f: f.derivative(dmap),
+        ExtendedJetFunction(ctx.fn(1), base=ode.rhs.base),
+    )
+    return equation.thetas()
 
 
 def wunschmann_relations(theta3, theta4, ode: NonlinearODE):

@@ -90,6 +90,22 @@ def test_ode_sample_small():
     assert '"samples": 5' in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["ode", "sample", "--samples", "-3"],
+    ["ode", "sample", "--samples", "0"],
+    ["verify-all", "--samples", "0"],
+    ["ode", "sample", "--samples", "many"],
+])
+def test_samples_below_one_rejected(argv, capsys):
+    # a sample count below 1 would make C10 pass vacuously
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --samples" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_orbit_commands():
     code, text = run_cli(["orbit", "2", "3"])
     assert code == 0

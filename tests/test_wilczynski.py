@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from g2sextic.diffpoly import (
     JetFunction,
     PoleError,
     free_total_derivative_map,
+    on_equation_derivative_map,
     parse_jet_expression,
 )
 from g2sextic.wilczynski import (
@@ -45,11 +47,6 @@ from g2sextic.wilczynski import (
 
 KAPPA0 = Fraction(3 ** 9 * 7 ** 3, 2 ** 4 * 5 ** 2)
 T_CTX = JetContext.plain(("t",))
-
-
-def p_poly(n, text):
-    ctx, _ = __import__("g2sextic.wilczynski", fromlist=["_p_ring"])._p_ring(n)
-    return parse_jet_expression(text, ctx)
 
 
 # -- semi-invariants and classical thetas --------------------------------------
@@ -91,13 +88,21 @@ def test_theta3_via_semi_invariants():
     assert theta["P"] == printed
 
 
+def _terms_by_name(poly):
+    """{frozenset of (variable name, exponent): coefficient}, free of the ring."""
+    names = poly.ctx.names
+    return {
+        frozenset((names[v], k) for v, k in enumerate(exps) if k): coef
+        for exps, coef in poly.terms.items()
+    }
+
+
 def test_theta3_same_for_higher_order():
     # the explicit expression of Theta_3 does not depend on n
-    ref = classical_theta(3)[3]["p"]
+    ref = _terms_by_name(classical_theta(3)[3]["p"])
+    assert len(ref) == 6
     for n in (4, 5, 6, 7):
-        other = classical_theta(n)[3]["p"]
-        assert {e[:len(e)] for e in ref.terms} is not None
-        assert sorted(ref.terms.values()) == sorted(other.terms.values())
+        assert _terms_by_name(classical_theta(n)[3]["p"]) == ref
 
 
 def test_eta_cancellation_runs_for_all_orders():
@@ -400,6 +405,64 @@ def test_generalized_matches_classical_on_linear():
     for x0 in (Fraction(1), Fraction(2), Fraction(-1, 3)):
         point = {"x": x0, "y": 0, "y1": 0, "y2": 0}
         assert th.c0.evaluate(point) == classical[3].evaluate({"x": x0})
+
+
+def _p_form_values(n, p_jet, point_of):
+    """Theta_r of the generic p-form at the numbers p_i^(k) = point_of(p_jet(i, k)).
+
+    Theta_r has weight r and p_i^(k) weight i + k, so k < n suffices.
+    """
+    point = {
+        f"p{i}_{k}": point_of(p_jet(i, k)) for i in range(1, n + 1) for k in range(n)
+    }
+    return {r: data["p"].evaluate(point) for r, data in classical_theta(n).items()}
+
+
+def _jet_table(first, derive):
+    """p_jet(i, k) = derive^k(first(i)), memoized."""
+    cache = {}
+
+    def p_jet(i, k):
+        if (i, k) not in cache:
+            cache[i, k] = first(i) if k == 0 else derive(p_jet(i, k - 1))
+        return cache[i, k]
+
+    return p_jet
+
+
+def test_p_form_at_points_matches_linear_ode():
+    # evaluate every p_i^(k) at x0 first, then the expanded p-form: a route
+    # that shares nothing with the P-form substitution but the p-form itself
+    rng = random.Random(2011)
+    x = x_fn("x")
+    coeffs = []
+    for _ in range(5):
+        num = sum((x ** d * Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for d in range(3)), x_fn(0))
+        coeffs.append(num / (x * x * rng.randint(1, 4) + 1))
+    ode = LinearODE(5, tuple(coeffs))
+    thetas = classical_theta_of_ode(ode)
+    p_jet = _jet_table(lambda i: ode.p[i - 1], x_derivative)
+    for x0 in (Fraction(1, 3), Fraction(-5, 2)):
+        expected = _p_form_values(5, p_jet, lambda f: f.evaluate({"x": x0}))
+        assert {r: f.evaluate({"x": x0}) for r, f in thetas.items()} == expected
+        assert any(expected.values())
+
+
+def test_p_form_at_points_matches_nonlinear_ode():
+    ctx = JetContext(4)
+    rhs = ExtendedJetFunction(parse_jet_expression("x*y3^2 + y*y2 - y1^3", ctx))
+    ode = NonlinearODE(4, rhs)
+    dmap = on_equation_derivative_map(ctx, 4, rhs)
+    p_jet = _jet_table(
+        lambda i: rhs.partial(ctx.jet_name(4 - i)) * Fraction(-1, comb(4, i)),
+        lambda f: f.derivative(dmap),
+    )
+    point = {"x": Fraction(2, 3), "y": Fraction(-1, 2), "y1": Fraction(3),
+             "y2": Fraction(1, 5), "y3": Fraction(-2)}
+    expected = _p_form_values(4, p_jet, lambda f: f.evaluate(point))
+    gen = generalized_theta(ode)
+    assert {r: f.evaluate(point) for r, f in gen.items()} == expected
+    assert any(expected.values())
 
 
 def test_wunschmann_relations():
