@@ -373,9 +373,9 @@ def criterion_lift_and_transversality() -> list:
 
         num = jet(2) * jet(2) * jet(5) * 9 - jet(2) * jet(3) * jet(4) * 45 + jet(3) ** 3 * 40
         mono = len(num.terms) == 1
-        ((exps, coef),) = num.terms.items() if mono else ((((0,), Fraction(0)),))
-        powers_ok = powers_ok and mono and coef != 0 and exps[0] == 3 * q - 9
-        details[f"q{q}"] = f"{coef} * x^{exps[0]}"
+        coef, power = (num.leading()[1], num.degree("x")) if mono else (0, 0)
+        powers_ok = powers_ok and mono and coef != 0 and power == 3 * q - 9
+        details[f"q{q}"] = f"{coef} * x^{power}"
     out.append(_flag("c11.halphen-power-curves", powers_ok, details=details))
     return out
 

@@ -76,6 +76,13 @@ class JetContext:
         exp[self.index[name]] = 1
         return Poly(self, {tuple(exp): Fraction(1)})
 
+    def monomial(self, powers=(), coef=1) -> "Poly":
+        """coef * prod v^k over the (variable index, exponent) pairs."""
+        exp = list(self._zero_exp)
+        for v, k in powers:
+            exp[v] += k
+        return self.const(0) if not coef else Poly(self, {tuple(exp): Fraction(coef)})
+
     def fn(self, name_or_const) -> "JetFunction":
         if isinstance(name_or_const, str):
             return JetFunction(self, self.var(name_or_const), {})
@@ -188,6 +195,28 @@ class Poly:
         v = self.ctx.index[name]
         return max((e[v] for e in self.terms), default=0)
 
+    def coefficients(self, name: str) -> dict:
+        """self as a polynomial in one variable: {exponent: coefficient},
+        each coefficient a Poly free of that variable."""
+        v = self.ctx.index[name]
+        out = {}
+        for e, c in self.terms.items():
+            k = e[v]
+            base = list(e)
+            base[v] = 0
+            base = tuple(base)
+            slot = out.setdefault(k, {})
+            slot[base] = slot.get(base, 0) + c
+        return {k: Poly(self.ctx, t) for k, t in out.items()}
+
+    def monomials(self) -> tuple:
+        """((powers, coef), ...) in term order; powers holds the
+        (variable index, exponent) pairs of the nonzero exponents."""
+        return tuple(
+            (tuple((v, k) for v, k in enumerate(e) if k), c)
+            for e, c in self.terms.items()
+        )
+
     def variables(self):
         used = set()
         for e in self.terms:
@@ -241,8 +270,9 @@ class Poly:
         return c, self.scale(1 / c)
 
     def leading(self):
+        """(powers, coef) of the lex-leading term, as in monomials()."""
         e = max(self.terms)
-        return e, self.terms[e]
+        return tuple((v, k) for v, k in enumerate(e) if k), self.terms[e]
 
     def exact_div(self, divisor: "Poly"):
         """Quotient when divisor divides self exactly, else None (lex)."""
@@ -254,7 +284,8 @@ class Poly:
             name = self.ctx.names[v]
             if self.degree(name) < divisor.degree(name):
                 return None
-        de, dc = divisor.leading()
+        de = max(divisor.terms)
+        dc = divisor.terms[de]
         rem = dict(self.terms)
         out = {}
         while rem:
@@ -294,18 +325,6 @@ class Poly:
 
 
 # -- multivariate gcd (primitive PRS); used by normalize() and tests ---------
-
-
-def _as_univar(p: Poly, v: int) -> dict:
-    out = {}
-    for e, c in p.terms.items():
-        k = e[v]
-        base = list(e)
-        base[v] = 0
-        base = tuple(base)
-        slot = out.setdefault(k, {})
-        slot[base] = slot.get(base, 0) + c
-    return {k: Poly(p.ctx, t) for k, t in out.items()}
 
 
 def _from_univar(ctx: JetContext, v: int, coeffs: dict) -> Poly:
@@ -352,7 +371,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if not used:
         return ctx.const(1)
     v = min(used, key=lambda w: max(a.degree(ctx.names[w]), b.degree(ctx.names[w])))
-    fa, fb = _as_univar(a, v), _as_univar(b, v)
+    fa, fb = a.coefficients(ctx.names[v]), b.coefficients(ctx.names[v])
     cont_a = _coeff_gcd(list(fa.values()))
     cont_b = _coeff_gcd(list(fb.values()))
     cont = poly_gcd(cont_a, cont_b)

@@ -243,11 +243,11 @@ def classical_theta(n: int) -> dict:
     if n < 3:
         raise ValueError("need order n >= 3")
     ctx, dmap, _ = _w_ring(n)
-    v_idx, eta_idx = ctx.index["v"], ctx.index["eta"]
+    v_idx = ctx.index["v"]
 
     def v_power(e: int) -> Poly:
         """v^e; e may be negative."""
-        return Poly(ctx, {tuple(e if i == v_idx else 0 for i in range(ctx.nvars)): Fraction(1)})
+        return ctx.monomial(((v_idx, e),))
 
     vm2 = v_power(-2)
     dx_op = DiffOp(ctx, dmap, vm2, [ctx.const(0), v_power(2)])  # D_x = M_(v^2) E
@@ -277,20 +277,16 @@ def classical_theta(n: int) -> dict:
             for _ in range(s):
                 g = e_derive(g)
             theta = theta + g.scale(wil_coefficient(r, s))
-        stripped = {}
-        for exps, coef in theta.terms.items():
-            if exps[eta_idx]:
-                raise EtaResidueError(
-                    f"Theta_{r} kept an eta monomial for order n = {n}"
-                )
-            if exps[v_idx] != -2 * r:
-                raise EtaResidueError(
-                    f"Theta_{r} is not homogeneous of weight {r} in xi'"
-                )
-            bare = list(exps)
-            bare[v_idx] = 0
-            stripped[tuple(bare)] = coef
-        theta_P[r] = Poly(ctx, stripped)
+        if set(theta.coefficients("eta")) - {0}:
+            raise EtaResidueError(
+                f"Theta_{r} kept an eta monomial for order n = {n}"
+            )
+        by_weight = theta.coefficients("v")
+        if set(by_weight) - {-2 * r}:
+            raise EtaResidueError(
+                f"Theta_{r} is not homogeneous of weight {r} in xi'"
+            )
+        theta_P[r] = by_weight.get(-2 * r, ctx.const(0))
 
     # the generic equation: p_i^(k) is the variable p{i}_{k}
     p_ctx, p_dmap, _ = _p_ring(n)
@@ -309,11 +305,9 @@ def _substitute(poly: Poly, image, one):
     or ExtendedJetFunction; one is the unit of the target ring."""
     powers: dict = {}
     total = None
-    for exps, coef in poly.terms.items():
+    for monomial, coef in poly.monomials():
         term = None
-        for v, k in enumerate(exps):
-            if not k:
-                continue
+        for v, k in monomial:
             if (v, k) not in powers:
                 powers[v, k] = image(v) ** k
             term = powers[v, k] if term is None else term * powers[v, k]
@@ -535,7 +529,7 @@ def curvature_kappa_of_ode(ode: LinearODE) -> Fraction:
 
 def _constant_value(f: JetFunction) -> Fraction:
     num, den = f.normalize_pair()
-    return num.constant_value() / den.constant_value()
+    return Fraction(num.constant_value(), den.constant_value())
 
 
 def curvature_kappa(gamma: Fraction) -> Fraction:

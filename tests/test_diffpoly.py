@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,19 @@ def test_poly_basics():
     assert p.diff("x") == CTX.var("x").scale(2)
     assert p.evaluate({"x": 2, "y1": 1}) == 7
     assert (p - p).is_zero()
+
+
+def test_values_are_fractions_never_floats():
+    # integer coefficients must not turn a quotient or a value into a float
+    assert type(CTX.const(6).constant_value()) is Fraction
+    assert type(CTX.const(0).constant_value()) is Fraction
+    value = (CTX.var("x") * 3).evaluate({"x": 2})
+    assert type(value) is Fraction and value == 6
+    value = fn("3*x/2").evaluate({"x": 2})
+    assert type(value) is Fraction and value == 3
+    y = CTX.var("y")
+    ((_, coef),) = (3 * y).exact_div(2 * y).monomials()
+    assert type(coef) is Fraction and coef == Fraction(3, 2)
 
 
 def test_total_derivative_examples():
@@ -224,12 +238,10 @@ def test_total_derivative_against_curve_oracle():
 
     def pullback(expr):
         out = x_ctx.fn(0)
-        for exps, coef in expr.numerator_polynomial().terms.items():
+        for powers, coef in expr.numerator_polynomial().monomials():
             term = x_ctx.fn(coef)
-            for v, k in enumerate(exps):
+            for v, k in powers:
                 name = CTX.names[v]
-                if not k:
-                    continue
                 order = 0 if name == "y" else int(name[1:])
                 term = term * jets_of_cubic(order) ** k
             out = out + term
