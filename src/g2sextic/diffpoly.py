@@ -2,8 +2,10 @@
 
 Three layers:
 
-* Poly - sparse multivariate (Laurent-capable) polynomials over Fraction,
-  with a fixed variable universe per JetContext.
+* Poly - sparse multivariate (Laurent-capable) polynomials over Q, with a
+  fixed variable universe per JetContext.  A coefficient is an int when
+  it is integral and a Fraction otherwise; each monomial is one packed
+  int key (see JetContext), so products add ints instead of tuples.
 * JetFunction - rational functions stored as  num * prod f_i^e_i  with the
   f_i primitive integer polynomials; negative exponents are denominator
   factors.  Trial division against the factor basis keeps the localized
@@ -16,7 +18,7 @@ Three layers:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 
 class DiffAlgebraError(ArithmeticError):
@@ -35,8 +37,52 @@ class MissingJetError(DiffAlgebraError):
     """A total derivative needed a jet variable beyond the declared universe."""
 
 
+class ExponentRangeError(DiffAlgebraError):
+    """An exponent left the packed range [-EXPONENT_BOUND, EXPONENT_BOUND)."""
+
+
+# -- packed monomials ----------------------------------------------------------
+#
+# A monomial prod x_v^e_v is the int  sum_v (e_v + B) << (FIELD_BITS * (n-1-v))
+# with B = EXPONENT_BOUND: variable 0 sits in the most significant field, so
+# comparing keys compares exponent vectors lexicographically.  A valid field
+# lies in [0, 2B) and leaves the top two of its FIELD_BITS bits clear, so the
+# sum or difference of two keys never carries into the next field before the
+# guard test below has seen it (Monagan & Pearce, CASC 2007).
+
+FIELD_BITS = 16
+EXPONENT_BOUND = 1 << (FIELD_BITS - 3)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """The exact quotient a / b of two coefficients."""
+    if b == 1:
+        return a
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(Fraction(a, b))
+
+
 class JetContext:
-    """Fixed variable universe: jet coordinates plus optional constants."""
+    """Fixed variable universe: jet coordinates plus optional constants.
+
+    It also owns the packed form of monomials: _one is the key of the
+    monomial 1, a product of keys k1, k2 is k1 + k2 - _one and a quotient
+    k1 - k2 + _one.  A product is in range when every field of
+    key + 4*_one reads 100 in its top three bits, a quotient with
+    nonnegative exponents when every field of key + 3*_one does.
+    """
 
     def __init__(self, max_order: int, extra=(), with_x: bool = True):
         names = []
@@ -45,43 +91,95 @@ class JetContext:
         names.append("y")
         names.extend(f"y{k}" for k in range(1, max_order + 1))
         names.extend(extra)
-        self.names = tuple(names)
-        self.index = {n: i for i, n in enumerate(self.names)}
-        self.nvars = len(self.names)
-        self.max_order = max_order
-        self._zero_exp = (0,) * self.nvars
+        self._setup(names, max_order)
 
     @staticmethod
     def plain(names) -> "JetContext":
         """A context that is just a list of named variables (abstract rings)."""
         ctx = object.__new__(JetContext)
-        ctx.names = tuple(names)
-        ctx.index = {n: i for i, n in enumerate(ctx.names)}
-        ctx.nvars = len(ctx.names)
-        ctx.max_order = None
-        ctx._zero_exp = (0,) * ctx.nvars
+        ctx._setup(names, None)
         return ctx
+
+    def _setup(self, names, max_order):
+        self.names = tuple(names)
+        self.index = {n: i for i, n in enumerate(self.names)}
+        self.nvars = len(self.names)
+        self.max_order = max_order
+        self._shifts = tuple(FIELD_BITS * (self.nvars - 1 - v) for v in range(self.nvars))
+        unit = sum(1 << s for s in self._shifts)
+        self._one = EXPONENT_BOUND * unit
+        self._top = 4 * self._one  # 100 in the top three bits of every field
+        self._mul_mask = 6 * self._one
+        self._div_bias = 3 * self._one
+        self._div_mask = 7 * self._one
 
     def jet_name(self, order: int) -> str:
         return "y" if order == 0 else f"y{order}"
 
+    # -- packed monomials ----------------------------------------------------
+
+    def _key(self, powers) -> int:
+        exps = {}
+        for v, k in powers:
+            exps[v] = exps.get(v, 0) + k
+        key = self._one
+        for v, k in exps.items():
+            if not -EXPONENT_BOUND <= k < EXPONENT_BOUND:
+                raise ExponentRangeError(
+                    f"exponent {k} of {self.names[v]} outside "
+                    f"[-{EXPONENT_BOUND}, {EXPONENT_BOUND})"
+                )
+            key += k << self._shifts[v]
+        return key
+
+    def _exponents(self, key: int) -> tuple:
+        """The exponent vector of a key."""
+        return tuple(((key >> s) & _FIELD_MASK) - EXPONENT_BOUND for s in self._shifts)
+
+    def _powers(self, key: int) -> tuple:
+        """The (variable index, exponent) pairs of the nonzero exponents."""
+        out = []
+        rest = key ^ self._one
+        while rest:
+            field = (rest.bit_length() - 1) // FIELD_BITS
+            shift = field * FIELD_BITS
+            out.append((self.nvars - 1 - field, ((key >> shift) & _FIELD_MASK) - EXPONENT_BOUND))
+            rest &= (1 << shift) - 1
+        return tuple(out)
+
+    def _range_error(self, key: int, offset: int) -> ExponentRangeError:
+        """The error for a key whose fields, read from key + offset * _one,
+        hold exponent + (offset + 1) * B."""
+        biased = key + offset * self._one
+        bias = (offset + 1) * EXPONENT_BOUND
+        for v, shift in enumerate(self._shifts):
+            k = ((biased >> shift) & _FIELD_MASK) - bias
+            if not -EXPONENT_BOUND <= k < EXPONENT_BOUND:
+                break
+        return ExponentRangeError(
+            f"exponent {k} of {self.names[v]} outside [-{EXPONENT_BOUND}, {EXPONENT_BOUND})"
+        )
+
+    def _quotient_in_range(self, key: int) -> bool:
+        """For a quotient key failing the guard test: False when some
+        exponent is negative, an ExponentRangeError when one is too large."""
+        if (key + self._div_bias) & self._top != self._top:
+            return False
+        raise self._range_error(key, 3)
+
     # -- polynomial constructors -------------------------------------------
 
     def const(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self, {self._zero_exp: c} if c else {})
+        c = _exact(c)
+        return _poly(self, {self._one: c} if c else {})
 
     def var(self, name: str) -> "Poly":
-        exp = list(self._zero_exp)
-        exp[self.index[name]] = 1
-        return Poly(self, {tuple(exp): Fraction(1)})
+        return _poly(self, {self._one + (1 << self._shifts[self.index[name]]): 1})
 
     def monomial(self, powers=(), coef=1) -> "Poly":
         """coef * prod v^k over the (variable index, exponent) pairs."""
-        exp = list(self._zero_exp)
-        for v, k in powers:
-            exp[v] += k
-        return self.const(0) if not coef else Poly(self, {tuple(exp): Fraction(coef)})
+        coef = _exact(coef)
+        return _poly(self, {self._key(powers): coef} if coef else {})
 
     def fn(self, name_or_const) -> "JetFunction":
         if isinstance(name_or_const, str):
@@ -89,19 +187,38 @@ class JetContext:
         return JetFunction(self, self.const(name_or_const), {})
 
 
-class Poly:
-    """Immutable sparse polynomial; exponents may be negative (Laurent)."""
+def _poly(ctx: JetContext, terms: dict) -> "Poly":
+    """A Poly over terms that are already nonzero and in exact form."""
+    p = object.__new__(Poly)
+    p.ctx = ctx
+    p.terms = terms
+    p._hash = None
+    p._monomials = None
+    return p
 
-    __slots__ = ("ctx", "terms", "_hash")
+
+class Poly:
+    """Immutable sparse polynomial; exponents may be negative (Laurent).
+
+    terms maps packed monomial keys (see JetContext) to nonzero
+    coefficients, each an int when integral and a Fraction otherwise.
+    """
+
+    __slots__ = ("ctx", "terms", "_hash", "_monomials")
 
     def __init__(self, ctx: JetContext, terms: dict):
         self.ctx = ctx
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = {e: _exact(c) for e, c in terms.items() if c}
         self._hash = None
+        self._monomials = None
 
     def __hash__(self):
+        # hashed over exponent vectors, not packed keys: the iteration order
+        # of factor tables, and with it the work done, stays independent of
+        # the packing
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            exponents = self.ctx._exponents
+            self._hash = hash(frozenset((exponents(e), c) for e, c in self.terms.items()))
         return self._hash
 
     def __eq__(self, other):
@@ -111,27 +228,29 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        one = self.ctx._one
+        return all(e == one for e in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def __add__(self, other):
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
+            nc = get(e, 0) + c
             if nc:
-                out[e] = nc
+                out[e] = nc if type(nc) is int else _exact(nc)
             else:
                 out.pop(e, None)
-        return Poly(self.ctx, out)
+        return _poly(self.ctx, out)
 
     def __neg__(self):
-        return Poly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return _poly(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -143,24 +262,42 @@ class Poly:
             big, small = self.terms, other.terms
         else:
             big, small = other.terms, self.terms
+        ctx = self.ctx
         out = {}
-        for e1, c1 in small.items():
+        rows = iter(small.items())
+        for e1, c1 in rows:
+            # the first row cannot collide with itself
+            e1 -= ctx._one
+            out = {e1 + e2: c1 * c2 for e2, c2 in big.items()}
+            break
+        get, pop = out.get, out.pop
+        for e1, c1 in rows:
+            e1 -= ctx._one
             for e2, c2 in big.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nc = out.get(e, 0) + c1 * c2
+                e = e1 + e2
+                nc = get(e, 0) + c1 * c2
                 if nc:
                     out[e] = nc
                 else:
-                    out.pop(e, None)
-        return Poly(self.ctx, out)
+                    pop(e, None)
+        top, mask = ctx._top, ctx._mul_mask
+        for e, c in out.items():
+            if (e + top) & mask != top:
+                raise ctx._range_error(e, 4)
+            if type(c) is not int and c.denominator == 1:
+                out[e] = c.numerator
+        return _poly(ctx, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
-            return Poly(self.ctx, {})
-        return Poly(self.ctx, {e: v * c for e, v in self.terms.items()})
+            return _poly(self.ctx, {})
+        out = {e: v * c for e, v in self.terms.items()}
+        if type(c) is not int or any(type(v) is not int for v in self.terms.values()):
+            out = {e: _exact(v) for e, v in out.items()}
+        return _poly(self.ctx, out)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -175,55 +312,51 @@ class Poly:
         return out
 
     def diff(self, name: str) -> "Poly":
-        v = self.ctx.index[name]
+        ctx = self.ctx
+        shift = ctx._shifts[ctx.index[name]]
+        step = 1 << shift
         out = {}
         for e, c in self.terms.items():
-            k = e[v]
+            k = ((e >> shift) & _FIELD_MASK) - EXPONENT_BOUND
             if not k:
                 continue
-            ne = list(e)
-            ne[v] = k - 1
-            ne = tuple(ne)
-            nc = out.get(ne, 0) + c * k
-            if nc:
-                out[ne] = nc
-            else:
-                out.pop(ne, None)
-        return Poly(self.ctx, out)
+            if k == -EXPONENT_BOUND:
+                raise ExponentRangeError(
+                    f"exponent {k - 1} of {name} outside "
+                    f"[-{EXPONENT_BOUND}, {EXPONENT_BOUND})"
+                )
+            out[e - step] = _exact(c * k)
+        return _poly(ctx, out)
 
     def degree(self, name: str) -> int:
-        v = self.ctx.index[name]
-        return max((e[v] for e in self.terms), default=0)
+        shift = self.ctx._shifts[self.ctx.index[name]]
+        top = max([(e >> shift) & _FIELD_MASK for e in self.terms], default=EXPONENT_BOUND)
+        return top - EXPONENT_BOUND
 
     def coefficients(self, name: str) -> dict:
         """self as a polynomial in one variable: {exponent: coefficient},
         each coefficient a Poly free of that variable."""
-        v = self.ctx.index[name]
+        shift = self.ctx._shifts[self.ctx.index[name]]
         out = {}
         for e, c in self.terms.items():
-            k = e[v]
-            base = list(e)
-            base[v] = 0
-            base = tuple(base)
-            slot = out.setdefault(k, {})
-            slot[base] = slot.get(base, 0) + c
-        return {k: Poly(self.ctx, t) for k, t in out.items()}
+            k = ((e >> shift) & _FIELD_MASK) - EXPONENT_BOUND
+            out.setdefault(k, {})[e - (k << shift)] = c
+        return {k: _poly(self.ctx, t) for k, t in out.items()}
 
     def monomials(self) -> tuple:
         """((powers, coef), ...) in term order; powers holds the
         (variable index, exponent) pairs of the nonzero exponents."""
-        return tuple(
-            (tuple((v, k) for v, k in enumerate(e) if k), c)
-            for e, c in self.terms.items()
-        )
+        if self._monomials is None:
+            powers = self.ctx._powers
+            self._monomials = tuple((powers(e), c) for e, c in self.terms.items())
+        return self._monomials
 
     def variables(self):
-        used = set()
+        ctx = self.ctx
+        differs = 0
         for e in self.terms:
-            for v, k in enumerate(e):
-                if k:
-                    used.add(v)
-        return used
+            differs |= e ^ ctx._one
+        return {v for v, s in enumerate(ctx._shifts) if (differs >> s) & _FIELD_MASK}
 
     def evaluate(self, point: dict) -> Fraction:
         """point: name -> Fraction; every used variable must be present."""
@@ -231,11 +364,9 @@ class Poly:
         for name, value in point.items():
             vals[self.ctx.index[name]] = Fraction(value)
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for powers, c in self.monomials():
             term = c
-            for v, k in enumerate(e):
-                if not k:
-                    continue
+            for v, k in powers:
                 if v not in vals:
                     raise ValueError(f"no value for {self.ctx.names[v]}")
                 base = vals[v]
@@ -272,10 +403,16 @@ class Poly:
     def leading(self):
         """(powers, coef) of the lex-leading term, as in monomials()."""
         e = max(self.terms)
-        return tuple((v, k) for v, k in enumerate(e) if k), self.terms[e]
+        return self.ctx._powers(e), self.terms[e]
 
     def exact_div(self, divisor: "Poly"):
-        """Quotient when divisor divides self exactly, else None (lex)."""
+        """Quotient when divisor divides self exactly, else None (lex).
+
+        The division runs on integers: self = F / scale and divisor =
+        unit * D with F integral and D primitive integral.  By Gauss's
+        lemma F / D is integral when it exists, so the first quotient
+        coefficient that is not an integer proves that it does not.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
@@ -284,39 +421,54 @@ class Poly:
             name = self.ctx.names[v]
             if self.degree(name) < divisor.degree(name):
                 return None
-        de = max(divisor.terms)
-        dc = divisor.terms[de]
-        rem = dict(self.terms)
+        dvals = divisor.terms.values()
+        if all(type(c) is int for c in dvals) and int_gcd(*dvals) == 1:
+            unit, dterms = 1, divisor.terms
+        else:
+            unit, prim = divisor.primitive()
+            dterms = prim.terms
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        if scale == 1:
+            rem = dict(self.terms)
+        else:
+            rem = {e: c.numerator * (scale // c.denominator) for e, c in self.terms.items()}
+        ctx = self.ctx
+        one, top, bias, mask = ctx._one, ctx._top, ctx._div_bias, ctx._div_mask
+        de = max(dterms)
+        dc = dterms[de]
+        shift = one - de
+        lower = [(e2 - one, c2) for e2, c2 in dterms.items()]
         out = {}
         while rem:
             re = max(rem)
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(x < 0 for x in qe):
+            qe = re + shift
+            if (qe + bias) & mask != top and not ctx._quotient_in_range(qe):
                 return None
-            qc = rem[re] / dc
+            qc, r = divmod(rem[re], dc)
+            if r:
+                return None
             out[qe] = qc
-            for e2, c2 in divisor.terms.items():
-                e = tuple(a + b for a, b in zip(qe, e2))
+            for e2, c2 in lower:
+                e = qe + e2
                 nc = rem.get(e, 0) - qc * c2
                 if nc:
                     rem[e] = nc
                 else:
                     rem.pop(e, None)
-        return Poly(self.ctx, out)
+        if scale != 1 or unit != 1:
+            out = {e: _div(c, scale * unit) for e, c in out.items()}
+        return _poly(ctx, out)
 
     def __str__(self):
         if not self.terms:
             return "0"
+        names = self.ctx.names
         parts = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
-            factors = []
-            for v, k in enumerate(e):
-                if k == 1:
-                    factors.append(self.ctx.names[v])
-                elif k:
-                    factors.append(f"{self.ctx.names[v]}^{k}")
-            body = "*".join(factors)
+            body = "*".join(
+                names[v] if k == 1 else f"{names[v]}^{k}" for v, k in self.ctx._powers(e)
+            )
             coef = str(c) if c.denominator == 1 else f"({c})"
             parts.append(f"{coef}*{body}" if body else coef)
         return " + ".join(parts).replace("+ -", "- ")
@@ -328,13 +480,12 @@ class Poly:
 
 
 def _from_univar(ctx: JetContext, v: int, coeffs: dict) -> Poly:
+    shift = ctx._shifts[v]
     out = {}
     for k, poly in coeffs.items():
         for e, c in poly.terms.items():
-            ne = list(e)
-            ne[v] = ne[v] + k
-            out[tuple(ne)] = out.get(tuple(ne), 0) + c
-    return Poly(ctx, out)
+            out[e + (k << shift)] = c
+    return _poly(ctx, out)
 
 
 def _pseudo_rem(f: dict, g: dict, ctx: JetContext):
@@ -430,13 +581,12 @@ class JetFunction:
             if not e:
                 continue
             if len(f.terms) == 1:
-                ((exps, coef),) = f.terms.items()
+                ((powers, coef),) = f.monomials()
                 if coef != 1:
                     scale *= Fraction(coef) ** e
-                for v, k in enumerate(exps):
-                    if k:
-                        vp = ctx.var(ctx.names[v])
-                        out[vp] = out.get(vp, 0) + k * e
+                for v, k in powers:
+                    vp = ctx.var(ctx.names[v])
+                    out[vp] = out.get(vp, 0) + k * e
             else:
                 out[f] = out.get(f, 0) + e
         if scale != 1:
@@ -473,13 +623,15 @@ class JetFunction:
         if len(f.terms) == 1:
             # monomial factor: exponent shift when every term allows it
             (fe, fc), = f.terms.items()
+            ctx = num.ctx
+            shift, top, bias, mask = ctx._one - fe, ctx._top, ctx._div_bias, ctx._div_mask
             out = {}
             for e, c in num.terms.items():
-                ne = tuple(a - b for a, b in zip(e, fe))
-                if any(x < 0 for x in ne):
+                ne = e + shift
+                if (ne + bias) & mask != top and not ctx._quotient_in_range(ne):
                     return None
-                out[ne] = c / fc
-            return Poly(num.ctx, out)
+                out[ne] = _div(c, fc)
+            return _poly(ctx, out)
         return num.exact_div(f)
 
     @staticmethod

@@ -12,7 +12,14 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from g2sextic.diffpoly import JetContext
+import pytest
+
+from g2sextic.diffpoly import (
+    EXPONENT_BOUND,
+    DiffAlgebraError,
+    ExponentRangeError,
+    JetContext,
+)
 
 NAMES = ("a", "b", "c")
 CTX = JetContext.plain(NAMES)
@@ -80,7 +87,11 @@ def build(d):
 
 
 def exact_coefficients(p) -> bool:
-    return all(type(c) in (int, Fraction) for _, c in p.monomials())
+    """Every coefficient is an int when integral and a Fraction otherwise."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for _, c in p.monomials()
+    )
 
 
 # -- agreement with the reference --------------------------------------------------
@@ -153,3 +164,47 @@ def test_evaluate_is_a_homomorphism(a, b, point):
     assert (pa + pb).evaluate(at) == va + vb
     assert (pa * pb).evaluate(at) == va * vb
     assert type(va) is Fraction
+
+
+# -- the packed exponent range --------------------------------------------------------
+
+B = EXPONENT_BOUND
+
+
+def mono(v, k):
+    return CTX.monomial(((v, k),))
+
+
+@pytest.mark.parametrize("v", range(len(NAMES)))
+def test_monomial_exponent_range(v):
+    assert issubclass(ExponentRangeError, DiffAlgebraError)
+    assert mono(v, B - 1).leading() == (((v, B - 1),), 1)
+    assert mono(v, -B).leading() == (((v, -B),), 1)
+    with pytest.raises(ExponentRangeError):
+        mono(v, B)
+    with pytest.raises(ExponentRangeError):
+        mono(v, -B - 1)
+
+
+@pytest.mark.parametrize("v", range(len(NAMES)))
+def test_product_exponent_range(v):
+    # both edges, in the most significant, a middle and the last field:
+    # an exponent that leaves its field raises instead of wrapping into
+    # the neighbouring variable
+    neighbours = build({(1, 1, 1): 1})
+    assert (mono(v, B - 2) * mono(v, 1)).leading() == (((v, B - 1),), 1)
+    assert (mono(v, -B + 1) * mono(v, -1)).leading() == (((v, -B),), 1)
+    with pytest.raises(ExponentRangeError):
+        mono(v, B - 1) * mono(v, 1) * neighbours
+    with pytest.raises(ExponentRangeError):
+        mono(v, -B) * (mono(v, -1) + CTX.const(1))
+    with pytest.raises(ExponentRangeError):
+        CTX.monomial(((v, 2),)) ** (B // 2)
+
+
+def test_derivative_and_quotient_exponent_range():
+    with pytest.raises(ExponentRangeError):
+        mono(0, -B).diff("a")
+    with pytest.raises(ExponentRangeError):
+        mono(1, B - 1).exact_div(mono(1, -1))
+    assert mono(1, B - 2).exact_div(mono(1, -1)) == mono(1, B - 1)
