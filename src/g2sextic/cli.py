@@ -528,7 +528,13 @@ def suite_orbit(p: int, q: int) -> list:
     return reports
 
 
+FORM_OPTIONS = {"i2": ("coeffs",), "i3": ("u", "v", "w"), "transvectant": ("u", "v")}
+
+
 def suite_forms(op: str, coeff_texts: dict, order_p: int | None = None) -> list:
+    missing = [f"--{k}" for k in FORM_OPTIONS.get(op, ()) if k not in coeff_texts]
+    if missing:
+        raise ValueError(f"forms {op} needs {', '.join(missing)}")
     try:
         if op == "i2":
             v = binform.parse_form(coeff_texts["coeffs"], degree=6)

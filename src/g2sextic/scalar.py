@@ -219,7 +219,13 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.replace("−", "-").strip())
+    """A rational p/q; a zero denominator is a ValueError like any bad input."""
+    try:
+        return Fraction(text.replace("−", "-").strip())
+    except ZeroDivisionError:
+        raise ValueError(
+            f"zero denominator in {text!r} (at position {text.index('/') + 1})"
+        ) from None
 
 
 def format_algebraic(a: AlgebraicScalar) -> str:

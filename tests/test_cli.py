@@ -108,6 +108,22 @@ def test_samples_below_one_rejected(argv, capsys):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ode", "curvature", "--gamma", "1/0"], "zero denominator in '1/0' (at position 2)"),
+    (["ode", "generalized", "--kappa", "1/0"], "zero denominator in '1/0' (at position 2)"),
+    (["forms", "i2"], "forms i2 needs --coeffs"),
+    (["forms", "i3", "--u", "1,0,0,0,0,0,1", "--w", "0,1,0,0,0,0,0"], "forms i3 needs --v"),
+    (["forms", "i3"], "forms i3 needs --u, --v, --w"),
+    (["forms", "transvectant", "--v", "0,0,1", "-p", "1"], "forms transvectant needs --u"),
+])
+def test_bad_input_is_one_error_line(argv, message, capsys):
+    # exit code 2 and a single error line, never a traceback or a verdict
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_orbit_commands():
     code, text = run_cli(["orbit", "2", "3"])
     assert code == 0

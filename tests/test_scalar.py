@@ -100,6 +100,12 @@ def test_serialization_roundtrip():
     assert format_rational(Fraction(-7, 2)) == "-7/2"
 
 
+@pytest.mark.parametrize("text", ["1/0", " -3/0", "(1/0)*r2"])
+def test_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_algebraic(text) if "*" in text else parse_rational(text)
+
+
 def test_float_view_only_annotation():
     a = SQRT2 + I * SQRT5
     z = a.to_complex()
