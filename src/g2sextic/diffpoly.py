@@ -136,16 +136,14 @@ class JetContext:
         """The exponent vector of a key."""
         return tuple(((key >> s) & _FIELD_MASK) - EXPONENT_BOUND for s in self._shifts)
 
-    def _powers(self, key: int) -> tuple:
-        """The (variable index, exponent) pairs of the nonzero exponents."""
-        out = []
+    def _powers(self, key: int):
+        """Yield the (variable index, exponent) pairs of the nonzero exponents."""
         rest = key ^ self._one
         while rest:
             field = (rest.bit_length() - 1) // FIELD_BITS
             shift = field * FIELD_BITS
-            out.append((self.nvars - 1 - field, ((key >> shift) & _FIELD_MASK) - EXPONENT_BOUND))
+            yield self.nvars - 1 - field, ((key >> shift) & _FIELD_MASK) - EXPONENT_BOUND
             rest &= (1 << shift) - 1
-        return tuple(out)
 
     def _range_error(self, key: int, offset: int) -> ExponentRangeError:
         """The error for a key whose fields, read from key + offset * _one,
@@ -193,7 +191,6 @@ def _poly(ctx: JetContext, terms: dict) -> "Poly":
     p.ctx = ctx
     p.terms = terms
     p._hash = None
-    p._monomials = None
     return p
 
 
@@ -204,13 +201,12 @@ class Poly:
     coefficients, each an int when integral and a Fraction otherwise.
     """
 
-    __slots__ = ("ctx", "terms", "_hash", "_monomials")
+    __slots__ = ("ctx", "terms", "_hash")
 
     def __init__(self, ctx: JetContext, terms: dict):
         self.ctx = ctx
         self.terms = {e: _exact(c) for e, c in terms.items() if c}
         self._hash = None
-        self._monomials = None
 
     def __hash__(self):
         # hashed over exponent vectors, not packed keys: the iteration order
@@ -346,10 +342,8 @@ class Poly:
     def monomials(self) -> tuple:
         """((powers, coef), ...) in term order; powers holds the
         (variable index, exponent) pairs of the nonzero exponents."""
-        if self._monomials is None:
-            powers = self.ctx._powers
-            self._monomials = tuple((powers(e), c) for e, c in self.terms.items())
-        return self._monomials
+        powers = self.ctx._powers
+        return tuple((tuple(powers(e)), c) for e, c in self.terms.items())
 
     def variables(self):
         ctx = self.ctx
@@ -364,9 +358,9 @@ class Poly:
         for name, value in point.items():
             vals[self.ctx.index[name]] = Fraction(value)
         total = Fraction(0)
-        for powers, c in self.monomials():
+        for e, c in self.terms.items():
             term = c
-            for v, k in powers:
+            for v, k in self.ctx._powers(e):
                 if v not in vals:
                     raise ValueError(f"no value for {self.ctx.names[v]}")
                 base = vals[v]
@@ -403,7 +397,7 @@ class Poly:
     def leading(self):
         """(powers, coef) of the lex-leading term, as in monomials()."""
         e = max(self.terms)
-        return self.ctx._powers(e), self.terms[e]
+        return tuple(self.ctx._powers(e)), self.terms[e]
 
     def exact_div(self, divisor: "Poly"):
         """Quotient when divisor divides self exactly, else None (lex).
@@ -421,13 +415,12 @@ class Poly:
             name = self.ctx.names[v]
             if self.degree(name) < divisor.degree(name):
                 return None
-        dvals = divisor.terms.values()
-        if all(type(c) is int for c in dvals) and int_gcd(*dvals) == 1:
-            unit, dterms = 1, divisor.terms
-        else:
-            unit, prim = divisor.primitive()
-            dterms = prim.terms
-        scale = lcm(*(c.denominator for c in self.terms.values()))
+        unit, prim = divisor.primitive()
+        dterms = prim.terms
+        scale = 1
+        for c in self.terms.values():
+            if type(c) is not int:
+                scale = lcm(scale, c.denominator)
         if scale == 1:
             rem = dict(self.terms)
         else:
@@ -581,10 +574,10 @@ class JetFunction:
             if not e:
                 continue
             if len(f.terms) == 1:
-                ((powers, coef),) = f.monomials()
+                ((key, coef),) = f.terms.items()
                 if coef != 1:
                     scale *= Fraction(coef) ** e
-                for v, k in powers:
+                for v, k in ctx._powers(key):
                     vp = ctx.var(ctx.names[v])
                     out[vp] = out.get(vp, 0) + k * e
             else:
