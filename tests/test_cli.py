@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -153,6 +154,58 @@ def test_forms_commands():
     assert code == 0
     code, text = run_cli(["forms", "i2", "--coeffs", "1,0"])
     assert code == 1
+
+
+# Report bytes and exit codes of cheap commands, pinned so that a refactor
+# of the report layer cannot change what a user sees.
+GOLDEN_TEXT = [
+    (["orbit", "2", "3"], 0,
+     '[RECORDED] orbit.aloff-wallach: (-8, 7)  {"kl_circle_weights": "(7, -8, 1)", '
+     '"kl_from_index_relations": "(-8, 7)", "kl_from_stabilizer_weights": "(4, 1)", '
+     '"pq": "(2, 3)", "stabilizer_matches_kl_space": "True", '
+     '"stabilizer_weights": "(-1, -4, 5)"}\n'
+     "[    PASS] orbit.family-form: v0=(1)*s32, v1=(1/6)*s31, v2=(-1/5)*s12, "
+     "v3=(-1/5)*s11 + (1/20)*s22, v4=(2/15)*s21, v5=(-1/2)*s13, v6=(2)*s23\n"
+     '[    PASS] orbit.legendrian-lift: smooth  {"criterion": "gamma-dot nonzero at t = 0"}\n'
+     "[    PASS] orbit.stabilizer: (-1, -4, 5)\n"),
+    (["orbit", "2", "4"], 1,
+     '[    FAIL] orbit.family: (2,4)  {"error": "(p, q) = (2, 4) must be coprime '
+     'with 0 < p < q"}\n'),
+    (["ode", "curvature", "--gamma", "3/2"], 0,
+     "[    PASS] ode.curvature-closed-form: 6751269/400 == 6751269/400\n"
+     '[RECORDED] ode.curvature-kappa: 6751269/400  {"gamma": "3/2"}\n'),
+    (["ode", "curvature", "--gamma", "2"], 1,
+     '[    FAIL] ode.curvature: 2  {"error": "gamma = 2 excluded (gamma != 0, 1, -1, '
+     '2, 1/2)", "excluded": "gamma != 0, 1, -1, 2, 1/2"}\n'),
+    (["forms", "i2", "--coeffs", "1,0,0,0,0,0,1"], 0,
+     '[RECORDED] forms.i2: 1  {"input": "v0=1, v1=0, v2=0, v3=0, v4=0, v5=0, v6=1"}\n'),
+    (["forms", "i3", "--u", "1,0,0,0,0,0,1", "--v", "0,1,0,0,0,0,0",
+      "--w", "0,0,1,0,0,0,0"], 0,
+     '[RECORDED] forms.i3: -5184000  {"outer_pairing": "sixth transvectant '
+     '(forced: the inner bracket has degree 6)"}\n'),
+    (["forms", "transvectant", "--u", "1,0,0", "--v", "0,0,1", "-p", "1"], 0,
+     '[RECORDED] forms.transvectant: v0=0, v1=2, v2=0  {"degree": 2, "p": 1}\n'),
+]
+
+GOLDEN_SHA256 = [
+    ("split", 0, "76c57e9cde3233396e32b560d95d62b0f052af1faeb93548cff3fcf5f9cfbe3c"),
+    ("su3", 1, "af25cd662a9f99370d6ff7d2a95d2d4e50f24469daafd676f5630a4a7c47a169"),
+    ("su21", 0, "5430023553ad42433dbb89c91daa920bae0db22210291eb6187cc44a95684ea0"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", GOLDEN_TEXT,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN_TEXT])
+def test_golden_report_text(argv, code, text):
+    assert run_cli(argv) == (code, text)
+
+
+@pytest.mark.parametrize("realform, code, digest", GOLDEN_SHA256,
+                         ids=[realform for realform, _, _ in GOLDEN_SHA256])
+def test_golden_g2_json(realform, code, digest):
+    got_code, text = run_cli(["g2", "--realform", realform, "--format", "json"])
+    assert got_code == code
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_json_reports_deterministic():
