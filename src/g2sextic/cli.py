@@ -15,6 +15,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import binform, g2verify, orbit, targets, wilczynski
@@ -23,7 +24,6 @@ from .diffpoly import (
     DiffAlgebraError,
     ExtendedJetFunction,
     JetContext,
-    ParseError,
     PoleError,
     parse_jet_expression,
 )
@@ -57,36 +57,31 @@ class InvariantReport:
         }
 
 
-def _check(check_id, computed, expected, serializer=str, details=None) -> InvariantReport:
-    return InvariantReport(
-        check_id=check_id,
-        status="pass" if computed == expected else "fail",
-        lhs=serializer(computed),
-        rhs=serializer(expected),
-        details=details or {},
-    )
+def _report(check_id, ok, lhs="", rhs="", details=None) -> InvariantReport:
+    """The one report constructor: ok True/False is pass/fail, None is recorded."""
+    status = "recorded" if ok is None else "pass" if ok else "fail"
+    return InvariantReport(check_id, status, str(lhs), str(rhs), details or {})
 
 
-def _flag(check_id, ok, lhs="", rhs="", details=None) -> InvariantReport:
-    return InvariantReport(
-        check_id, "pass" if ok else "fail", lhs, rhs, details or {}
-    )
-
-
-def _record(check_id, value, serializer=str, details=None) -> InvariantReport:
-    return InvariantReport(
-        check_id, "recorded", serializer(value), "", details or {}
-    )
+def _signature_report(check_id, tag, note, details) -> InvariantReport:
+    """Inertia of a real slice against its printed pair; the note marks a
+    computed pair that is the printed one in the opposite order."""
+    computed = orbit.signature(tag)
+    expected = targets.PRINTED_SIGNATURES[tag]
+    if computed != expected and computed == tuple(reversed(expected)):
+        details["note"] = note
+    return _report(check_id, computed == expected, computed, expected, details)
 
 
 # -- shared geometry objects ---------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _frame():
+    """The su(2,1) basis, structure constants and sigma dictionary, built
+    once per process; callers only read them."""
     basis = su21_basis()
-    sc = extract_structure_constants(basis)
-    dictionary = sigma_in_theta(basis)
-    return basis, sc, dictionary
+    return basis, extract_structure_constants(basis), sigma_in_theta(basis)
 
 
 # -- acceptance criteria -------------------------------------------------------
@@ -99,14 +94,8 @@ def criterion_structure_equations() -> list:
     out = []
     for l in range(1, 9):
         computed = sc.dtheta(l)
-        out.append(
-            _flag(
-                f"c01.dtheta-{l}",
-                forms_equal(computed, expected[l]),
-                format_form(computed),
-                format_form(expected[l]),
-            )
-        )
+        out.append(_report(f"c01.dtheta-{l}", forms_equal(computed, expected[l]),
+                           format_form(computed), format_form(expected[l])))
     return out
 
 
@@ -115,17 +104,17 @@ def criterion_cocalibration() -> list:
     _, sc, _ = _frame()
     cert = g2verify.verify_cocalibrated(targets.unit_three_form(), sc)
     out = [
-        _flag("c02.d-star-phi-zero", cert.checks["d_star_phi_zero"],
-              format_form(cert.d_star_phi), "0"),
-        _flag("c02.d-phi-basic", cert.checks["d_phi_basic"]),
-        _flag("c02.torsion-identity", cert.checks["torsion_identity"]),
-        _flag("c02.phi-wedge-tau-zero", cert.checks["phi_wedge_tau_zero"]),
-        _flag("c02.phi-wedge-star-tau-zero", cert.checks["phi_wedge_star_tau_zero"]),
-        _flag("c02.tau-nonzero", cert.checks["tau_nonzero"],
-              format_form(cert.tau), "!= 0"),
-        _record("c02.lambda", cert.lam, format_algebraic,
-                {"float_view": repr(cert.lam.to_complex().real),
-                 "orientation": cert.orientation}),
+        _report("c02.d-star-phi-zero", cert.checks["d_star_phi_zero"],
+                format_form(cert.d_star_phi), "0"),
+        _report("c02.d-phi-basic", cert.checks["d_phi_basic"]),
+        _report("c02.torsion-identity", cert.checks["torsion_identity"]),
+        _report("c02.phi-wedge-tau-zero", cert.checks["phi_wedge_tau_zero"]),
+        _report("c02.phi-wedge-star-tau-zero", cert.checks["phi_wedge_star_tau_zero"]),
+        _report("c02.tau-nonzero", cert.checks["tau_nonzero"],
+                format_form(cert.tau), "!= 0"),
+        _report("c02.lambda", None, format_algebraic(cert.lam),
+                details={"float_view": repr(cert.lam.to_complex().real),
+                         "orientation": cert.orientation}),
     ]
     return out
 
@@ -138,12 +127,12 @@ def criterion_realization() -> list:
     phi = orbit.realize_threeform(orbit.threeform_from_sextic(sextic), dictionary)
     gram_ok = gram == orbit.identity_gram()
     return [
-        _flag("c03.metric-gram-identity", gram_ok,
-              "diag(" + ",".join(str(gram[j][j]) for j in range(8)) + ")",
-              "diag(1,1,1,1,1,1,1,0)"),
-        _flag("c03.phi-seven-terms", forms_equal(phi, targets.unit_three_form()),
-              format_form(phi), format_form(targets.unit_three_form())),
-        _flag("c03.phi-basic", is_basic(phi)),
+        _report("c03.metric-gram-identity", gram_ok,
+                "diag(" + ",".join(str(gram[j][j]) for j in range(8)) + ")",
+                "diag(1,1,1,1,1,1,1,0)"),
+        _report("c03.phi-seven-terms", forms_equal(phi, targets.unit_three_form()),
+                format_form(phi), format_form(targets.unit_three_form())),
+        _report("c03.phi-basic", is_basic(phi)),
     ]
 
 
@@ -151,24 +140,16 @@ def criterion_intermediate_metric() -> list:
     """C4: the sigma-level metric of the (2,3) family."""
     computed = orbit.metric_from_sextic(orbit.family_sextic(2, 3))
     expected = targets.family_23_metric()
-    return [_check("c04.sigma-metric", computed, expected)]
+    return [_report("c04.sigma-metric", computed == expected, computed, expected)]
 
 
 def criterion_signatures() -> list:
     """C5: signatures of the three real slices (printed order: plus, minus)."""
-    out = []
-    for tag in ("split", "su3", "su21"):
-        computed = orbit.signature(tag)
-        expected = targets.PRINTED_SIGNATURES[tag]
-        details = {}
-        if computed != expected and computed == tuple(reversed(expected)):
-            details["note"] = (
-                "computed inertia (plus, minus) matches the printed pair "
-                "only after swapping the order; see the signature convention "
-                "section of the README"
-            )
-        out.append(_check(f"c05.signature-{tag}", computed, expected, details=details))
-    return out
+    note = ("computed inertia (plus, minus) matches the printed pair "
+            "only after swapping the order; see the signature convention "
+            "section of the README")
+    return [_signature_report(f"c05.signature-{tag}", tag, note, {})
+            for tag in ("split", "su3", "su21")]
 
 
 def criterion_invariant_theory(seed: int = 0) -> list:
@@ -206,10 +187,10 @@ def criterion_invariant_theory(seed: int = 0) -> list:
             == det ** 9 * binform.invariant_I3(u, v, w)
         )
     return [
-        _flag("c06.i2-calibrated-transvectant", i2_ok,
-              details={"calibration": str(binform.I2_CALIBRATION), "samples": 20}),
-        _flag("c06.i3-antisymmetry", anti_ok, details={"samples": 20}),
-        _flag("c06.det-weights-6-and-9", weight_ok, details={"samples": 20}),
+        _report("c06.i2-calibrated-transvectant", i2_ok,
+                details={"calibration": str(binform.I2_CALIBRATION), "samples": 20}),
+        _report("c06.i3-antisymmetry", anti_ok, details={"samples": 20}),
+        _report("c06.det-weights-6-and-9", weight_ok, details={"samples": 20}),
     ]
 
 
@@ -221,17 +202,18 @@ def criterion_curvature_law() -> list:
     law_ok = all(
         wilczynski.curvature_kappa(g) == wilczynski.kappa_closed_form(g) for g in gammas
     )
-    out.append(_flag("c07.kappa-closed-form", law_ok,
-                     details={"gammas": [str(g) for g in gammas]}))
-    out.append(_check("c07.kappa-cuspidal", wilczynski.curvature_kappa(Fraction(3, 2)),
-                      targets.KAPPA_CUSPIDAL))
-    out.append(_check("c07.kappa-log-curve", wilczynski.curvature_kappa_log_curve(),
-                      targets.KAPPA_LOG))
+    out.append(_report("c07.kappa-closed-form", law_ok,
+                       details={"gammas": [str(g) for g in gammas]}))
+    for check_id, kappa, expected in (
+        ("c07.kappa-cuspidal", wilczynski.curvature_kappa(Fraction(3, 2)), targets.KAPPA_CUSPIDAL),
+        ("c07.kappa-log-curve", wilczynski.curvature_kappa_log_curve(), targets.KAPPA_LOG),
+    ):
+        out.append(_report(check_id, kappa == expected, kappa, expected))
     sym_ok = all(
         wilczynski.kappa_closed_form(g) == wilczynski.kappa_closed_form(1 / g)
         for g in (Fraction(3), Fraction(5, 2), Fraction(9, 4), Fraction(11, 3))
     )
-    out.append(_flag("c07.kappa-inversion-symmetry", sym_ok))
+    out.append(_report("c07.kappa-inversion-symmetry", sym_ok))
     return out
 
 
@@ -242,29 +224,26 @@ def criterion_lemma() -> list:
     ctx = ode.ctx
     out = []
     for r in (3, 4, 5, 7):
-        out.append(_flag(f"c08.theta{r}-vanishes", thetas[r].is_zero(),
-                         str(thetas[r]), "0"))
+        out.append(_report(f"c08.theta{r}-vanishes", thetas[r].is_zero(), thetas[r], "0"))
     h = parse_jet_expression("9*y2^2*y5 - 45*y2*y3*y4 + 40*y3^3", ctx)
     const = Fraction(-1, 2 ** 2 * 3 ** 12 * 7 ** 4)
     expected = (
         (ctx.fn("kappa") * (2 ** 4 * 5 ** 2) - 3 ** 9 * 7 ** 3) * const * h ** 2 / ctx.fn("y2") ** 6
     )
     th6 = thetas[6]
-    out.append(_flag("c08.theta6-closed-form",
-                     th6.u_free() and th6.c0 == expected,
-                     str(th6), str(expected)))
-    out.append(_flag("c08.u-components-vanish",
-                     all(v.u_free() for v in thetas.values())))
+    out.append(_report("c08.theta6-closed-form", th6.u_free() and th6.c0 == expected,
+                       th6, expected))
+    out.append(_report("c08.u-components-vanish", all(v.u_free() for v in thetas.values())))
     ode0 = wilczynski.curvature_ode(targets.KAPPA_CUSPIDAL)
     all_zero = all(v.is_zero() for v in wilczynski.generalized_theta(ode0).values())
-    out.append(_flag("c08.all-vanish-at-cuspidal-kappa", all_zero,
-                     details={"kappa": str(targets.KAPPA_CUSPIDAL)}))
+    out.append(_report("c08.all-vanish-at-cuspidal-kappa", all_zero,
+                       details={"kappa": str(targets.KAPPA_CUSPIDAL)}))
     ode1 = wilczynski.curvature_ode(Fraction(1))
     some_nonzero = not all(
         v.is_zero() for v in wilczynski.generalized_theta(ode1).values()
     )
-    out.append(_flag("c08.nonzero-away-from-cuspidal-kappa", some_nonzero,
-                     details={"kappa": "1"}))
+    out.append(_report("c08.nonzero-away-from-cuspidal-kappa", some_nonzero,
+                       details={"kappa": "1"}))
     return out
 
 
@@ -278,11 +257,10 @@ def criterion_eta_and_triviality() -> list:
             eta_ok = True
         except wilczynski.EtaResidueError:
             eta_ok = False
-        out.append(_flag(f"c09.eta-free-n{n}", eta_ok))
+        out.append(_report(f"c09.eta-free-n{n}", eta_ok))
         trivial = wilczynski.classical_theta_of_ode(LinearODE(n, (zero,) * n))
-        out.append(
-            _flag(f"c09.trivial-equation-n{n}", all(v.is_zero() for v in trivial.values()))
-        )
+        out.append(_report(f"c09.trivial-equation-n{n}",
+                           all(v.is_zero() for v in trivial.values())))
     return out
 
 
@@ -338,10 +316,10 @@ def criterion_sampling_oracle(samples: int = 50, seed: int = 0) -> list:
     ]
     ok = all(r == 0 for r in residuals)
     return [
-        _flag("c10.cubic-jet-membership", ok,
-              details={"samples": len(jets_list), "seed": seed,
-                       "kappa0": str(kappa0),
-                       "max_residual": str(max((abs(r) for r in residuals), default=0))})
+        _report("c10.cubic-jet-membership", ok,
+                details={"samples": len(jets_list), "seed": seed,
+                         "kappa0": str(kappa0),
+                         "max_residual": str(max((abs(r) for r in residuals), default=0))})
     ]
 
 
@@ -357,7 +335,7 @@ def criterion_lift_and_transversality() -> list:
             lift_ok = lift_ok and (
                 orbit.legendrian_lift_smooth(p, q) == (p == 1 or q == p + 1)
             )
-    out.append(_flag("c11.lift-criterion-q-le-10", lift_ok))
+    out.append(_report("c11.lift-criterion-q-le-10", lift_ok))
     powers_ok = True
     details = {}
     for q in range(3, 9):
@@ -376,7 +354,7 @@ def criterion_lift_and_transversality() -> list:
         coef, power = (num.leading()[1], num.degree("x")) if mono else (0, 0)
         powers_ok = powers_ok and mono and coef != 0 and power == 3 * q - 9
         details[f"q{q}"] = f"{coef} * x^{power}"
-    out.append(_flag("c11.halphen-power-curves", powers_ok, details=details))
+    out.append(_report("c11.halphen-power-curves", powers_ok, details=details))
     return out
 
 
@@ -397,14 +375,9 @@ def criterion_corpus() -> list:
         rhs = ExtendedJetFunction(parse_jet_expression(rhs_text, ctx))
         thetas = wilczynski.generalized_theta(NonlinearODE(order, rhs))
         nonzero = {r: str(v) for r, v in thetas.items() if not v.is_zero()}
-        out.append(
-            _flag(
-                f"c12.{name}",
-                not nonzero,
-                details={"order": order, "rhs": rhs_text,
-                         "nonzero_invariants": nonzero or "none"},
-            )
-        )
+        out.append(_report(f"c12.{name}", not nonzero,
+                           details={"order": order, "rhs": rhs_text,
+                                    "nonzero_invariants": nonzero or "none"}))
     return out
 
 
@@ -433,26 +406,23 @@ def suite_g2(realform: str, seed: int = 0) -> list:
         reports = []
         basis, sc, dictionary = _frame()
         eta = derive_invariance_form(basis)
-        reports.append(_record("g2.00-invariance-form", eta,
+        reports.append(_report("g2.00-invariance-form", None, eta,
                                details={"derived_not_hardcoded": True}))
         reports += criterion_structure_equations()
         reports += criterion_realization()
         reports += criterion_intermediate_metric()
         reports += criterion_cocalibration()
         identities = g2verify.g2_identities(targets.unit_three_form(), seed=seed)
-        reports.append(_flag("g2.90-compatibility-identity",
-                             identities["contraction_proportional"]
-                             and identities["phi_wedge_star_phi_is_seven_vol"]
-                             and identities["null_direction_vanishes"],
-                             details={"contraction_constant": str(identities["contraction_constant"])}))
+        reports.append(_report("g2.90-compatibility-identity",
+                               identities["contraction_proportional"]
+                               and identities["phi_wedge_star_phi_is_seven_vol"]
+                               and identities["null_direction_vanishes"],
+                               details={"contraction_constant": str(identities["contraction_constant"])}))
         return reports
     if realform in ("split", "su3"):
-        computed = orbit.signature(realform)
-        expected = targets.PRINTED_SIGNATURES[realform]
-        details = {"coordinates": "independent real sigma components"}
-        if computed != expected and computed == tuple(reversed(expected)):
-            details["note"] = "matches the printed pair with the order swapped"
-        return [_check(f"g2.signature-{realform}", computed, expected, details=details)]
+        return [_signature_report(f"g2.signature-{realform}", realform,
+                                  "matches the printed pair with the order swapped",
+                                  {"coordinates": "independent real sigma components"})]
     raise ValueError(f"unknown real form {realform!r}")
 
 
@@ -461,28 +431,23 @@ def suite_ode_curvature(gamma_text: str) -> list:
     try:
         kappa = wilczynski.curvature_kappa(gamma)
     except CurvatureUndefinedError as err:
-        return [InvariantReport("ode.curvature", "fail", str(gamma), "",
-                                {"error": str(err),
+        return [_report("ode.curvature", False, gamma,
+                        details={"error": str(err),
                                  "excluded": "gamma != 0, 1, -1, 2, 1/2"})]
+    closed = wilczynski.kappa_closed_form(gamma)
     return [
-        _record("ode.curvature-kappa", kappa, details={"gamma": str(gamma)}),
-        _check("ode.curvature-closed-form", kappa, wilczynski.kappa_closed_form(gamma)),
+        _report("ode.curvature-kappa", None, kappa, details={"gamma": str(gamma)}),
+        _report("ode.curvature-closed-form", kappa == closed, kappa, closed),
     ]
 
 
 def suite_ode_generalized(kappa_text: str | None = None, rhs_text: str | None = None,
                           order: int = 7) -> list:
     if rhs_text is not None:
-        ctx = JetContext(order)
-        try:
-            rhs = ExtendedJetFunction(parse_jet_expression(rhs_text, ctx))
-        except ParseError as err:
-            return [InvariantReport("ode.generalized", "fail", rhs_text, "",
-                                    {"parse_error": str(err)})]
-        ode = NonlinearODE(order, rhs)
-        thetas = wilczynski.generalized_theta(ode)
+        rhs = ExtendedJetFunction(parse_jet_expression(rhs_text, JetContext(order)))
+        thetas = wilczynski.generalized_theta(NonlinearODE(order, rhs))
         return [
-            _record(f"ode.generalized-theta{r}", v,
+            _report(f"ode.generalized-theta{r}", None, v,
                     details={"is_zero": v.is_zero(), "order": order})
             for r, v in sorted(thetas.items())
         ]
@@ -490,73 +455,62 @@ def suite_ode_generalized(kappa_text: str | None = None, rhs_text: str | None = 
     ode = wilczynski.curvature_ode(kappa)
     thetas = wilczynski.generalized_theta(ode)
     return [
-        _record(f"ode.generalized-theta{r}", v,
+        _report(f"ode.generalized-theta{r}", None, v,
                 details={"is_zero": v.is_zero(),
                          "kappa": "symbolic" if kappa is None else str(kappa)})
         for r, v in sorted(thetas.items())
     ]
 
 
-def suite_ode_sample(samples: int, seed: int) -> list:
-    return criterion_sampling_oracle(samples, seed)
-
-
 def suite_orbit(p: int, q: int) -> list:
     try:
         sextic = orbit.family_sextic(p, q)
     except ValueError as err:
-        return [InvariantReport("orbit.family", "fail", f"({p},{q})", "",
-                                {"error": str(err)})]
+        return [_report("orbit.family", False, f"({p},{q})", details={"error": str(err)})]
     reports = []
     if (p, q) == (2, 3):
-        reports.append(_flag("orbit.family-form", sextic == targets.family_23_sextic(),
-                             binform.format_form(sextic)))
+        reports.append(_report("orbit.family-form", sextic == targets.family_23_sextic(),
+                               binform.format_form(sextic)))
     else:
-        reports.append(_record("orbit.family-form", binform.format_form(sextic),
+        reports.append(_report("orbit.family-form", None, binform.format_form(sextic),
                                details={"degree": 2 * q,
                                         "cusp_vanishing_order": orbit.pullout_power(p, q)}))
-    reports.append(_flag("orbit.stabilizer", orbit.stabilizer_check(p, q),
-                         str(orbit.stabilizer_weights(p, q))))
-    reports.append(_record("orbit.aloff-wallach",
-                           orbit.aloff_wallach_report(p, q)["kl_from_index_relations"],
-                           details={k: str(v) for k, v in orbit.aloff_wallach_report(p, q).items()}))
+    reports.append(_report("orbit.stabilizer", orbit.stabilizer_check(p, q),
+                           orbit.stabilizer_weights(p, q)))
+    aloff_wallach = orbit.aloff_wallach_report(p, q)
+    reports.append(_report("orbit.aloff-wallach", None, aloff_wallach["kl_from_index_relations"],
+                           details={k: str(v) for k, v in aloff_wallach.items()}))
     smooth = orbit.legendrian_lift_smooth(p, q)
-    reports.append(_flag("orbit.legendrian-lift",
-                         smooth == (p == 1 or q == p + 1),
-                         "smooth" if smooth else "singular",
-                         details={"criterion": "gamma-dot nonzero at t = 0"}))
+    reports.append(_report("orbit.legendrian-lift", smooth == (p == 1 or q == p + 1),
+                           "smooth" if smooth else "singular",
+                           details={"criterion": "gamma-dot nonzero at t = 0"}))
     return reports
 
 
-FORM_OPTIONS = {"i2": ("coeffs",), "i3": ("u", "v", "w"), "transvectant": ("u", "v")}
+FORM_OPTIONS = {"i2": ("--coeffs",), "i3": ("--u", "--v", "--w"),
+                "transvectant": ("--u", "--v", "-p")}
 
 
-def suite_forms(op: str, coeff_texts: dict, order_p: int | None = None) -> list:
-    missing = [f"--{k}" for k in FORM_OPTIONS.get(op, ()) if k not in coeff_texts]
+def suite_forms(op: str, options: dict) -> list:
+    """options maps "coeffs", "u", "v", "w" to coefficient texts and "p" to
+    the transvectant order; a missing or malformed one raises ValueError."""
+    missing = [flag for flag in FORM_OPTIONS.get(op, ()) if options.get(flag.lstrip("-")) is None]
     if missing:
         raise ValueError(f"forms {op} needs {', '.join(missing)}")
-    try:
-        if op == "i2":
-            v = binform.parse_form(coeff_texts["coeffs"], degree=6)
-            return [_record("forms.i2", binform.invariant_I2(v),
-                            details={"input": binform.format_form(v)})]
-        if op == "i3":
-            u = binform.parse_form(coeff_texts["u"], degree=6)
-            v = binform.parse_form(coeff_texts["v"], degree=6)
-            w = binform.parse_form(coeff_texts["w"], degree=6)
-            return [_record("forms.i3", binform.invariant_I3(u, v, w),
-                            details={"outer_pairing": "sixth transvectant "
-                                     "(forced: the inner bracket has degree 6)"})]
-        if op == "transvectant":
-            if order_p is None:
-                raise ValueError("transvectant needs -p ORDER")
-            u = binform.parse_form(coeff_texts["u"])
-            v = binform.parse_form(coeff_texts["v"])
-            result = binform.transvectant(u, v, order_p)
-            return [_record("forms.transvectant", binform.format_form(result),
-                            details={"p": order_p, "degree": result.degree})]
-    except ValueError as err:
-        return [InvariantReport(f"forms.{op}", "fail", "", "", {"error": str(err)})]
+    if op == "i2":
+        v = binform.parse_form(options["coeffs"], degree=6)
+        return [_report("forms.i2", None, binform.invariant_I2(v),
+                        details={"input": binform.format_form(v)})]
+    if op == "i3":
+        u, v, w = (binform.parse_form(options[k], degree=6) for k in ("u", "v", "w"))
+        return [_report("forms.i3", None, binform.invariant_I3(u, v, w),
+                        details={"outer_pairing": "sixth transvectant "
+                                 "(forced: the inner bracket has degree 6)"})]
+    if op == "transvectant":
+        u, v = binform.parse_form(options["u"]), binform.parse_form(options["v"])
+        result = binform.transvectant(u, v, options["p"])
+        return [_report("forms.transvectant", None, binform.format_form(result),
+                        details={"p": options["p"], "degree": result.degree})]
     raise ValueError(f"unknown forms operation {op!r}")
 
 
@@ -605,24 +559,29 @@ def build_parser() -> argparse.ArgumentParser:
                          help="structure equations, realization, co-calibration")
     g2p.add_argument("--realform", choices=("su21", "split", "su3"), default="su21")
     g2p.add_argument("--seed", type=int, default=0)
+    g2p.set_defaults(run=lambda a: suite_g2(a.realform, a.seed))
 
     odep = sub.add_parser("ode", help="curvature and generalized invariants")
     odesub = odep.add_subparsers(dest="ode_command", required=True)
     curv = odesub.add_parser("curvature", parents=[common])
     curv.add_argument("--gamma", required=True)
+    curv.set_defaults(run=lambda a: suite_ode_curvature(a.gamma))
     gen = odesub.add_parser("generalized", parents=[common])
     gen.add_argument("--kappa", default=None,
                      help="rational value or 'symbolic' (default: symbolic)")
     gen.add_argument("--rhs", default=None, help="right-hand side expression")
     gen.add_argument("--order", type=int, default=7)
+    gen.set_defaults(run=lambda a: suite_ode_generalized(a.kappa, a.rhs, a.order))
     samp = odesub.add_parser("sample", parents=[common])
     samp.add_argument("--samples", type=sample_count, default=50)
     samp.add_argument("--seed", type=int, default=0)
+    samp.set_defaults(run=lambda a: criterion_sampling_oracle(a.samples, a.seed))
 
     orbp = sub.add_parser("orbit", parents=[common],
                           help="family form, stabilizer, lift")
     orbp.add_argument("p", type=int)
     orbp.add_argument("q", type=int)
+    orbp.set_defaults(run=lambda a: suite_orbit(a.p, a.q))
 
     formsp = sub.add_parser("forms", parents=[common],
                             help="transvectants and invariants of inputs")
@@ -632,35 +591,21 @@ def build_parser() -> argparse.ArgumentParser:
     formsp.add_argument("--v")
     formsp.add_argument("--w")
     formsp.add_argument("-p", type=int, default=None, help="transvectant order")
+    formsp.set_defaults(run=lambda a: suite_forms(a.op, vars(a)))
 
     allp = sub.add_parser("verify-all", parents=[common],
                           help="run the complete acceptance suite")
     allp.add_argument("--seed", type=int, default=0)
     allp.add_argument("--samples", type=sample_count, default=50)
+    allp.set_defaults(run=lambda a: suite_verify_all(a.seed, a.samples))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "g2":
-            reports = suite_g2(args.realform, args.seed)
-        elif args.command == "ode":
-            if args.ode_command == "curvature":
-                reports = suite_ode_curvature(args.gamma)
-            elif args.ode_command == "generalized":
-                reports = suite_ode_generalized(args.kappa, args.rhs, args.order)
-            else:
-                reports = suite_ode_sample(args.samples, args.seed)
-        elif args.command == "orbit":
-            reports = suite_orbit(args.p, args.q)
-        elif args.command == "forms":
-            coeffs = {k: getattr(args, k) for k in ("coeffs", "u", "v", "w")
-                      if getattr(args, k)}
-            reports = suite_forms(args.op, coeffs, args.p)
-        else:
-            reports = suite_verify_all(args.seed, args.samples)
-    except (DiffAlgebraError, ParseError, ValueError) as err:
+        reports = args.run(args)
+    except (DiffAlgebraError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return emit(reports, args.format)

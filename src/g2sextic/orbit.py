@@ -295,25 +295,29 @@ def _covector(lin: SigmaLinear, dictionary) -> tuple:
     return tuple(out)
 
 
-def realize_metric(tensor: SymTensor, dictionary) -> list:
-    """Gram matrix over theta^1..theta^8; raises RealityError if not real."""
-    covectors = [
-        _covector(SigmaLinear.sigma(*sym), dictionary) for sym in SYMBOLS
-    ]
-    gram = [[ZERO] * 8 for _ in range(8)]
+def _gram(tensor: SymTensor, covectors) -> list:
+    """Gram matrix of a symmetric sigma-tensor, given one covector per sigma
+    symbol (in SYMBOLS order); raises RealityError if an entry is not real."""
+    dim = len(covectors[0])
+    gram = [[ZERO] * dim for _ in range(dim)]
     half = Fraction(1, 2)
     for (s, t), coef in tensor.terms.items():
         vx, vy = covectors[s], covectors[t]
-        for j in range(8):
-            for k in range(8):
+        for j in range(dim):
+            for k in range(dim):
                 contrib = coef * (vx[j] * vy[k] + vy[j] * vx[k]) * half
                 if contrib:
                     gram[j][k] = gram[j][k] + contrib
-    for j in range(8):
-        for k in range(8):
-            if not gram[j][k].is_real():
-                raise RealityError(f"Gram entry ({j+1},{k+1}) not real: {gram[j][k]}")
+    for j, row in enumerate(gram):
+        for k, entry in enumerate(row):
+            if not entry.is_real():
+                raise RealityError(f"Gram entry ({j+1},{k+1}) not real: {entry}")
     return gram
+
+
+def realize_metric(tensor: SymTensor, dictionary) -> list:
+    """Gram matrix over theta^1..theta^8; raises RealityError if not real."""
+    return _gram(tensor, [_covector(SigmaLinear.sigma(*sym), dictionary) for sym in SYMBOLS])
 
 
 def realize_threeform(tf: SigmaThreeForm, dictionary) -> ExteriorForm:
@@ -404,24 +408,9 @@ def _real_slice_covectors(tag: str):
 
 def signature(tag: str) -> tuple[int, int]:
     """(n+, n-) of the family metric restricted to the chosen real slice."""
-    tensor = metric_from_sextic(family_sextic(2, 3))
     slice_cov = _real_slice_covectors(tag)
-    vectors = {}
-    for sym in SYMBOLS:
-        vectors[sym] = slice_cov[sym]
-    gram = [[Fraction(0)] * 7 for _ in range(7)]
-    half = Fraction(1, 2)
-    for (s, t), coef in tensor.terms.items():
-        vx, vy = vectors[SYMBOLS[s]], vectors[SYMBOLS[t]]
-        for j in range(7):
-            for k in range(7):
-                entry = coef * (vx[j] * vy[k] + vy[j] * vx[k]) * half
-                if not entry:
-                    continue
-                if not entry.is_real():
-                    raise RealityError(f"slice Gram entry not real: {entry}")
-                gram[j][k] += entry.rational_value()
-    return rational_signature(gram)
+    gram = _gram(metric_from_sextic(family_sextic(2, 3)), [slice_cov[sym] for sym in SYMBOLS])
+    return rational_signature([[entry.rational_value() for entry in row] for row in gram])
 
 
 def rational_signature(gram) -> tuple[int, int]:
