@@ -32,7 +32,6 @@ from .liealg import derive_invariance_form, extract_structure_constants, sigma_i
 from .scalar import format_algebraic, parse_rational
 from .wilczynski import (
     DegenerateCurveError,
-    CurvatureUndefinedError,
     LinearODE,
     NonlinearODE,
     X_CTX,
@@ -218,10 +217,10 @@ def criterion_curvature_law() -> list:
 
 
 def criterion_lemma() -> list:
-    """C8: generalized invariants of the curvature equation."""
-    ode = wilczynski.curvature_ode()  # symbolic kappa
-    thetas = wilczynski.generalized_theta(ode)
-    ctx = ode.ctx
+    """C8: generalized invariants of the curvature equation, derived once
+    for symbolic kappa; the verdicts at kappa0 and kappa = 1 specialize it."""
+    thetas = wilczynski.curvature_thetas()
+    ctx = thetas[6].ctx
     out = []
     for r in (3, 4, 5, 7):
         out.append(_report(f"c08.theta{r}-vanishes", thetas[r].is_zero(), thetas[r], "0"))
@@ -234,14 +233,12 @@ def criterion_lemma() -> list:
     out.append(_report("c08.theta6-closed-form", th6.u_free() and th6.c0 == expected,
                        th6, expected))
     out.append(_report("c08.u-components-vanish", all(v.u_free() for v in thetas.values())))
-    ode0 = wilczynski.curvature_ode(targets.KAPPA_CUSPIDAL)
-    all_zero = all(v.is_zero() for v in wilczynski.generalized_theta(ode0).values())
+    at_kappa0 = wilczynski.specialize_kappa(thetas, targets.KAPPA_CUSPIDAL)
+    all_zero = all(v.is_zero() for v in at_kappa0.values())
     out.append(_report("c08.all-vanish-at-cuspidal-kappa", all_zero,
                        details={"kappa": str(targets.KAPPA_CUSPIDAL)}))
-    ode1 = wilczynski.curvature_ode(Fraction(1))
-    some_nonzero = not all(
-        v.is_zero() for v in wilczynski.generalized_theta(ode1).values()
-    )
+    at_one = wilczynski.specialize_kappa(thetas, 1)
+    some_nonzero = not all(v.is_zero() for v in at_one.values())
     out.append(_report("c08.nonzero-away-from-cuspidal-kappa", some_nonzero,
                        details={"kappa": "1"}))
     return out
@@ -428,12 +425,7 @@ def suite_g2(realform: str, seed: int = 0) -> list:
 
 def suite_ode_curvature(gamma_text: str) -> list:
     gamma = parse_rational(gamma_text)
-    try:
-        kappa = wilczynski.curvature_kappa(gamma)
-    except CurvatureUndefinedError as err:
-        return [_report("ode.curvature", False, gamma,
-                        details={"error": str(err),
-                                 "excluded": "gamma != 0, 1, -1, 2, 1/2"})]
+    kappa = wilczynski.curvature_kappa(gamma)
     closed = wilczynski.kappa_closed_form(gamma)
     return [
         _report("ode.curvature-kappa", None, kappa, details={"gamma": str(gamma)}),
@@ -452,8 +444,10 @@ def suite_ode_generalized(kappa_text: str | None = None, rhs_text: str | None = 
             for r, v in sorted(thetas.items())
         ]
     kappa = None if kappa_text in (None, "symbolic") else parse_rational(kappa_text)
-    ode = wilczynski.curvature_ode(kappa)
-    thetas = wilczynski.generalized_theta(ode)
+    if kappa is None:
+        thetas = wilczynski.curvature_thetas()
+    else:
+        thetas = wilczynski.generalized_theta(wilczynski.curvature_ode(kappa))
     return [
         _report(f"ode.generalized-theta{r}", None, v,
                 details={"is_zero": v.is_zero(),
@@ -463,10 +457,7 @@ def suite_ode_generalized(kappa_text: str | None = None, rhs_text: str | None = 
 
 
 def suite_orbit(p: int, q: int) -> list:
-    try:
-        sextic = orbit.family_sextic(p, q)
-    except ValueError as err:
-        return [_report("orbit.family", False, f"({p},{q})", details={"error": str(err)})]
+    sextic = orbit.family_sextic(p, q)
     reports = []
     if (p, q) == (2, 3):
         reports.append(_report("orbit.family-form", sextic == targets.family_23_sextic(),

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 
 from .diffpoly import (
     DiffAlgebraError,
@@ -631,6 +632,45 @@ def generalized_theta(ode: NonlinearODE) -> dict:
         ExtendedJetFunction(ctx.fn(1), base=ode.rhs.base),
     )
     return equation.thetas()
+
+
+@lru_cache(maxsize=None)
+def curvature_thetas() -> MappingProxyType:
+    """generalized_theta of the symbolic-kappa curvature equation, derived
+    once per process and shared: the mapping is read-only, and jet
+    functions never change after construction."""
+    # both calls go through the module's names, which perfbench's tracer
+    # rebinds to count them
+    return MappingProxyType(generalized_theta(curvature_ode()))
+
+
+def specialize_kappa(thetas, k) -> dict:
+    """The invariants of curvature_ode(k) from the symbolic ones, by
+    kappa -> k in every numerator of c0, c1, c2 and the cube base.
+
+    Sound when kappa occurs in no factor table: then kappa -> k is a ring
+    homomorphism that commutes with D_x (D_x kappa = 0) and sends
+    u^3 = kappa Theta_3^8 to u^3 = k Theta_3^8.  A kappa in a factor raises
+    DiffAlgebraError.
+    """
+    ctx = next(iter(thetas.values())).ctx
+    kappa_idx, value, one = ctx.index["kappa"], ctx.const(Fraction(k)), ctx.const(1)
+
+    def image(v: int) -> Poly:
+        return value if v == kappa_idx else ctx.monomial(((v, 1),))
+
+    def specialize(f: JetFunction) -> JetFunction:
+        if any(kappa_idx in g.variables() for g in f.factors):
+            raise DiffAlgebraError("kappa occurs in a factor table; cannot specialize")
+        return JetFunction(ctx, _substitute(f.num, image, one), f.factors)
+
+    return {
+        r: ExtendedJetFunction(
+            specialize(t.c0), specialize(t.c1), specialize(t.c2),
+            None if t.base is None else specialize(t.base),
+        )
+        for r, t in thetas.items()
+    }
 
 
 def wunschmann_relations(theta3, theta4, ode: NonlinearODE):

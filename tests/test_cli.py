@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from g2sextic import wilczynski
 from g2sextic.cli import (
     InvariantReport,
     build_parser,
+    criterion_lemma,
     criterion_sampling_oracle,
     cuspidal_jet_samples,
     emit,
@@ -55,9 +57,6 @@ def test_ode_curvature_commands():
     code, text = run_cli(["ode", "curvature", "--gamma", "3/2"])
     assert code == 0
     assert "6751269/400" in text
-    code, text = run_cli(["ode", "curvature", "--gamma", "2"])
-    assert code == 1
-    assert "excluded" in text
 
 
 def test_ode_generalized_rhs():
@@ -79,6 +78,23 @@ def test_ode_generalized_numeric_kappa():
     assert code == 0
     assert '"is_zero": false' not in text
     assert '"kappa": "6751269/400"' in text
+
+
+def test_criterion_lemma_derives_the_lemma_once(monkeypatch):
+    # C08 reads its kappa0 and kappa = 1 verdicts off the symbolic-kappa
+    # invariants; a direct run at either value would be a second call
+    calls = []
+    real = wilczynski.generalized_theta
+
+    def counting(ode):
+        calls.append(ode)
+        return real(ode)
+
+    monkeypatch.setattr(wilczynski, "generalized_theta", counting)
+    wilczynski.curvature_thetas.cache_clear()
+    reports = criterion_lemma()
+    assert len(calls) == 1
+    assert [r.status for r in reports] == ["pass"] * 8
 
 
 def test_ode_sample_small():
@@ -114,6 +130,8 @@ def test_samples_below_one_rejected(argv, capsys):
      "unknown variable 'nope' (at position 5)"),
     (["forms", "i2", "--coeffs", "1,0"], "expected 7 coefficients"),
     (["forms", "transvectant", "--u", "1,0,0", "--v", "0,0,1"], "forms transvectant needs -p"),
+    (["orbit", "2", "4"], "(p, q) = (2, 4) must be coprime with 0 < p < q"),
+    (["ode", "curvature", "--gamma", "2"], "gamma = 2 excluded (gamma != 0, 1, -1, 2, 1/2)"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict
@@ -133,8 +151,6 @@ def test_orbit_commands():
     code, text = run_cli(["orbit", "1", "4"])
     assert code == 0
     assert "smooth" in text
-    code, text = run_cli(["orbit", "2", "4"])
-    assert code == 1
 
 
 def test_forms_commands():
@@ -164,15 +180,9 @@ GOLDEN_TEXT = [
      "v3=(-1/5)*s11 + (1/20)*s22, v4=(2/15)*s21, v5=(-1/2)*s13, v6=(2)*s23\n"
      '[    PASS] orbit.legendrian-lift: smooth  {"criterion": "gamma-dot nonzero at t = 0"}\n'
      "[    PASS] orbit.stabilizer: (-1, -4, 5)\n"),
-    (["orbit", "2", "4"], 1,
-     '[    FAIL] orbit.family: (2,4)  {"error": "(p, q) = (2, 4) must be coprime '
-     'with 0 < p < q"}\n'),
     (["ode", "curvature", "--gamma", "3/2"], 0,
      "[    PASS] ode.curvature-closed-form: 6751269/400 == 6751269/400\n"
      '[RECORDED] ode.curvature-kappa: 6751269/400  {"gamma": "3/2"}\n'),
-    (["ode", "curvature", "--gamma", "2"], 1,
-     '[    FAIL] ode.curvature: 2  {"error": "gamma = 2 excluded (gamma != 0, 1, -1, '
-     '2, 1/2)", "excluded": "gamma != 0, 1, -1, 2, 1/2"}\n'),
     (["forms", "i2", "--coeffs", "1,0,0,0,0,0,1"], 0,
      '[RECORDED] forms.i2: 1  {"input": "v0=1, v1=0, v2=0, v3=0, v4=0, v5=0, v6=1"}\n'),
     (["forms", "i3", "--u", "1,0,0,0,0,0,1", "--v", "0,1,0,0,0,0,0",

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from g2sextic.diffpoly import (
+    DiffAlgebraError,
     ExtendedJetFunction,
     JetContext,
     JetFunction,
@@ -24,8 +25,10 @@ from g2sextic.wilczynski import (
     classical_theta,
     classical_theta_of_ode,
     curvature_kappa,
+    curvature_context,
     curvature_kappa_log_curve,
     curvature_ode,
+    curvature_thetas,
     curve_p2,
     curve_theta3,
     curve_theta8,
@@ -39,6 +42,7 @@ from g2sextic.wilczynski import (
     ode_from_basis,
     power_curve_ode,
     semi_invariants,
+    specialize_kappa,
     theta8,
     wil_coefficient,
     wunschmann_relations,
@@ -360,16 +364,21 @@ def test_power_curve_jets_constant_curvature():
 # -- generalized invariants -----------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def direct_kappa_one():
+    """The invariants at kappa = 1 from their own generalized_theta run."""
+    return generalized_theta(curvature_ode(Fraction(1)))
+
+
 def test_lemma_symbolic_kappa():
-    ode = curvature_ode()  # symbolic
-    thetas = generalized_theta(ode)
+    thetas = curvature_thetas()
     assert thetas[3].is_zero()
     assert thetas[4].is_zero()
     assert thetas[5].is_zero()
     assert thetas[7].is_zero()
     th6 = thetas[6]
     assert th6.u_free()
-    ctx = ode.ctx
+    ctx = th6.ctx
     h = parse_jet_expression("9*y2^2*y5 - 45*y2*y3*y4 + 40*y3^3", ctx)
     const = Fraction(-1, 2 ** 2 * 3 ** 12 * 7 ** 4)
     expected = (
@@ -389,11 +398,39 @@ def test_lemma_distinguished_value():
     assert all(v.u_free() for v in thetas.values())
 
 
-def test_lemma_other_value_nonzero():
-    ode = curvature_ode(Fraction(1))
-    thetas = generalized_theta(ode)
-    assert not thetas[6].is_zero()
-    assert thetas[3].is_zero()
+def test_lemma_other_value_nonzero(direct_kappa_one):
+    assert not direct_kappa_one[6].is_zero()
+    assert direct_kappa_one[3].is_zero()
+
+
+def test_specialized_kappa_matches_direct_run(direct_kappa_one):
+    # the two results live in different contexts (only one carries kappa),
+    # so they are compared by value at seeded rational jets; the point
+    # gives no value for kappa, so a kappa left behind raises
+    specialized = specialize_kappa(curvature_thetas(), 1)
+    assert specialized.keys() == direct_kappa_one.keys()
+    rng = random.Random(7)
+    names = direct_kappa_one[3].ctx.names
+    for _ in range(6):
+        point = {name: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                 for name in names}
+        for r, direct in direct_kappa_one.items():
+            got = specialized[r]
+            for part in ("c0", "c1", "c2"):
+                assert getattr(got, part).evaluate(point) == getattr(direct, part).evaluate(point)
+            assert got.base.evaluate(point) == direct.base.evaluate(point)
+    assert specialized[6].c0.evaluate(point) != 0
+
+
+@pytest.mark.parametrize("part", ["c0", "base"])
+def test_specialize_kappa_rejects_kappa_in_a_factor(part):
+    # with kappa in a factor table, kappa -> k need not be a homomorphism
+    ctx = curvature_context(True)
+    bad = ctx.fn(1) / ctx.fn("kappa")
+    value = (ExtendedJetFunction(bad) if part == "c0"
+             else ExtendedJetFunction(ctx.fn(0), ctx.fn(1), base=bad))
+    with pytest.raises(DiffAlgebraError):
+        specialize_kappa({3: value}, 1)
 
 
 def test_generalized_trivial_equation():
@@ -474,15 +511,10 @@ def test_p_form_at_points_matches_nonlinear_ode():
 
 
 def test_wunschmann_relations():
-    ode = curvature_ode(KAPPA0)
-    thetas = generalized_theta(ode)
-    w1, w2 = wunschmann_relations(thetas[3], thetas[4], ode)
+    # on the symbolic-kappa equation, so W1 = W2 = 0 holds for every kappa
+    thetas = curvature_thetas()
+    w1, w2 = wunschmann_relations(thetas[3], thetas[4], curvature_ode())
     assert w1.is_zero() and w2.is_zero()
-    # generic kappa: W1 = 0 because Theta_3 = 0 for every kappa
-    ode_g = curvature_ode(Fraction(5))
-    th_g = generalized_theta(ode_g)
-    w1g, _ = wunschmann_relations(th_g[3], th_g[4], ode_g)
-    assert w1g.is_zero()
 
 
 # -- rational jets ----------------------------------------------------------------------
