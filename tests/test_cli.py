@@ -180,9 +180,13 @@ GOLDEN_TEXT = [
      "v3=(-1/5)*s11 + (1/20)*s22, v4=(2/15)*s21, v5=(-1/2)*s13, v6=(2)*s23\n"
      '[    PASS] orbit.legendrian-lift: smooth  {"criterion": "gamma-dot nonzero at t = 0"}\n'
      "[    PASS] orbit.stabilizer: (-1, -4, 5)\n"),
+    # bad input: exit 2 and no report on stdout (the error line is on stderr,
+    # pinned by test_bad_input_is_one_error_line)
+    (["orbit", "2", "4"], 2, ""),
     (["ode", "curvature", "--gamma", "3/2"], 0,
      "[    PASS] ode.curvature-closed-form: 6751269/400 == 6751269/400\n"
      '[RECORDED] ode.curvature-kappa: 6751269/400  {"gamma": "3/2"}\n'),
+    (["ode", "curvature", "--gamma", "2"], 2, ""),
     (["forms", "i2", "--coeffs", "1,0,0,0,0,0,1"], 0,
      '[RECORDED] forms.i2: 1  {"input": "v0=1, v1=0, v2=0, v3=0, v4=0, v5=0, v6=1"}\n'),
     (["forms", "i3", "--u", "1,0,0,0,0,0,1", "--v", "0,1,0,0,0,0,0",
