@@ -10,15 +10,11 @@ through the same type).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 # I2(V) = c6 * <V,V>_6 for the bare 1/p! transvectant; fixed by the
 # brute-force expansion oracle in the test suite.
 I2_CALIBRATION = Fraction(1, 1440)
-
-# rescaling constants c(n, m, p) making the printed invariant identities
-# hold verbatim for the normalized transvectant
-CALIBRATION = {(6, 6, 6): I2_CALIBRATION}
 
 
 def _zero_like(c):
@@ -132,14 +128,10 @@ def _mono_mul(a, na, b, nb):
     return tuple(zero if c is None else c for c in out)
 
 
-def transvectant(u: BinaryForm, v: BinaryForm, p: int, normalized: bool = False) -> BinaryForm:
+def transvectant(u: BinaryForm, v: BinaryForm, p: int) -> BinaryForm:
     """The p-th transvectant with the bare 1/p! prefactor.
 
     <U,V>_p = (1/p!) sum_i (-1)^i C(p,i) d^pU/dt^(p-i)ds^i * d^pV/dt^i ds^(p-i)
-
-    With normalized=True the stored calibration constant c(n, m, p)
-    rescales the result (so the degree-6 self-pairing reproduces I2
-    exactly).
     """
     n, m = u.degree, v.degree
     if p < 0 or p > min(n, m):
@@ -153,18 +145,9 @@ def transvectant(u: BinaryForm, v: BinaryForm, p: int, normalized: bool = False)
         sign = comb(p, i) if i % 2 == 0 else -comb(p, i)
         term = tuple(c * sign for c in term)
         acc = term if acc is None else tuple(a + b for a, b in zip(acc, term))
-    scale = Fraction(1, _factorial(p))
-    if normalized:
-        scale *= CALIBRATION.get((n, m, p), Fraction(1))
+    scale = Fraction(1, factorial(p))
     acc = tuple(c * scale for c in acc)
     return BinaryForm.from_monomial_coeffs(n + m - 2 * p, acc)
-
-
-def _factorial(p):
-    out = 1
-    for k in range(2, p + 1):
-        out *= k
-    return out
 
 
 # -- invariants ---------------------------------------------------------------

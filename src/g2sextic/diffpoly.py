@@ -20,6 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
 
+from .scalar import power
+
 
 class DiffAlgebraError(ArithmeticError):
     pass
@@ -298,14 +300,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a Poly")
-        out = self.ctx.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, self.ctx.const(1))
 
     def diff(self, name: str) -> "Poly":
         ctx = self.ctx
@@ -722,14 +717,7 @@ class JetFunction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = JetFunction(self.ctx, self.ctx.const(1), {})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, JetFunction(self.ctx, self.ctx.const(1), {}))
 
     def __eq__(self, other):
         o = self._coerce(self.ctx, other)
@@ -1006,14 +994,7 @@ class ExtendedJetFunction:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of extended element")
-        out = ExtendedJetFunction(self.ctx.fn(1), base=self.base)
-        b = self
-        while n:
-            if n & 1:
-                out = out * b
-            b = b * b if n > 1 else b
-            n >>= 1
-        return out
+        return power(self, n, ExtendedJetFunction(self.ctx.fn(1), base=self.base))
 
     def __eq__(self, other):
         o = self.coerce(other, self)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exterior import StructureConstants
-from .scalar import I, ONE, SQRT2, SQRT10, ZERO, AlgebraicScalar, parse_algebraic
+from .scalar import I, ONE, SQRT2, SQRT10, ZERO, AlgebraicScalar, parse_algebraic, row_reduce
 
 
 class ClosureError(ArithmeticError):
@@ -87,9 +87,6 @@ class Matrix3:
         return "[" + "; ".join(", ".join(str(x) for x in r) for r in self.rows) + "]"
 
 
-ZERO_MATRIX = Matrix3([[0, 0, 0]] * 3)
-
-
 def matrix_from_text(rows) -> Matrix3:
     """Loader for user-supplied bases; entries in the scalar text grammar."""
     return Matrix3(tuple(tuple(parse_algebraic(x) for x in row) for row in rows))
@@ -121,48 +118,22 @@ def su21_basis() -> list[Matrix3]:
     return [e1, e2, e3, e4, e5, e6, e7, e8]
 
 
-def _solve_field(rows, rhs):
-    """Exact Gaussian elimination over Q(i,sqrt2,sqrt5) for Ax = b.
+def expand_in_basis(x: Matrix3, basis) -> list[AlgebraicScalar]:
+    """Coefficients of x in the given matrix basis (exact linear solve).
 
-    rows: list of lists of AlgebraicScalar (m x n), rhs length m.
-    Returns the unique solution; raises ClosureError when inconsistent or
-    underdetermined.
+    Raises ClosureError when the basis is linearly dependent or x lies
+    outside its span.
     """
-    m, n = len(rows), len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][col].inv()
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
+    n = len(basis)
+    rows, pivots = row_reduce(
+        ([e.rows[a][b] for e in basis] + [x.rows[a][b]] for a in range(3) for b in range(3)),
+        n,
+    )
     if len(pivots) < n:
         raise ClosureError("linear system is underdetermined")
-    for i in range(r, m):
-        if aug[i][n]:
-            raise ClosureError("commutator outside the span of the basis")
-    solution = [ZERO] * n
-    for row_idx, col in enumerate(pivots):
-        solution[col] = aug[row_idx][n]
-    return solution
-
-
-def expand_in_basis(x: Matrix3, basis) -> list[AlgebraicScalar]:
-    """Coefficients of x in the given matrix basis (exact linear solve)."""
-    rows = [[e.rows[a][b] for e in basis] for a in range(3) for b in range(3)]
-    rhs = [x.rows[a][b] for a in range(3) for b in range(3)]
-    return _solve_field(rows, rhs)
+    if any(row[n] for row in rows[n:]):
+        raise ClosureError("commutator outside the span of the basis")
+    return [row[n] for row in rows[:n]]
 
 
 def extract_structure_constants(basis) -> StructureConstants:
@@ -196,27 +167,13 @@ def rational_kernel(rows, n) -> list[list[Fraction]]:
 
     One vector per free column: 1 there, 0 at the other free columns.
     """
-    mat = [list(row) for row in rows]
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
+    reduced, pivots = row_reduce(([Fraction(x) for x in row] for row in rows), n)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
         u = [Fraction(0)] * n
         u[free] = Fraction(1)
-        for r, col in enumerate(pivots):
-            u[col] = -mat[r][free]
+        for row, col in zip(reduced, pivots):
+            u[col] = -row[free]
         basis.append(u)
     return basis
 

@@ -155,51 +155,6 @@ class SymTensor:
         return " + ".join(parts) if parts else "0"
 
 
-class SigmaThreeForm:
-    """Alternating 3-tensor over the sigma symbols."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self):
-        self.terms = {}
-
-    def add_wedge(self, coef, x: SigmaLinear, y: SigmaLinear, z: SigmaLinear):
-        coef = AlgebraicScalar.coerce(coef)
-        vecs = (x.coeffs, y.coeffs, z.coeffs)
-        for s in range(8):
-            if not vecs[0][s]:
-                continue
-            for t in range(8):
-                if t == s or not vecs[1][t]:
-                    continue
-                for u in range(8):
-                    if u == s or u == t or not vecs[2][u]:
-                        continue
-                    key = tuple(sorted((s, t, u)))
-                    sign = _parity((s, t, u))
-                    c = coef * vecs[0][s] * vecs[1][t] * vecs[2][u]
-                    cur = self.terms.get(key, ZERO)
-                    self.terms[key] = cur + (c if sign > 0 else -c)
-        self.terms = {k: v for k, v in self.terms.items() if v}
-        return self
-
-    def __eq__(self, other):
-        return isinstance(other, SigmaThreeForm) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-
-def _parity(seq):
-    sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
 # -- the family form ----------------------------------------------------------
 
 
@@ -264,18 +219,22 @@ def metric_from_sextic(s_form: BinaryForm) -> SymTensor:
     return out
 
 
-def threeform_from_sextic(s_form: BinaryForm) -> SigmaThreeForm:
-    """sqrt(5/2) (3(a1^a2^a6 + a0^a4^a5) + a3^(a0^a6 + 6 a1^a5 - 15 a2^a4))."""
+def threeform_from_sextic(s_form: BinaryForm) -> ExteriorForm:
+    """sqrt(5/2) (3(a1^a2^a6 + a0^a4^a5) + a3^(a0^a6 + 6 a1^a5 - 15 a2^a4)).
+
+    The result is a 3-form over the sigma symbols (SYMBOLS[s] is index s + 1).
+    """
     if s_form.degree != 6:
         raise ValueError("three-form extraction needs a degree-6 form")
-    a = s_form.coeffs
+    a = [
+        ExteriorForm(1, {(s + 1,): c for s, c in enumerate(lin.coeffs)})
+        for lin in s_form.coeffs
+    ]
     root = SQRT10 * Fraction(1, 2)  # sqrt(5/2)
-    out = SigmaThreeForm()
-    out.add_wedge(root * 3, a[1], a[2], a[6])
-    out.add_wedge(root * 3, a[0], a[4], a[5])
-    out.add_wedge(root, a[3], a[0], a[6])
-    out.add_wedge(root * 6, a[3], a[1], a[5])
-    out.add_wedge(root * (-15), a[3], a[2], a[4])
+    out = ExteriorForm.zero(3)
+    terms = ((3, 1, 2, 6), (3, 0, 4, 5), (1, 3, 0, 6), (6, 3, 1, 5), (-15, 3, 2, 4))
+    for coef, x, y, z in terms:
+        out = form_add(out, form_scale(wedge(wedge(a[x], a[y]), a[z]), root * coef))
     return out
 
 
@@ -320,7 +279,8 @@ def realize_metric(tensor: SymTensor, dictionary) -> list:
     return _gram(tensor, [_covector(SigmaLinear.sigma(*sym), dictionary) for sym in SYMBOLS])
 
 
-def realize_threeform(tf: SigmaThreeForm, dictionary) -> ExteriorForm:
+def realize_threeform(tf: ExteriorForm, dictionary) -> ExteriorForm:
+    """A 3-form over the sigma symbols (threeform_from_sextic) in the theta coframe."""
     covectors = [
         ExteriorForm(
             1,
@@ -330,7 +290,7 @@ def realize_threeform(tf: SigmaThreeForm, dictionary) -> ExteriorForm:
     ]
     out = ExteriorForm.zero(3)
     for (s, t, u), coef in tf.terms.items():
-        piece = wedge(wedge(covectors[s], covectors[t]), covectors[u])
+        piece = wedge(wedge(covectors[s - 1], covectors[t - 1]), covectors[u - 1])
         out = form_add(out, form_scale(piece, coef))
     for idx, coef in out.terms.items():
         if not coef.is_real():

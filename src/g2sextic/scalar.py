@@ -140,14 +140,7 @@ class AlgebraicScalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = AlgebraicScalar.rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, ONE)
 
     # -- structure ---------------------------------------------------------
 
@@ -208,6 +201,57 @@ I = AlgebraicScalar((0, 1, 0, 0, 0, 0, 0, 0))
 SQRT2 = AlgebraicScalar((0, 0, 1, 0, 0, 0, 0, 0))
 SQRT5 = AlgebraicScalar((0, 0, 0, 0, 1, 0, 0, 0))
 SQRT10 = AlgebraicScalar((0, 0, 0, 0, 0, 0, 1, 0))
+
+
+# -- algorithms shared by every exact coefficient type -----------------------
+#
+# The one square-and-multiply and the one Gauss-Jordan loop of the package.
+# power serves AlgebraicScalar and diffpoly's Poly, JetFunction and
+# ExtendedJetFunction, each passing its own unit; row_reduce solves over
+# Fraction, AlgebraicScalar and JetFunction.
+
+
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, starting from `one`.
+
+    The final squaring is skipped: its result would never be used.
+    """
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+def row_reduce(rows, ncols: int):
+    """Gauss-Jordan elimination over an exact field, pivoting on the first ncols columns.
+
+    Entries must support *, -, truth and 1 / x (Fraction, AlgebraicScalar,
+    JetFunction; not int, whose 1 / x is a float).  Columns past ncols,
+    such as an augmented right-hand side, are carried along unpivoted.
+    Returns (rows, pivot_cols): row r has a 1 in column pivot_cols[r] and
+    that column is 0 in every other row; rows past len(pivot_cols) are
+    zero in the first ncols columns.
+    """
+    mat = [list(row) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat, pivots
 
 
 # -- textual serialization -------------------------------------------------

@@ -38,6 +38,7 @@ from .diffpoly import (
     free_total_derivative_map,
     on_equation_derivative_map,
 )
+from .scalar import row_reduce
 
 
 class EtaResidueError(DiffAlgebraError):
@@ -423,32 +424,15 @@ def log_curve_ode() -> LinearODE:
 def ode_from_basis(basis) -> LinearODE:
     """Solve Y''' + 3 p1 Y'' + 3 p2 Y' + p3 Y = 0 for rational-in-x basis."""
     rows = []
-    rhs = []
     for f in basis:
         d1 = x_derivative(f)
         d2 = x_derivative(d1)
         d3 = x_derivative(d2)
-        rows.append([d2 * 3, d1 * 3, f])
-        rhs.append(-d3)
-    sol = _solve_jet_system(rows, rhs)
-    return LinearODE(3, tuple(sol))
-
-
-def _solve_jet_system(rows, rhs):
-    n = len(rows)
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if not aug[i][col].is_zero()), None)
-        if pivot is None:
-            raise DegenerateCurveError("degenerate curve basis")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+        rows.append([d2 * 3, d1 * 3, f, -d3])
+    rows, pivots = row_reduce(rows, 3)
+    if len(pivots) < 3:
+        raise DegenerateCurveError("degenerate curve basis")
+    return LinearODE(3, tuple(row[3] for row in rows[:3]))
 
 
 # -- curve invariants in jet variables ------------------------------------------
@@ -483,19 +467,11 @@ def curve_p2(ctx: JetContext) -> JetFunction:
     return _graph_equation(ctx).P(2)
 
 
-def theta_double(theta_r: JetFunction, p2: JetFunction, derive, r: int = 3):
-    """Theta_(2r+2) = 2r T T'' - (2r+1) (T')^2 - 3 r^2 P2 T^2."""
-    t1 = derive(theta_r)
-    t2 = derive(t1)
-    return (
-        theta_r * t2 * (2 * r)
-        - t1 * t1 * (2 * r + 1)
-        - p2 * theta_r * theta_r * (3 * r * r)
-    )
-
-
 def theta8(theta3: JetFunction, p2: JetFunction, derive) -> JetFunction:
-    return theta_double(theta3, p2, derive, r=3)
+    """Theta_8 = 6 T T'' - 7 (T')^2 - 27 P2 T^2 for T = Theta_3."""
+    t1 = derive(theta3)
+    t2 = derive(t1)
+    return theta3 * t2 * 6 - t1 * t1 * 7 - p2 * theta3 * theta3 * 27
 
 
 def curve_theta8(ctx: JetContext) -> JetFunction:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from g2sextic.liealg import (
     extract_structure_constants,
     is_in_unitary_algebra,
     matrix_from_text,
+    rational_kernel,
     sigma_in_theta,
     su21_basis,
 )
@@ -84,8 +86,37 @@ def test_jacobi_identity_residual():
 
 def test_closure_error_outside_span():
     bad_basis = BASIS[:7]  # removing e8 breaks closure for some pairs
-    with pytest.raises(ClosureError):
+    with pytest.raises(ClosureError, match="outside the span"):
         extract_structure_constants(bad_basis)
+    # a repeated element leaves the coefficients undetermined
+    with pytest.raises(ClosureError, match="underdetermined"):
+        expand_in_basis(BASIS[0], BASIS + [BASIS[0]])
+
+
+def test_rational_kernel_random_matrices():
+    # rows = B C with B = [I_r; random] and C = [I_r | random]: rank exactly r
+    rng = random.Random(7)
+
+    def rand_q():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    for _ in range(25):
+        n = rng.randint(1, 7)
+        r = rng.randint(0, n)
+        extra = rng.randint(0, 3)
+        identity = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+        c = [row + [rand_q() for _ in range(n - r)] for row in identity]
+        b = identity + [[rand_q() for _ in range(r)] for _ in range(extra)]
+        rows = [
+            [sum((bi[k] * c[k][j] for k in range(r)), Fraction(0)) for j in range(n)]
+            for bi in b
+        ]
+        rng.shuffle(rows)
+        kernel = rational_kernel(rows, n)
+        assert len(kernel) == n - r
+        for u in kernel:
+            for row in rows:
+                assert sum(x * y for x, y in zip(row, u)) == 0
 
 
 def test_sigma_entries():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2sextic.diffpoly import JetContext
 from g2sextic.scalar import (
     I,
     ONE,
@@ -14,6 +15,7 @@ from g2sextic.scalar import (
     format_rational,
     parse_algebraic,
     parse_rational,
+    power,
 )
 
 
@@ -58,6 +60,22 @@ def test_field_axioms_random_triples():
         assert a * (b + c) == a * b + a * c
         if a:
             assert a * a.inv() == ONE
+
+
+def test_power_is_repeated_product():
+    rng = random.Random(11)
+    ctx = JetContext.plain(("a", "b"))
+    a, b = ctx.var("a"), ctx.var("b")
+    cases = [
+        (Fraction(-3, 7), Fraction(1)),
+        (rand_scalar(rng), ONE),
+        (a * 2 - b * Fraction(1, 3) + ctx.const(1), ctx.const(1)),
+    ]
+    for x, one in cases:
+        product = one
+        for n in range(10):
+            assert power(x, n, one) == product
+            product = product * x
 
 
 def test_inverse_examples():
