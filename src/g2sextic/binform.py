@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from .scalar import parse_rational
+
 # I2(V) = c6 * <V,V>_6 for the bare 1/p! transvectant; fixed by the
 # brute-force expansion oracle in the test suite.
 I2_CALIBRATION = Fraction(1, 1440)
@@ -244,7 +246,7 @@ def parse_form(text: str, degree: int | None = None) -> BinaryForm:
             if name.strip() != f"v{i}":
                 raise ValueError(f"expected v{i}, got {name.strip()!r}")
             entry = val
-        values.append(Fraction(entry.strip()))
+        values.append(parse_rational(entry))
     if degree is not None and len(values) != degree + 1:
         raise ValueError(f"expected {degree + 1} coefficients")
     return BinaryForm(len(values) - 1, values)

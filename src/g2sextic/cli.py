@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, perm
 
 from . import binform, g2verify, orbit, targets, wilczynski
 from .binform import BinaryForm
@@ -224,7 +224,7 @@ def criterion_lemma() -> list:
     out = []
     for r in (3, 4, 5, 7):
         out.append(_report(f"c08.theta{r}-vanishes", thetas[r].is_zero(), thetas[r], "0"))
-    h = parse_jet_expression("9*y2^2*y5 - 45*y2*y3*y4 + 40*y3^3", ctx)
+    h = wilczynski.halphen_numerator(*(ctx.fn(f"y{k}") for k in (2, 3, 4, 5)))
     const = Fraction(-1, 2 ** 2 * 3 ** 12 * 7 ** 4)
     expected = (
         (ctx.fn("kappa") * (2 ** 4 * 5 ** 2) - 3 ** 9 * 7 ** 3) * const * h ** 2 / ctx.fn("y2") ** 6
@@ -294,8 +294,7 @@ def cuspidal_jet_samples(count: int, seed: int) -> list:
                 continue
             if not jets.get("y2"):
                 continue
-            h = 9 * jets["y2"] ** 2 * jets["y5"] - 45 * jets["y2"] * jets["y3"] * jets["y4"] + 40 * jets["y3"] ** 3
-            if not h:
+            if not wilczynski.halphen_numerator(*(jets[f"y{k}"] for k in (2, 3, 4, 5))):
                 continue
             samples.append(jets)
     return samples
@@ -339,14 +338,10 @@ def criterion_lift_and_transversality() -> list:
         x = X_CTX.var("x")
 
         def jet(k):
-            c = 1
-            for j in range(k):
-                c *= q - j
-            if not c:
-                return X_CTX.const(0)
-            return x ** (q - k) * Fraction(c)
+            c = perm(q, k)  # d^k/dx^k x^q = q!/(q-k)! x^(q-k)
+            return x ** (q - k) * c if c else X_CTX.const(0)
 
-        num = jet(2) * jet(2) * jet(5) * 9 - jet(2) * jet(3) * jet(4) * 45 + jet(3) ** 3 * 40
+        num = wilczynski.halphen_numerator(*(jet(k) for k in (2, 3, 4, 5)))
         mono = len(num.terms) == 1
         coef, power = (num.leading()[1], num.degree("x")) if mono else (0, 0)
         powers_ok = powers_ok and mono and coef != 0 and power == 3 * q - 9
@@ -434,8 +429,10 @@ def suite_ode_curvature(gamma_text: str) -> list:
 
 
 def suite_ode_generalized(kappa_text: str | None = None, rhs_text: str | None = None,
-                          order: int = 7) -> list:
+                          order: int | None = None) -> list:
+    """Invariants of y^(order) = rhs (order 7 by default) or of the curvature equation."""
     if rhs_text is not None:
+        order = 7 if order is None else order
         rhs = ExtendedJetFunction(parse_jet_expression(rhs_text, JetContext(order)))
         thetas = wilczynski.generalized_theta(NonlinearODE(order, rhs))
         return [
@@ -443,6 +440,8 @@ def suite_ode_generalized(kappa_text: str | None = None, rhs_text: str | None = 
                     details={"is_zero": v.is_zero(), "order": order})
             for r, v in sorted(thetas.items())
         ]
+    if order is not None:
+        raise ValueError("--order needs --rhs")
     kappa = None if kappa_text in (None, "symbolic") else parse_rational(kappa_text)
     if kappa is None:
         thetas = wilczynski.curvature_thetas()
@@ -558,10 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
     curv.add_argument("--gamma", required=True)
     curv.set_defaults(run=lambda a: suite_ode_curvature(a.gamma))
     gen = odesub.add_parser("generalized", parents=[common])
-    gen.add_argument("--kappa", default=None,
-                     help="rational value or 'symbolic' (default: symbolic)")
-    gen.add_argument("--rhs", default=None, help="right-hand side expression")
-    gen.add_argument("--order", type=int, default=7)
+    equation = gen.add_mutually_exclusive_group()
+    equation.add_argument("--kappa", default=None,
+                          help="rational value or 'symbolic' (default: symbolic)")
+    equation.add_argument("--rhs", default=None, help="right-hand side expression")
+    gen.add_argument("--order", type=int, default=None, help="order of --rhs (default: 7)")
     gen.set_defaults(run=lambda a: suite_ode_generalized(a.kappa, a.rhs, a.order))
     samp = odesub.add_parser("sample", parents=[common])
     samp.add_argument("--samples", type=sample_count, default=50)

@@ -2,15 +2,15 @@
 
 Three layers:
 
-* Poly - sparse multivariate (Laurent-capable) polynomials over Q, with a
-  fixed variable universe per JetContext.  A coefficient is an int when
-  it is integral and a Fraction otherwise; each monomial is one packed
-  int key (see JetContext), so products add ints instead of tuples.
+* Poly - sparse multivariate (Laurent-capable) polynomials over Q, built
+  by the const, var and monomial of a JetContext (a fixed variable
+  universe).  A coefficient is an int when integral and a Fraction
+  otherwise; each monomial is one packed int key (see JetContext).
 * JetFunction - rational functions stored as  num * prod f_i^e_i  with the
   f_i primitive integer polynomials; negative exponents are denominator
-  factors.  Trial division against the factor basis keeps the localized
-  arithmetic of the invariant pipelines reduced without any multivariate
-  gcd; a full gcd reduction is available through normalize().
+  factors.  One pass of trial division against the factor basis per
+  construction keeps the localized arithmetic of the invariant pipelines
+  reduced without any multivariate gcd; normalize() reduces by full gcd.
 * ExtendedJetFunction - rank-3 algebraic extension by a formal generator u
   with u^3 = R, derivations acting by D(u) = (1/3)(D R / R) u.
 """
@@ -86,11 +86,8 @@ class JetContext:
     nonnegative exponents when every field of key + 3*_one does.
     """
 
-    def __init__(self, max_order: int, extra=(), with_x: bool = True):
-        names = []
-        if with_x:
-            names.append("x")
-        names.append("y")
+    def __init__(self, max_order: int, extra=()):
+        names = ["x", "y"]
         names.extend(f"y{k}" for k in range(1, max_order + 1))
         names.extend(extra)
         self._setup(names, max_order)
@@ -133,10 +130,6 @@ class JetContext:
                 )
             key += k << self._shifts[v]
         return key
-
-    def _exponents(self, key: int) -> tuple:
-        """The exponent vector of a key."""
-        return tuple(((key >> s) & _FIELD_MASK) - EXPONENT_BOUND for s in self._shifts)
 
     def _powers(self, key: int):
         """Yield the (variable index, exponent) pairs of the nonzero exponents."""
@@ -205,18 +198,9 @@ class Poly:
 
     __slots__ = ("ctx", "terms", "_hash")
 
-    def __init__(self, ctx: JetContext, terms: dict):
-        self.ctx = ctx
-        self.terms = {e: _exact(c) for e, c in terms.items() if c}
-        self._hash = None
-
     def __hash__(self):
-        # hashed over exponent vectors, not packed keys: the iteration order
-        # of factor tables, and with it the work done, stays independent of
-        # the packing
         if self._hash is None:
-            exponents = self.ctx._exponents
-            self._hash = hash(frozenset((exponents(e), c) for e, c in self.terms.items()))
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __eq__(self, other):
@@ -584,27 +568,20 @@ class JetFunction:
     # -- representation maintenance ----------------------------------------
 
     def _trial_reduce(self):
-        """Cancel denominator factors that exactly divide the numerator."""
-        changed = True
-        while changed:
-            changed = False
-            for f, e in list(self.factors.items()):
-                if e >= 0:
-                    continue
-                while e < 0:
-                    q = self._fast_div(self.num, f)
-                    if q is None:
-                        break
-                    self.num = q
-                    e += 1
-                    changed = True
-                if e:
-                    self.factors[f] = e
-                else:
-                    del self.factors[f]
-            if self.num.is_zero():
-                self.factors = {}
-                return
+        """Cancel denominator factors that exactly divide the numerator.  One
+        pass suffices: a factor that fails to divide the numerator N cannot
+        divide a later numerator, which divides N."""
+        for f, e in list(self.factors.items()):
+            while e < 0:
+                q = self._fast_div(self.num, f)
+                if q is None:
+                    break
+                self.num = q
+                e += 1
+            if e:
+                self.factors[f] = e
+            else:
+                del self.factors[f]
 
     @staticmethod
     def _fast_div(num: Poly, f: Poly):
@@ -793,7 +770,17 @@ class JetFunction:
     def derivative(self, dmap: dict):
         """Derivation given by dmap: name -> image (JetFunction/Extended/
         Ellipsis for 'needed but undefined')."""
-        total = _apply_dmap(self.ctx, self.num, self.factors, dmap)
+        ctx, num, factors = self.ctx, self.num, self.factors
+        total = _derive_poly(ctx, num, dmap) * JetFunction(ctx, ctx.const(1), factors)
+        for f, e in factors.items():
+            dfv = _derive_poly(ctx, f, dmap)
+            if isinstance(dfv, JetFunction) and dfv.is_zero():
+                continue
+            shifted = dict(factors)
+            shifted[f] = e - 1
+            if not shifted[f]:
+                del shifted[f]
+            total = dfv * JetFunction(ctx, num.scale(e), shifted) + total
         return total
 
     def log_derivative(self, dmap: dict):
@@ -840,20 +827,6 @@ def _derive_poly(ctx: JetContext, p: Poly, dmap: dict):
                 f"derivative of {name} undefined: supply the equation right-hand side"
             )
         total = JetFunction(ctx, dp, {}) * image + total
-    return total
-
-
-def _apply_dmap(ctx: JetContext, num: Poly, factors: dict, dmap: dict):
-    total = _derive_poly(ctx, num, dmap) * JetFunction(ctx, ctx.const(1), factors)
-    for f, e in factors.items():
-        dfv = _derive_poly(ctx, f, dmap)
-        if isinstance(dfv, JetFunction) and dfv.is_zero():
-            continue
-        shifted = dict(factors)
-        shifted[f] = e - 1
-        if not shifted[f]:
-            del shifted[f]
-        total = dfv * JetFunction(ctx, num.scale(e), shifted) + total
     return total
 
 
@@ -1069,26 +1042,20 @@ def _to_ext(value, base, ctx) -> ExtendedJetFunction:
 
 
 def _rational_cube_root(q: Fraction):
+    """The rational cube root of q, or None when it is irrational."""
+
     def int_root(n: int):
-        if n < 0:
-            r = int_root(-n)
-            return None if r is None else -r
-        r = round(n ** (1 / 3)) if n < 2 ** 50 else None
-        if r is None:
-            lo, hi = 0, 1 << ((n.bit_length() + 2) // 3 + 1)
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                c = mid ** 3
-                if c == n:
-                    return mid
-                if c < n:
-                    lo = mid + 1
-                else:
-                    hi = mid - 1
-            return None
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** 3 == n:
-                return cand
+        m = abs(n)  # bisection on |n|, the sign restored at the end
+        lo, hi = 0, 1 << ((m.bit_length() + 2) // 3 + 1)
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            c = mid ** 3
+            if c == m:
+                return mid if n >= 0 else -mid
+            if c < m:
+                lo = mid + 1
+            else:
+                hi = mid - 1
         return None
 
     a, b = int_root(q.numerator), int_root(q.denominator)

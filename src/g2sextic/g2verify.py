@@ -30,7 +30,6 @@ from .exterior import (
     is_zero,
     scale,
     sub,
-    theta,
     volume_form,
     wedge,
 )

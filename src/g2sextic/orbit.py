@@ -241,19 +241,6 @@ def threeform_from_sextic(s_form: BinaryForm) -> ExteriorForm:
 # -- realization in the theta coframe -----------------------------------------
 
 
-def _covector(lin: SigmaLinear, dictionary) -> tuple:
-    """theta components of a sigma-linear under the sigma_in_theta dictionary."""
-    out = [ZERO] * 8
-    for sym, c in zip(SYMBOLS, lin.coeffs):
-        if not c:
-            continue
-        vec = dictionary[sym]
-        for k in range(8):
-            if vec[k]:
-                out[k] = out[k] + c * vec[k]
-    return tuple(out)
-
-
 def _gram(tensor: SymTensor, covectors) -> list:
     """Gram matrix of a symmetric sigma-tensor, given one covector per sigma
     symbol (in SYMBOLS order); raises RealityError if an entry is not real."""
@@ -276,16 +263,13 @@ def _gram(tensor: SymTensor, covectors) -> list:
 
 def realize_metric(tensor: SymTensor, dictionary) -> list:
     """Gram matrix over theta^1..theta^8; raises RealityError if not real."""
-    return _gram(tensor, [_covector(SigmaLinear.sigma(*sym), dictionary) for sym in SYMBOLS])
+    return _gram(tensor, [dictionary[sym] for sym in SYMBOLS])
 
 
 def realize_threeform(tf: ExteriorForm, dictionary) -> ExteriorForm:
     """A 3-form over the sigma symbols (threeform_from_sextic) in the theta coframe."""
     covectors = [
-        ExteriorForm(
-            1,
-            {(k + 1,): c for k, c in enumerate(_covector(SigmaLinear.sigma(*sym), dictionary)) if c},
-        )
+        ExteriorForm(1, {(k + 1,): c for k, c in enumerate(dictionary[sym]) if c})
         for sym in SYMBOLS
     ]
     out = ExteriorForm.zero(3)
@@ -298,9 +282,10 @@ def realize_threeform(tf: ExteriorForm, dictionary) -> ExteriorForm:
     return out
 
 
-def identity_gram(dim=7) -> list:
+def identity_gram() -> list:
+    """diag(1, 1, 1, 1, 1, 1, 1, 0) over theta^1..theta^8."""
     gram = [[ZERO] * 8 for _ in range(8)]
-    for j in range(dim):
+    for j in range(7):
         gram[j][j] = AlgebraicScalar.rational(1)
     return gram
 

@@ -386,15 +386,20 @@ def classical_theta_of_ode(ode: LinearODE) -> dict:
     return _linear_equation(ode).thetas()
 
 
-def graph_ode(f: JetFunction) -> LinearODE:
-    """Third-order ODE annihilating [1, x, f(x)]: p1 = -f'''/(3 f''), p2 = p3 = 0."""
-    f2 = x_derivative(x_derivative(f))
-    if f2.is_zero():
+def _slope_ode(d1: JetFunction) -> LinearODE:
+    """The graph ODE of a curve with slope d1 = f': p1 = -f'''/(3 f''), p2 = p3 = 0."""
+    d2 = x_derivative(d1)
+    if d2.is_zero():
         raise DegenerateCurveError("the curve is a line: f'' = 0")
-    f3 = x_derivative(f2)
-    p1 = -(f3 / (f2 * 3))
+    d3 = x_derivative(d2)
+    p1 = -(d3 / (d2 * 3))
     zero = x_fn(0)
     return LinearODE(3, (p1, zero, zero))
+
+
+def graph_ode(f: JetFunction) -> LinearODE:
+    """Third-order ODE annihilating [1, x, f(x)]."""
+    return _slope_ode(x_derivative(f))
 
 
 def power_curve_ode(gamma: Fraction) -> LinearODE:
@@ -410,15 +415,10 @@ def power_curve_ode(gamma: Fraction) -> LinearODE:
 def log_curve_ode() -> LinearODE:
     """The graph ODE of the basis [1, x, ln x].
 
-    ln x is not rational but its derivative is, so p1 = -y'''/(3 y'') is
-    computed from the derivative data rather than hard-coded.
+    ln x is not rational but its slope 1/x is, so p1 is computed from the
+    slope rather than hard-coded.
     """
-    d1 = x_fn(1) / x_fn("x")
-    d2 = x_derivative(d1)
-    d3 = x_derivative(d2)
-    p1 = -(d3 / (d2 * 3))
-    zero = x_fn(0)
-    return LinearODE(3, (p1, zero, zero))
+    return _slope_ode(x_fn(1) / x_fn("x"))
 
 
 def ode_from_basis(basis) -> LinearODE:
@@ -438,11 +438,15 @@ def ode_from_basis(basis) -> LinearODE:
 # -- curve invariants in jet variables ------------------------------------------
 
 
+def halphen_numerator(y2, y3, y4, y5):
+    """H = 9 y2^2 y5 - 45 y2 y3 y4 + 40 y3^3 over any ring (Fraction, Poly, jets)."""
+    return y2 * y2 * y5 * 9 - y2 * y3 * y4 * 45 + y3 ** 3 * 40
+
+
 def halphen_theta3(ctx: JetContext) -> JetFunction:
-    """(9 y2^2 y5 - 45 y2 y3 y4 + 40 y3^3) / y2^3, verbatim."""
+    """H / y2^3 in the jet variables."""
     y2, y3, y4, y5 = (ctx.fn(f"y{k}") for k in (2, 3, 4, 5))
-    num = y2 * y2 * y5 * 9 - y2 * y3 * y4 * 45 + y3 ** 3 * 40
-    return num / y2 ** 3
+    return halphen_numerator(y2, y3, y4, y5) / y2 ** 3
 
 
 HALPHEN_VS_SEMI = Fraction(-54)  # halphen_theta3 == -54 * (P3 - 3/2 P2')

@@ -132,6 +132,10 @@ def test_samples_below_one_rejected(argv, capsys):
     (["forms", "transvectant", "--u", "1,0,0", "--v", "0,0,1"], "forms transvectant needs -p"),
     (["orbit", "2", "4"], "(p, q) = (2, 4) must be coprime with 0 < p < q"),
     (["ode", "curvature", "--gamma", "2"], "gamma = 2 excluded (gamma != 0, 1, -1, 2, 1/2)"),
+    (["forms", "i2", "--coeffs", "1/0,0,0,0,0,0,1"], "zero denominator in '1/0' (at position 2)"),
+    (["forms", "transvectant", "--u", "1, 2/0", "--v", "0,0,1", "-p", "1"],
+     "zero denominator in '2/0' (at position 2)"),
+    (["ode", "generalized", "--order", "5"], "--order needs --rhs"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict
@@ -139,6 +143,21 @@ def test_bad_input_is_one_error_line(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_kappa_and_rhs_are_exclusive(capsys):
+    # --kappa names the curvature equation and --rhs another one
+    with pytest.raises(SystemExit) as exc:
+        main(["ode", "generalized", "--kappa", "1", "--rhs", "y2", "--order", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --rhs: not allowed with argument --kappa" in captured.err
+    assert captured.out == ""
+
+
+def test_rhs_order_defaults_to_seven():
+    reports = suite_ode_generalized(rhs_text="0")
+    assert [r.details for r in reports] == [{"is_zero": True, "order": 7}] * 5
 
 
 def test_orbit_commands():

@@ -11,6 +11,7 @@ from g2sextic.diffpoly import (
     MissingJetError,
     ParseError,
     PoleError,
+    _rational_cube_root,
     free_total_derivative_map,
     parse_jet_expression,
     poly_gcd,
@@ -187,6 +188,25 @@ def test_extended_evaluate():
         bad.evaluate({"y2": 2})
     assert bad.evaluate({"y2": 27}) == 3
     assert bad.evaluate({"y2": -8}) == -2
+
+
+def test_rational_cube_root_is_exact():
+    # small cubes and the non-cubes next to them, of both signs
+    for k in range(-60, 61):
+        assert _rational_cube_root(Fraction(k ** 3)) == k
+        if k:
+            assert _rational_cube_root(Fraction(k ** 3 + k // abs(k))) is None
+    # numerators and denominators of at least 2^50, around and far above it
+    big = 3 ** 40 + 1
+    for n in (2 ** 17, 2 ** 17 + 1, 10 ** 6 + 3, big):
+        assert n ** 3 >= 2 ** 50
+        assert _rational_cube_root(Fraction(n ** 3, 8)) == Fraction(n, 2)
+        assert _rational_cube_root(Fraction(-27, n ** 3)) == Fraction(-3, n)
+        assert _rational_cube_root(Fraction(-(n ** 3), 7 ** 3)) == Fraction(-n, 7)
+        assert _rational_cube_root(Fraction(n ** 3 + 1, 8)) is None
+        assert _rational_cube_root(Fraction(-8, n ** 3 - 1)) is None
+    assert _rational_cube_root(Fraction(big ** 3, (big + 1) ** 3)) == Fraction(big, big + 1)
+    assert _rational_cube_root(Fraction(2 ** 51, 3)) is None
 
 
 def test_parser_errors_and_grammar():

@@ -4,7 +4,8 @@ The reference model keeps a polynomial as {exponent tuple: Fraction},
 multiplies by adding tuples and prints with the documented format, so
 the kernel's representation of exponents and coefficients is checked
 from outside: str, the lex-leading term, the ring laws, exact division
-and evaluation.
+and evaluation.  The JetFunction trial reduction is checked against
+Poly.exact_div.
 """
 
 from fractions import Fraction
@@ -19,6 +20,7 @@ from g2sextic.diffpoly import (
     DiffAlgebraError,
     ExponentRangeError,
     JetContext,
+    JetFunction,
 )
 
 NAMES = ("a", "b", "c")
@@ -208,3 +210,35 @@ def test_derivative_and_quotient_exponent_range():
     with pytest.raises(ExponentRangeError):
         mono(1, B - 1).exact_div(mono(1, -1))
     assert mono(1, B - 2).exact_div(mono(1, -1)) == mono(1, B - 1)
+
+
+# -- JetFunction trial reduction ----------------------------------------------------
+
+# primitive integer factors with a positive lex-leading coefficient, one of
+# them a monomial; numerators are built from the same factors, so that
+# denominators do cancel
+FACTOR_POOL = tuple(build(d) for d in (
+    {(1, 0, 0): 1, (0, 1, 0): 1},
+    {(1, 0, 0): 1, (0, 0, 1): -1, (0, 0, 0): 1},
+    {(0, 1, 1): 1, (0, 0, 0): 2},
+    {(0, 1, 0): 1, (0, 0, 0): 1},
+    {(1, 0, 0): 1},
+))
+pool_factors = st.sampled_from(FACTOR_POOL)
+
+
+@st.composite
+def jet_functions(draw):
+    num = build(draw(plain))
+    for f in draw(st.lists(pool_factors, max_size=3)):
+        num = num * f
+    factors = draw(st.dictionaries(pool_factors, st.integers(-2, 2), max_size=3))
+    return JetFunction(CTX, num, factors)
+
+
+@given(jet_functions(), jet_functions())
+def test_trial_reduction_is_complete_after_one_pass(f, g):
+    # no denominator factor left in the table divides the numerator
+    results = [f, g, f + g, f * g] + ([f / g] if g else [])
+    for h in results:
+        assert [p for p, e in h.factors.items() if e < 0 and h.num.exact_div(p) is not None] == []

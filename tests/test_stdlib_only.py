@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself,
+and reads every name it imports."""
 
 import ast
 import sys
@@ -26,6 +27,26 @@ def foreign_imports(path: Path):
     return found
 
 
+def unused_imports(path: Path):
+    """(line, name) for every name the module imports and never reads.
+
+    __future__ imports are compiler directives, not names, and are skipped.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append((alias.lineno, alias.asname or alias.name.split(".")[0]))
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted((line, name) for line, name in imported if name not in read)
+
+
 def test_every_module_imports_only_stdlib_and_the_package():
     modules = sorted(PACKAGE_DIR.glob("*.py"))
     assert len(modules) > 5
@@ -40,3 +61,21 @@ def test_a_foreign_import_is_reported(tmp_path):
         "from g2sextic import cli\nfrom sympy import Rational\n"
     )
     assert foreign_imports(module) == [(2, "numpy.linalg"), (5, "sympy")]
+
+
+def test_every_module_reads_what_it_imports():
+    # __init__.py imports only to re-export
+    modules = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
+    assert len(modules) > 5
+    offenders = {p.name: unused_imports(p) for p in modules}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_an_unused_import_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\nimport os\nimport os.path\n"
+        "from math import (\n    gcd as g,\n    lcm,\n)\nimport sys\n"
+        "print(sys.argv, g)\nlcm = 1\n"
+    )
+    assert unused_imports(module) == [(2, "os"), (3, "os"), (6, "lcm")]
