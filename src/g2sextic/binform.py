@@ -136,7 +136,9 @@ def transvectant(u: BinaryForm, v: BinaryForm, p: int) -> BinaryForm:
     <U,V>_p = (1/p!) sum_i (-1)^i C(p,i) d^pU/dt^(p-i)ds^i * d^pV/dt^i ds^(p-i)
     """
     n, m = u.degree, v.degree
-    if p < 0 or p > min(n, m):
+    if p < 0:
+        raise ValueError(f"transvectant order {p} is negative")
+    if p > min(n, m):
         raise ValueError(f"transvectant order {p} exceeds min degree ({n}, {m})")
     mu, mv = u.monomial_coeffs(), v.monomial_coeffs()
     acc = None
@@ -238,15 +240,20 @@ def format_polynomial(v: BinaryForm) -> str:
 
 def parse_form(text: str, degree: int | None = None) -> BinaryForm:
     """Parse 'v0=..., v1=..., ...' or a bare comma-separated coefficient list."""
-    entries = [e.strip() for e in text.split(",") if e.strip()]
     values = []
-    for i, entry in enumerate(entries):
-        if "=" in entry:
-            name, val = entry.split("=", 1)
-            if name.strip() != f"v{i}":
-                raise ValueError(f"expected v{i}, got {name.strip()!r}")
-            entry = val
-        values.append(parse_rational(entry))
+    start = 0
+    for piece in text.split(","):
+        end = start + len(piece)
+        if piece.strip():
+            if "=" in piece:
+                name = piece.split("=", 1)[0].strip()
+                if name != f"v{len(values)}":
+                    raise ValueError(f"expected v{len(values)}, got {name!r}")
+                start += piece.index("=") + 1
+            values.append(parse_rational(text, start, end))
+        start = end + 1
+    if not values:
+        raise ValueError(f"no coefficients in {text!r}")
     if degree is not None and len(values) != degree + 1:
         raise ValueError(f"expected {degree + 1} coefficients")
     return BinaryForm(len(values) - 1, values)

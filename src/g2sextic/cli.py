@@ -527,12 +527,15 @@ def emit(reports: list, fmt: str, stream=None) -> int:
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 
-def sample_count(text: str) -> int:
-    """argparse type for --samples: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def at_least(low: int):
+    """argparse type: an integer of at least low."""
+    # argparse names a type by its __name__: "invalid integer value: 'x'"
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,10 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
     equation.add_argument("--kappa", default=None,
                           help="rational value or 'symbolic' (default: symbolic)")
     equation.add_argument("--rhs", default=None, help="right-hand side expression")
-    gen.add_argument("--order", type=int, default=None, help="order of --rhs (default: 7)")
+    gen.add_argument("--order", type=at_least(3), default=None, help="order of --rhs (default: 7)")
     gen.set_defaults(run=lambda a: suite_ode_generalized(a.kappa, a.rhs, a.order))
     samp = odesub.add_parser("sample", parents=[common])
-    samp.add_argument("--samples", type=sample_count, default=50)
+    samp.add_argument("--samples", type=at_least(1), default=50)
     samp.add_argument("--seed", type=int, default=0)
     samp.set_defaults(run=lambda a: criterion_sampling_oracle(a.samples, a.seed))
 
@@ -587,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     allp = sub.add_parser("verify-all", parents=[common],
                           help="run the complete acceptance suite")
     allp.add_argument("--seed", type=int, default=0)
-    allp.add_argument("--samples", type=sample_count, default=50)
+    allp.add_argument("--samples", type=at_least(1), default=50)
     allp.set_defaults(run=lambda a: suite_verify_all(a.seed, a.samples))
     return parser
 

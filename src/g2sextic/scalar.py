@@ -262,13 +262,14 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """A rational p/q; a zero denominator is a ValueError like any bad input."""
+def parse_rational(text: str, start: int = 0, end: int | None = None) -> Fraction:
+    """The rational p/q in text[start:end]; a zero denominator is a
+    ValueError like any bad input, placed within the whole text."""
     try:
-        return Fraction(text.replace("−", "-").strip())
+        return Fraction(text[start:end].replace("−", "-").strip())
     except ZeroDivisionError:
         raise ValueError(
-            f"zero denominator in {text!r} (at position {text.index('/') + 1})"
+            f"zero denominator in {text!r} (at position {text.index('/', start) + 1})"
         ) from None
 
 

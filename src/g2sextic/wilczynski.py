@@ -4,8 +4,15 @@ The classical pipeline works in two abstract differential polynomial
 rings.  Conjugation by exp(-int p1) produces the semi-invariants P_i; the
 formal change of independent variable is done in a ring carrying
 v = sqrt(xi'), eta = xi''/xi' and the P_i, whose derivation implements the
-substitutions  xi'' = xi' eta  and  eta' = (1/2) eta^2 + 6/(n+1) P2.  The
-invariants Theta_r are assembled from the canonical-form coefficients by
+substitutions  xi'' = xi' eta  and  eta' = (1/2) eta^2 + 6/(n+1) P2.
+
+A differential operator sum_j M_(c_j) G^j is the plain list [c_0, c_1, ...]
+of its Poly coefficients.  _compose(a, b, derive) composes two of them with
+the rule G M_f = M_f G + M_(derive f): G is D with the ring's derivation for
+the semi-invariants, and E with derive = v^(-2) d for the change of
+variable, where D_x = v^2 E is the list [0, v^2].  The powers of a base
+operator come from one ladder B^k = B o B^(k-1).  The invariants Theta_r
+are assembled from the canonical-form coefficients by
 
     Theta_r = 1/2 sum_s (-1)^s (r-2)! r! (2r-s-2)!
               / ((r-s-1)! (r-s)! (2r-3)! s!) q_(r-s)^(s)
@@ -129,69 +136,42 @@ def _w_ring(n: int):
     return ctx, dmap, keys
 
 
-class DiffOp:
-    """sum_j M_(c_j) G^j with the composition rule G M_f = M_f G + M_(t d(f))."""
+def _compose(a: list, b: list, derive) -> list:
+    """a o b for operators sum_j M_(c_j) G^j given as coefficient lists
+    [c_0, c_1, ...], with G M_f = M_f G + M_(derive f)."""
+    out: list = []
+    cur = b
+    for i, c in enumerate(a):
+        if i:
+            # cur = G o cur
+            shifted = [cur[0].ctx.const(0)] + cur
+            for j, f in enumerate(cur):
+                df = derive(f)
+                if not df.is_zero():
+                    shifted[j] = shifted[j] + df
+            cur = shifted
+        if not c.is_zero():
+            out = _add_ops(out, [c * f for f in cur])
+    return out
 
-    __slots__ = ("ctx", "dmap", "twist", "coeffs")
 
-    def __init__(self, ctx, dmap, twist, coeffs):
-        self.ctx = ctx
-        self.dmap = dmap
-        self.twist = twist  # Poly or None for the plain derivation
-        self.coeffs = list(coeffs)
-        while self.coeffs and self.coeffs[-1].is_zero():
-            self.coeffs.pop()
+def _add_ops(a: list, b: list) -> list:
+    size = min(len(a), len(b))
+    return [f + g for f, g in zip(a, b)] + a[size:] + b[size:]
 
-    def _delta(self, p: Poly) -> Poly:
-        d = _poly_derive(p, self.dmap)
-        return d if self.twist is None else d * self.twist
 
-    def _g_compose(self, coeffs):
-        """Coefficients of G o (sum M_b G^j)."""
-        out = [self.ctx.const(0)] * (len(coeffs) + 1)
-        for j, b in enumerate(coeffs):
-            out[j + 1] = out[j + 1] + b
-            db = self._delta(b)
-            if not db.is_zero():
-                out[j] = out[j] + db
-        return out
+def _operator(base: list, n: int, coeffs, derive) -> list:
+    """base^n + sum_i C(n,i) M_(c_i) base^(n-i) for (i, c_i) in coeffs.
 
-    def __add__(self, other):
-        size = max(len(self.coeffs), len(other.coeffs))
-        zero = self.ctx.const(0)
-        out = [
-            (self.coeffs[j] if j < len(self.coeffs) else zero)
-            + (other.coeffs[j] if j < len(other.coeffs) else zero)
-            for j in range(size)
-        ]
-        return DiffOp(self.ctx, self.dmap, self.twist, out)
-
-    def left_multiply(self, poly: Poly) -> "DiffOp":
-        return DiffOp(
-            self.ctx, self.dmap, self.twist, [poly * c for c in self.coeffs]
-        )
-
-    def __mul__(self, other: "DiffOp") -> "DiffOp":
-        zero = self.ctx.const(0)
-        total = DiffOp(self.ctx, self.dmap, self.twist, [])
-        cur = list(other.coeffs)
-        for i, a in enumerate(self.coeffs):
-            if i > 0:
-                cur = self._g_compose(cur)
-            if not a.is_zero():
-                total = total + DiffOp(
-                    self.ctx, self.dmap, self.twist, [a * c for c in cur]
-                )
-        return total
-
-    def __pow__(self, n: int) -> "DiffOp":
-        out = DiffOp(self.ctx, self.dmap, self.twist, [self.ctx.const(1)])
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def coefficient(self, j: int) -> Poly:
-        return self.coeffs[j] if j < len(self.coeffs) else self.ctx.const(0)
+    The powers come from one ladder base^k = base o base^(k-1)."""
+    powers = [[base[0].ctx.const(1)]]
+    for _ in range(n):
+        powers.append(_compose(base, powers[-1], derive))
+    op = powers[n]
+    for i, c in coeffs:
+        c = c.scale(comb(n, i))
+        op = _add_ops(op, [c * f for f in powers[n - i]])
+    return op
 
 
 # -- semi-invariants ------------------------------------------------------------
@@ -207,21 +187,16 @@ def semi_invariants(n: int) -> dict:
     """
     ctx, dmap, _ = _p_ring(n)
     one = ctx.const(1)
-    ell = -ctx.var("p1_0")
-    base = DiffOp(ctx, dmap, None, [ell, one])  # D + ell
-    op = base ** n
-    for i in range(1, n + 1):
-        term = (base ** (n - i)).left_multiply(
-            ctx.var(f"p{i}_0").scale(comb(n, i))
-        )
-        op = op + term
-    if not op.coefficient(n - 1).is_zero():
+    op = _operator(
+        [-ctx.var("p1_0"), one],  # D - p1
+        n,
+        [(i, ctx.var(f"p{i}_0")) for i in range(1, n + 1)],
+        lambda f: _poly_derive(f, dmap),
+    )
+    if not op[n - 1].is_zero():
         raise EtaResidueError("semi-canonical reduction left a Y^(n-1) term")
-    assert op.coefficient(n) == one
-    return {
-        i: op.coefficient(n - i).scale(Fraction(1, comb(n, i)))
-        for i in range(2, n + 1)
-    }
+    assert op[n] == one
+    return {i: op[n - i].scale(Fraction(1, comb(n, i))) for i in range(2, n + 1)}
 
 
 def wil_coefficient(r: int, s: int) -> Fraction:
@@ -252,38 +227,41 @@ def classical_theta(n: int) -> dict:
         return ctx.monomial(((v_idx, e),))
 
     vm2 = v_power(-2)
-    dx_op = DiffOp(ctx, dmap, vm2, [ctx.const(0), v_power(2)])  # D_x = M_(v^2) E
-    op = dx_op ** n
-    for i in range(2, n + 1):
-        term = (dx_op ** (n - i)).left_multiply(
-            ctx.var(f"P{i}_0").scale(comb(n, i))
-        )
-        op = op + term
-    # compose with multiplication by v^(1-n):  Y = (xi')^(-(n-1)/2) W
-    op = op * DiffOp(ctx, dmap, vm2, [v_power(1 - n)])
-    if op.coefficient(n) != v_power(n + 1):
-        raise EtaResidueError("unexpected leading coefficient in canonical form")
-    coeffs = [op.coefficient(j) * v_power(-(n + 1)) for j in range(n + 1)]
-    if not coeffs[n - 1].is_zero():
-        raise EtaResidueError("q_1 failed to vanish")
-    q = {i: coeffs[n - i].scale(Fraction(1, comb(n, i))) for i in range(2, n + 1)}
 
     def e_derive(g: Poly) -> Poly:
         return _poly_derive(g, dmap) * vm2
 
+    op = _operator(
+        [ctx.const(0), v_power(2)],  # D_x = M_(v^2) E
+        n,
+        [(i, ctx.var(f"P{i}_0")) for i in range(2, n + 1)],
+        e_derive,
+    )
+    # compose with multiplication by v^(1-n):  Y = (xi')^(-(n-1)/2) W
+    op = _compose(op, [v_power(1 - n)], e_derive)
+    if op[n] != v_power(n + 1):
+        raise EtaResidueError("unexpected leading coefficient in canonical form")
+    coeffs = [c * v_power(-(n + 1)) for c in op]
+    if not coeffs[n - 1].is_zero():
+        raise EtaResidueError("q_1 failed to vanish")
+
+    # Theta_r = sum_s wil_coefficient(r, s) E^s(q_(r-s)): each E^s(q_i) is
+    # derived once and added into Theta_(i+s); i descends so that every
+    # Theta_r sums its terms in the order s = 0, 1, ...
+    theta = {r: ctx.const(0) for r in range(3, n + 1)}
+    for i in range(n, 2, -1):
+        g = coeffs[n - i].scale(Fraction(1, comb(n, i)))  # q_i
+        for s in range(n - i + 1):
+            if s:
+                g = e_derive(g)
+            theta[i + s] = theta[i + s] + g.scale(wil_coefficient(i + s, s))
     theta_P = {}
     for r in range(3, n + 1):
-        theta = ctx.const(0)
-        for s in range(0, r - 2):
-            g = q[r - s]
-            for _ in range(s):
-                g = e_derive(g)
-            theta = theta + g.scale(wil_coefficient(r, s))
-        if set(theta.coefficients("eta")) - {0}:
+        if set(theta[r].coefficients("eta")) - {0}:
             raise EtaResidueError(
                 f"Theta_{r} kept an eta monomial for order n = {n}"
             )
-        by_weight = theta.coefficients("v")
+        by_weight = theta[r].coefficients("v")
         if set(by_weight) - {-2 * r}:
             raise EtaResidueError(
                 f"Theta_{r} is not homogeneous of weight {r} in xi'"

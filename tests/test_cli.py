@@ -119,6 +119,17 @@ def test_samples_below_one_rejected(argv, capsys):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("order", ["0", "1", "2", "-7", "seven"])
+def test_order_below_three_rejected(order, capsys):
+    # an order below 3 has no Theta_3; it used to reach the parser of --rhs
+    with pytest.raises(SystemExit) as exc:
+        main(["ode", "generalized", "--rhs", "y1", "--order", order])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --order" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["ode", "curvature", "--gamma", "1/0"], "zero denominator in '1/0' (at position 2)"),
     (["ode", "generalized", "--kappa", "1/0"], "zero denominator in '1/0' (at position 2)"),
@@ -132,10 +143,17 @@ def test_samples_below_one_rejected(argv, capsys):
     (["forms", "transvectant", "--u", "1,0,0", "--v", "0,0,1"], "forms transvectant needs -p"),
     (["orbit", "2", "4"], "(p, q) = (2, 4) must be coprime with 0 < p < q"),
     (["ode", "curvature", "--gamma", "2"], "gamma = 2 excluded (gamma != 0, 1, -1, 2, 1/2)"),
-    (["forms", "i2", "--coeffs", "1/0,0,0,0,0,0,1"], "zero denominator in '1/0' (at position 2)"),
+    (["forms", "i2", "--coeffs", "1/0,0,0,0,0,0,1"],
+     "zero denominator in '1/0,0,0,0,0,0,1' (at position 2)"),
     (["forms", "transvectant", "--u", "1, 2/0", "--v", "0,0,1", "-p", "1"],
-     "zero denominator in '2/0' (at position 2)"),
+     "zero denominator in '1, 2/0' (at position 5)"),
     (["ode", "generalized", "--order", "5"], "--order needs --rhs"),
+    (["forms", "transvectant", "--u", "1/2, v1=3/0", "--v", "0,0,1", "-p", "1"],
+     "zero denominator in '1/2, v1=3/0' (at position 10)"),
+    (["forms", "transvectant", "--u", "1,0,0", "--v", "0,0,1", "-p", "-1"],
+     "transvectant order -1 is negative"),
+    (["forms", "transvectant", "--u", ",", "--v", "0,0,1", "-p", "1"],
+     "no coefficients in ','"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict

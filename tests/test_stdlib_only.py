@@ -1,5 +1,5 @@
 """The package imports nothing outside the standard library and itself,
-and reads every name it imports."""
+reads every name it imports, and reads every private name it defines."""
 
 import ast
 import sys
@@ -47,6 +47,29 @@ def unused_imports(path: Path):
     return sorted((line, name) for line, name in imported if name not in read)
 
 
+def dead_private_names(paths):
+    """(file name, line, name) for every private module-level function or
+    class, and every private method of a module-level class, whose name is
+    read nowhere in the given files (as a name, an attribute or an import)."""
+    defined, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node] + members:
+                if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                        and d.name.startswith("_") and not d.name.endswith("__")):
+                    defined.append((path.name, d.lineno, d.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
 def test_every_module_imports_only_stdlib_and_the_package():
     modules = sorted(PACKAGE_DIR.glob("*.py"))
     assert len(modules) > 5
@@ -79,3 +102,27 @@ def test_an_unused_import_is_reported(tmp_path):
         "print(sys.argv, g)\nlcm = 1\n"
     )
     assert unused_imports(module) == [(2, "os"), (3, "os"), (6, "lcm")]
+
+
+def test_every_private_name_is_read():
+    assert dead_private_names(sorted(PACKAGE_DIR.glob("*.py"))) == []
+
+
+def test_a_dead_private_name_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import os\n"
+        "def _dead():\n    pass\n"
+        "def _called():\n    pass\n"
+        "class _Unused:\n"
+        "    def __init__(self):\n        self._kept()\n"
+        "    def _kept(self):\n        pass\n"
+        "    def _orphan(self):\n        pass\n"
+        "def public():\n    def _nested():\n        pass\n    return _called()\n"
+    )
+    other = tmp_path / "other.py"
+    other.write_text("from module import _imported\nos.path._attribute\n"
+                     "def _imported():\n    pass\ndef _attribute():\n    pass\n")
+    assert dead_private_names([module, other]) == [
+        ("module.py", 2, "_dead"), ("module.py", 6, "_Unused"), ("module.py", 11, "_orphan"),
+    ]

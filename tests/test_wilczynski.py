@@ -21,7 +21,11 @@ from g2sextic.wilczynski import (
     LinearODE,
     NonlinearODE,
     X_CTX,
+    _compose,
     _constant_value,
+    _p_ring,
+    _poly_derive,
+    _w_ring,
     classical_theta,
     classical_theta_of_ode,
     curvature_kappa,
@@ -77,6 +81,69 @@ def test_semi_canonical_reduction_all_orders():
         assert P[2] == expected
 
 
+def test_semi_invariants_by_leibniz():
+    # a second derivation: with lambda'/lambda = -p1, B_j = lambda^(j)/lambda
+    # obeys B_0 = 1, B_(j+1) = D B_j - p1 B_j, and Leibniz's rule gives
+    # C(n,i) P_i = sum_k C(n,k) C(n-k, n-i) p_k B_(i-k) with p_0 = 1
+    for n in range(3, 9):
+        ctx, dmap, _ = _p_ring(n)
+        p = [ctx.const(1)] + [ctx.var(f"p{k}_0") for k in range(1, n + 1)]
+        b = [ctx.const(1)]
+        for _ in range(n):
+            b.append(_poly_derive(b[-1], dmap) - p[1] * b[-1])
+        for i in range(1, n + 1):
+            total = ctx.const(0)
+            for k in range(i + 1):
+                total = total + p[k] * b[i - k] * (comb(n, k) * comb(n - k, n - i))
+            if i == 1:
+                assert total.is_zero()
+            else:
+                assert total == semi_invariants(n)[i] * comb(n, i)
+
+
+def _apply(op, f, derive):
+    """(sum_j M_(c_j) G^j) f = sum_j c_j derive^j(f)."""
+    total = f.ctx.const(0)
+    for c in op:
+        total = total + c * f
+        f = derive(f)
+    return total
+
+
+@pytest.mark.parametrize("ring", ["p", "w"])
+def test_compose_is_composition(ring):
+    # (a o b) f == a (b f), in the p-ring and with the twisted E of the w-ring
+    rng = random.Random(5)
+    n = 4
+    if ring == "p":
+        ctx, dmap, _ = _p_ring(n)
+        names = ["p1_0", "p1_1", "p2_0", "p3_0"]
+
+        def derive(f):
+            return _poly_derive(f, dmap)
+    else:
+        ctx, dmap, _ = _w_ring(n)
+        names = ["v", "eta", "P2_0", "P3_1"]
+        vm2 = ctx.monomial(((ctx.index["v"], -2),))
+
+        def derive(f):
+            return _poly_derive(f, dmap) * vm2
+
+    def random_poly():
+        total = ctx.const(rng.randint(-3, 3))
+        for _ in range(2):
+            total = total + ctx.var(rng.choice(names)) * rng.randint(-3, 3)
+        return total
+
+    for _ in range(6):
+        a = [random_poly() for _ in range(rng.randint(1, 3))]
+        b = [random_poly() for _ in range(rng.randint(1, 3))]
+        f = random_poly() * ctx.var(rng.choice(names))
+        assert _apply(_compose(a, b, derive), f, derive) == _apply(
+            a, _apply(b, f, derive), derive
+        )
+
+
 def test_theta3_printed_p_form():
     theta = classical_theta(3)[3]
     ctx = theta["p"].ctx
@@ -114,6 +181,16 @@ def test_eta_cancellation_runs_for_all_orders():
     for n in range(3, 8):
         thetas = classical_theta(n)
         assert sorted(thetas) == list(range(3, n + 1))
+
+
+def test_top_theta_sizes():
+    # term counts of Theta_n in the P- and the expanded p-variables
+    sizes = {n: (len(classical_theta(n)[n]["P"].terms), len(classical_theta(n)[n]["p"].terms))
+             for n in range(3, 11)}
+    assert sizes == {
+        3: (2, 6), 4: (4, 13), 5: (6, 24), 6: (10, 46),
+        7: (15, 81), 8: (23, 144), 9: (35, 246), 10: (50, 415),
+    }
 
 
 def test_wil_coefficient_normalization():
