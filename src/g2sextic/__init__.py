@@ -7,6 +7,6 @@ ever enters a verdict.
 
 __version__ = "0.1.0"
 
-from .scalar import Rational, AlgebraicScalar
+from .scalar import AlgebraicScalar
 
-__all__ = ["Rational", "AlgebraicScalar", "__version__"]
+__all__ = ["AlgebraicScalar", "__version__"]

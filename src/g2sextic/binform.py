@@ -224,36 +224,21 @@ def format_form(v: BinaryForm) -> str:
     return ", ".join(f"v{k}={c}" for k, c in enumerate(v.coeffs))
 
 
-def format_polynomial(v: BinaryForm) -> str:
-    """Human-readable expansion in t and s."""
-    n = v.degree
-    parts = []
-    for k, c in enumerate(v.monomial_coeffs()):
-        if not c:
-            continue
-        t_part = f"t^{n - k}" if n - k > 1 else ("t" if n - k == 1 else "")
-        s_part = f"s^{k}" if k > 1 else ("s" if k == 1 else "")
-        mono = "*".join(x for x in (t_part, s_part) if x) or "1"
-        parts.append(f"({c})*{mono}")
-    return " + ".join(parts) if parts else "0"
-
-
 def parse_form(text: str, degree: int | None = None) -> BinaryForm:
     """Parse 'v0=..., v1=..., ...' or a bare comma-separated coefficient list."""
+    if not text.replace(",", "").strip():
+        raise ValueError(f"no coefficients in {text!r}")
     values = []
     start = 0
     for piece in text.split(","):
         end = start + len(piece)
-        if piece.strip():
-            if "=" in piece:
-                name = piece.split("=", 1)[0].strip()
-                if name != f"v{len(values)}":
-                    raise ValueError(f"expected v{len(values)}, got {name!r}")
-                start += piece.index("=") + 1
-            values.append(parse_rational(text, start, end))
+        if "=" in piece:
+            name = piece.split("=", 1)[0].strip()
+            if name != f"v{len(values)}":
+                raise ValueError(f"expected v{len(values)}, got {name!r}")
+            start += piece.index("=") + 1
+        values.append(parse_rational(text, start, end))
         start = end + 1
-    if not values:
-        raise ValueError(f"no coefficients in {text!r}")
     if degree is not None and len(values) != degree + 1:
         raise ValueError(f"expected {degree + 1} coefficients")
     return BinaryForm(len(values) - 1, values)

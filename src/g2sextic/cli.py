@@ -113,7 +113,7 @@ def criterion_cocalibration() -> list:
                 format_form(cert.tau), "!= 0"),
         _report("c02.lambda", None, format_algebraic(cert.lam),
                 details={"float_view": repr(cert.lam.to_complex().real),
-                         "orientation": cert.orientation}),
+                         "orientation": g2verify.ORIENTATION}),
     ]
     return out
 

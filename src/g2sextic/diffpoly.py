@@ -1015,16 +1015,6 @@ class ExtendedJetFunction:
             + self.c2.evaluate(point) * root ** 2
         )
 
-    def evaluate_components(self, point: dict) -> tuple:
-        """Symbolic alternative to evaluate(): the triple (c0, c1, c2) at
-        the point together with the cube base value, no root taken."""
-        return (
-            self.c0.evaluate(point),
-            self.c1.evaluate(point),
-            self.c2.evaluate(point),
-            self.base.evaluate(point) if self.base is not None else None,
-        )
-
     def __str__(self):
         if self.u_free():
             return str(self.c0)
@@ -1128,8 +1118,11 @@ class _Parser:
     def _factor(self):
         base = self._base()
         while self._peek() == "^":
+            caret = self.pos
             self.pos += 1
             exponent = self._integer()
+            if exponent < 0 and base.is_zero():
+                raise ParseError("negative power of zero", caret)
             base = base ** exponent
         return base
 

@@ -70,10 +70,6 @@ class ExteriorForm:
     def zero(degree: int) -> "ExteriorForm":
         return ExteriorForm(degree, {})
 
-    @staticmethod
-    def scalar(value) -> "ExteriorForm":
-        return ExteriorForm(0, {(): AlgebraicScalar.coerce(value)})
-
 
 def theta(*indices) -> ExteriorForm:
     """Basis monomial theta^{j k l ...} (indices strictly increasing)."""
@@ -120,13 +116,6 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     return ExteriorForm(degree, out)
 
 
-def wedge_all(*forms: ExteriorForm) -> ExteriorForm:
-    result = forms[0]
-    for f in forms[1:]:
-        result = wedge(result, f)
-    return result
-
-
 def forms_equal(a: ExteriorForm, b: ExteriorForm) -> bool:
     return a.degree == b.degree and a.terms == b.terms
 
@@ -160,13 +149,6 @@ class StructureConstants:
             table[key] = table.get(key, ZERO) + coef
         self.table = {k: v for k, v in table.items() if v}
         self._dtheta = None
-
-    def c(self, j: int, k: int, l: int) -> AlgebraicScalar:
-        if j == k:
-            return ZERO
-        if j < k:
-            return self.table.get((j, k, l), ZERO)
-        return -self.table.get((k, j, l), ZERO)
 
     def dtheta(self, l: int) -> ExteriorForm:
         """d theta^l = -sum_{j<k} c_{jk}^l theta^j ^ theta^k."""
@@ -260,13 +242,3 @@ def format_form(alpha: ExteriorForm) -> str:
         parts.append(f"({coef})*{sym}")
     return " + ".join(parts)
 
-
-def form_to_json(alpha: ExteriorForm):
-    """Structured serialization for reports."""
-    return {
-        "degree": alpha.degree,
-        "terms": {
-            "".join(str(i) for i in idx): str(coef)
-            for idx, coef in sorted(alpha.terms.items())
-        },
-    }

@@ -35,6 +35,9 @@ from .exterior import (
 )
 from .scalar import ZERO, AlgebraicScalar
 
+# The volume form theta^{1...7} that orients *; C02 reports it next to lambda.
+ORIENTATION = "theta1^...^theta7"
+
 
 @dataclass
 class G2Certificate:
@@ -44,28 +47,7 @@ class G2Certificate:
     d_star_phi: ExteriorForm
     lam: AlgebraicScalar
     tau: ExteriorForm
-    orientation: str = "theta1^...^theta7"
     checks: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
-
-    @property
-    def verdict(self) -> bool:
-        return all(self.checks.values())
-
-    def to_json(self) -> dict:
-        from .exterior import form_to_json
-
-        return {
-            "phi": form_to_json(self.phi),
-            "star_phi": form_to_json(self.star_phi),
-            "d_phi": form_to_json(self.d_phi),
-            "d_star_phi": form_to_json(self.d_star_phi),
-            "lambda": str(self.lam),
-            "tau": form_to_json(self.tau),
-            "orientation": self.orientation,
-            "checks": dict(self.checks),
-            "residuals": {k: form_to_json(v) for k, v in self.residuals.items()},
-        }
 
     def recheck(self) -> dict:
         """Re-derive every identity from the stored fields alone."""
@@ -88,12 +70,9 @@ def verify_cocalibrated(phi: ExteriorForm, sc: StructureConstants) -> G2Certific
     d_star_phi = d(star_phi, sc)
 
     checks = {}
-    residuals = {}
     checks["d_phi_basic"] = is_basic(d_phi)
     checks["d_star_phi_basic"] = is_basic(d_star_phi)
     checks["d_star_phi_zero"] = is_zero(d_star_phi)
-    if not checks["d_star_phi_zero"]:
-        residuals["d_star_phi"] = d_star_phi
 
     norm = inner_product(star_phi, star_phi)
     checks["star_phi_norm_seven"] = norm == AlgebraicScalar.rational(7)
@@ -104,14 +83,8 @@ def verify_cocalibrated(phi: ExteriorForm, sc: StructureConstants) -> G2Certific
     recon = add(scale(star_phi, lam), hodge_star(tau))
     checks["torsion_identity"] = forms_equal(d_phi, recon)
 
-    wedge_tau = wedge(phi, tau)
-    wedge_star_tau = wedge(phi, hodge_star(tau))
-    checks["phi_wedge_tau_zero"] = is_zero(wedge_tau)
-    checks["phi_wedge_star_tau_zero"] = is_zero(wedge_star_tau)
-    if not checks["phi_wedge_tau_zero"]:
-        residuals["phi_wedge_tau"] = wedge_tau
-    if not checks["phi_wedge_star_tau_zero"]:
-        residuals["phi_wedge_star_tau"] = wedge_star_tau
+    checks["phi_wedge_tau_zero"] = is_zero(wedge(phi, tau))
+    checks["phi_wedge_star_tau_zero"] = is_zero(wedge(phi, hodge_star(tau)))
     checks["tau_nonzero"] = not is_zero(tau)
 
     return G2Certificate(
@@ -122,7 +95,6 @@ def verify_cocalibrated(phi: ExteriorForm, sc: StructureConstants) -> G2Certific
         lam=lam,
         tau=tau,
         checks=checks,
-        residuals=residuals,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exterior import StructureConstants
-from .scalar import I, ONE, SQRT2, SQRT10, ZERO, AlgebraicScalar, parse_algebraic, row_reduce
+from .scalar import I, ONE, SQRT2, SQRT10, ZERO, AlgebraicScalar, row_reduce
 
 
 class ClosureError(ArithmeticError):
@@ -85,11 +85,6 @@ class Matrix3:
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(x) for x in r) for r in self.rows) + "]"
-
-
-def matrix_from_text(rows) -> Matrix3:
-    """Loader for user-supplied bases; entries in the scalar text grammar."""
-    return Matrix3(tuple(tuple(parse_algebraic(x) for x in row) for row in rows))
 
 
 def commutator(x: Matrix3, y: Matrix3) -> Matrix3:

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# Arbitrary-precision exact rationals; always lowest terms, positive denominator.
-Rational = Fraction
-
 BASIS_SYMBOLS = ("1", "i", "r2", "ir2", "r5", "ir5", "r10", "ir10")
 
 # Basis index encodes exponents of (i, r2, r5): index = ei + 2*e2 + 4*e5.
@@ -174,14 +171,6 @@ class AlgebraicScalar:
             tuple(c if not idx & _I_BIT else 0 for idx, c in enumerate(self.coords))
         )
 
-    def imag_part(self) -> "AlgebraicScalar":
-        """The real scalar b in a + i*b."""
-        out = [_ZERO] * 8
-        for idx, c in enumerate(self.coords):
-            if idx & _I_BIT:
-                out[idx ^ _I_BIT] = c
-        return AlgebraicScalar(out)
-
     def to_complex(self) -> complex:
         """Float view, for human-readable annotations only."""
         r2, r5, r10 = 2 ** 0.5, 5 ** 0.5, 10 ** 0.5
@@ -263,14 +252,19 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str, start: int = 0, end: int | None = None) -> Fraction:
-    """The rational p/q in text[start:end]; a zero denominator is a
-    ValueError like any bad input, placed within the whole text."""
+    """The rational p/q in text[start:end]; bad input (a zero denominator,
+    an empty or non-numeric entry) is a ValueError placed within the
+    whole text."""
+    piece = text[start:end]
     try:
-        return Fraction(text[start:end].replace("−", "-").strip())
+        return Fraction(piece.replace("−", "-").strip())
     except ZeroDivisionError:
         raise ValueError(
             f"zero denominator in {text!r} (at position {text.index('/', start) + 1})"
         ) from None
+    except ValueError:
+        at = start + len(piece) - len(piece.lstrip())
+        raise ValueError(f"not a rational number in {text!r} (at position {at})") from None
 
 
 def format_algebraic(a: AlgebraicScalar) -> str:
@@ -282,43 +276,3 @@ def format_algebraic(a: AlgebraicScalar) -> str:
         coef = f"({format_rational(c)})"
         parts.append(coef if sym == "1" else f"{coef}*{sym}")
     return " + ".join(parts) if parts else "0"
-
-
-def parse_algebraic(text: str) -> AlgebraicScalar:
-    """Parse the serialization grammar: signed sum of (rational)*symbol terms."""
-    s = text.replace("−", "-").replace(" ", "")
-    if not s:
-        raise ValueError("empty algebraic scalar")
-    # split into signed terms at top level (no nested parens in the grammar)
-    terms, buf, depth = [], "", 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and buf not in ("", "+", "-"):
-            terms.append(buf)
-            buf = ch
-        else:
-            buf += ch
-    terms.append(buf)
-    coords = [_ZERO] * 8
-    for term in terms:
-        if term in ("0", "+0", "-0"):
-            continue
-        sign = _ONE
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if "*" in term:
-            coef_text, sym = term.split("*", 1)
-        elif term in BASIS_SYMBOLS:
-            coef_text, sym = "1", term
-        else:
-            coef_text, sym = term, "1"
-        coef_text = coef_text.strip("()")
-        if sym not in BASIS_SYMBOLS:
-            raise ValueError(f"unknown basis symbol {sym!r} in {text!r}")
-        coords[BASIS_SYMBOLS.index(sym)] += sign * parse_rational(coef_text)
-    return AlgebraicScalar(coords)

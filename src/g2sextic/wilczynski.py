@@ -445,10 +445,6 @@ def curve_theta3(ctx: JetContext) -> JetFunction:
     return _graph_equation(ctx).thetas()[3]
 
 
-def curve_p2(ctx: JetContext) -> JetFunction:
-    return _graph_equation(ctx).P(2)
-
-
 def theta8(theta3: JetFunction, p2: JetFunction, derive) -> JetFunction:
     """Theta_8 = 6 T T'' - 7 (T')^2 - 27 P2 T^2 for T = Theta_3."""
     t1 = derive(theta3)

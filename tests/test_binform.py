@@ -8,7 +8,6 @@ from g2sextic.binform import (
     I2_CALIBRATION,
     BinaryForm,
     det2,
-    format_polynomial,
     gl2_act,
     invariant_I2,
     invariant_I3,
@@ -229,5 +228,3 @@ def test_serialization():
     v = parse_form("v0=1, v1=0, v2=0, v3=-1/2, v4=0, v5=0, v6=3")
     assert v.coeffs[3] == Fraction(-1, 2)
     assert parse_form("1,0,0,-1/2,0,0,3") == v
-    text = format_polynomial(BinaryForm(2, [1, 0, 1]))
-    assert text == "(1)*t^2 + (1)*s^2"

@@ -154,6 +154,14 @@ def test_order_below_three_rejected(order, capsys):
      "transvectant order -1 is negative"),
     (["forms", "transvectant", "--u", ",", "--v", "0,0,1", "-p", "1"],
      "no coefficients in ','"),
+    (["ode", "generalized", "--rhs", "0^-1"], "negative power of zero (at position 1)"),
+    (["ode", "generalized", "--rhs", "(y1-y1)^-1"], "negative power of zero (at position 7)"),
+    (["ode", "curvature", "--gamma", "abc"], "not a rational number in 'abc' (at position 0)"),
+    (["ode", "generalized", "--kappa", "abc"], "not a rational number in 'abc' (at position 0)"),
+    (["forms", "transvectant", "--u", "a,1", "--v", "0,0,1", "-p", "1"],
+     "not a rational number in 'a,1' (at position 0)"),
+    (["forms", "i2", "--coeffs", "1,,0,0,0,0,0,1"],
+     "not a rational number in '1,,0,0,0,0,0,1' (at position 2)"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict

@@ -179,8 +179,6 @@ def test_extended_evaluate():
     base = fn("y2^3")
     u = ExtendedJetFunction(fn("0"), fn("1"), fn("0"), base)
     assert u.evaluate({"y2": 2}) == 2
-    # symbolic component evaluation never takes a root
-    assert u.evaluate_components({"y2": 5}) == (0, 1, 0, 125)
     expr = ExtendedJetFunction(fn("x"), fn("1"), fn("0"), fn("x^3 * 8"))
     assert expr.evaluate({"x": 3}) == 3 + 6
     bad = ExtendedJetFunction(fn("0"), fn("1"), fn("0"), fn("y2"))

@@ -19,7 +19,6 @@ from g2sextic.exterior import (
     theta,
     volume_form,
     wedge,
-    wedge_all,
 )
 from g2sextic.liealg import extract_structure_constants, su21_basis
 from g2sextic.scalar import AlgebraicScalar
@@ -86,7 +85,7 @@ def test_leibniz_rule_random():
 
 def test_hodge_star_examples():
     assert forms_equal(hodge_star(theta(1, 2, 3)), theta(4, 5, 6, 7))
-    assert forms_equal(hodge_star(ExteriorForm.scalar(1)), volume_form())
+    assert forms_equal(hodge_star(theta()), volume_form())
     assert forms_equal(hodge_star(hodge_star(theta(1, 4, 5))), theta(1, 4, 5))
 
 
@@ -129,5 +128,5 @@ def test_inner_product_degree_mismatch():
 
 
 def test_wedge_all_and_sub():
-    assert forms_equal(wedge_all(theta(1), theta(2), theta(3)), theta(1, 2, 3))
+    assert forms_equal(wedge(wedge(theta(1), theta(2)), theta(3)), theta(1, 2, 3))
     assert is_zero(sub(theta(1, 2), theta(1, 2)))

@@ -77,7 +77,7 @@ def test_certificate_is_self_verifying():
 
 
 def test_verdict_true():
-    assert CERT.verdict
+    assert all(CERT.checks.values())
 
 
 def test_identities_report():
@@ -99,14 +99,3 @@ def test_contraction_direct_example():
 def test_rejects_non_basic_phi():
     with pytest.raises(ValueError):
         verify_cocalibrated(theta(1, 2, 8), SC)
-
-
-def test_certificate_json_serialization():
-    import json
-
-    blob = CERT.to_json()
-    text = json.dumps(blob, sort_keys=True)
-    assert json.loads(text) == blob
-    assert blob["lambda"] == "(3/5)*r10"
-    assert blob["d_star_phi"]["terms"] == {}
-    assert blob["checks"]["d_star_phi_zero"] is True

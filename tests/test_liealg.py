@@ -13,7 +13,6 @@ from g2sextic.liealg import (
     expand_in_basis,
     extract_structure_constants,
     is_in_unitary_algebra,
-    matrix_from_text,
     rational_kernel,
     sigma_in_theta,
     su21_basis,
@@ -63,13 +62,6 @@ def test_basis_shapes():
     assert e8 == diag(I, I * 4, -(I * 5))
     for e in BASIS:
         assert not e.trace()
-
-
-def test_structure_constants_antisymmetric():
-    for j in range(1, 9):
-        for k in range(1, 9):
-            for l in range(1, 9):
-                assert SC.c(j, k, l) == -SC.c(k, j, l)
 
 
 def test_jacobi_identity_residual():
@@ -191,14 +183,3 @@ def test_expand_in_basis_roundtrip():
     for c, e in zip(coeffs, BASIS):
         rebuilt = rebuilt + e * c
     assert rebuilt == x
-
-
-def test_matrix_loader():
-    m = matrix_from_text(
-        [
-            ["(1)", "0", "0"],
-            ["0", "(1)*i", "0"],
-            ["0", "0", "(1/2)*r10"],
-        ]
-    )
-    assert m == diag(1, I, SQRT10 * Fraction(1, 2))

@@ -33,7 +33,6 @@ from g2sextic.wilczynski import (
     curvature_kappa_log_curve,
     curvature_ode,
     curvature_thetas,
-    curve_p2,
     curve_theta3,
     curve_theta8,
     generalized_theta,
