@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
 
-from .scalar import power
+from .scalar import exact, power
 
 
 class DiffAlgebraError(ArithmeticError):
@@ -57,15 +57,6 @@ EXPONENT_BOUND = 1 << (FIELD_BITS - 3)
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
-def _exact(c):
-    """c as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _div(a, b):
     """The exact quotient a / b of two coefficients."""
     if b == 1:
@@ -73,7 +64,7 @@ def _div(a, b):
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
-    return _exact(Fraction(a, b))
+    return exact(Fraction(a, b))
 
 
 class JetContext:
@@ -163,7 +154,7 @@ class JetContext:
     # -- polynomial constructors -------------------------------------------
 
     def const(self, c) -> "Poly":
-        c = _exact(c)
+        c = exact(c)
         return _poly(self, {self._one: c} if c else {})
 
     def var(self, name: str) -> "Poly":
@@ -171,7 +162,7 @@ class JetContext:
 
     def monomial(self, powers=(), coef=1) -> "Poly":
         """coef * prod v^k over the (variable index, exponent) pairs."""
-        coef = _exact(coef)
+        coef = exact(coef)
         return _poly(self, {self._key(powers): coef} if coef else {})
 
     def fn(self, name_or_const) -> "JetFunction":
@@ -226,7 +217,7 @@ class Poly:
         for e, c in other.terms.items():
             nc = get(e, 0) + c
             if nc:
-                out[e] = nc if type(nc) is int else _exact(nc)
+                out[e] = nc if type(nc) is int else exact(nc)
             else:
                 out.pop(e, None)
         return _poly(self.ctx, out)
@@ -273,12 +264,12 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = _exact(c)
+        c = exact(c)
         if not c:
             return _poly(self.ctx, {})
         out = {e: v * c for e, v in self.terms.items()}
         if type(c) is not int or any(type(v) is not int for v in self.terms.values()):
-            out = {e: _exact(v) for e, v in out.items()}
+            out = {e: exact(v) for e, v in out.items()}
         return _poly(self.ctx, out)
 
     def __pow__(self, n: int):
@@ -300,7 +291,7 @@ class Poly:
                     f"exponent {k - 1} of {name} outside "
                     f"[-{EXPONENT_BOUND}, {EXPONENT_BOUND})"
                 )
-            out[e - step] = _exact(c * k)
+            out[e - step] = exact(c * k)
         return _poly(ctx, out)
 
     def degree(self, name: str) -> int:
@@ -1108,9 +1099,11 @@ class _Parser:
                 value = value * self._factor()
             elif ch == "/":
                 self.pos += 1
+                self._skip_ws()
+                at = self.pos
                 divisor = self._factor()
                 if divisor.is_zero():
-                    raise ParseError("division by zero", self.pos)
+                    raise ParseError("division by zero", at)
                 value = value / divisor
             else:
                 return value

@@ -113,34 +113,39 @@ def su21_basis() -> list[Matrix3]:
     return [e1, e2, e3, e4, e5, e6, e7, e8]
 
 
-def expand_in_basis(x: Matrix3, basis) -> list[AlgebraicScalar]:
-    """Coefficients of x in the given matrix basis (exact linear solve).
+def expand_in_basis(xs, basis) -> list[list[AlgebraicScalar]]:
+    """Coefficients of each matrix of xs in the given matrix basis.
 
-    Raises ClosureError when the basis is linearly dependent or x lies
-    outside its span.
+    One exact elimination of the basis, augmented by a column per matrix,
+    solves them all.  Raises ClosureError when the basis is linearly
+    dependent or some matrix lies outside its span.
     """
     n = len(basis)
     rows, pivots = row_reduce(
-        ([e.rows[a][b] for e in basis] + [x.rows[a][b]] for a in range(3) for b in range(3)),
+        (
+            [e.rows[a][b] for e in basis] + [x.rows[a][b] for x in xs]
+            for a in range(3)
+            for b in range(3)
+        ),
         n,
     )
     if len(pivots) < n:
         raise ClosureError("linear system is underdetermined")
-    if any(row[n] for row in rows[n:]):
+    if any(c for row in rows[n:] for c in row[n:]):
         raise ClosureError("commutator outside the span of the basis")
-    return [row[n] for row in rows[:n]]
+    return [[row[m] for row in rows[:n]] for m in range(n, n + len(xs))]
 
 
 def extract_structure_constants(basis) -> StructureConstants:
-    """c_{jk}^l from [e_j, e_k] = sum_l c_{jk}^l e_l."""
-    entries = {}
+    """c_{jk}^l from [e_j, e_k] = sum_l c_{jk}^l e_l, all pairs in one solve."""
     n = len(basis)
-    for j in range(n):
-        for k in range(j + 1, n):
-            coeffs = expand_in_basis(commutator(basis[j], basis[k]), basis)
-            for l, c in enumerate(coeffs):
-                if c:
-                    entries[(j + 1, k + 1, l + 1)] = c
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    table = expand_in_basis([commutator(basis[j], basis[k]) for j, k in pairs], basis)
+    entries = {}
+    for (j, k), coeffs in zip(pairs, table):
+        for l, c in enumerate(coeffs):
+            if c:
+                entries[(j + 1, k + 1, l + 1)] = c
     return StructureConstants(entries)
 
 

@@ -361,7 +361,7 @@ def signature(tag: str) -> tuple[int, int]:
 def rational_signature(gram) -> tuple[int, int]:
     """Sylvester counts via exact congruence (Lagrange) elimination."""
     n = len(gram)
-    a = [row[:] for row in gram]
+    a = [[Fraction(x) for x in row] for row in gram]  # an int pivot would divide to a float
     pos = neg = 0
     for k in range(n):
         if not a[k][k]:

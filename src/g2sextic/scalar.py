@@ -10,6 +10,7 @@ the serialization order, so reports are bit-exact reproducible.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 BASIS_SYMBOLS = ("1", "i", "r2", "ir2", "r5", "ir5", "r10", "ir10")
@@ -17,13 +18,20 @@ BASIS_SYMBOLS = ("1", "i", "r2", "ir2", "r5", "ir5", "r10", "ir10")
 # Basis index encodes exponents of (i, r2, r5): index = ei + 2*e2 + 4*e5.
 _I_BIT, _R2_BIT, _R5_BIT = 1, 2, 4
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def exact(c):
+    """c as an int when it is integral, else as a Fraction: the normal form
+    of AlgebraicScalar coordinates and of diffpoly's Poly coefficients."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
-def _basis_mul(a: int, b: int) -> tuple[Fraction, int]:
+def _basis_mul(a: int, b: int) -> tuple[int, int]:
     """Product of two basis elements: (rational carry, result index)."""
-    carry = _ONE
+    carry = 1
     if a & b & _I_BIT:
         carry = -carry
     if a & b & _R2_BIT:
@@ -37,12 +45,16 @@ _MUL_TABLE = tuple(tuple(_basis_mul(a, b) for b in range(8)) for a in range(8))
 
 
 class AlgebraicScalar:
-    """An element of Q(i, sqrt2, sqrt5), immutable and hashable."""
+    """An element of Q(i, sqrt2, sqrt5), immutable and hashable.
+
+    Each coordinate is an int when integral and a Fraction otherwise, as
+    for Poly coefficients; every division goes through Fraction.
+    """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        c = tuple(Fraction(x) for x in coords)
+        c = tuple(map(exact, coords))
         if len(c) != 8:
             raise ValueError("AlgebraicScalar needs 8 coordinates")
         object.__setattr__(self, "coords", c)
@@ -54,7 +66,7 @@ class AlgebraicScalar:
 
     @staticmethod
     def rational(q) -> "AlgebraicScalar":
-        return AlgebraicScalar((Fraction(q), 0, 0, 0, 0, 0, 0, 0))
+        return AlgebraicScalar((q, 0, 0, 0, 0, 0, 0, 0))
 
     @staticmethod
     def coerce(x) -> "AlgebraicScalar":
@@ -82,13 +94,20 @@ class AlgebraicScalar:
         return AlgebraicScalar.coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = AlgebraicScalar.coerce(other)
-        acc = [_ZERO] * 8
-        for a, ca in enumerate(self.coords):
+        x, y = self.coords, AlgebraicScalar.coerce(other).coords
+        # a rational factor scales the other one's coordinates
+        if not any(y[1:]):
+            q = y[0]
+            return AlgebraicScalar([c * q if c else 0 for c in x])
+        if not any(x[1:]):
+            q = x[0]
+            return AlgebraicScalar([q * c if c else 0 for c in y])
+        acc = [0] * 8
+        for a, ca in enumerate(x):
             if not ca:
                 continue
             row = _MUL_TABLE[a]
-            for b, cb in enumerate(o.coords):
+            for b, cb in enumerate(y):
                 if not cb:
                     continue
                 carry, idx = row[b]
@@ -122,7 +141,7 @@ class AlgebraicScalar:
         c = b * x2  # fixed by i, sqrt2 flips
         x3 = c.conj_sqrt5()
         d = c * x3  # rational norm
-        norm = d.coords[0]
+        norm = Fraction(d.coords[0])
         if any(d.coords[1:]):
             raise ArithmeticError("norm computation left the rationals")
         prod = x1 * x2 * x3
@@ -164,7 +183,7 @@ class AlgebraicScalar:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.coords[0])
 
     def real_part(self) -> "AlgebraicScalar":
         return AlgebraicScalar(
@@ -219,7 +238,9 @@ def row_reduce(rows, ncols: int):
     """Gauss-Jordan elimination over an exact field, pivoting on the first ncols columns.
 
     Entries must support *, -, truth and 1 / x (Fraction, AlgebraicScalar,
-    JetFunction; not int, whose 1 / x is a float).  Columns past ncols,
+    JetFunction).  A bare int entry is not allowed, since its 1 / x is a
+    float; AlgebraicScalar's int coordinates are safe, because its inverse
+    divides through Fraction.  Columns past ncols,
     such as an augmented right-hand side, are carried along unpivoted.
     Returns (rows, pivot_cols): row r has a 1 in column pivot_cols[r] and
     that column is 0 in every other row; rows past len(pivot_cols) are
@@ -251,20 +272,35 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# p, p/q or a decimal, with a sign (the unicode minus too) and spaces around;
+# no exponent notation, whose short text can stand for a huge integer.
+_RATIONAL = re.compile(
+    r"\s*(?P<sign>[-+−]?)(?P<number>[0-9]+(?:/(?P<den>[0-9]+)|\.[0-9]*)?|\.[0-9]+)\s*\Z"
+)
+# the longest start of a text that a rational can continue
+_RATIONAL_START = re.compile(r"\s*[-+−]?(?:[0-9]+(?:/[0-9]*|\.[0-9]*)?|\.[0-9]*)?")
+
+
 def parse_rational(text: str, start: int = 0, end: int | None = None) -> Fraction:
-    """The rational p/q in text[start:end]; bad input (a zero denominator,
-    an empty or non-numeric entry) is a ValueError placed within the
-    whole text."""
-    piece = text[start:end]
+    """The rational p, p/q or decimal in text[start:end]; bad input (a zero
+    denominator, an empty entry, exponent notation or any other character)
+    is a ValueError placed within the whole text."""
+    end = len(text) if end is None else end
+    m = _RATIONAL.match(text, start, end)
+    if m is None:
+        at = _RATIONAL_START.match(text, start, end).end()
+        if _RATIONAL.match(text, start, at):  # a whole number: spaces may follow it
+            at = end - len(text[at:end].lstrip())
+        raise ValueError(f"not a rational number in {text!r} (at position {at})")
+    if m["den"] is not None and not m["den"].strip("0"):
+        raise ValueError(f"zero denominator in {text!r} (at position {m.start('den')})")
     try:
-        return Fraction(piece.replace("−", "-").strip())
-    except ZeroDivisionError:
+        value = Fraction(m["number"])
+    except ValueError:  # more digits than int() converts
         raise ValueError(
-            f"zero denominator in {text!r} (at position {text.index('/', start) + 1})"
+            f"too many digits in {text!r} (at position {m.start('number')})"
         ) from None
-    except ValueError:
-        at = start + len(piece) - len(piece.lstrip())
-        raise ValueError(f"not a rational number in {text!r} (at position {at})") from None
+    return value if m["sign"] in ("", "+") else -value
 
 
 def format_algebraic(a: AlgebraicScalar) -> str:

@@ -162,6 +162,11 @@ def test_order_below_three_rejected(order, capsys):
      "not a rational number in 'a,1' (at position 0)"),
     (["forms", "i2", "--coeffs", "1,,0,0,0,0,0,1"],
      "not a rational number in '1,,0,0,0,0,0,1' (at position 2)"),
+    (["ode", "curvature", "--gamma", "1e400000"],
+     "not a rational number in '1e400000' (at position 1)"),
+    (["ode", "curvature", "--gamma", "1e5000"], "not a rational number in '1e5000' (at position 1)"),
+    (["ode", "generalized", "--rhs", "1/0 + y1"], "division by zero (at position 2)"),
+    (["ode", "generalized", "--rhs", "y1/(y2-y2)"], "division by zero (at position 3)"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict

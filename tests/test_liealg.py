@@ -82,7 +82,7 @@ def test_closure_error_outside_span():
         extract_structure_constants(bad_basis)
     # a repeated element leaves the coefficients undetermined
     with pytest.raises(ClosureError, match="underdetermined"):
-        expand_in_basis(BASIS[0], BASIS + [BASIS[0]])
+        expand_in_basis([BASIS[0]], BASIS + [BASIS[0]])
 
 
 def test_rational_kernel_random_matrices():
@@ -176,10 +176,30 @@ def test_invariance_form():
     assert not is_in_unitary_algebra(diag(1, 0, 0), eta)
 
 
+def combination(coeffs, basis):
+    total = Matrix3([[0, 0, 0]] * 3)
+    for c, e in zip(coeffs, basis):
+        total = total + e * c
+    return total
+
+
 def test_expand_in_basis_roundtrip():
-    x = commutator(BASIS[0], BASIS[1])
-    coeffs = expand_in_basis(x, BASIS)
-    rebuilt = Matrix3([[0, 0, 0]] * 3)
-    for c, e in zip(coeffs, BASIS):
-        rebuilt = rebuilt + e * c
-    assert rebuilt == x
+    xs = [commutator(BASIS[0], BASIS[1]), BASIS[2], BASIS[7] * 3 - BASIS[4]]
+    table = expand_in_basis(xs, BASIS)
+    assert len(table) == len(xs)
+    for coeffs, x in zip(table, xs):
+        assert combination(coeffs, BASIS) == x
+    assert expand_in_basis([], BASIS) == []
+
+
+def test_structure_constants_rebuild_every_commutator():
+    # second derivation: sum_l c_jk^l e_l, rebuilt from the batch table,
+    # equals [e_j, e_k] for all 28 pairs; c_jk^l = 0 where SC has no entry
+    pairs = 0
+    for j in range(1, 9):
+        for k in range(j + 1, 9):
+            coeffs = [SC.table.get((j, k, l), ZERO) for l in range(1, 9)]
+            assert combination(coeffs, BASIS) == commutator(BASIS[j - 1], BASIS[k - 1])
+            pairs += 1
+    assert pairs == 28
+    assert all(j < k for j, k, _ in SC.table)

@@ -223,6 +223,15 @@ def test_rational_signature_helper():
         rational_signature([[Fraction(0)]])
 
 
+def test_rational_signature_of_int_entries_is_exact():
+    # int entries must not divide to floats: 121 - (55/25)*55 is 0 exactly
+    # but about -1.4e-14 in floats, which made this singular matrix (2, 0)
+    with pytest.raises(ValueError, match="degenerate Gram matrix"):
+        rational_signature([[25, 55], [55, 121]])
+    assert rational_signature([[25, 55], [55, 122]]) == (2, 0)
+    assert rational_signature([[0, 3], [3, 0]]) == (1, 1)
+
+
 def test_stabilizer_checks():
     # the (2,3) curve is preserved by diag(a, a^4, a^-5)
     assert stabilizer_check(2, 3, weights=(1, 4, -5))

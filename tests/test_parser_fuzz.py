@@ -3,7 +3,7 @@ DiffAlgebraError, the two exceptions that the CLI turns into one `error:`
 line with exit status 2; anything else would reach a user as a traceback.
 
 Inputs are short strings over small alphabets, so that no power can grow
-large.  A positioned error must point inside the text, and a parsed form
+large; the alphabet of rationals has an `e`, which must be rejected.  A positioned error must point inside the text, and a parsed form
 has one coefficient per comma-separated entry.
 """
 
@@ -39,12 +39,14 @@ def test_jet_expression_parser(text):
         pass
 
 
-@given(st.text("012-−/. a", max_size=8))
+@given(st.text("012-−/. ae", max_size=8))
 @example("abc")
 @example("")
+@example("1e5")
 def test_rational_parser(text):
     try:
         assert isinstance(parse_rational(text), Fraction)
+        assert "e" not in text  # exponent notation is never read
     except ValueError as err:
         match = POSITION.search(str(err))
         assert match and int(match.group(1)) <= len(text), str(err)

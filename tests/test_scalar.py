@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from g2sextic import cli, g2verify, targets
 from g2sextic.diffpoly import JetContext
+from g2sextic.exterior import ExteriorForm
+from g2sextic.liealg import derive_invariance_form, su21_basis
 from g2sextic.scalar import (
     I,
     ONE,
@@ -15,6 +18,7 @@ from g2sextic.scalar import (
     format_rational,
     parse_rational,
     power,
+    row_reduce,
 )
 
 
@@ -59,6 +63,68 @@ def test_field_axioms_random_triples():
         assert a * (b + c) == a * b + a * c
         if a:
             assert a * a.inv() == ONE
+
+
+def exact_coordinate(c):
+    # the normal form: an int when integral, else a non-integral Fraction
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def exact_coordinates(value):
+    return all(map(exact_coordinate, value.coords))
+
+
+def test_coordinates_are_ints_or_fractions_never_floats():
+    # int coordinates must not turn an inverse, a quotient or a value into a float
+    two = AlgebraicScalar((2, 0, 0, 0, 0, 0, 0, 0))
+    x = AlgebraicScalar((3, 1, 0, 2, 0, 0, 0, 1))
+    assert two.coords == (2, 0, 0, 0, 0, 0, 0, 0)
+    assert AlgebraicScalar.rational(Fraction(4, 2)).coords[0] == 2
+    assert type(AlgebraicScalar.rational(Fraction(4, 2)).coords[0]) is int
+    for value in (two.inv(), x.inv(), SQRT2.inv(), ONE / x, 1 / two, x / 7, x / two, x ** -2):
+        assert exact_coordinates(value), value.coords
+    assert two.inv().coords[0] == Fraction(1, 2)
+    assert x * x.inv() == ONE and (x / 7) * 7 == x
+    value = AlgebraicScalar.rational(6).rational_value()
+    assert type(value) is Fraction and value == 6
+    assert type(two.inv().rational_value()) is Fraction
+    rows, pivots = row_reduce([[two, x, ONE], [x, two, I]], 2)
+    assert pivots == [0, 1]
+    assert all(exact_coordinates(entry) for row in rows for entry in row)
+    assert rows[0][0] == ONE and rows[1][1] == ONE and not rows[0][1]
+
+
+def test_frame_layer_coordinates_are_exact(monkeypatch):
+    # every scalar built while C01..C05 run, and the stored results
+    seen = []
+    build = AlgebraicScalar.__init__
+
+    def observed(self, coords):
+        build(self, coords)
+        seen.append(self.coords)
+
+    monkeypatch.setattr(AlgebraicScalar, "__init__", observed)
+    cli._frame.cache_clear()  # rebuild the structure constants under observation
+    reports = (
+        cli.criterion_structure_equations()
+        + cli.criterion_cocalibration()
+        + cli.criterion_realization()
+        + cli.criterion_intermediate_metric()
+        + cli.criterion_signatures()
+    )
+    monkeypatch.undo()
+    assert len(reports) == 22 and len(seen) > 10000
+    assert all(exact_coordinate(c) for coords in seen for c in coords)
+
+    _, sc, _ = cli._frame()
+    assert all(exact_coordinates(c) for c in sc.table.values())
+    eta = derive_invariance_form(su21_basis())
+    assert all(exact_coordinates(entry) for row in eta.rows for entry in row)
+    cert = g2verify.verify_cocalibrated(targets.unit_three_form(), sc)
+    forms = [value for value in vars(cert).values() if isinstance(value, ExteriorForm)]
+    assert len(forms) == 5
+    assert all(exact_coordinates(c) for form in forms for c in form.terms.values())
+    assert exact_coordinates(cert.lam)
 
 
 def test_power_is_repeated_product():
@@ -111,6 +177,19 @@ def test_serialization_roundtrip():
     # unicode minus tolerated
     assert parse_rational(" −7/2") == Fraction(-7, 2)
     assert format_rational(Fraction(-7, 2)) == "-7/2"
+
+
+def test_rational_grammar():
+    # p, p/q and decimals with a sign; a bad entry is placed at its first
+    # character that no rational continues
+    assert parse_rational("+3") == 3 and parse_rational(" 5. ") == 5
+    assert parse_rational("-.25") == Fraction(-1, 4)
+    for text, at in [("1e5", 1), ("1E5", 1), ("1_000", 1), ("1 2", 2), ("1/ 2", 2),
+                     ("1.5/2", 3), ("-", 1), ("", 0), ("inf", 0), ("0x10", 1)]:
+        with pytest.raises(ValueError, match=rf"not a rational number .* \(at position {at}\)$"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match=r"too many digits .* \(at position 1\)$"):
+        parse_rational("-" + "7" * 5000)
 
 
 @pytest.mark.parametrize("text", ["1/0", " -3/0"])
