@@ -273,11 +273,11 @@ def cuspidal_jet_samples(count: int, seed: int) -> list:
     samples = []
     while len(samples) < count:
         # product of elementary shears: determinant exactly one
-        n = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
+        n = [[int(a == b) for b in range(3)] for a in range(3)]
         for _ in range(6):
             i, j = rng.sample(range(3), 2)
-            e = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
-            e[i][j] = Fraction(rng.randint(-2, 2))
+            e = [[int(a == b) for b in range(3)] for a in range(3)]
+            e[i][j] = rng.randint(-2, 2)
             n = [[sum(n[a][k] * e[k][b] for k in range(3)) for b in range(3)] for a in range(3)]
         big_t = [t ** 2, t ** 3, tctx.fn(1)]
         z = [sum((big_t[b] * n[a][b] for b in range(3)), tctx.fn(0)) for a in range(3)]
@@ -290,7 +290,7 @@ def cuspidal_jet_samples(count: int, seed: int) -> list:
             t0 = Fraction(rng.randint(1, 40), rng.randint(1, 6))
             try:
                 jets = wilczynski.jets_along_curve(x_of_t, y_of_t, 7, t0)
-            except (PoleError, DegenerateCurveError, ZeroDivisionError):
+            except (PoleError, DegenerateCurveError):
                 continue
             if not jets.get("y2"):
                 continue

@@ -785,14 +785,16 @@ class JetFunction:
         return total
 
     def evaluate(self, point: dict) -> Fraction:
+        """The value at point; a PoleError when any denominator factor
+        vanishes there, whatever the order of the factor table."""
         value = self.num.evaluate(point)
+        values = {f: f.evaluate(point) for f in self.factors}
+        if any(not values[f] and e < 0 for f, e in self.factors.items()):
+            raise PoleError("denominator factor vanishes at the point")
         for f, e in self.factors.items():
-            fv = f.evaluate(point)
-            if not fv:
-                if e < 0:
-                    raise PoleError("denominator factor vanishes at the point")
+            if not values[f]:
                 return Fraction(0)
-            value *= fv ** e
+            value *= values[f] ** e
         return value
 
     def __str__(self):
@@ -1054,6 +1056,12 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _is_digit(ch: str) -> bool:
+    """An ASCII digit, as in scalar.parse_rational: str.isdigit() alone
+    also takes superscripts and other scripts' digits."""
+    return ch.isascii() and ch.isdigit()
+
+
 class _Parser:
     """Tokens: names from the context, integer literals, + - * / ^ ( )."""
 
@@ -1134,7 +1142,7 @@ class _Parser:
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
             return value
-        if ch.isdigit():
+        if _is_digit(ch):
             return self.ctx.fn(self._integer())
         if ch.isalpha():
             return self.ctx.fn(self._name())
@@ -1145,7 +1153,7 @@ class _Parser:
         start = self.pos
         if self._peek() == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             raise ParseError("expected integer", start)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from types import MappingProxyType
 
 from .diffpoly import (
@@ -650,23 +650,109 @@ def wunschmann_relations(theta3, theta4, ode: NonlinearODE):
 # -- rational jets along parametrized curves -----------------------------------------
 
 
+# A power series in s = t - t0, truncated after its n-th coefficient, is a
+# pair (coeffs, den): the coefficient of s^i is coeffs[i] / den, with int
+# coeffs and a positive int den.  Every product and inverse divides out the
+# gcd of the pair once, which keeps the integers near the size of the
+# reduced fractions without a gcd per coefficient operation.
+
+
+def _reduced(coeffs: list, den: int) -> tuple:
+    g = gcd(den, *coeffs)
+    return [c // g for c in coeffs], den // g
+
+
+def _derive_series(series: tuple) -> tuple:
+    coeffs, den = series
+    return [i * c for i, c in enumerate(coeffs) if i], den
+
+
+def _series_mul(p: tuple, q: tuple) -> tuple:
+    (a, da), (b, db) = p, q
+    n = min(len(a), len(b))
+    return _reduced([sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n)], da * db)
+
+
+def _series_inv(series: tuple) -> tuple:
+    """1 / series for a nonzero constant coefficient b0: the coefficient of
+    s^i of 1 / b is r_i / b0^(i+1) with r_0 = 1 and
+    r_i = -sum_(j=1..i) b_j r_(i-j) b0^(j-1), all integers."""
+    b, den = series
+    n = len(b)
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * b[0])
+    r = [1]
+    for i in range(1, n):
+        r.append(-sum(b[j] * r[i - j] * powers[j - 1] for j in range(1, i + 1)))
+    sign = 1 if powers[n] > 0 else -1
+    return _reduced([sign * den * r[i] * powers[n - 1 - i] for i in range(n)], sign * powers[n])
+
+
+def _taylor_shift(terms: dict, t0: Fraction, n: int) -> tuple:
+    """The first n coefficients of p(t0 + s) for p = sum_e terms[e] t^e,
+    with Fraction terms[e].
+
+    With t0 = a/b, d = deg p and L the lcm of the denominators of p,
+    L b^d p(t0 + s) = sum_j (L p_j b^(d-j)) (a + b s)^j: one integer Taylor
+    shift by a (Horner's rule; Knuth, TAOCP vol. 2, 4.6.4), after which
+    s^i takes the factor b^i.
+    """
+    a, b = t0.numerator, t0.denominator
+    d = max(terms, default=0)
+    # a list, not a generator: *-args from a generator build their tuple by
+    # resizing, which leaves one more tuple on CPython's free list per call
+    scale = lcm(*[c.denominator for c in terms.values()])
+    c = [0] * (d + 1)
+    for e, v in terms.items():
+        c[e] = int(v * scale) * b ** (d - e)
+    for i in range(min(n, d)):
+        for j in range(d - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return [c[i] * b ** i if i <= d else 0 for i in range(n)], scale * b ** d
+
+
+def _taylor_series(f: JetFunction, t0: Fraction, n: int) -> tuple:
+    """f(t0 + s) to n coefficients, f a rational function of t alone; a
+    PoleError when the denominator polynomial of f vanishes at t0."""
+    num, den = (
+        {e: c.constant_value() for e, c in p.coefficients("t").items()}
+        for p in (f.numerator_polynomial(), f.denominator_polynomial())
+    )
+    low = min(0, min(num, default=0), min(den))
+    if low:  # a Laurent term: multiply both sides by t^(-low)
+        num, den = ({e - low: c for e, c in p.items()} for p in (num, den))
+    num, den = _taylor_shift(num, t0, n), _taylor_shift(den, t0, n)
+    if not den[0][0]:
+        raise PoleError(f"the denominator vanishes at t = {t0}")
+    return _series_mul(num, _series_inv(den))
+
+
 def jets_along_curve(xparam: JetFunction, yparam: JetFunction, k: int, t0: Fraction) -> dict:
     """Exact jets y1..y_k of the curve (x(t), y(t)) at t = t0.
 
-    y1 = y'/x', then y_(j+1) = (d y_j / dt) / x'.  Rejects x'(t0) = 0.
+    y1 = y'/x', then y_(j+1) = (d y_j / dt) / x', done on power series in
+    s = t - t0 truncated after s^k, the fewest terms that still fix y_k:
+    x and y become series by Taylor shifts of their numerator and
+    denominator polynomials and one series quotient each (Knuth, TAOCP
+    vol. 2, 4.7), w = 1/x' is one series inverse, and each step derives the
+    series and multiplies it by w, which drops its last coefficient.  The
+    constant coefficient of the j-th series is y_j.
+
+    Rejects, in this order: a pole of x at t0 (PoleError), x'(t0) = 0
+    (DegenerateCurveError), a pole of y at t0 (PoleError).
     """
     t0 = Fraction(t0)
-    dx = xparam.partial("t")
-    point = {"t": t0}
-    try:
-        dx_val = dx.evaluate(point)
-    except PoleError:
-        raise PoleError("x'(t) has a pole at the sample point")
-    if not dx_val:
+    n = max(k, 1) + 1
+    x = _taylor_series(xparam, t0, n)
+    dx = _derive_series(x)
+    if not dx[0][0]:
         raise DegenerateCurveError("x'(t0) = 0: not a graph over x near the point")
-    jets = {"x": xparam.evaluate(point), "y": yparam.evaluate(point)}
-    cur = yparam
+    y = _taylor_series(yparam, t0, n)
+    jets = {"x": Fraction(x[0][0], x[1]), "y": Fraction(y[0][0], y[1])}
+    w = _series_inv(dx)
+    cur = y
     for j in range(1, k + 1):
-        cur = cur.partial("t") / dx
-        jets[f"y{j}"] = cur.evaluate(point)
+        cur = _series_mul(_derive_series(cur), w)
+        jets[f"y{j}"] = Fraction(cur[0][0], cur[1])
     return jets

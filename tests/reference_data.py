@@ -4,7 +4,9 @@ The eight structure equations, the unit-coefficient three-form and its
 dual are transcribed here once; tests compare engine output against these
 exactly.  The three real slices of sl(3, C) are derived here from their
 reality conditions, independently of the hand-written slice tables in
-``orbit``.
+``orbit``.  The jets of a parametrized curve are computed here by the
+symbolic chain y_(j+1) = y_j'/x' on rational functions of t, independently
+of the power-series route of ``wilczynski.jets_along_curve``.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from g2sextic.exterior import ExteriorForm, add, scale, theta
 from g2sextic.liealg import Matrix3, diag, rational_kernel
 from g2sextic.orbit import SYMBOLS, family_sextic, metric_from_sextic, rational_signature
 from g2sextic.scalar import I, ONE, SQRT10, ZERO
+from g2sextic.wilczynski import DegenerateCurveError
 
 R10 = SQRT10
 
@@ -200,3 +203,21 @@ def slice_inertia(tag):
     """(n+, n-) of the family metric on the slice, modulo the stabiliser line."""
     gram = metric_gram(slice_frame(tag)[:7])
     return rational_signature(gram)
+
+
+def symbolic_jets_along_curve(xparam, yparam, k, t0):
+    """Jets y1..y_k of (x(t), y(t)) at t0: each y_(j+1) = (d y_j / dt) / x'
+    is built as a rational function of t and then evaluated.  Raises what
+    jets_along_curve raises, in the same order."""
+    t0 = Fraction(t0)
+    dx = xparam.partial("t")
+    point = {"t": t0}
+    dx_val = dx.evaluate(point)
+    if not dx_val:
+        raise DegenerateCurveError("x'(t0) = 0")
+    jets = {"x": xparam.evaluate(point), "y": yparam.evaluate(point)}
+    cur = yparam
+    for j in range(1, k + 1):
+        cur = cur.partial("t") / dx
+        jets[f"y{j}"] = cur.evaluate(point)
+    return jets

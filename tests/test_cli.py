@@ -167,6 +167,8 @@ def test_order_below_three_rejected(order, capsys):
     (["ode", "curvature", "--gamma", "1e5000"], "not a rational number in '1e5000' (at position 1)"),
     (["ode", "generalized", "--rhs", "1/0 + y1"], "division by zero (at position 2)"),
     (["ode", "generalized", "--rhs", "y1/(y2-y2)"], "division by zero (at position 3)"),
+    (["ode", "generalized", "--rhs", "2\u00b2", "--order", "3"], "unexpected '\u00b2' (at position 1)"),
+    (["ode", "generalized", "--rhs", "\u0663*y1"], "unexpected '\u0663' (at position 0)"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict
@@ -298,6 +300,25 @@ def test_seed_changes_sample_points_not_verdicts():
     ja = cuspidal_jet_samples(4, 1)
     jb = cuspidal_jet_samples(4, 2)
     assert ja != jb  # different points, same exact verdict
+
+
+def test_sampler_draw_stream_is_pinned(monkeypatch):
+    # pinned from the symbolic-chain jets: a change to which points are
+    # rejected, or to the order of the draws, moves one of the two
+    calls = []
+    jets_along_curve = wilczynski.jets_along_curve
+
+    def counted(*args):
+        calls.append(args[3])
+        return jets_along_curve(*args)
+
+    monkeypatch.setattr(wilczynski, "jets_along_curve", counted)
+    samples = cuspidal_jet_samples(300, 1107)
+    assert len(calls) == 301
+    text = json.dumps([sorted((k, str(v)) for k, v in jets.items()) for jets in samples])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fd877083e3ad64023e76927b4138eddde8cc0f3d16de3becfe6455a6bb053374"
+    )
 
 
 def test_parser_rejects_unknown_realform():

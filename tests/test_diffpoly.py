@@ -124,6 +124,20 @@ def test_poly_gcd():
     assert poly_gcd(x * x, y1 * y1).is_constant()
 
 
+@pytest.mark.parametrize("pole_first", [False, True])
+def test_evaluate_reports_a_pole_whatever_the_factor_order(pole_first):
+    # (t - 1) / ((t - 1)(t - 2)) at t = 1: factor tables may hold factors
+    # that are not coprime, and the zero of t - 1 must not hide the pole
+    ctx = JetContext.plain(("t",))
+    t, one = ctx.var("t"), ctx.const(1)
+    zero, pole = (t - one, 1), ((t - one) * (t - ctx.const(2)), -1)
+    f = JetFunction(ctx, one, dict([pole, zero] if pole_first else [zero, pole]))
+    assert list(f.factors.values()) == ([-1, 1] if pole_first else [1, -1])
+    with pytest.raises(PoleError):
+        f.evaluate({"t": 1})
+    assert f.evaluate({"t": 3}) == 1
+
+
 def test_pow_and_inverse():
     f = fn("y2/y3")
     assert f ** 3 * f ** -3 == 1

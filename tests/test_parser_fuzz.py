@@ -3,8 +3,10 @@ DiffAlgebraError, the two exceptions that the CLI turns into one `error:`
 line with exit status 2; anything else would reach a user as a traceback.
 
 Inputs are short strings over small alphabets, so that no power can grow
-large; the alphabet of rationals has an `e`, which must be rejected.  A positioned error must point inside the text, and a parsed form
-has one coefficient per comma-separated entry.
+large.  The alphabet of rationals has an `e` and that of jet expressions
+the Arabic-Indic digit three; both must be rejected.  A positioned error
+must point inside the text, and a parsed form has one coefficient per
+comma-separated entry.
 """
 
 import re
@@ -27,12 +29,14 @@ CTX = JetContext(7)
 POSITION = re.compile(r"\(at position (\d+)\)$")
 
 
-@given(st.text("012xy+-*/^() ", max_size=8))
+@given(st.text("012xy+-*/^() \u0663", max_size=8))
 @example("0^-1")
 @example("(y1-y1)^-1")
+@example("2\u00b2")
 def test_jet_expression_parser(text):
     try:
         assert isinstance(parse_jet_expression(text, CTX), JetFunction)
+        assert text.isascii()  # a non-ASCII digit is never read as a digit
     except ParseError as err:
         assert 0 <= err.position <= len(text)
     except (ValueError, DiffAlgebraError):

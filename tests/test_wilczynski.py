@@ -3,7 +3,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from g2sextic import cli, wilczynski
 from g2sextic.diffpoly import (
     DiffAlgebraError,
     ExtendedJetFunction,
@@ -52,6 +55,8 @@ from g2sextic.wilczynski import (
     x_derivative,
     x_fn,
 )
+
+from reference_data import symbolic_jets_along_curve
 
 KAPPA0 = Fraction(3 ** 9 * 7 ** 3, 2 ** 4 * 5 ** 2)
 T_CTX = JetContext.plain(("t",))
@@ -614,3 +619,79 @@ def test_jets_along_curve_pole():
     t = T_CTX.fn("t")
     with pytest.raises(PoleError):
         jets_along_curve(1 / t, t, 2, Fraction(0))
+
+
+# -- series jets against the symbolic chain -------------------------------------------
+
+
+def _outcome(jets_of, *args):
+    """The jets, or the class of the DiffAlgebraError raised instead."""
+    try:
+        return jets_of(*args)
+    except DiffAlgebraError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("seed", [1, 1107])
+def test_sampler_jets_match_symbolic_chain(seed, monkeypatch):
+    # every call the sampler makes, rejected points included
+    series = wilczynski.jets_along_curve
+    outcomes = []
+
+    def checked(xparam, yparam, k, t0):
+        expected = _outcome(symbolic_jets_along_curve, xparam, yparam, k, t0)
+        got = _outcome(series, xparam, yparam, k, t0)
+        assert got == expected
+        outcomes.append(got)
+        if isinstance(got, type):
+            raise got("rejected")
+        assert all(type(v) is Fraction for v in got.values())
+        return got
+
+    monkeypatch.setattr(wilczynski, "jets_along_curve", checked)
+    assert len(cli.cuspidal_jet_samples(200, seed)) == 200
+    assert sum(isinstance(o, type) for o in outcomes) == 1  # one rejection per seed
+
+
+_POLY = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+
+
+def _t_poly(coeffs):
+    t = T_CTX.fn("t")
+    return sum((t ** i * c for i, c in enumerate(coeffs)), T_CTX.fn(0))
+
+
+@settings(max_examples=200)
+@given(a=_POLY, b=_POLY, c=_POLY, d=_POLY, p=st.integers(-4, 4), q=st.integers(1, 3),
+       pole_x=st.booleans(), pole_y=st.booleans(), critical=st.booleans(),
+       k=st.integers(0, 7))
+def test_series_jets_match_symbolic_chain(a, b, c, d, p, q, pole_x, pole_y, critical, k):
+    # x = A/B, y = C/D with A..D of degree <= 3, at t0 = p/q; the flags put
+    # a pole of x or y, or a critical point of x, at t0
+    numer_x, denom_x, numer_y, denom_y = map(_t_poly, (a, b, c, d))
+    assume(denom_x and denom_y)
+    t0 = Fraction(p, q)
+    root = T_CTX.fn("t") * q - p
+    if pole_x:
+        denom_x = denom_x * root
+    if pole_y:
+        denom_y = denom_y * root
+    if critical:
+        numer_x = numer_x * root ** 2 + denom_x  # x = root^2 A/B + 1
+    x, y = numer_x / denom_x, numer_y / denom_y
+    expected = _outcome(symbolic_jets_along_curve, x, y, k, t0)
+    assert _outcome(jets_along_curve, x, y, k, t0) == expected
+
+
+def test_series_jets_of_laurent_numerators():
+    # a Poly may hold negative exponents: x = 1/t + t and y = t^2 - 3/t^2
+    # with no factor table, a pole at t = 0 only through the numerators
+    def power(k):
+        return JetFunction(T_CTX, T_CTX.monomial(((0, k),)))
+
+    x, y = power(-1) + power(1), power(2) - power(-2) * 3
+    assert not x.factors and not y.factors
+    for t0 in (Fraction(2), Fraction(-1, 2), Fraction(3, 5)):
+        assert jets_along_curve(x, y, 7, t0) == symbolic_jets_along_curve(x, y, 7, t0)
+    assert _outcome(jets_along_curve, x, y, 7, Fraction(0)) is PoleError
+    assert _outcome(symbolic_jets_along_curve, x, y, 7, Fraction(0)) is PoleError
