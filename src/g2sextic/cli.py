@@ -268,8 +268,6 @@ def cuspidal_jet_samples(count: int, seed: int) -> list:
     coordinate poles) are rejected and resampled.
     """
     rng = random.Random(seed)
-    tctx = JetContext.plain(("t",))
-    t = tctx.fn("t")
     samples = []
     while len(samples) < count:
         # product of elementary shears: determinant exactly one
@@ -279,17 +277,16 @@ def cuspidal_jet_samples(count: int, seed: int) -> list:
             e = [[int(a == b) for b in range(3)] for a in range(3)]
             e[i][j] = rng.randint(-2, 2)
             n = [[sum(n[a][k] * e[k][b] for k in range(3)) for b in range(3)] for a in range(3)]
-        big_t = [t ** 2, t ** 3, tctx.fn(1)]
-        z = [sum((big_t[b] * n[a][b] for b in range(3)), tctx.fn(0)) for a in range(3)]
-        if z[2].is_zero():
+        # z_a(t) = n[a][0] t^2 + n[a][1] t^3 + n[a][2], coefficients by power of t
+        z = [[row[2], 0, row[0], row[1]] for row in n]
+        if not any(z[2]):
             continue
-        x_of_t, y_of_t = z[0] / z[2], z[1] / z[2]
         for _ in range(5):
             if len(samples) >= count:
                 break
             t0 = Fraction(rng.randint(1, 40), rng.randint(1, 6))
             try:
-                jets = wilczynski.jets_along_curve(x_of_t, y_of_t, 7, t0)
+                jets = wilczynski.jets_along_curve((z[0], z[2]), (z[1], z[2]), 7, t0)
             except (PoleError, DegenerateCurveError):
                 continue
             if not jets.get("y2"):
@@ -443,10 +440,11 @@ def suite_ode_generalized(kappa_text: str | None = None, rhs_text: str | None = 
     if order is not None:
         raise ValueError("--order needs --rhs")
     kappa = None if kappa_text in (None, "symbolic") else parse_rational(kappa_text)
-    if kappa is None:
-        thetas = wilczynski.curvature_thetas()
-    else:
-        thetas = wilczynski.generalized_theta(wilczynski.curvature_ode(kappa))
+    if kappa == 0:
+        raise ValueError("kappa must be nonzero")
+    thetas = wilczynski.curvature_thetas()
+    if kappa is not None:
+        thetas = wilczynski.specialize_kappa(thetas, kappa)
     return [
         _report(f"ode.generalized-theta{r}", None, v,
                 details={"is_zero": v.is_zero(),

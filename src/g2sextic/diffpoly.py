@@ -748,15 +748,7 @@ class JetFunction:
     # -- calculus ---------------------------------------------------------------
 
     def partial(self, name: str) -> "JetFunction":
-        total = JetFunction(self.ctx, self.num.diff(name), self.factors)
-        for f, e in self.factors.items():
-            df = f.diff(name)
-            if df.is_zero():
-                continue
-            shifted = dict(self.factors)
-            shifted[f] = e - 1
-            total = total + JetFunction(self.ctx, (self.num * df).scale(e), shifted)
-        return total
+        return self.derivative({name: self.ctx.fn(1)})
 
     def derivative(self, dmap: dict):
         """Derivation given by dmap: name -> image (JetFunction/Extended/
@@ -979,19 +971,17 @@ class ExtendedJetFunction:
         # the images under dmap may themselves carry u-components (the
         # on-equation total derivative does), so everything is assembled
         # with full extension arithmetic
-        d0 = _to_ext(self.c0.derivative(dmap), self.base, self.ctx)
+        d0 = self.coerce(self.c0.derivative(dmap), self)
         if self.base is None:
             return d0
         u = self.generator()
-        rho = _to_ext(self.base.log_derivative(dmap) / 3, self.base, self.ctx)
+        rho = self.coerce(self.base.log_derivative(dmap) / 3, self)
         out = d0
         if self.c1:
-            d1 = _to_ext(self.c1.derivative(dmap), self.base, self.ctx) + rho * self.c1
+            d1 = self.coerce(self.c1.derivative(dmap), self) + rho * self.c1
             out = out + d1 * u
         if self.c2:
-            d2 = _to_ext(self.c2.derivative(dmap), self.base, self.ctx) + rho * (
-                self.c2 * 2
-            )
+            d2 = self.coerce(self.c2.derivative(dmap), self) + rho * (self.c2 * 2)
             out = out + d2 * u * u
         return out
 
@@ -1014,14 +1004,6 @@ class ExtendedJetFunction:
         return f"({self.c0}) + ({self.c1})*u + ({self.c2})*u^2  [u^3 = {self.base}]"
 
     __repr__ = __str__
-
-
-def _to_ext(value, base, ctx) -> ExtendedJetFunction:
-    if isinstance(value, ExtendedJetFunction):
-        return value
-    if isinstance(value, JetFunction):
-        return ExtendedJetFunction(value, base=base) if base is not None else ExtendedJetFunction(value)
-    return ExtendedJetFunction(ctx.fn(value), base=base)
 
 
 def _rational_cube_root(q: Fraction):

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from types import MappingProxyType
 
 from .diffpoly import (
@@ -634,11 +634,7 @@ def wunschmann_relations(theta3, theta4, ode: NonlinearODE):
     ctx = ode.ctx
     dmap = on_equation_derivative_map(ctx, 7, ode.rhs)
     w1 = theta3 * (-3430)
-    d_theta3 = (
-        theta3.derivative(dmap)
-        if isinstance(theta3, (JetFunction, ExtendedJetFunction))
-        else theta3
-    )
+    d_theta3 = ExtendedJetFunction.coerce(theta3, ode.rhs).derivative(dmap)
     w2 = (
         theta4
         + d_theta3 * Fraction(2, 5)
@@ -689,69 +685,63 @@ def _series_inv(series: tuple) -> tuple:
     return _reduced([sign * den * r[i] * powers[n - 1 - i] for i in range(n)], sign * powers[n])
 
 
-def _taylor_shift(terms: dict, t0: Fraction, n: int) -> tuple:
-    """The first n coefficients of p(t0 + s) for p = sum_e terms[e] t^e,
-    with Fraction terms[e].
+def _taylor_shift(p: list, t0: Fraction, n: int) -> tuple:
+    """The first n coefficients of p(t0 + s) for p = sum_e p[e] t^e, with
+    int p[e].
 
-    With t0 = a/b, d = deg p and L the lcm of the denominators of p,
-    L b^d p(t0 + s) = sum_j (L p_j b^(d-j)) (a + b s)^j: one integer Taylor
-    shift by a (Horner's rule; Knuth, TAOCP vol. 2, 4.6.4), after which
-    s^i takes the factor b^i.
+    With t0 = a/b and d = len(p) - 1, b^d p(t0 + s) =
+    sum_j (p_j b^(d-j)) (a + b s)^j: one integer Taylor shift by a
+    (Horner's rule; Knuth, TAOCP vol. 2, 4.6.4), after which s^i takes the
+    factor b^i.
     """
     a, b = t0.numerator, t0.denominator
-    d = max(terms, default=0)
-    # a list, not a generator: *-args from a generator build their tuple by
-    # resizing, which leaves one more tuple on CPython's free list per call
-    scale = lcm(*[c.denominator for c in terms.values()])
-    c = [0] * (d + 1)
-    for e, v in terms.items():
-        c[e] = int(v * scale) * b ** (d - e)
+    d = len(p) - 1
+    c = [v * b ** (d - e) for e, v in enumerate(p)]
     for i in range(min(n, d)):
         for j in range(d - 1, i - 1, -1):
             c[j] += a * c[j + 1]
-    return [c[i] * b ** i if i <= d else 0 for i in range(n)], scale * b ** d
+    return [c[i] * b ** i if i <= d else 0 for i in range(n)], b ** d
 
 
-def _taylor_series(f: JetFunction, t0: Fraction, n: int) -> tuple:
-    """f(t0 + s) to n coefficients, f a rational function of t alone; a
-    PoleError when the denominator polynomial of f vanishes at t0."""
-    num, den = (
-        {e: c.constant_value() for e, c in p.coefficients("t").items()}
-        for p in (f.numerator_polynomial(), f.denominator_polynomial())
-    )
-    low = min(0, min(num, default=0), min(den))
-    if low:  # a Laurent term: multiply both sides by t^(-low)
-        num, den = ({e - low: c for e, c in p.items()} for p in (num, den))
-    num, den = _taylor_shift(num, t0, n), _taylor_shift(den, t0, n)
+def _taylor_series(f: tuple, t0: Fraction, n: int) -> tuple:
+    """num(t0 + s) / den(t0 + s) to n coefficients for f = (num, den); a
+    PoleError when den vanishes at t0."""
+    num, den = (_taylor_shift(p, t0, n) for p in f)
     if not den[0][0]:
         raise PoleError(f"the denominator vanishes at t = {t0}")
     return _series_mul(num, _series_inv(den))
 
 
-def jets_along_curve(xparam: JetFunction, yparam: JetFunction, k: int, t0: Fraction) -> dict:
+def jets_along_curve(x: tuple, y: tuple, k: int, t0: Fraction) -> dict:
     """Exact jets y1..y_k of the curve (x(t), y(t)) at t = t0.
+
+    x and y are (numerator, denominator) pairs of nonempty int coefficient
+    lists, index i holding the coefficient of t^i; the denominators are not
+    the zero polynomial.  A given denominator that vanishes at t0 is a
+    pole, even when its numerator shares that root: the pair is taken as
+    given, not reduced.
 
     y1 = y'/x', then y_(j+1) = (d y_j / dt) / x', done on power series in
     s = t - t0 truncated after s^k, the fewest terms that still fix y_k:
     x and y become series by Taylor shifts of their numerator and
-    denominator polynomials and one series quotient each (Knuth, TAOCP
-    vol. 2, 4.7), w = 1/x' is one series inverse, and each step derives the
-    series and multiplies it by w, which drops its last coefficient.  The
-    constant coefficient of the j-th series is y_j.
+    denominator and one series quotient each (Knuth, TAOCP vol. 2, 4.7),
+    w = 1/x' is one series inverse, and each step derives the series and
+    multiplies it by w, which drops its last coefficient.  The constant
+    coefficient of the j-th series is y_j.
 
     Rejects, in this order: a pole of x at t0 (PoleError), x'(t0) = 0
     (DegenerateCurveError), a pole of y at t0 (PoleError).
     """
     t0 = Fraction(t0)
     n = max(k, 1) + 1
-    x = _taylor_series(xparam, t0, n)
-    dx = _derive_series(x)
+    xs = _taylor_series(x, t0, n)
+    dx = _derive_series(xs)
     if not dx[0][0]:
         raise DegenerateCurveError("x'(t0) = 0: not a graph over x near the point")
-    y = _taylor_series(yparam, t0, n)
-    jets = {"x": Fraction(x[0][0], x[1]), "y": Fraction(y[0][0], y[1])}
+    ys = _taylor_series(y, t0, n)
+    jets = {"x": Fraction(xs[0][0], xs[1]), "y": Fraction(ys[0][0], ys[1])}
     w = _series_inv(dx)
-    cur = y
+    cur = ys
     for j in range(1, k + 1):
         cur = _series_mul(_derive_series(cur), w)
         jets[f"y{j}"] = Fraction(cur[0][0], cur[1])

@@ -11,6 +11,7 @@ of the power-series route of ``wilczynski.jets_along_curve``.
 
 from fractions import Fraction
 
+from g2sextic.diffpoly import JetContext, JetFunction
 from g2sextic.exterior import ExteriorForm, add, scale, theta
 from g2sextic.liealg import Matrix3, diag, rational_kernel
 from g2sextic.orbit import SYMBOLS, family_sextic, metric_from_sextic, rational_signature
@@ -18,6 +19,7 @@ from g2sextic.scalar import I, ONE, SQRT10, ZERO
 from g2sextic.wilczynski import DegenerateCurveError
 
 R10 = SQRT10
+T_CTX = JetContext.plain(("t",))
 
 
 def _combo(degree, *pairs):
@@ -205,11 +207,26 @@ def slice_inertia(tag):
     return rational_signature(gram)
 
 
-def symbolic_jets_along_curve(xparam, yparam, k, t0):
-    """Jets y1..y_k of (x(t), y(t)) at t0: each y_(j+1) = (d y_j / dt) / x'
-    is built as a rational function of t and then evaluated.  Raises what
-    jets_along_curve raises, in the same order."""
+def t_polynomial(coeffs):
+    """The polynomial sum_i coeffs[i] t^i."""
+    t = T_CTX.var("t")
+    return sum((t ** i * c for i, c in enumerate(coeffs)), T_CTX.const(0))
+
+
+def _t_function(pair):
+    """The rational function num(t) / den(t) of a pair of coefficient lists."""
+    num, den = (JetFunction(T_CTX, t_polynomial(p)) for p in pair)
+    return num / den
+
+
+def symbolic_jets_along_curve(x, y, k, t0):
+    """Jets y1..y_k of (x(t), y(t)) at t0, for x and y given as
+    jets_along_curve takes them: each y_(j+1) = (d y_j / dt) / x' is built
+    as a rational function of t and then evaluated.  Raises what
+    jets_along_curve raises, in the same order, when each numerator is
+    coprime to its denominator."""
     t0 = Fraction(t0)
+    xparam, yparam = _t_function(x), _t_function(y)
     dx = xparam.partial("t")
     point = {"t": t0}
     dx_val = dx.evaluate(point)

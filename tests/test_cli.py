@@ -73,16 +73,9 @@ def test_ode_generalized_schwarzian():
     assert '"is_zero": true' in text
 
 
-def test_ode_generalized_numeric_kappa():
-    code, text = run_cli(["ode", "generalized", "--kappa", "6751269/400"])
-    assert code == 0
-    assert '"is_zero": false' not in text
-    assert '"kappa": "6751269/400"' in text
-
-
-def test_criterion_lemma_derives_the_lemma_once(monkeypatch):
-    # C08 reads its kappa0 and kappa = 1 verdicts off the symbolic-kappa
-    # invariants; a direct run at either value would be a second call
+def _count_generalized_theta(monkeypatch):
+    """The list of generalized_theta calls made from now on, from a
+    cleared cache of the symbolic-kappa invariants."""
     calls = []
     real = wilczynski.generalized_theta
 
@@ -92,6 +85,26 @@ def test_criterion_lemma_derives_the_lemma_once(monkeypatch):
 
     monkeypatch.setattr(wilczynski, "generalized_theta", counting)
     wilczynski.curvature_thetas.cache_clear()
+    return calls
+
+
+def test_ode_generalized_numeric_kappa(monkeypatch):
+    # a numeric kappa specializes the symbolic-kappa invariants, as C08
+    # does, so one derivation serves every kappa
+    calls = _count_generalized_theta(monkeypatch)
+    code, text = run_cli(["ode", "generalized", "--kappa", "6751269/400"])
+    assert code == 0
+    assert len(calls) == 1
+    assert '"is_zero": false' not in text
+    assert '"kappa": "6751269/400"' in text
+    assert run_cli(["ode", "generalized", "--kappa=-3/7"])[0] == 0
+    assert len(calls) == 1
+
+
+def test_criterion_lemma_derives_the_lemma_once(monkeypatch):
+    # C08 reads its kappa0 and kappa = 1 verdicts off the symbolic-kappa
+    # invariants; a direct run at either value would be a second call
+    calls = _count_generalized_theta(monkeypatch)
     reports = criterion_lemma()
     assert len(calls) == 1
     assert [r.status for r in reports] == ["pass"] * 8
@@ -169,6 +182,7 @@ def test_order_below_three_rejected(order, capsys):
     (["ode", "generalized", "--rhs", "y1/(y2-y2)"], "division by zero (at position 3)"),
     (["ode", "generalized", "--rhs", "2\u00b2", "--order", "3"], "unexpected '\u00b2' (at position 1)"),
     (["ode", "generalized", "--rhs", "\u0663*y1"], "unexpected '\u0663' (at position 0)"),
+    (["ode", "generalized", "--kappa", "0"], "kappa must be nonzero"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict

@@ -5,12 +5,13 @@ multiplies by adding tuples and prints with the documented format, so
 the kernel's representation of exponents and coefficients is checked
 from outside: str, the lex-leading term, the ring laws, exact division
 and evaluation.  The JetFunction trial reduction is checked against
-Poly.exact_div.
+Poly.exact_div, and partial, the free and the on-equation D_x and the
+cube-root extension of a derivation are checked to be derivations.
 """
 
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -19,8 +20,12 @@ from g2sextic.diffpoly import (
     EXPONENT_BOUND,
     DiffAlgebraError,
     ExponentRangeError,
+    ExtendedJetFunction,
     JetContext,
     JetFunction,
+    free_total_derivative_map,
+    on_equation_derivative_map,
+    parse_jet_expression,
 )
 
 NAMES = ("a", "b", "c")
@@ -242,3 +247,69 @@ def test_trial_reduction_is_complete_after_one_pass(f, g):
     results = [f, g, f + g, f * g] + ([f / g] if g else [])
     for h in results:
         assert [p for p, e in h.factors.items() if e < 0 and h.num.exact_div(p) is not None] == []
+
+
+# -- derivations ------------------------------------------------------------------------
+
+JET_CTX = JetContext(3)
+# below the top order y3, where the free D_x is defined
+LOW = ("x", "y", "y1", "y2")
+LOW_FACTORS = tuple(
+    parse_jet_expression(text, JET_CTX).num for text in ("y1", "x + 1", "y*y2 - 2", "y1^2 + y")
+)
+low_exps = st.tuples(*[st.integers(0, 2)] * len(LOW))
+
+
+@st.composite
+def low_functions(draw):
+    """A JetFunction in x, y, y1, y2: a small integer polynomial times
+    powers of the factor pool."""
+    num = JET_CTX.const(0)
+    for e, c in draw(st.dictionaries(low_exps, st.integers(-3, 3), max_size=3)).items():
+        num = num + JET_CTX.monomial(tuple((JET_CTX.index[n], k) for n, k in zip(LOW, e)), c)
+    factors = draw(st.dictionaries(st.sampled_from(LOW_FACTORS), st.integers(-2, 2), max_size=2))
+    return JetFunction(JET_CTX, num, factors)
+
+
+def assert_derivation(derive, f, g, c):
+    assert derive(f + g) == derive(f) + derive(g)
+    assert derive(f * c) == derive(f) * c
+    assert derive(f * g) == derive(f) * g + f * derive(g)
+
+
+@given(low_functions(), low_functions(), st.integers(-3, 3), st.sampled_from(LOW))
+def test_partial_is_a_derivation(f, g, c, name):
+    assert_derivation(lambda h: h.partial(name), f, g, c)
+
+
+@given(low_functions(), low_functions(), st.integers(-3, 3))
+def test_free_total_derivative_is_a_derivation(f, g, c):
+    dmap = free_total_derivative_map(JET_CTX)
+    assert_derivation(lambda h: h.derivative(dmap), f, g, c)
+
+
+@given(low_functions(), low_functions(), st.integers(-3, 3), low_functions())
+def test_on_equation_total_derivative_is_a_derivation(f, g, c, rhs):
+    # y3 = rhs, so D_x y2 = rhs
+    dmap = on_equation_derivative_map(JET_CTX, 3, rhs)
+    assert_derivation(lambda h: h.derivative(dmap), f, g, c)
+
+
+@settings(max_examples=50)
+@given(low_functions(), low_functions(), low_functions(),
+       st.sampled_from(("partial", "free", "on-equation")))
+def test_cube_root_extension_is_a_derivation(base, r0, r1, kind):
+    # D extends to u with u^3 = base by D u = (D base / (3 base)) u; the
+    # on-equation right-hand side r0 + r1 u carries u itself
+    assume(base)
+    u = ExtendedJetFunction(JET_CTX.fn(0), JET_CTX.fn(1), JET_CTX.fn(0), base)
+    if kind == "partial":
+        dmap = {"y1": JET_CTX.fn(1)}
+    elif kind == "free":
+        dmap = free_total_derivative_map(JET_CTX)
+    else:
+        dmap = on_equation_derivative_map(JET_CTX, 3, u * r1 + r0)
+    du = u.derivative(dmap)
+    assert (u * u * u).derivative(dmap) == base.derivative(dmap)
+    assert (u * u).derivative(dmap) == du * u * 2
+    assert (u * u * u).derivative(dmap) == du * u * u * 3
