@@ -536,10 +536,55 @@ def at_least(low: int):
     return integer
 
 
+class _OptionParser(argparse.ArgumentParser):
+    """An ArgumentParser whose value-taking options read the next word as
+    their value even when it starts with '-'.
+
+    argparse alone reads such a word as a value only when it looks like
+    -<digits> or -<digits>.<digits>, so --gamma -3/2 failed where
+    --gamma=-3/2 worked.  Each option word is joined with its value word
+    into the = form first, unless the value word names an option of the
+    same parser.  Subparsers are built from this class too.
+    """
+
+    def _option_strings(self, word: str) -> list:
+        """The option strings of this parser that argparse reads word as:
+        the exact name, each --name that word abbreviates, or -x with its
+        value attached."""
+        strings = self._option_string_actions
+        name = word.split("=", 1)[0]
+        if name in strings:
+            return [name]
+        if word.startswith("--"):
+            return [s for s in strings if s.startswith(name)]
+        return [word[:2]] if word[:2] in strings else []
+
+    def parse_known_args(self, args=None, namespace=None):
+        words = sys.argv[1:] if args is None else list(args)
+        joined = []
+        i = 0
+        while i < len(words):
+            word = words[i]
+            if word == "--":
+                joined.extend(words[i:])
+                break
+            named = [] if "=" in word else self._option_strings(word)
+            takes_value = (len(named) == 1 and (word in named or word.startswith("--"))
+                           and self._option_string_actions[named[0]].nargs is None)
+            if (takes_value and i + 1 < len(words) and words[i + 1].startswith("-")
+                    and not self._option_strings(words[i + 1])):
+                joined.append(f"{word}={words[i + 1]}")
+                i += 2
+            else:
+                joined.append(word)
+                i += 1
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text")
-    parser = argparse.ArgumentParser(
+    parser = _OptionParser(
         prog="g2sextic",
         description="Exact verification suites for the sextic GL(2) geometry "
         "of cuspidal cubics and its Wilczynski-invariant ODE side.",

@@ -323,22 +323,45 @@ class Poly:
         return {v for v, s in enumerate(ctx._shifts) if (differs >> s) & _FIELD_MASK}
 
     def evaluate(self, point: dict) -> Fraction:
-        """point: name -> Fraction; every used variable must be present."""
-        vals = {}
-        for name, value in point.items():
-            vals[self.ctx.index[name]] = Fraction(value)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in self.ctx._powers(e):
-                if v not in vals:
-                    raise ValueError(f"no value for {self.ctx.names[v]}")
-                base = vals[v]
-                if not base and k < 0:
-                    raise PoleError(f"negative power of zero at {self.ctx.names[v]}")
-                term *= base ** k
-            total += term
-        return total
+        """The value at point (name -> int or Fraction), always a Fraction.
+
+        Every variable the polynomial uses needs a value (else ValueError),
+        and a zero value under a negative exponent is a PoleError; both are
+        checked before any arithmetic.  The sum runs on ints over one common
+        denominator: for each used variable v = n/d let lo = min(0, least
+        exponent) and hi = max(0, largest), and let L be the lcm of the
+        coefficient denominators; then the term c prod v^k is the int
+        c L prod n^(k-lo) d^(hi-k) over L prod n^(-lo) d^hi (Knuth, TAOCP
+        vol. 2, 4.6.4; Monagan & Pearce, CASC 2007).
+        """
+        ctx = self.ctx
+        vals = {ctx.index[name]: value for name, value in point.items()}
+        rows = []
+        for v in sorted(self.variables()):
+            if v not in vals:
+                raise ValueError(f"no value for {ctx.names[v]}")
+            shift = ctx._shifts[v]
+            fields = [(e >> shift) & _FIELD_MASK for e in self.terms]
+            lo = min(min(fields) - EXPONENT_BOUND, 0)
+            hi = max(max(fields) - EXPONENT_BOUND, 0)
+            if lo < 0 and not vals[v]:
+                raise PoleError(f"negative power of zero at {ctx.names[v]}")
+            rows.append((vals[v], fields, lo, hi))
+        coefs = self.terms.values()
+        den = lcm(*[c.denominator for c in coefs])
+        column = [c.numerator * (den // c.denominator) for c in coefs]
+        for value, fields, lo, hi in rows:
+            n, d = value.numerator, value.denominator
+            npow, dpow = [1], [1]
+            for _ in range(hi - lo):
+                npow.append(npow[-1] * n)
+                dpow.append(dpow[-1] * d)
+            # the factor n^(k-lo) d^(hi-k) of exponent k, indexed by its field
+            table = [a * b for a, b in zip(npow, reversed(dpow))]
+            offset = EXPONENT_BOUND + lo
+            column = [c * table[f - offset] for c, f in zip(column, fields)]
+            den *= npow[-lo] * dpow[hi]
+        return Fraction(sum(column), den)
 
     # -- integer normal form -------------------------------------------------
 

@@ -6,12 +6,15 @@ exactly.  The three real slices of sl(3, C) are derived here from their
 reality conditions, independently of the hand-written slice tables in
 ``orbit``.  The jets of a parametrized curve are computed here by the
 symbolic chain y_(j+1) = y_j'/x' on rational functions of t, independently
-of the power-series route of ``wilczynski.jets_along_curve``.
+of the power-series route of ``wilczynski.jets_along_curve``.  Values of
+polynomials and rational functions are computed here term by term on
+Fractions, independently of the common-denominator integer sum of
+``Poly.evaluate``.
 """
 
 from fractions import Fraction
 
-from g2sextic.diffpoly import JetContext, JetFunction
+from g2sextic.diffpoly import JetContext, JetFunction, PoleError
 from g2sextic.exterior import ExteriorForm, add, scale, theta
 from g2sextic.liealg import Matrix3, diag, rational_kernel
 from g2sextic.orbit import SYMBOLS, family_sextic, metric_from_sextic, rational_signature
@@ -229,12 +232,45 @@ def symbolic_jets_along_curve(x, y, k, t0):
     xparam, yparam = _t_function(x), _t_function(y)
     dx = xparam.partial("t")
     point = {"t": t0}
-    dx_val = dx.evaluate(point)
+    dx_val = term_by_term_function_value(dx, point)
     if not dx_val:
         raise DegenerateCurveError("x'(t0) = 0")
-    jets = {"x": xparam.evaluate(point), "y": yparam.evaluate(point)}
+    jets = {"x": term_by_term_function_value(xparam, point),
+            "y": term_by_term_function_value(yparam, point)}
     cur = yparam
     for j in range(1, k + 1):
         cur = cur.partial("t") / dx
-        jets[f"y{j}"] = cur.evaluate(point)
+        jets[f"y{j}"] = term_by_term_function_value(cur, point)
     return jets
+
+
+def term_by_term_value(poly, point):
+    """The value of a Poly at point, each term raising its bases afresh and
+    multiplying Fractions.  Raises what Poly.evaluate raises, as the terms
+    meet them."""
+    names = poly.ctx.names
+    total = Fraction(0)
+    for powers, c in poly.monomials():
+        term = Fraction(c)
+        for v, k in powers:
+            if names[v] not in point:
+                raise ValueError(f"no value for {names[v]}")
+            base = Fraction(point[names[v]])
+            if not base and k < 0:
+                raise PoleError(f"negative power of zero at {names[v]}")
+            term *= base ** k
+        total += term
+    return total
+
+
+def term_by_term_function_value(f, point):
+    """The value of a JetFunction num * prod factor^e at point, every
+    polynomial valued by term_by_term_value; a PoleError when a
+    denominator factor vanishes there."""
+    value = term_by_term_value(f.num, point)
+    for factor, e in f.factors.items():
+        base = term_by_term_value(factor, point)
+        if not base and e < 0:
+            raise PoleError("denominator factor vanishes at the point")
+        value *= base ** e
+    return value

@@ -13,11 +13,7 @@ from g2sextic.cli import (
     cuspidal_jet_samples,
     emit,
     main,
-    suite_forms,
-    suite_g2,
-    suite_ode_curvature,
     suite_ode_generalized,
-    suite_orbit,
 )
 
 
@@ -190,6 +186,42 @@ def test_bad_input_is_one_error_line(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of the command, argparse errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, option, value, code", [
+    (["ode", "curvature"], "--gamma", "-3/2", 0),
+    (["ode", "generalized"], "--kappa", "-3/7", 0),
+    (["ode", "generalized", "--order", "3"], "--rhs", "-y1", 0),
+    (["forms", "i2"], "--coeffs", "-1,0,0,0,0,0,1", 0),
+    (["forms", "transvectant", "--v", "0,0,1", "-p", "1"], "--u", "-1,2", 0),
+    (["ode", "curvature"], "--gam", "-3/2", 0),  # an abbreviation, as argparse reads it
+    (["ode", "sample", "--samples", "2"], "--seed", "-3", 0),
+    (["forms", "transvectant", "--u", "1,0,0", "--v", "0,0,1"], "-p", "-1", 2),
+    (["ode", "sample"], "--samples", "-2", 2),
+    (["ode", "generalized", "--rhs", "y1"], "--order", "-7", 2),
+    (["ode", "curvature", "--gamma", "3/2"], "--format", "-json", 2),
+])
+def test_negative_option_value_reads_as_its_equals_form(argv, option, value, code, capsys):
+    # argparse alone reads only -<digits> and -<digits>.<digits> as values
+    spaced = _outcome(argv + [option, value], capsys)
+    assert spaced == _outcome(argv + [f"{option}={value}"], capsys)
+    assert spaced[0] == code
+
+
+def test_option_word_is_not_taken_as_a_value(capsys):
+    code, out, err = _outcome(["ode", "generalized", "--kappa", "--rhs", "y1"], capsys)
+    assert (code, out) == (2, "")
+    assert "argument --kappa: expected one argument" in err
 
 
 def test_kappa_and_rhs_are_exclusive(capsys):

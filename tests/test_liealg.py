@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2sextic.exterior import add, d, is_zero, theta, wedge
+from g2sextic.exterior import add, d, is_zero, wedge
 from g2sextic.liealg import (
     ClosureError,
     Matrix3,

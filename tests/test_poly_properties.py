@@ -23,10 +23,13 @@ from g2sextic.diffpoly import (
     ExtendedJetFunction,
     JetContext,
     JetFunction,
+    PoleError,
     free_total_derivative_map,
     on_equation_derivative_map,
     parse_jet_expression,
 )
+
+from reference_data import term_by_term_value
 
 NAMES = ("a", "b", "c")
 CTX = JetContext.plain(NAMES)
@@ -38,6 +41,10 @@ laurent = st.dictionaries(laurent_exps, coefs, max_size=5)
 plain = st.dictionaries(plain_exps, coefs, max_size=5)
 nonzero = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 5))
 points = st.tuples(*[nonzero] * len(NAMES))
+# zero, int and Fraction values
+values = st.just(0) | st.integers(-3, 3) | st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+# coefficients whose denominators share few factors
+unlike_coefs = st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 2, 3, 5, 6, 7, 9, 10, 35)))
 
 
 # -- the reference model -------------------------------------------------------
@@ -173,6 +180,40 @@ def test_evaluate_is_a_homomorphism(a, b, point):
     assert type(va) is Fraction
 
 
+@given(laurent, st.tuples(*[values] * len(NAMES)))
+def test_evaluate_at_points_with_zeros_and_ints(a, point):
+    # a PoleError exactly when some term has a zero base under a negative
+    # exponent, the term-by-term value otherwise
+    pa, at = build(a), dict(zip(NAMES, point))
+    if any(not x and k < 0 for e in ref_clean(a) for x, k in zip(point, e)):
+        with pytest.raises(PoleError, match="negative power of zero at"):
+            pa.evaluate(at)
+        with pytest.raises(PoleError):
+            term_by_term_value(pa, at)
+        return
+    value = pa.evaluate(at)
+    assert type(value) is Fraction
+    assert value == term_by_term_value(pa, at)
+    assert value == ref_eval(ref_clean(a), [Fraction(x) for x in point])
+
+
+@given(laurent, points, st.sampled_from(NAMES))
+def test_evaluate_needs_a_value_for_each_used_variable(a, point, missing):
+    pa = build(a)
+    at = {n: x for n, x in zip(NAMES, point) if n != missing}
+    if CTX.index[missing] in pa.variables():
+        with pytest.raises(ValueError, match=f"no value for {missing}"):
+            pa.evaluate(at)
+    else:
+        assert pa.evaluate(at) == term_by_term_value(pa, at)
+
+
+@given(st.dictionaries(laurent_exps, unlike_coefs, max_size=6), points)
+def test_evaluate_over_unlike_denominators(a, point):
+    pa, at = build(a), dict(zip(NAMES, point))
+    assert pa.evaluate(at) == term_by_term_value(pa, at) == ref_eval(a, point)
+
+
 # -- the packed exponent range --------------------------------------------------------
 
 B = EXPONENT_BOUND
@@ -247,6 +288,20 @@ def test_trial_reduction_is_complete_after_one_pass(f, g):
     results = [f, g, f + g, f * g] + ([f / g] if g else [])
     for h in results:
         assert [p for p, e in h.factors.items() if e < 0 and h.num.exact_div(p) is not None] == []
+
+
+@settings(max_examples=50)
+@given(jet_functions(), jet_functions(), points)
+def test_field_operations_commute_with_evaluate(f, g, point):
+    # at points where no factor of the pool, so no denominator, vanishes
+    at = dict(zip(NAMES, point))
+    assume(all(p.evaluate(at) for p in FACTOR_POOL))
+    vf, vg = f.evaluate(at), g.evaluate(at)
+    assert (f + g).evaluate(at) == vf + vg
+    assert (f - g).evaluate(at) == vf - vg
+    assert (f * g).evaluate(at) == vf * vg
+    if vg:
+        assert (f / g).evaluate(at) == vf / vg
 
 
 # -- derivations ------------------------------------------------------------------------

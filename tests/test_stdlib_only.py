@@ -1,5 +1,6 @@
 """The package imports nothing outside the standard library and itself,
-reads every name it imports, and reads every private name it defines."""
+it and the tests read every name they import, and the package reads every
+private name it defines."""
 
 import ast
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import g2sextic
 
 PACKAGE_DIR = Path(g2sextic.__file__).parent
+TESTS_DIR = Path(__file__).parent
 
 
 def foreign_imports(path: Path):
@@ -87,10 +89,11 @@ def test_a_foreign_import_is_reported(tmp_path):
 
 
 def test_every_module_reads_what_it_imports():
-    # __init__.py imports only to re-export
+    # the package's __init__.py imports only to re-export
     modules = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
-    assert len(modules) > 5
-    offenders = {p.name: unused_imports(p) for p in modules}
+    tests = sorted(TESTS_DIR.glob("*.py"))
+    assert len(modules) > 5 and len(tests) > 5
+    offenders = {str(p.relative_to(p.parent.parent)): unused_imports(p) for p in modules + tests}
     assert {name: found for name, found in offenders.items() if found} == {}
 
 

@@ -58,7 +58,12 @@ from g2sextic.wilczynski import (
     x_fn,
 )
 
-from reference_data import symbolic_jets_along_curve, t_polynomial
+from reference_data import (
+    symbolic_jets_along_curve,
+    t_polynomial,
+    term_by_term_function_value,
+    term_by_term_value,
+)
 
 KAPPA0 = Fraction(3 ** 9 * 7 ** 3, 2 ** 4 * 5 ** 2)
 T_SQUARED, T_CUBED = ([0, 0, 1], [1]), ([0, 0, 0, 1], [1])
@@ -669,6 +674,17 @@ def test_sampler_jets_match_symbolic_chain(seed, monkeypatch):
     monkeypatch.setattr(wilczynski, "jets_along_curve", checked)
     assert len(cli.cuspidal_jet_samples(200, seed)) == 200
     assert sum(isinstance(o, type) for o in outcomes) == 1  # one rejection per seed
+
+
+@pytest.mark.parametrize("seed", [1, 1107])
+def test_theta_values_at_sampled_jets_match_term_by_term(seed):
+    # C10's residuals evaluate these two at every sampled jet
+    ctx = JetContext(7)
+    thetas = (curve_theta3(ctx), curve_theta8(ctx))
+    for jets in cli.cuspidal_jet_samples(200, seed):
+        for th in thetas:
+            assert th.num.evaluate(jets) == term_by_term_value(th.num, jets)
+            assert th.evaluate(jets) == term_by_term_function_value(th, jets)
 
 
 _POLY = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
