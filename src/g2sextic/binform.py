@@ -1,26 +1,27 @@
 """Binary forms, transvectants, and the sextic invariants I2 and I3.
 
 A degree-n form is stored by its binomial-convention coefficients
-v_0..v_n, i.e. the polynomial  sum_k C(n,k) v_k t^(n-k) s^k.  Coefficients
-may be Fractions, AlgebraicScalars, or any commutative ring elements
-supporting +, -, * (the orbit module feeds coframe-valued coefficients
-through the same type).
+v_0..v_n, i.e. the polynomial  sum_k C(n,k) v_k t^(n-k) s^k.
+
+BinaryForm, from_monomial_coeffs and invariant_I2 are generic: their
+coefficients may be any commutative ring elements supporting +, -, *
+(the orbit module feeds coframe-valued coefficients through them).
+transvectant, invariant_I3 and gl2_act take rational coefficients only
+(ints and Fractions).  They clear each input's denominators once, run
+their inner loops on ints, and divide once per output coefficient, so
+their results are in scalar.exact's int-or-Fraction normal form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
-from .scalar import parse_rational
+from .scalar import exact, parse_rational
 
 # I2(V) = c6 * <V,V>_6 for the bare 1/p! transvectant; fixed by the
 # brute-force expansion oracle in the test suite.
 I2_CALIBRATION = Fraction(1, 1440)
-
-
-def _zero_like(c):
-    return c - c
 
 
 class BinaryForm:
@@ -49,7 +50,7 @@ class BinaryForm:
         return tuple(c * comb(self.degree, k) for k, c in enumerate(self.coeffs))
 
     def evaluate(self, s, t):
-        total = _zero_like(self.coeffs[0])
+        total = self.coeffs[0] - self.coeffs[0]
         n = self.degree
         for k, c in enumerate(self.coeffs):
             total = total + c * comb(n, k) * t ** (n - k) * s ** k
@@ -98,36 +99,47 @@ class BinaryForm:
 #
 # Internally a form is expanded to its monomial coefficient list
 # m[k] = coefficient of t^(n-k) s^k, on which partial derivatives are
-# index shifts.
+# index shifts.  These lists hold ints: _cleared scales a list by the lcm L
+# of its denominators, and the result is divided by L once.
 
 
-def _dt(mono, n):
+def _cleared(coeffs):
+    """Int numerators of rational coeffs over their lcm denominator L: (nums, L)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_cleared_monomials(mono, den) -> BinaryForm:
+    """The form whose monomial coefficient list is mono / den."""
+    n = len(mono) - 1
+    return BinaryForm(n, [exact(Fraction(c, den * comb(n, k))) for k, c in enumerate(mono)])
+
+
+def _dt(mono):
     # d/dt of sum m[k] t^(n-k) s^k
-    return tuple(mono[k] * (n - k) for k in range(n))
+    n = len(mono) - 1
+    return [mono[k] * (n - k) for k in range(n)]
 
 
-def _ds(mono, n):
-    return tuple(mono[k + 1] * (k + 1) for k in range(n))
+def _ds(mono):
+    return [mono[k + 1] * (k + 1) for k in range(len(mono) - 1)]
 
 
-def _mixed_derivative(mono, n, dt_count, ds_count):
+def _mixed_derivative(mono, dt_count, ds_count):
     for _ in range(dt_count):
-        mono = _dt(mono, n)
-        n -= 1
+        mono = _dt(mono)
     for _ in range(ds_count):
-        mono = _ds(mono, n)
-        n -= 1
-    return mono, n
+        mono = _ds(mono)
+    return mono
 
 
-def _mono_mul(a, na, b, nb):
-    out = [None] * (na + nb + 1)
+def _mono_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            prod = ca * cb
-            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-    zero = _zero_like(a[0] * b[0]) if a and b else Fraction(0)
-    return tuple(zero if c is None else c for c in out)
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
 
 
 def transvectant(u: BinaryForm, v: BinaryForm, p: int) -> BinaryForm:
@@ -140,18 +152,14 @@ def transvectant(u: BinaryForm, v: BinaryForm, p: int) -> BinaryForm:
         raise ValueError(f"transvectant order {p} is negative")
     if p > min(n, m):
         raise ValueError(f"transvectant order {p} exceeds min degree ({n}, {m})")
-    mu, mv = u.monomial_coeffs(), v.monomial_coeffs()
-    acc = None
+    (mu, den_u), (mv, den_v) = _cleared(u.monomial_coeffs()), _cleared(v.monomial_coeffs())
+    acc = [0] * (n + m - 2 * p + 1)
     for i in range(p + 1):
-        du, ndu = _mixed_derivative(mu, n, p - i, i)
-        dv, ndv = _mixed_derivative(mv, m, i, p - i)
-        term = _mono_mul(du, ndu, dv, ndv)
+        term = _mono_mul(_mixed_derivative(mu, p - i, i), _mixed_derivative(mv, i, p - i))
         sign = comb(p, i) if i % 2 == 0 else -comb(p, i)
-        term = tuple(c * sign for c in term)
-        acc = term if acc is None else tuple(a + b for a, b in zip(acc, term))
-    scale = Fraction(1, factorial(p))
-    acc = tuple(c * scale for c in acc)
-    return BinaryForm.from_monomial_coeffs(n + m - 2 * p, acc)
+        for k, c in enumerate(term):
+            acc[k] += sign * c
+    return _from_cleared_monomials(acc, den_u * den_v * factorial(p))
 
 
 # -- invariants ---------------------------------------------------------------
@@ -186,29 +194,28 @@ def gl2_act(v: BinaryForm, matrix) -> BinaryForm:
 
     With this convention an invariant of weight w picks up det(N)^w.
     """
-    (a, b), (c, dd) = matrix
+    (a, b, c, dd), den_m = _cleared([*matrix[0], *matrix[1]])
     n = v.degree
-    mono = v.monomial_coeffs()
-    # new_t = a t + b s, new_s = c t + d s; expand sum m[k] new_t^(n-k) new_s^k
+    mono, den_v = _cleared(v.monomial_coeffs())
+    # new_t = a t + b s, new_s = c t + d s; expand sum m[k] new_t^(n-k) new_s^k,
+    # which is den_m^n times the substitution by the cleared matrix
     t_pows = _power_list((a, b), n)
     s_pows = _power_list((c, dd), n)
-    zero = _zero_like(mono[0] * a)
-    out = [zero] * (n + 1)
+    out = [0] * (n + 1)
     for k, coef in enumerate(mono):
         if not coef:
             continue
-        prod = _mono_mul(t_pows[n - k], n - k, s_pows[k], k)
+        prod = _mono_mul(t_pows[n - k], s_pows[k])
         for j, p in enumerate(prod):
-            out[j] = out[j] + coef * p
-    return BinaryForm.from_monomial_coeffs(n, out)
+            out[j] += coef * p
+    return _from_cleared_monomials(out, den_v * den_m ** n)
 
 
 def _power_list(linear, n):
     """Powers (x t + y s)^k for k = 0..n as monomial lists."""
-    x, _ = linear
-    pows = [(x - x + 1,)]  # multiplicative unit of the coefficient ring
-    for k in range(1, n + 1):
-        pows.append(_mono_mul(pows[k - 1], k - 1, linear, 1))
+    pows = [[1]]
+    for _ in range(n):
+        pows.append(_mono_mul(pows[-1], linear))
     return pows
 
 

@@ -228,3 +228,75 @@ def test_serialization():
     v = parse_form("v0=1, v1=0, v2=0, v3=-1/2, v4=0, v5=0, v6=3")
     assert v.coeffs[3] == Fraction(-1, 2)
     assert parse_form("1,0,0,-1/2,0,0,3") == v
+
+
+# --- non-integral inputs: the cleared denominators of transvectant and gl2_act --
+
+
+UNLIKE_DENOMINATORS = (1, 2, 3, 5, 6, 7, 9, 10, 35)
+
+
+def rand_rational(rng, span=12):
+    return Fraction(rng.randint(-span, span), rng.choice(UNLIKE_DENOMINATORS))
+
+
+def rand_rational_sextic(rng):
+    return BinaryForm(6, [rand_rational(rng) for _ in range(7)])
+
+
+def rand_rational_gl2(rng):
+    while True:
+        m = ((rand_rational(rng, 4), rand_rational(rng, 4)),
+             (rand_rational(rng, 4), rand_rational(rng, 4)))
+        if det2(m) and det2(m).denominator != 1:
+            return m
+
+
+def normal_form(value) -> bool:
+    """An int when integral, a Fraction (reduced by construction) otherwise."""
+    return type(value) is int or (type(value) is Fraction and value.denominator != 1)
+
+
+def test_transvectant_over_unlike_denominators_matches_oracle():
+    rng = random.Random(61)
+    for _ in range(4):
+        u, v = rand_rational_sextic(rng), rand_rational_sextic(rng)
+        for p in range(7):
+            assert poly2_of_form(transvectant(u, v, p)) == oracle_transvectant(u, v, p).terms
+
+
+def test_gl2_action_with_fractional_matrix_is_substitution():
+    rng = random.Random(67)
+    for _ in range(6):
+        v = rand_rational_sextic(rng)
+        n = rand_rational_gl2(rng)
+        (a, b), (c, d) = n
+        acted = gl2_act(v, n)
+        for s0, t0 in ((Fraction(2), Fraction(-3)), (Fraction(1, 3), Fraction(5, 7)), (1, 0)):
+            assert acted.evaluate(s0, t0) == v.evaluate(c * t0 + d * s0, a * t0 + b * s0)
+
+
+def test_gl2_weights_with_fractional_determinant():
+    rng = random.Random(71)
+    for _ in range(6):
+        n = rand_rational_gl2(rng)
+        det = det2(n)
+        u, v, w = rand_rational_sextic(rng), rand_rational_sextic(rng), rand_rational_sextic(rng)
+        assert invariant_I2(gl2_act(v, n)) == det ** 6 * invariant_I2(v)
+        assert invariant_I3(gl2_act(u, n), gl2_act(v, n), gl2_act(w, n)) == det ** 9 * invariant_I3(u, v, w)
+
+
+def test_results_are_int_or_reduced_fraction():
+    rng = random.Random(73)
+    integral = rand_sextic(rng)
+    seen = set()
+    for _ in range(4):
+        u, v, w = rand_rational_sextic(rng), rand_rational_sextic(rng), rand_rational_sextic(rng)
+        n = rand_rational_gl2(rng)
+        values = [invariant_I3(u, v, w), invariant_I3(integral, u, v)]
+        for p in range(7):
+            values += transvectant(u, v, p).coeffs + transvectant(integral, integral, p).coeffs
+        values += gl2_act(u, n).coeffs + gl2_act(integral, rand_gl2(rng)).coeffs
+        assert all(normal_form(c) for c in values)
+        seen.update(type(c) for c in values)
+    assert seen == {int, Fraction}  # both branches were exercised

@@ -266,6 +266,10 @@ def test_forms_commands():
     assert code == 0
 
 
+# sextics over unlike denominators for the forms cases below
+FRAC_U = "1/2,-2/3,3/5,0,7/4,-1,5/6"
+FRAC_V = "2/7,1/3,-3/2,4,0,-5/9,1/10"
+
 # Report bytes and exit codes of cheap commands, pinned so that a refactor
 # of the report layer cannot change what a user sees.
 GOLDEN_TEXT = [
@@ -293,6 +297,22 @@ GOLDEN_TEXT = [
      '(forced: the inner bracket has degree 6)"}\n'),
     (["forms", "transvectant", "--u", "1,0,0", "--v", "0,0,1", "-p", "1"], 0,
      '[RECORDED] forms.transvectant: v0=0, v1=2, v2=0  {"degree": 2, "p": 1}\n'),
+    # fractional inputs over unlike denominators
+    (["forms", "transvectant", "--u", FRAC_U, "--v", FRAC_V, "-p", "2"], 0,
+     "[RECORDED] forms.transvectant: v0=-845/14, v1=180, v2=2325/14, v3=-32225/98, "
+     "v4=-93127/1176, v5=-13555/14, v6=-10413/28, v7=3875/4, v8=-1685/4  "
+     '{"degree": 8, "p": 2}\n'),
+    (["forms", "transvectant", "--u", "1/2,-2/3,3/5,1/7", "--v", "2/9,1/3,-3/2,4,1/5",
+      "-p", "3"], 0,
+     '[RECORDED] forms.transvectant: v0=-1088/105, v1=4496/35  {"degree": 1, "p": 3}\n'),
+    (["forms", "transvectant", "--u", FRAC_U, "--v", FRAC_V, "-p", "6"], 0,
+     '[RECORDED] forms.transvectant: v0=-198118/7  {"degree": 0, "p": 6}\n'),
+    (["forms", "i3", "--u", FRAC_U, "--v", FRAC_V, "--w", "1,-1/4,0,2/3,-3,1/6,7/8"], 0,
+     '[RECORDED] forms.i3: 1491295520/7  {"outer_pairing": "sixth transvectant '
+     '(forced: the inner bracket has degree 6)"}\n'),
+    (["forms", "i2", "--coeffs", FRAC_U], 0,
+     '[RECORDED] forms.i2: 73/6  {"input": "v0=1/2, v1=-2/3, v2=3/5, v3=0, v4=7/4, '
+     'v5=-1, v6=5/6"}\n'),
 ]
 
 GOLDEN_SHA256 = [
@@ -343,9 +363,17 @@ def test_seed_changes_sample_points_not_verdicts():
     a = criterion_sampling_oracle(samples=4, seed=1)
     b = criterion_sampling_oracle(samples=4, seed=2)
     assert a[0].status == b[0].status == "pass"
-    ja = cuspidal_jet_samples(4, 1)
-    jb = cuspidal_jet_samples(4, 2)
+    ja = list(cuspidal_jet_samples(4, 1))
+    jb = list(cuspidal_jet_samples(4, 2))
     assert ja != jb  # different points, same exact verdict
+
+
+def test_sampling_oracle_counts_across_residual_batches():
+    # 250 jets: two full batches of residuals and a partial one
+    (report,) = criterion_sampling_oracle(samples=250, seed=3)
+    assert report.status == "pass"
+    assert report.details["samples"] == 250
+    assert report.details["max_residual"] == "0"
 
 
 def test_sampler_draw_stream_is_pinned(monkeypatch):
@@ -359,7 +387,7 @@ def test_sampler_draw_stream_is_pinned(monkeypatch):
         return jets_along_curve(*args)
 
     monkeypatch.setattr(wilczynski, "jets_along_curve", counted)
-    samples = cuspidal_jet_samples(300, 1107)
+    samples = list(cuspidal_jet_samples(300, 1107))
     assert len(calls) == 301
     text = json.dumps([sorted((k, str(v)) for k, v in jets.items()) for jets in samples])
     assert hashlib.sha256(text.encode()).hexdigest() == (

@@ -5,8 +5,9 @@ multiplies by adding tuples and prints with the documented format, so
 the kernel's representation of exponents and coefficients is checked
 from outside: str, the lex-leading term, the ring laws, exact division
 and evaluation.  The JetFunction trial reduction is checked against
-Poly.exact_div, and partial, the free and the on-equation D_x and the
-cube-root extension of a derivation are checked to be derivations.
+Poly.exact_div, a printed JetFunction is checked to parse back to itself,
+and partial, the free and the on-equation D_x and the cube-root
+extension of a derivation are checked to be derivations.
 """
 
 from fractions import Fraction
@@ -302,6 +303,16 @@ def test_field_operations_commute_with_evaluate(f, g, point):
     assert (f * g).evaluate(at) == vf * vg
     if vg:
         assert (f / g).evaluate(at) == vf / vg
+
+
+@settings(max_examples=50)
+@given(jet_functions())
+def test_str_parses_back(f):
+    # compared outside the assert: pytest would print a failing pair by str,
+    # whose poly_gcd can run for minutes on a wrongly parsed value
+    text = str(f)
+    same = parse_jet_expression(text, f.ctx) == f
+    assert same, text
 
 
 # -- derivations ------------------------------------------------------------------------
