@@ -8,8 +8,10 @@ Three layers:
   otherwise; each monomial is one packed int key (see JetContext).
 * JetFunction - rational functions stored as  num * prod f_i^e_i  with the
   f_i primitive integer polynomials; negative exponents are denominator
-  factors.  One pass of trial division against the factor basis per
-  construction keeps the localized arithmetic of the invariant pipelines
+  factors.  The constructor alone normalizes a factor table (zero
+  exponents dropped, one-term factors split into variables).  One pass of
+  trial division by Poly.exact_div, which divides by a monomial with an
+  exponent shift, keeps the localized arithmetic of the invariant pipelines
   reduced without any multivariate gcd; normalize() reduces by full gcd.
 * ExtendedJetFunction - rank-3 algebraic extension by a formal generator u
   with u^3 = R, derivations acting by D(u) = (1/3)(D R / R) u.
@@ -395,15 +397,27 @@ class Poly:
     def exact_div(self, divisor: "Poly"):
         """Quotient when divisor divides self exactly, else None (lex).
 
-        The division runs on integers: self = F / scale and divisor =
-        unit * D with F integral and D primitive integral.  By Gauss's
-        lemma F / D is integral when it exists, so the first quotient
-        coefficient that is not an integer proves that it does not.
+        A monomial divides by an exponent shift; any other divisor on
+        integers: self = F / scale and divisor = unit * D with F integral
+        and D primitive integral.  By Gauss's lemma F / D is integral when
+        it exists, so the first non-integer quotient coefficient disproves it.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
+        ctx = self.ctx
+        one, top, bias, mask = ctx._one, ctx._top, ctx._div_bias, ctx._div_mask
+        if len(divisor.terms) == 1:
+            (de, dc), = divisor.terms.items()
+            shift = one - de
+            out = {}
+            for e, c in self.terms.items():
+                qe = e + shift
+                if (qe + bias) & mask != top and not ctx._quotient_in_range(qe):
+                    return None
+                out[qe] = _div(c, dc)
+            return _poly(ctx, out)
         for v in divisor.variables():
             name = self.ctx.names[v]
             if self.degree(name) < divisor.degree(name):
@@ -418,8 +432,6 @@ class Poly:
             rem = dict(self.terms)
         else:
             rem = {e: c.numerator * (scale // c.denominator) for e, c in self.terms.items()}
-        ctx = self.ctx
-        one, top, bias, mask = ctx._one, ctx._top, ctx._div_bias, ctx._div_mask
         de = max(dterms)
         dc = dterms[de]
         shift = one - de
@@ -559,13 +571,12 @@ class JetFunction:
 
     @staticmethod
     def _split_monomials(ctx, num, factors):
-        """Replace single-term factors by per-variable factors so that
-        trial reduction sees them."""
+        """Replace one-term factors (constants too) by per-variable
+        factors, their coefficients folded into num, so that trial
+        reduction sees them."""
         out = {}
         scale = Fraction(1)
         for f, e in factors.items():
-            if not e:
-                continue
             if len(f.terms) == 1:
                 ((key, coef),) = f.terms.items()
                 if coef != 1:
@@ -577,17 +588,18 @@ class JetFunction:
                 out[f] = out.get(f, 0) + e
         if scale != 1:
             num = num.scale(scale)
-        return num, {f: e for f, e in out.items() if e}
+        return num, out
 
     # -- representation maintenance ----------------------------------------
 
     def _trial_reduce(self):
-        """Cancel denominator factors that exactly divide the numerator.  One
-        pass suffices: a factor that fails to divide the numerator N cannot
-        divide a later numerator, which divides N."""
+        """Cancel denominator factors that exactly divide the numerator, and
+        drop zero exponents.  One pass suffices: a factor that fails to
+        divide the numerator N cannot divide a later numerator, which
+        divides N."""
         for f, e in list(self.factors.items()):
             while e < 0:
-                q = self._fast_div(self.num, f)
+                q = self.num.exact_div(f)
                 if q is None:
                     break
                 self.num = q
@@ -598,29 +610,11 @@ class JetFunction:
                 del self.factors[f]
 
     @staticmethod
-    def _fast_div(num: Poly, f: Poly):
-        if len(f.terms) == 1:
-            # monomial factor: exponent shift when every term allows it
-            (fe, fc), = f.terms.items()
-            ctx = num.ctx
-            shift, top, bias, mask = ctx._one - fe, ctx._top, ctx._div_bias, ctx._div_mask
-            out = {}
-            for e, c in num.terms.items():
-                ne = e + shift
-                if (ne + bias) & mask != top and not ctx._quotient_in_range(ne):
-                    return None
-                out[ne] = _div(c, fc)
-            return _poly(ctx, out)
-        return num.exact_div(f)
-
-    @staticmethod
     def from_polys(num: Poly, den: Poly) -> "JetFunction":
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         unit, prim = den.primitive()
-        factors = {} if prim.is_constant() else {prim: -1}
-        scale = Fraction(1) / (unit * (prim.constant_value() if prim.is_constant() else 1))
-        return JetFunction(num.ctx, num.scale(scale), factors)
+        return JetFunction(num.ctx, num.scale(1 / unit), {prim: -1})
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -642,9 +636,9 @@ class JetFunction:
         o = self._coerce(self.ctx, other)
         if o is None:
             return NotImplemented
-        common = {}
-        for f in set(self.factors) | set(o.factors):
-            common[f] = min(self.factors.get(f, 0), o.factors.get(f, 0))
+        # insertion order, not Poly.__hash__, orders the trial divisions
+        common = {f: min(self.factors.get(f, 0), o.factors.get(f, 0))
+                  for f in {**self.factors, **o.factors}}
         left, right = self.num, o.num
         for f, base in common.items():
             k = self.factors.get(f, 0) - base
@@ -653,7 +647,7 @@ class JetFunction:
             k = o.factors.get(f, 0) - base
             if k:
                 right = right * f ** k
-        return JetFunction(self.ctx, left + right, {f: e for f, e in common.items() if e})
+        return JetFunction(self.ctx, left + right, common)
 
     __radd__ = __add__
 
@@ -675,11 +669,7 @@ class JetFunction:
             return NotImplemented
         factors = dict(self.factors)
         for f, e in o.factors.items():
-            ne = factors.get(f, 0) + e
-            if ne:
-                factors[f] = ne
-            else:
-                factors.pop(f, None)
+            factors[f] = factors.get(f, 0) + e
         return JetFunction(self.ctx, self.num * o.num, factors)
 
     __rmul__ = __mul__
@@ -689,12 +679,8 @@ class JetFunction:
             raise ZeroDivisionError("inverse of zero jet function")
         factors = {f: -e for f, e in self.factors.items()}
         unit, prim = self.num.primitive()
-        if not prim.is_constant():
-            factors[prim] = factors.get(prim, 0) - 1
-            if not factors[prim]:
-                del factors[prim]
-        num = self.ctx.const(Fraction(1) / unit)
-        return JetFunction(self.ctx, num, factors)
+        factors[prim] = factors.get(prim, 0) - 1
+        return JetFunction(self.ctx, self.ctx.const(1 / unit), factors)
 
     def __truediv__(self, other):
         o = self._coerce(self.ctx, other)
@@ -728,12 +714,8 @@ class JetFunction:
             return self
         unit, prim = self.num.primitive()
         factors = dict(self.factors)
-        if not prim.is_constant():
-            factors[prim] = factors.get(prim, 0) + 1
-            if not factors[prim]:
-                del factors[prim]
-            return JetFunction(self.ctx, self.ctx.const(unit), factors)
-        return self
+        factors[prim] = factors.get(prim, 0) + 1
+        return JetFunction(self.ctx, self.ctx.const(unit), factors)
 
     # -- expanded views -------------------------------------------------------
 
@@ -784,8 +766,6 @@ class JetFunction:
                 continue
             shifted = dict(factors)
             shifted[f] = e - 1
-            if not shifted[f]:
-                del shifted[f]
             total = dfv * JetFunction(ctx, num.scale(e), shifted) + total
         return total
 

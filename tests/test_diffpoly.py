@@ -11,6 +11,7 @@ from g2sextic.diffpoly import (
     MissingJetError,
     ParseError,
     PoleError,
+    Poly,
     _rational_cube_root,
     free_total_derivative_map,
     parse_jet_expression,
@@ -136,6 +137,27 @@ def test_evaluate_reports_a_pole_whatever_the_factor_order(pole_first):
     with pytest.raises(PoleError):
         f.evaluate({"t": 1})
     assert f.evaluate({"t": 3}) == 1
+
+
+def non_coprime_sum():
+    # 1/(x + 2) + (x + 3)/((x + 2)(x + 3)) = 2/(x + 2): the summed numerator
+    # 2(x + 2)(x + 3) is divisible by either factor but not by both, so the
+    # order of the trial divisions decides the representation
+    ctx = JetContext.plain(("x",))
+    x, two, three = ctx.var("x"), ctx.const(2), ctx.const(3)
+    f = JetFunction(ctx, ctx.const(1), {x + two: -1})
+    g = JetFunction(ctx, x + three, {(x + two) * (x + three): -1})
+    total = f + g
+    return str(total.num), [(str(p), e) for p, e in total.factors.items()]
+
+
+@pytest.mark.parametrize("other_hash", [lambda p: len(p.terms), lambda p: -len(p.terms)],
+                         ids=["terms", "minus-terms"])
+def test_sum_factor_order_does_not_follow_the_hash(monkeypatch, other_hash):
+    expected = non_coprime_sum()
+    assert expected == ("2*x + 6", [("1*x^2 + 5*x + 6", -1)])
+    monkeypatch.setattr(Poly, "__hash__", other_hash)
+    assert non_coprime_sum() == expected
 
 
 def test_pow_and_inverse():

@@ -7,7 +7,10 @@ from outside: str, the lex-leading term, the ring laws, exact division
 and evaluation.  The JetFunction trial reduction is checked against
 Poly.exact_div, a printed JetFunction is checked to parse back to itself,
 and partial, the free and the on-equation D_x and the cube-root
-extension of a derivation are checked to be derivations.
+extension of a derivation are checked to be derivations.  The cube-root
+extension is checked to be a ring by evaluation at rational jets, u-free
+values to stay u-free, and every operation to return a factor table in
+the constructor's normal form.
 """
 
 from fractions import Fraction
@@ -379,3 +382,73 @@ def test_cube_root_extension_is_a_derivation(base, r0, r1, kind):
     assert (u * u * u).derivative(dmap) == base.derivative(dmap)
     assert (u * u).derivative(dmap) == du * u * 2
     assert (u * u * u).derivative(dmap) == du * u * u * 3
+
+
+# -- the cube-root extension as a ring ---------------------------------------------------
+
+jet_points = st.tuples(*[nonzero] * len(LOW))
+
+
+@settings(max_examples=20)
+@given(low_functions(), st.lists(low_functions(), min_size=9, max_size=9), jet_points)
+def test_cube_root_extension_is_a_ring(h, parts, point):
+    # with u^3 = h^3, evaluation at a jet sends u to the rational value of
+    # h, a ring homomorphism wherever no factor of the pool vanishes
+    at = dict(zip(LOW, point))
+    assume(h and all(p.evaluate(at) for p in LOW_FACTORS))
+    base = h ** 3
+    a, b, c = (ExtendedJetFunction(*parts[i:i + 3], base) for i in (0, 3, 6))
+    va, vb, vc = a.evaluate(at), b.evaluate(at), c.evaluate(at)
+    ab = a * b
+    assert (a + b).evaluate(at) == va + vb
+    assert (a - b).evaluate(at) == va - vb
+    assert ab.evaluate(at) == va * vb == (b * a).evaluate(at)
+    assert (ab * c).evaluate(at) == va * vb * vc == (a * (b * c)).evaluate(at)
+    assert (a * (b + c)).evaluate(at) == va * (vb + vc)
+    assert a * 1 == a and (a + 0) == a and not (a - a)
+
+
+@settings(max_examples=50)
+@given(low_functions(), low_functions(), low_functions(), st.integers(1, 3))
+def test_u_freeness_survives_u_free_operands(h, f, g, k):
+    assume(h)
+    base = h ** 3
+    a, b = ExtendedJetFunction(f, base=base), ExtendedJetFunction(g, base=base)
+    results = [(a + b, f + g), (a - b, f - g), (a * b, f * g), (a * g, f * g), (a * k, f * k),
+               (a / k, f / k)]
+    if g:
+        results += [(a / b, f / g), (a / g, f / g)]
+    for ext, plain in results:
+        assert ext.u_free()
+        assert ext.c0 == plain
+
+
+# -- the factor-table normal form -------------------------------------------------------
+
+
+def assert_normal_tables(f, g, derivations):
+    """Every operation hands back the constructor's normal form: nonzero
+    exponents, no constant factor, and every one-term factor a single
+    variable with coefficient 1."""
+    results = [f, g, f + g, f - g, f * g, f.as_factored(),
+               JetFunction.from_polys(f.numerator_polynomial(), f.denominator_polynomial())]
+    if g:
+        results += [f / g, g.inverse()]
+    results += [derive(f) for derive in derivations]
+    for h in results:
+        for p, e in h.factors.items():
+            assert e and not p.is_constant()
+            if len(p.terms) == 1:
+                ((powers, coef),) = p.monomials()
+                assert coef == 1 and [k for _, k in powers] == [1]
+
+
+@given(jet_functions(), jet_functions(), st.sampled_from(NAMES))
+def test_operations_keep_the_factor_table_normal(f, g, name):
+    assert_normal_tables(f, g, [lambda h: h.partial(name)])
+
+
+@given(low_functions(), low_functions(), st.sampled_from(LOW))
+def test_derivations_keep_the_factor_table_normal(f, g, name):
+    dmap = free_total_derivative_map(JET_CTX)
+    assert_normal_tables(f, g, [lambda h: h.partial(name), lambda h: h.derivative(dmap)])
