@@ -79,7 +79,7 @@ def _signature_report(check_id, tag, note, details) -> InvariantReport:
 
 @lru_cache(maxsize=None)
 def _frame():
-    """The su(2,1) basis, structure constants and sigma dictionary, built
+    """The su(2,1) basis, structure equations and sigma dictionary, built
     once per process; callers only read them."""
     basis = su21_basis()
     return basis, extract_structure_constants(basis), sigma_in_theta(basis)
@@ -90,11 +90,11 @@ def _frame():
 
 def criterion_structure_equations() -> list:
     """C1: the eight d theta^l match the printed list symbol for symbol."""
-    _, sc, _ = _frame()
+    _, dtheta, _ = _frame()
     expected = targets.structure_equations()
     out = []
     for l in range(1, 9):
-        computed = sc.dtheta(l)
+        computed = dtheta[l]
         out.append(_report(f"c01.dtheta-{l}", forms_equal(computed, expected[l]),
                            format_form(computed), format_form(expected[l])))
     return out
@@ -102,8 +102,8 @@ def criterion_structure_equations() -> list:
 
 def criterion_cocalibration() -> list:
     """C2: d*phi = 0, dphi = lambda *phi + *tau, phi^tau = phi^*tau = 0."""
-    _, sc, _ = _frame()
-    cert = g2verify.verify_cocalibrated(targets.unit_three_form(), sc)
+    _, dtheta, _ = _frame()
+    cert = g2verify.verify_cocalibrated(targets.unit_three_form(), dtheta)
     out = [
         _report("c02.d-star-phi-zero", cert.checks["d_star_phi_zero"],
                 format_form(cert.d_star_phi), "0"),
@@ -404,7 +404,7 @@ def suite_verify_all(seed: int = 0, samples: int = 50) -> list:
 def suite_g2(realform: str, seed: int = 0) -> list:
     if realform == "su21":
         reports = []
-        basis, sc, dictionary = _frame()
+        basis, _, _ = _frame()
         eta = derive_invariance_form(basis)
         reports.append(_report("g2.00-invariance-form", None, eta,
                                details={"derived_not_hardcoded": True}))

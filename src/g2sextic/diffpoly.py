@@ -412,11 +412,16 @@ class Poly:
             (de, dc), = divisor.terms.items()
             shift = one - de
             out = {}
+            over = None
             for e, c in self.terms.items():
                 qe = e + shift
-                if (qe + bias) & mask != top and not ctx._quotient_in_range(qe):
-                    return None
+                if (qe + bias) & mask != top:
+                    if (qe + bias) & top != top:  # a negative exponent
+                        return None
+                    over = qe
                 out[qe] = _div(c, dc)
+            if over is not None:  # no exponent negative, one too large
+                raise ctx._range_error(over, 3)
             return _poly(ctx, out)
         for v in divisor.variables():
             name = self.ctx.names[v]

@@ -1,8 +1,8 @@
 """Exterior algebra over the anholonomic coframe theta^1..theta^8.
 
 Forms carry AlgebraicScalar coefficients on strictly increasing index
-tuples.  The exterior derivative is induced by Lie-algebra structure
-constants via  d theta^l = -1/2 c_{jk}^l theta^j ^ theta^k,  and the Hodge
+tuples.  The exterior derivative is the antiderivation fixed by the eight
+two-forms d theta^l = -sum_{j<k} c_{jk}^l theta^j ^ theta^k, and the Hodge
 star is the Euclidean one on the 7-dimensional span of theta^1..theta^7
 with volume form theta^{1...7}.
 """
@@ -129,48 +129,14 @@ def is_basic(a: ExteriorForm) -> bool:
     return all(NUM_INDICES not in idx for idx in a.terms)
 
 
-class StructureConstants:
-    """Antisymmetric table c_{jk}^l with AlgebraicScalar entries."""
-
-    __slots__ = ("table", "_dtheta")
-
-    def __init__(self, entries):
-        # entries: mapping (j, k, l) -> coefficient, stored with j < k
-        table = {}
-        for (j, k, l), coef in entries.items():
-            coef = AlgebraicScalar.coerce(coef)
-            if not coef:
-                continue
-            if j == k:
-                raise ValueError("c_{jj}^l must vanish")
-            if j > k:
-                j, k, coef = k, j, -coef
-            key = (j, k, l)
-            table[key] = table.get(key, ZERO) + coef
-        self.table = {k: v for k, v in table.items() if v}
-        self._dtheta = None
-
-    def dtheta(self, l: int) -> ExteriorForm:
-        """d theta^l = -sum_{j<k} c_{jk}^l theta^j ^ theta^k."""
-        if self._dtheta is None:
-            forms = {}
-            for (j, k, m), coef in self.table.items():
-                f = forms.setdefault(m, {})
-                f[(j, k)] = f.get((j, k), ZERO) - coef
-            self._dtheta = {
-                m: ExteriorForm(2, terms) for m, terms in forms.items()
-            }
-        return self._dtheta.get(l, ExteriorForm.zero(2))
-
-
-def d(alpha: ExteriorForm, sc: StructureConstants) -> ExteriorForm:
-    """Exterior derivative as the antiderivation extending sc.dtheta."""
+def d(alpha: ExteriorForm, dtheta) -> ExteriorForm:
+    """Exterior derivative: the antiderivation with d theta^l = dtheta[l]."""
     out = ExteriorForm.zero(alpha.degree + 1)
     for idx, coef in alpha.terms.items():
         for pos, l in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
             c = coef if pos % 2 == 0 else -coef
-            piece = wedge(scale(sc.dtheta(l), c), ExteriorForm(len(rest), {rest: 1}))
+            piece = wedge(scale(dtheta[l], c), ExteriorForm(len(rest), {rest: 1}))
             out = add(out, piece)
     return out
 

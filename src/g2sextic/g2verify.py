@@ -1,8 +1,8 @@
 """End-to-end co-calibration verification for the realized G2 structure.
 
 Given the three-form phi (basic, orthonormal coframe metric) and the
-structure constants, this computes *phi, d phi, d *phi, extracts the
-constant lambda by orthogonal projection onto *phi, defines
+structure equations {l: d theta^l}, this computes *phi, d phi, d *phi,
+extracts the constant lambda by orthogonal projection onto *phi, defines
 tau = *(d phi) - lambda phi, and certifies
 
     d phi = lambda *phi + *tau,  d *phi = 0,  phi ^ tau = phi ^ *tau = 0.
@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .exterior import (
     ExteriorForm,
-    StructureConstants,
     add,
     d,
     forms_equal,
@@ -62,12 +61,12 @@ class G2Certificate:
         return out
 
 
-def verify_cocalibrated(phi: ExteriorForm, sc: StructureConstants) -> G2Certificate:
+def verify_cocalibrated(phi: ExteriorForm, dtheta) -> G2Certificate:
     if not is_basic(phi):
         raise ValueError("phi must be theta^8-free")
     star_phi = hodge_star(phi)
-    d_phi = d(phi, sc)
-    d_star_phi = d(star_phi, sc)
+    d_phi = d(phi, dtheta)
+    d_star_phi = d(star_phi, dtheta)
 
     checks = {}
     checks["d_phi_basic"] = is_basic(d_phi)

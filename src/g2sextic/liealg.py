@@ -1,16 +1,16 @@
 """3x3 matrix Lie algebra computations for the su(2,1) frame.
 
 Provides the explicit basis e_1..e_8 (e_8 spanning the U(1) stabiliser
-direction), exact commutators, structure-constant extraction by linear
-solve over Q(i, sqrt2, sqrt5), and the expansion of the Maurer-Cartan
-entries sigma^a_b in the dual coframe theta^1..theta^8.
+direction), exact commutators, the eight d theta^l two-forms that fix the
+exterior derivative (one solve over Q(i, sqrt2, sqrt5)), and the expansion
+of the Maurer-Cartan entries sigma^a_b in the coframe theta^1..theta^8.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exterior import StructureConstants
+from .exterior import ExteriorForm
 from .scalar import I, ONE, SQRT2, SQRT10, ZERO, AlgebraicScalar, row_reduce
 
 
@@ -136,17 +136,17 @@ def expand_in_basis(xs, basis) -> list[list[AlgebraicScalar]]:
     return [[row[m] for row in rows[:n]] for m in range(n, n + len(xs))]
 
 
-def extract_structure_constants(basis) -> StructureConstants:
-    """c_{jk}^l from [e_j, e_k] = sum_l c_{jk}^l e_l, all pairs in one solve."""
+def extract_structure_constants(basis) -> dict:
+    """The structure equations {l: d theta^l}, l = 1..len(basis), where
+    d theta^l = -sum_{j<k} c_{jk}^l theta^j ^ theta^k and
+    [e_j, e_k] = sum_l c_{jk}^l e_l; all pairs in one solve."""
     n = len(basis)
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    table = expand_in_basis([commutator(basis[j], basis[k]) for j, k in pairs], basis)
-    entries = {}
-    for (j, k), coeffs in zip(pairs, table):
-        for l, c in enumerate(coeffs):
-            if c:
-                entries[(j + 1, k + 1, l + 1)] = c
-    return StructureConstants(entries)
+    pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    table = expand_in_basis([commutator(basis[j - 1], basis[k - 1]) for j, k in pairs], basis)
+    return {
+        l: ExteriorForm(2, {pair: -coeffs[l - 1] for pair, coeffs in zip(pairs, table)})
+        for l in range(1, n + 1)
+    }
 
 
 def sigma_in_theta(basis) -> dict:

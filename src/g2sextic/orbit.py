@@ -45,20 +45,19 @@ class SigmaLinear:
                 vec[_SYMBOL_INDEX[key]] = vec[_SYMBOL_INDEX[key]] + val
         object.__setattr__(self, "coeffs", tuple(vec))
 
+    @staticmethod
+    def _of(coeffs) -> "SigmaLinear":
+        """The value with these coordinates (SYMBOLS order), taken as they are."""
+        out = object.__new__(SigmaLinear)
+        object.__setattr__(out, "coeffs", tuple(coeffs))
+        return out
+
     def __setattr__(self, *args):
         raise AttributeError("SigmaLinear is immutable")
 
-    @staticmethod
-    def sigma(a: int, b: int) -> "SigmaLinear":
-        return SigmaLinear({(a, b): 1})
-
     def __add__(self, other):
         if isinstance(other, SigmaLinear):
-            out = SigmaLinear()
-            object.__setattr__(
-                out, "coeffs", tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-            )
-            return out
+            return SigmaLinear._of(a + b for a, b in zip(self.coeffs, other.coeffs))
         if not other:  # allows sum() and the BinaryForm zero conventions
             return self
         return NotImplemented
@@ -66,9 +65,7 @@ class SigmaLinear:
     __radd__ = __add__
 
     def __neg__(self):
-        out = SigmaLinear()
-        object.__setattr__(out, "coeffs", tuple(-a for a in self.coeffs))
-        return out
+        return SigmaLinear._of(-a for a in self.coeffs)
 
     def __sub__(self, other):
         if isinstance(other, SigmaLinear):
@@ -84,9 +81,7 @@ class SigmaLinear:
 
     def __mul__(self, c):
         c = AlgebraicScalar.coerce(c)
-        out = SigmaLinear()
-        object.__setattr__(out, "coeffs", tuple(a * c for a in self.coeffs))
-        return out
+        return SigmaLinear._of(a * c for a in self.coeffs)
 
     __rmul__ = __mul__
 
@@ -111,7 +106,7 @@ class SigmaLinear:
 
 
 def sigma(a: int, b: int) -> SigmaLinear:
-    return SigmaLinear.sigma(a, b)
+    return SigmaLinear({(a, b): 1})
 
 
 # -- quadratic and cubic containers over sigma symbols ------------------------
@@ -219,6 +214,14 @@ def metric_from_sextic(s_form: BinaryForm) -> SymTensor:
     return out
 
 
+def _cubic_sum(terms, forms) -> ExteriorForm:
+    """sum coef * forms[x] ^ forms[y] ^ forms[z] over (coef, x, y, z) in terms."""
+    out = ExteriorForm.zero(3)
+    for coef, x, y, z in terms:
+        out = form_add(out, form_scale(wedge(wedge(forms[x], forms[y]), forms[z]), coef))
+    return out
+
+
 def threeform_from_sextic(s_form: BinaryForm) -> ExteriorForm:
     """sqrt(5/2) (3(a1^a2^a6 + a0^a4^a5) + a3^(a0^a6 + 6 a1^a5 - 15 a2^a4)).
 
@@ -231,24 +234,23 @@ def threeform_from_sextic(s_form: BinaryForm) -> ExteriorForm:
         for lin in s_form.coeffs
     ]
     root = SQRT10 * Fraction(1, 2)  # sqrt(5/2)
-    out = ExteriorForm.zero(3)
     terms = ((3, 1, 2, 6), (3, 0, 4, 5), (1, 3, 0, 6), (6, 3, 1, 5), (-15, 3, 2, 4))
-    for coef, x, y, z in terms:
-        out = form_add(out, form_scale(wedge(wedge(a[x], a[y]), a[z]), root * coef))
-    return out
+    return _cubic_sum(((root * coef, x, y, z) for coef, x, y, z in terms), a)
 
 
 # -- realization in the theta coframe -----------------------------------------
 
 
-def _gram(tensor: SymTensor, covectors) -> list:
-    """Gram matrix of a symmetric sigma-tensor, given one covector per sigma
-    symbol (in SYMBOLS order); raises RealityError if an entry is not real."""
-    dim = len(covectors[0])
+def realize_metric(tensor: SymTensor, covectors) -> list:
+    """Gram matrix of a symmetric sigma-tensor, given a mapping from each sigma
+    symbol to its covector (over theta^1..theta^8, or a real slice's
+    coordinates); raises RealityError if an entry is not real."""
+    vectors = [covectors[sym] for sym in SYMBOLS]
+    dim = len(vectors[0])
     gram = [[ZERO] * dim for _ in range(dim)]
     half = Fraction(1, 2)
     for (s, t), coef in tensor.terms.items():
-        vx, vy = covectors[s], covectors[t]
+        vx, vy = vectors[s], vectors[t]
         for j in range(dim):
             for k in range(dim):
                 contrib = coef * (vx[j] * vy[k] + vy[j] * vx[k]) * half
@@ -261,21 +263,15 @@ def _gram(tensor: SymTensor, covectors) -> list:
     return gram
 
 
-def realize_metric(tensor: SymTensor, dictionary) -> list:
-    """Gram matrix over theta^1..theta^8; raises RealityError if not real."""
-    return _gram(tensor, [dictionary[sym] for sym in SYMBOLS])
-
-
 def realize_threeform(tf: ExteriorForm, dictionary) -> ExteriorForm:
     """A 3-form over the sigma symbols (threeform_from_sextic) in the theta coframe."""
     covectors = [
         ExteriorForm(1, {(k + 1,): c for k, c in enumerate(dictionary[sym]) if c})
         for sym in SYMBOLS
     ]
-    out = ExteriorForm.zero(3)
-    for (s, t, u), coef in tf.terms.items():
-        piece = wedge(wedge(covectors[s - 1], covectors[t - 1]), covectors[u - 1])
-        out = form_add(out, form_scale(piece, coef))
+    out = _cubic_sum(
+        ((coef, s - 1, t - 1, u - 1) for (s, t, u), coef in tf.terms.items()), covectors
+    )
     for idx, coef in out.terms.items():
         if not coef.is_real():
             raise RealityError(f"three-form term {idx} not real: {coef}")
@@ -303,11 +299,6 @@ def _real_slice_covectors(tag: str):
     sigma^2_2 -> -x7 resp. -i x7).
     """
 
-    def unit(j, coef=1):
-        vec = [ZERO] * 7
-        vec[j] = AlgebraicScalar.coerce(coef)
-        return vec
-
     def combo(*pairs):
         vec = [ZERO] * 7
         for j, coef in pairs:
@@ -317,14 +308,14 @@ def _real_slice_covectors(tag: str):
     one = AlgebraicScalar.rational(1)
     if tag == "split":
         return {
-            (2, 3): unit(0),
-            (3, 2): unit(1),
-            (1, 3): unit(2),
-            (3, 1): unit(3),
-            (1, 2): unit(4),
-            (2, 1): unit(5),
+            (2, 3): combo((0, one)),
+            (3, 2): combo((1, one)),
+            (1, 3): combo((2, one)),
+            (3, 1): combo((3, one)),
+            (1, 2): combo((4, one)),
+            (2, 1): combo((5, one)),
             (1, 1): [ZERO] * 7,
-            (2, 2): unit(6, -one),
+            (2, 2): combo((6, -one)),
         }
     if tag == "su21":
         return {
@@ -335,7 +326,7 @@ def _real_slice_covectors(tag: str):
             (1, 2): combo((4, one), (5, I)),
             (2, 1): combo((4, -one), (5, I)),
             (1, 1): [ZERO] * 7,
-            (2, 2): unit(6, -I),
+            (2, 2): combo((6, -I)),
         }
     if tag == "su3":
         return {
@@ -346,15 +337,14 @@ def _real_slice_covectors(tag: str):
             (1, 2): combo((4, one), (5, I)),
             (2, 1): combo((4, -one), (5, I)),
             (1, 1): [ZERO] * 7,
-            (2, 2): unit(6, -I),
+            (2, 2): combo((6, -I)),
         }
     raise ValueError(f"unknown real form {tag!r}")
 
 
 def signature(tag: str) -> tuple[int, int]:
     """(n+, n-) of the family metric restricted to the chosen real slice."""
-    slice_cov = _real_slice_covectors(tag)
-    gram = _gram(metric_from_sextic(family_sextic(2, 3)), [slice_cov[sym] for sym in SYMBOLS])
+    gram = realize_metric(metric_from_sextic(family_sextic(2, 3)), _real_slice_covectors(tag))
     return rational_signature([[entry.rational_value() for entry in row] for row in gram])
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .binform import BinaryForm
-from .exterior import ExteriorForm, add, scale, theta
+from .exterior import ExteriorForm
 from .orbit import SigmaLinear, SymTensor, sigma
 from .scalar import SQRT10
 
@@ -19,10 +19,7 @@ _f = Fraction
 
 
 def _combo(degree, *pairs) -> ExteriorForm:
-    out = ExteriorForm.zero(degree)
-    for coef, idx in pairs:
-        out = add(out, scale(theta(*idx), coef))
-    return out
+    return ExteriorForm(degree, {idx: coef for coef, idx in pairs})
 
 
 def structure_equations() -> dict:

@@ -193,13 +193,15 @@ def test_expand_in_basis_roundtrip():
 
 
 def test_structure_constants_rebuild_every_commutator():
-    # second derivation: sum_l c_jk^l e_l, rebuilt from the batch table,
-    # equals [e_j, e_k] for all 28 pairs; c_jk^l = 0 where SC has no entry
+    # second derivation: sum_l c_jk^l e_l, with c_jk^l read as minus the
+    # theta^{jk} coefficient of d theta^l = SC[l], equals [e_j, e_k] for
+    # all 28 pairs
+    assert sorted(SC) == list(range(1, 9))
+    assert all(form.degree == 2 for form in SC.values())
     pairs = 0
     for j in range(1, 9):
         for k in range(j + 1, 9):
-            coeffs = [SC.table.get((j, k, l), ZERO) for l in range(1, 9)]
+            coeffs = [-SC[l].terms.get((j, k), ZERO) for l in range(1, 9)]
             assert combination(coeffs, BASIS) == commutator(BASIS[j - 1], BASIS[k - 1])
             pairs += 1
     assert pairs == 28
-    assert all(j < k for j, k, _ in SC.table)

@@ -28,6 +28,7 @@ from g2sextic.diffpoly import (
     JetContext,
     JetFunction,
     PoleError,
+    _poly,
     free_total_derivative_map,
     on_equation_derivative_map,
     parse_jet_expression,
@@ -260,6 +261,20 @@ def test_derivative_and_quotient_exponent_range():
     with pytest.raises(ExponentRangeError):
         mono(1, B - 1).exact_div(mono(1, -1))
     assert mono(1, B - 2).exact_div(mono(1, -1)) == mono(1, B - 1)
+
+
+@pytest.mark.parametrize("order", ["b-first", "a-first"])
+def test_monomial_quotient_with_a_negative_exponent_is_none_in_any_term_order(order):
+    # (b + a^(B-1) c) / (a^-1 c): the b term would get c^-1 and the other
+    # term a^B; a negative exponent rules the quotient out whichever term
+    # the shift meets first
+    b, high = mono(1, 1), CTX.monomial(((0, B - 1), (2, 1)))
+    terms = [next(iter(b.terms.items())), next(iter(high.terms.items()))]
+    if order == "a-first":
+        terms.reverse()
+    dividend = _poly(CTX, dict(terms))
+    assert dividend == b + high
+    assert dividend.exact_div(CTX.monomial(((0, -1), (2, 1)))) is None
 
 
 # -- JetFunction trial reduction ----------------------------------------------------

@@ -104,7 +104,7 @@ def test_frame_layer_coordinates_are_exact(monkeypatch):
         seen.append(self.coords)
 
     monkeypatch.setattr(AlgebraicScalar, "__init__", observed)
-    cli._frame.cache_clear()  # rebuild the structure constants under observation
+    cli._frame.cache_clear()  # rebuild the structure equations under observation
     reports = (
         cli.criterion_structure_equations()
         + cli.criterion_cocalibration()
@@ -116,11 +116,11 @@ def test_frame_layer_coordinates_are_exact(monkeypatch):
     assert len(reports) == 22 and len(seen) > 10000
     assert all(exact_coordinate(c) for coords in seen for c in coords)
 
-    _, sc, _ = cli._frame()
-    assert all(exact_coordinates(c) for c in sc.table.values())
+    _, dtheta, _ = cli._frame()
+    assert all(exact_coordinates(c) for form in dtheta.values() for c in form.terms.values())
     eta = derive_invariance_form(su21_basis())
     assert all(exact_coordinates(entry) for row in eta.rows for entry in row)
-    cert = g2verify.verify_cocalibrated(targets.unit_three_form(), sc)
+    cert = g2verify.verify_cocalibrated(targets.unit_three_form(), dtheta)
     forms = [value for value in vars(cert).values() if isinstance(value, ExteriorForm)]
     assert len(forms) == 5
     assert all(exact_coordinates(c) for form in forms for c in form.terms.values())
