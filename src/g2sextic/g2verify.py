@@ -9,6 +9,13 @@ tau = *(d phi) - lambda phi, and certifies
 
 The certificate stores every intermediate form so each identity can be
 re-checked from the certificate alone; no floating point anywhere.
+
+The compatibility identity (V -| phi) ^ (V -| phi) ^ phi = c g(V, V) vol
+is quadratic in V.  Its coefficient is V^T B V for Bryant's symmetric form
+B_phi (Bryant, "Some remarks on G2-structures", math/0305124), whose entry
+B_ij is the vol coefficient of (e_i -| phi) ^ (e_j -| phi) ^ phi; B is
+built once, from its 28 entries with i <= j, and every sampled vector is
+valued through it.
 """
 
 from __future__ import annotations
@@ -106,11 +113,39 @@ def metric_of_vector(vector) -> AlgebraicScalar:
     return total
 
 
+def contraction_pairing(phi: ExteriorForm, u, w) -> AlgebraicScalar:
+    """Coefficient B(U, W) in (U -| phi) ^ (W -| phi) ^ phi = B(U, W) vol."""
+    seven_form = wedge(wedge(interior(u, phi), interior(w, phi)), phi)
+    return seven_form.terms.get(tuple(range(1, 8)), ZERO)
+
+
 def contraction_value(phi: ExteriorForm, vector) -> AlgebraicScalar:
     """Coefficient c_V in (V -| phi) ^ (V -| phi) ^ phi = c_V vol."""
-    contracted = interior(vector, phi)
-    seven_form = wedge(wedge(contracted, contracted), phi)
-    return seven_form.terms.get(tuple(range(1, 8)), ZERO)
+    return contraction_pairing(phi, vector, vector)
+
+
+def contraction_gram(phi: ExteriorForm) -> list:
+    """Bryant's B_phi: the 7 x 7 matrix of contraction_pairing on the basis
+    dual to theta^1..theta^7.  It is symmetric, because two-forms commute."""
+    units = [[int(k == i) for k in range(7)] for i in range(7)]
+    gram = [[ZERO] * 7 for _ in range(7)]
+    for i in range(7):
+        gram[i][i] = contraction_value(phi, units[i])
+        for j in range(i + 1, 7):
+            gram[i][j] = gram[j][i] = contraction_pairing(phi, units[i], units[j])
+    return gram
+
+
+def _quadratic(gram, vector) -> AlgebraicScalar:
+    """V^T B V over the nonzero entries of B, each pair i < j taken once
+    and doubled."""
+    total = ZERO
+    for i, row in enumerate(gram):
+        for j in range(i, 7):
+            if row[j] and vector[i] and vector[j]:
+                weight = vector[i] * vector[j]
+                total = total + row[j] * (weight if i == j else 2 * weight)
+    return total
 
 
 def g2_identities(phi: ExteriorForm, samples: int = 20, seed: int = 0) -> dict:
@@ -118,6 +153,11 @@ def g2_identities(phi: ExteriorForm, samples: int = 20, seed: int = 0) -> dict:
 
     The identity (V -| phi)^(V -| phi)^phi = c g(V,V) vol with one fixed
     c over rational sample vectors implies the null-direction statement.
+    Each sampled value, and the null direction's, is V^T B V for Bryant's
+    B = contraction_gram(phi), built once; by bilinearity it equals the
+    direct contraction exactly.  The samples still decide the verdict and
+    the constant: the first sample with g(V, V) != 0 fixes c, every later
+    one must give the same ratio, and one with g(V, V) = 0 must give 0.
     """
     vol = volume_form()
     seven = AlgebraicScalar.rational(7)
@@ -126,13 +166,14 @@ def g2_identities(phi: ExteriorForm, samples: int = 20, seed: int = 0) -> dict:
             wedge(phi, hodge_star(phi)), scale(vol, seven)
         )
     }
+    gram = contraction_gram(phi)
     rng = random.Random(seed)
     constant = None
     consistent = True
     for _ in range(samples):
         vector = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(7)]
         gvv = metric_of_vector(vector)
-        cval = contraction_value(phi, vector)
+        cval = _quadratic(gram, vector)
         if not gvv:
             consistent = consistent and not cval
             continue
@@ -150,6 +191,6 @@ def g2_identities(phi: ExteriorForm, samples: int = 20, seed: int = 0) -> dict:
 
     null_vector = [AlgebraicScalar.rational(1), IMAG, ZERO, ZERO, ZERO, ZERO, ZERO]
     out["null_direction_vanishes"] = (not metric_of_vector(null_vector)) and (
-        not contraction_value(phi, null_vector)
+        not _quadratic(gram, null_vector)
     )
     return out

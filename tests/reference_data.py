@@ -9,16 +9,37 @@ symbolic chain y_(j+1) = y_j'/x' on rational functions of t, independently
 of the power-series route of ``wilczynski.jets_along_curve``.  Values of
 polynomials and rational functions are computed here term by term on
 Fractions, independently of the common-denominator integer sum of
-``Poly.evaluate``.
+``Poly.evaluate``.  The G2 compatibility identity is checked here by
+contracting phi with every sampled vector, independently of the Gram
+matrix B_phi that ``g2verify.g2_identities`` values them through, and
+B_phi itself is derived here by polarization of the direct contraction.
 """
 
+import random
 from fractions import Fraction
 
 from g2sextic.diffpoly import JetContext, JetFunction, PoleError
-from g2sextic.exterior import ExteriorForm, add, scale, theta
+from g2sextic.exterior import (
+    ExteriorForm,
+    add,
+    forms_equal,
+    hodge_star,
+    scale,
+    theta,
+    volume_form,
+    wedge,
+)
+from g2sextic.g2verify import contraction_value, metric_of_vector
 from g2sextic.liealg import Matrix3, diag, rational_kernel
-from g2sextic.orbit import SYMBOLS, family_sextic, metric_from_sextic, rational_signature
-from g2sextic.scalar import I, ONE, SQRT10, ZERO
+from g2sextic.orbit import (
+    SYMBOLS,
+    family_sextic,
+    metric_from_sextic,
+    rational_signature,
+    realize_threeform,
+    threeform_from_sextic,
+)
+from g2sextic.scalar import AlgebraicScalar, I, ONE, SQRT10, ZERO
 from g2sextic.wilczynski import DegenerateCurveError
 
 R10 = SQRT10
@@ -208,6 +229,66 @@ def slice_inertia(tag):
     """(n+, n-) of the family metric on the slice, modulo the stabiliser line."""
     gram = metric_gram(slice_frame(tag)[:7])
     return rational_signature(gram)
+
+
+def realized_threeform(tag):
+    """The (2,3) family three-form realized on the slice frame of tag; the
+    stabiliser is the eighth frame vector, so the form is theta^8-free."""
+    frame = slice_frame(tag)
+    dictionary = {sym: tuple(v[s] for v in frame) for s, sym in enumerate(SYMBOLS)}
+    return realize_threeform(threeform_from_sextic(family_sextic(2, 3)), dictionary)
+
+
+# -- the G2 compatibility identity, one contraction per vector -----------------
+
+
+def polarized_bryant_form(phi):
+    """B(x, y) in (x -| phi) ^ (y -| phi) ^ phi = B(x, y) vol, by polarization."""
+    units = [[ONE if k == j else ZERO for k in range(7)] for j in range(7)]
+    diagonal = [contraction_value(phi, e) for e in units]
+
+    def entry(i, j):
+        if i == j:
+            return diagonal[i]
+        both = [x + y for x, y in zip(units[i], units[j])]
+        return (contraction_value(phi, both) - diagonal[i] - diagonal[j]) * Fraction(1, 2)
+
+    return [[entry(i, j) for j in range(7)] for i in range(7)]
+
+
+def sampled_g2_identities(phi, samples, seed):
+    """g2_identities' dict, with (V -| phi) ^ (V -| phi) ^ phi built by
+    two wedges at every sampled vector and at the null direction."""
+    seven = AlgebraicScalar.rational(7)
+    out = {
+        "phi_wedge_star_phi_is_seven_vol": forms_equal(
+            wedge(phi, hodge_star(phi)), scale(volume_form(), seven)
+        )
+    }
+    rng = random.Random(seed)
+    constant = None
+    consistent = True
+    for _ in range(samples):
+        vector = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(7)]
+        gvv = metric_of_vector(vector)
+        cval = contraction_value(phi, vector)
+        if not gvv:
+            consistent = consistent and not cval
+            continue
+        ratio = cval * gvv.inv()
+        if constant is None:
+            constant = ratio
+        consistent = consistent and ratio == constant
+    out["contraction_proportional"] = consistent and constant is not None
+    out["contraction_constant"] = constant
+    out["contraction_constant_positive"] = bool(
+        constant and constant.is_rational() and constant.rational_value() > 0
+    )
+    null_vector = [ONE, I, ZERO, ZERO, ZERO, ZERO, ZERO]
+    out["null_direction_vanishes"] = (not metric_of_vector(null_vector)) and (
+        not contraction_value(phi, null_vector)
+    )
+    return out
 
 
 def t_polynomial(coeffs):

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from g2sextic import targets
 from g2sextic.exterior import (
+    ExteriorForm,
     forms_equal,
     hodge_star,
     is_basic,
@@ -13,15 +16,23 @@ from g2sextic.exterior import (
     wedge,
 )
 from g2sextic.g2verify import (
+    contraction_gram,
     contraction_value,
     g2_identities,
     metric_of_vector,
     verify_cocalibrated,
 )
 from g2sextic.liealg import extract_structure_constants, su21_basis
+from g2sextic.orbit import REAL_FORMS
 from g2sextic.scalar import AlgebraicScalar
 
-from reference_data import expected_phi, expected_star_phi
+from reference_data import (
+    expected_phi,
+    expected_star_phi,
+    polarized_bryant_form,
+    realized_threeform,
+    sampled_g2_identities,
+)
 
 SC = extract_structure_constants(su21_basis())
 PHI = expected_phi()
@@ -99,3 +110,63 @@ def test_contraction_direct_example():
 def test_rejects_non_basic_phi():
     with pytest.raises(ValueError):
         verify_cocalibrated(theta(1, 2, 8), SC)
+
+
+def doubled_phi():
+    """The unit three-form with its theta^145 coefficient doubled: B_11 = 12
+    but B_22 = 6, so the null direction E1 + i E2 no longer vanishes."""
+    terms = dict(targets.unit_three_form().terms)
+    terms[(1, 4, 5)] = terms[(1, 4, 5)] * 2
+    return ExteriorForm(3, terms)
+
+
+THREE_FORMS = ("unit", "doubled") + REAL_FORMS
+
+
+def three_form(name):
+    if name == "unit":
+        return targets.unit_three_form()
+    if name == "doubled":
+        return doubled_phi()
+    return realized_threeform(name)
+
+
+@pytest.mark.parametrize("samples,seed", [(0, 0), (20, 0), (20, 1), (20, 1107), (7, 3)])
+@pytest.mark.parametrize("name", THREE_FORMS)
+def test_identities_match_the_contraction_oracle(name, samples, seed):
+    # V^T B V against two wedges per sampled vector: the same dict, key
+    # for key, whatever phi is
+    phi = three_form(name)
+    assert g2_identities(phi, samples=samples, seed=seed) == sampled_g2_identities(
+        phi, samples, seed
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_changed_coefficient_breaks_proportionality(seed):
+    # the constant is still the first sample's ratio
+    phi = doubled_phi()
+    report = g2_identities(phi, samples=20, seed=seed)
+    assert not report["contraction_proportional"]
+    assert not report["null_direction_vanishes"]
+    rng = random.Random(seed)
+    first = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(7)]
+    assert metric_of_vector(first)
+    expected = contraction_value(phi, first) * metric_of_vector(first).inv()
+    assert report["contraction_constant"] == expected
+
+
+def test_unit_gram_is_six_times_the_metric():
+    # Bryant (math/0305124): B_phi = 6 g_phi vol_phi, and the unit form's
+    # g_phi is the coframe metric
+    six, zero = AlgebraicScalar.rational(6), AlgebraicScalar.rational(0)
+    expected = [[six if i == j else zero for j in range(7)] for i in range(7)]
+    assert contraction_gram(targets.unit_three_form()) == expected
+
+
+@pytest.mark.parametrize("name", THREE_FORMS)
+def test_gram_matches_polarization(name):
+    phi = three_form(name)
+    gram = contraction_gram(phi)
+    assert gram == polarized_bryant_form(phi)
+    assert all(gram[i][j] == gram[j][i] for i in range(7) for j in range(7))

@@ -5,7 +5,6 @@ import pytest
 
 from g2sextic.binform import BinaryForm
 from g2sextic.exterior import forms_equal, is_basic, is_zero, scale
-from g2sextic.g2verify import contraction_value
 from g2sextic.liealg import sigma_in_theta, su21_basis
 from g2sextic.orbit import (
     REAL_FORMS,
@@ -30,13 +29,15 @@ from g2sextic.orbit import (
     threeform_from_sextic,
     _real_slice_covectors,
 )
-from g2sextic.scalar import BASIS_SYMBOLS, ONE, ZERO
+from g2sextic.scalar import BASIS_SYMBOLS
 
 from reference_data import (
     expected_phi,
     metric_gram,
+    polarized_bryant_form,
     real_rank,
     real_slice,
+    realized_threeform,
     slice_frame,
     slice_inertia,
     stabiliser,
@@ -181,30 +182,14 @@ def test_slice_tables_span_solved_slice(tag):
     assert real_rank(columns + [stabiliser(tag)]) == 8
 
 
-def _bryant_form(phi):
-    """B(x, y) in (x -| phi) ^ (y -| phi) ^ phi = B(x, y) vol, by polarization."""
-    units = [[ONE if k == j else ZERO for k in range(7)] for j in range(7)]
-    diagonal = [contraction_value(phi, e) for e in units]
-
-    def entry(i, j):
-        if i == j:
-            return diagonal[i]
-        both = [x + y for x, y in zip(units[i], units[j])]
-        return (contraction_value(phi, both) - diagonal[i] - diagonal[j]) * Fraction(1, 2)
-
-    return [[entry(i, j) for j in range(7)] for i in range(7)]
-
-
 @pytest.mark.parametrize("tag", REAL_FORMS)
 def test_phi_metric_inertia(tag):
     # Bryant (math/0305124): (x -| phi) ^ (y -| phi) ^ phi = 6 g_phi(x, y)
     # vol_phi, so g_phi = det(B)^(-1/9) B is read from phi alone, with no
     # orientation, no family metric and no hand table
-    frame = slice_frame(tag)
-    dictionary = {sym: tuple(v[s] for v in frame) for s, sym in enumerate(SYMBOLS)}
-    phi = realize_threeform(threeform_from_sextic(family_sextic(2, 3)), dictionary)
+    phi = realized_threeform(tag)
     assert is_basic(phi)  # the stabiliser is the eighth frame vector
-    form = _bryant_form(phi)
+    form = polarized_bryant_form(phi)
     # every entry is a rational multiple of one common positive unit
     units = {k for row in form for entry in row for k, c in enumerate(entry.coords) if c}
     assert len(units) == 1

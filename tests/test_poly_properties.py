@@ -277,6 +277,17 @@ def test_monomial_quotient_with_a_negative_exponent_is_none_in_any_term_order(or
     assert dividend.exact_div(CTX.monomial(((0, -1), (2, 1)))) is None
 
 
+
+def test_laurent_quotient_past_the_bound_is_none_not_a_range_error():
+    # (a^(B-1) b) / (a^-1 b + a^-1 c): the per-variable degree test rejects
+    # it on c.  The leading quotient key would be a^B, so a leading-key
+    # test placed before the degree test must not raise ExponentRangeError
+    dividend = mono(0, B - 1) * mono(1, 1)
+    divisor = mono(0, -1) * mono(1, 1) + mono(0, -1) * mono(2, 1)
+    assert dividend.exact_div(divisor) is None
+    with pytest.raises(ExponentRangeError):  # by the leading term alone
+        dividend.exact_div(mono(0, -1) * mono(1, 1))
+
 # -- JetFunction trial reduction ----------------------------------------------------
 
 # primitive integer factors with a positive lex-leading coefficient, one of

@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library and itself,
-it and the tests read every name they import, and the package reads every
-private name it defines."""
+it and the tests read every name they import, the package reads every
+private name it defines, and the package, perfbench or the tests read
+every public name it defines."""
 
 import ast
 import sys
@@ -10,6 +11,7 @@ import g2sextic
 
 PACKAGE_DIR = Path(g2sextic.__file__).parent
 TESTS_DIR = Path(__file__).parent
+PERFBENCH_DIR = TESTS_DIR.parent / "perfbench"
 
 
 def foreign_imports(path: Path):
@@ -49,27 +51,52 @@ def unused_imports(path: Path):
     return sorted((line, name) for line, name in imported if name not in read)
 
 
-def dead_private_names(paths):
-    """(file name, line, name) for every private module-level function or
-    class, and every private method of a module-level class, whose name is
-    read nowhere in the given files (as a name, an attribute or an import)."""
-    defined, read = [], set()
+def defined_names(paths, private):
+    """(file name, line, name) for every module-level function or class, and
+    every method of a module-level class, whose name is private (one leading
+    underscore, not a dunder) or, with private=False, public."""
+    defined = []
     for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for node in tree.body:
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for d in [node] + members:
-                if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                        and d.name.startswith("_") and not d.name.endswith("__")):
+                if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    continue
+                is_private = d.name.startswith("_") and not d.name.endswith("__")
+                is_public = not d.name.startswith("_")
+                if is_private if private else is_public:
                     defined.append((path.name, d.lineno, d.name))
-        for node in ast.walk(tree):
+    return defined
+
+
+def read_names(paths):
+    """Every name the files read: as a name, an attribute or an import."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    return sorted(entry for entry in defined if entry[2] not in read)
+    return read
+
+
+def dead_private_names(paths):
+    """(file name, line, name) for every private module-level function or
+    class, and every private method of a module-level class, whose name is
+    read nowhere in the given files (as a name, an attribute or an import)."""
+    read = read_names(paths)
+    return sorted(entry for entry in defined_names(paths, private=True) if entry[2] not in read)
+
+
+def unread_public_names(paths, readers):
+    """(file name, line, name) for every public module-level function or
+    class, and every public method of a module-level class, in paths whose
+    name no file of readers reads."""
+    read = read_names(readers)
+    return sorted(entry for entry in defined_names(paths, private=False) if entry[2] not in read)
 
 
 def test_every_module_imports_only_stdlib_and_the_package():
@@ -128,4 +155,37 @@ def test_a_dead_private_name_is_reported(tmp_path):
                      "def _imported():\n    pass\ndef _attribute():\n    pass\n")
     assert dead_private_names([module, other]) == [
         ("module.py", 2, "_dead"), ("module.py", 6, "_Unused"), ("module.py", 11, "_orphan"),
+    ]
+
+
+def test_every_public_name_is_read():
+    # a public name that no command, criterion, perfbench workload or test
+    # reads is dead library surface; test-only readers are the reference
+    # helpers that tests compare against
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    readers = modules + sorted(PERFBENCH_DIR.glob("*.py")) + sorted(TESTS_DIR.glob("*.py"))
+    assert len(sorted(PERFBENCH_DIR.glob("*.py"))) > 3
+    assert unread_public_names(modules, readers) == []
+
+
+def test_an_unread_public_name_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def dead():\n    pass\n"
+        "def called():\n    pass\n"
+        "class Unused:\n"
+        "    def __init__(self):\n        self.kept()\n"
+        "    def kept(self):\n        pass\n"
+        "    def orphan(self):\n        pass\n"
+        "    def _private(self):\n        pass\n"
+        "def imported():\n    def nested():\n        pass\n    return called()\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("from module import imported\n")
+    assert unread_public_names([module], [module, reader]) == [
+        ("module.py", 1, "dead"), ("module.py", 5, "Unused"), ("module.py", 10, "orphan"),
+    ]
+    assert unread_public_names([module], [module]) == [
+        ("module.py", 1, "dead"), ("module.py", 5, "Unused"), ("module.py", 10, "orphan"),
+        ("module.py", 14, "imported"),
     ]
