@@ -366,14 +366,19 @@ SEVENTH_ORDER_CORPUS = (
 SCHWARZIAN = ("moebius-graphs", "3*y2^2/(2*y1)", 3)
 
 
+def _rhs_thetas(rhs_text: str, order: int) -> dict:
+    """Generalized invariants Theta_3..Theta_order of y^(order) = rhs_text."""
+    rhs = ExtendedJetFunction(parse_jet_expression(rhs_text, JetContext(order)))
+    # through the module's name, which perfbench's tracer rebinds
+    return wilczynski.generalized_theta(NonlinearODE(order, rhs))
+
+
 def criterion_corpus() -> list:
     """C12: generalized invariants of the printed 7th-order equations and
     the Schwarzian; expected zero, any nonzero value is reported."""
     out = []
     for name, rhs_text, order in SEVENTH_ORDER_CORPUS + (SCHWARZIAN,):
-        ctx = JetContext(order)
-        rhs = ExtendedJetFunction(parse_jet_expression(rhs_text, ctx))
-        thetas = wilczynski.generalized_theta(NonlinearODE(order, rhs))
+        thetas = _rhs_thetas(rhs_text, order)
         nonzero = {r: str(v) for r, v in thetas.items() if not v.is_zero()}
         out.append(_report(f"c12.{name}", not nonzero,
                            details={"order": order, "rhs": rhs_text,
@@ -441,8 +446,7 @@ def suite_ode_generalized(kappa_text: str | None = None, rhs_text: str | None = 
     """Invariants of y^(order) = rhs (order 7 by default) or of the curvature equation."""
     if rhs_text is not None:
         order = 7 if order is None else order
-        rhs = ExtendedJetFunction(parse_jet_expression(rhs_text, JetContext(order)))
-        thetas = wilczynski.generalized_theta(NonlinearODE(order, rhs))
+        thetas = _rhs_thetas(rhs_text, order)
         return [
             _report(f"ode.generalized-theta{r}", None, v,
                     details={"is_zero": v.is_zero(), "order": order})

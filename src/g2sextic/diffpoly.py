@@ -12,7 +12,8 @@ Three layers:
   exponents dropped, one-term factors split into variables).  One pass of
   trial division by Poly.exact_div, which divides by a monomial with an
   exponent shift, keeps the localized arithmetic of the invariant pipelines
-  reduced without any multivariate gcd; normalize() reduces by full gcd.
+  reduced without any multivariate gcd.  normalize() reduces fully: the
+  numerator takes its gcd with one denominator factor at a time.
 * ExtendedJetFunction - rank-3 algebraic extension by a formal generator u
   with u^3 = R, derivations acting by D(u) = (1/3)(D R / R) u.
 """
@@ -479,83 +480,57 @@ class Poly:
     __repr__ = __str__
 
 
-# -- multivariate gcd (primitive PRS); used by normalize() and tests ---------
-
-
-def _from_univar(ctx: JetContext, v: int, coeffs: dict) -> Poly:
-    shift = ctx._shifts[v]
-    out = {}
-    for k, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            out[e + (k << shift)] = c
-    return _poly(ctx, out)
-
-
-def _pseudo_rem(f: dict, g: dict, ctx: JetContext):
-    """Pseudo-remainder of dense univariate polys with Poly coefficients."""
-    df, dg = max(f), max(g)
-    lc_g = g[dg]
-    r = dict(f)
-    while r and max(r) >= dg:
-        dr = max(r)
-        lc_r = r.pop(dr)
-        # r = lc_g * r - lc_r * g * x^(dr-dg)
-        new = {}
-        for k, c in r.items():
-            new[k] = c * lc_g
-        for k, c in g.items():
-            if k == dg:
-                continue
-            kk = k + dr - dg
-            cur = new.get(kk, ctx.const(0))
-            new[kk] = cur - lc_r * c
-        r = {k: c for k, c in new.items() if not c.is_zero()}
-    return r
+# -- multivariate gcd (primitive PRS); used by normalize_pair() and tests ----
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Primitive gcd; the result is a primitive integer polynomial
-    (constant 1 when the inputs are coprime)."""
+    (constant 1 when the inputs are coprime).
+
+    The primitive polynomial remainder sequence in the variable of least
+    degree (Brown, J. ACM 18, 1971; Knuth, TAOCP vol. 2, 4.6.1): each
+    pseudo-remainder is divided by its content in that variable and by its
+    integer content, so the coefficients do not grow from step to step.
+    """
+    if a.is_zero() or b.is_zero():
+        return (a + b).primitive()[1]
     ctx = a.ctx
-    if a.is_zero():
-        return b.primitive()[1] if not b.is_zero() else ctx.const(0)
-    if b.is_zero():
-        return a.primitive()[1]
     used = a.variables() | b.variables()
     if not used:
         return ctx.const(1)
     v = min(used, key=lambda w: max(a.degree(ctx.names[w]), b.degree(ctx.names[w])))
-    fa, fb = a.coefficients(ctx.names[v]), b.coefficients(ctx.names[v])
-    cont_a = _coeff_gcd(list(fa.values()))
-    cont_b = _coeff_gcd(list(fb.values()))
-    cont = poly_gcd(cont_a, cont_b)
-    prim_a = {k: c.exact_div(cont_a) for k, c in fa.items()}
-    prim_b = {k: c.exact_div(cont_b) for k, c in fb.items()}
-    f, g = (prim_a, prim_b) if max(fa) >= max(fb) else (prim_b, prim_a)
-    while True:
-        if not g:
-            result = _from_univar(ctx, v, f)
+    name = ctx.names[v]
+    cont_a, f = _content_split(a, name)
+    cont_b, g = _content_split(b, name)
+    if f.degree(name) < g.degree(name):
+        f, g = g, f
+    while (dg := g.degree(name)) > 0:
+        lc_g = g.coefficients(name)[dg]
+        r = f
+        while (dr := r.degree(name)) >= dg:
+            shifted = g * ctx.monomial(((v, dr - dg),))
+            r = r * lc_g - shifted * r.coefficients(name)[dr]
+        if r.is_zero():
             break
-        if max(g) == 0:
-            result = ctx.const(1)
-            break
-        r = _pseudo_rem(f, g, ctx)
-        if not r:
-            result = _from_univar(ctx, v, g)
-            break
-        rc = _coeff_gcd(list(r.values()))
-        f, g = g, {k: c.exact_div(rc) for k, c in r.items()}
-    result = (result * cont)
-    return result.primitive()[1]
+        f, g = g, _content_split(r, name)[1]
+    else:
+        g = ctx.const(1)
+    return (g * poly_gcd(cont_a, cont_b)).primitive()[1]
 
 
-def _coeff_gcd(polys):
-    out = polys[0]
-    for p in polys[1:]:
-        out = poly_gcd(out, p)
-        if out.is_constant():
+def _content_split(p: Poly, name: str) -> tuple[Poly, Poly]:
+    """(content, part) of a nonzero p as a polynomial in name: the content
+    is the primitive gcd of its coefficients, and part = p / content with
+    its integer content removed too, a primitive integer polynomial."""
+    coeffs = iter(p.coefficients(name).values())
+    content = next(coeffs).primitive()[1]
+    for c in coeffs:
+        if content.is_constant():
             break
-    return out.primitive()[1] if not out.is_zero() else out
+        content = poly_gcd(content, c)
+    if not content.is_constant():
+        p = p.exact_div(content)
+    return content, p.primitive()[1]
 
 
 # -- rational jet functions ---------------------------------------------------
@@ -739,15 +714,24 @@ class JetFunction:
         return out
 
     def normalize_pair(self) -> tuple[Poly, Poly]:
-        """Fully reduced (num, den) by multivariate gcd; den primitive > 0."""
+        """Fully reduced (num, den); den primitive > 0.
+
+        The expanded numerator N meets the denominator one table factor at
+        a time, by gcd(N, f h) = gcd(N, f) gcd(N / gcd(N, f), h): each
+        copy of a factor f with e < 0 divides its gcd with N out of both,
+        and once that gcd is 1 the remaining copies of f go into den at once.
+        """
         num = self.numerator_polynomial()
-        den = self.denominator_polynomial()
+        den = self.ctx.const(1)
         if num.is_zero():
-            return num, num.ctx.const(1)
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+            return num, den
+        for f, e in self.factors.items():
+            while e < 0:
+                g = poly_gcd(num, f)
+                if g.is_constant():
+                    den = den * f ** -e
+                    break
+                num, den, e = num.exact_div(g), den * f.exact_div(g), e + 1
         unit, prim = den.primitive()
         return num.scale(1 / unit), prim
 
@@ -1114,7 +1098,13 @@ class _Parser:
             exponent = self._integer()
             if exponent < 0 and base.is_zero():
                 raise ParseError("negative power of zero", caret)
-            base = base ** exponent
+            try:
+                base = base ** exponent
+            except ExponentRangeError:
+                raise ParseError(
+                    f"power {exponent} leaves the exponent range "
+                    f"[-{EXPONENT_BOUND}, {EXPONENT_BOUND})", caret
+                ) from None
         return base
 
     def _base(self):

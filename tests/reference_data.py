@@ -13,12 +13,16 @@ Fractions, independently of the common-denominator integer sum of
 contracting phi with every sampled vector, independently of the Gram
 matrix B_phi that ``g2verify.g2_identities`` values them through, and
 B_phi itself is derived here by polarization of the direct contraction.
+The gcd of two polynomials is computed here by a primitive PRS on dense
+univariate dicts, independently of ``diffpoly.poly_gcd``, and a rational
+function is reduced by one gcd against its expanded denominator,
+independently of the per-factor route of ``JetFunction.normalize_pair``.
 """
 
 import random
 from fractions import Fraction
 
-from g2sextic.diffpoly import JetContext, JetFunction, PoleError
+from g2sextic.diffpoly import JetContext, JetFunction, PoleError, Poly, _poly, poly_gcd
 from g2sextic.exterior import (
     ExteriorForm,
     add,
@@ -355,3 +359,99 @@ def term_by_term_function_value(f, point):
             raise PoleError("denominator factor vanishes at the point")
         value *= base ** e
     return value
+
+
+def _from_univar(ctx: JetContext, v: int, coeffs: dict) -> Poly:
+    shift = ctx._shifts[v]
+    out = {}
+    for k, poly in coeffs.items():
+        for e, c in poly.terms.items():
+            out[e + (k << shift)] = c
+    return _poly(ctx, out)
+
+
+def _pseudo_rem(f: dict, g: dict, ctx: JetContext):
+    """Pseudo-remainder of dense univariate polys with Poly coefficients."""
+    df, dg = max(f), max(g)
+    lc_g = g[dg]
+    r = dict(f)
+    while r and max(r) >= dg:
+        dr = max(r)
+        lc_r = r.pop(dr)
+        # r = lc_g * r - lc_r * g * x^(dr-dg)
+        new = {}
+        for k, c in r.items():
+            new[k] = c * lc_g
+        for k, c in g.items():
+            if k == dg:
+                continue
+            kk = k + dr - dg
+            cur = new.get(kk, ctx.const(0))
+            new[kk] = cur - lc_r * c
+        r = {k: c for k, c in new.items() if not c.is_zero()}
+    return r
+
+
+def prs_gcd(a: Poly, b: Poly) -> Poly:
+    """Primitive gcd by the primitive PRS on dense univariate dicts of
+    Poly coefficients, in the variable of least degree; the result is a
+    primitive integer polynomial (constant 1 when the inputs are coprime).
+    The coefficients of each remainder lose their gcd, but a remainder
+    keeps its integer content, so the integers grow from step to step."""
+    ctx = a.ctx
+    if a.is_zero():
+        return b.primitive()[1] if not b.is_zero() else ctx.const(0)
+    if b.is_zero():
+        return a.primitive()[1]
+    used = a.variables() | b.variables()
+    if not used:
+        return ctx.const(1)
+    v = min(used, key=lambda w: max(a.degree(ctx.names[w]), b.degree(ctx.names[w])))
+    fa, fb = a.coefficients(ctx.names[v]), b.coefficients(ctx.names[v])
+    cont_a = _coeff_gcd(list(fa.values()))
+    cont_b = _coeff_gcd(list(fb.values()))
+    cont = prs_gcd(cont_a, cont_b)
+    prim_a = {k: c.exact_div(cont_a) for k, c in fa.items()}
+    prim_b = {k: c.exact_div(cont_b) for k, c in fb.items()}
+    f, g = (prim_a, prim_b) if max(fa) >= max(fb) else (prim_b, prim_a)
+    while True:
+        if not g:
+            result = _from_univar(ctx, v, f)
+            break
+        if max(g) == 0:
+            result = ctx.const(1)
+            break
+        r = _pseudo_rem(f, g, ctx)
+        if not r:
+            result = _from_univar(ctx, v, g)
+            break
+        rc = _coeff_gcd(list(r.values()))
+        f, g = g, {k: c.exact_div(rc) for k, c in r.items()}
+    result = (result * cont)
+    return result.primitive()[1]
+
+
+def _coeff_gcd(polys):
+    out = polys[0]
+    for p in polys[1:]:
+        out = prs_gcd(out, p)
+        if out.is_constant():
+            break
+    return out.primitive()[1] if not out.is_zero() else out
+
+
+def expanded_normalize_pair(f):
+    """(num, den) of a JetFunction reduced by one poly_gcd of its expanded
+    numerator against its expanded denominator; den primitive > 0.  The
+    PRS oracle is too slow here: it ran for more than 20 s on -5*a^2*c^3
+    + b^3 over (a*b*c + 2*a + b^2*c + 2*b)^3 (a^2 + a*b - a*c + a - b*c + b)."""
+    num = f.numerator_polynomial()
+    den = f.denominator_polynomial()
+    if num.is_zero():
+        return num, num.ctx.const(1)
+    g = poly_gcd(num, den)
+    if not g.is_constant():
+        num = num.exact_div(g)
+        den = den.exact_div(g)
+    unit, prim = den.primitive()
+    return num.scale(1 / unit), prim

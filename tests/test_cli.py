@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from g2sextic.cli import (
     main,
     suite_ode_generalized,
 )
+from g2sextic.diffpoly import ExtendedJetFunction, JetContext, parse_jet_expression
 
 
 def run_cli(argv):
@@ -24,6 +29,22 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return code, out.getvalue()
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_bounded(argv):
+    """(exit code, stdout, stderr) of `python -m g2sextic.cli argv` in a
+    fresh process; a run past 60 s fails the test instead of stalling the
+    suite."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    try:
+        done = subprocess.run([sys.executable, "-m", "g2sextic.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"g2sextic {' '.join(argv)} ran past 60 s")
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_g2_su21_all_pass():
@@ -61,6 +82,29 @@ def test_ode_generalized_rhs():
     )
     assert code == 0
     assert '"is_zero": true' in text
+
+
+@pytest.mark.parametrize("rhs", [
+    # Theta_3 has a 14-term numerator coprime to its denominator
+    # (y1^2 + y2)^3
+    "(y2*y3 - y1)/(y1^2 + y2)",
+    # Theta_3 has a 95-term numerator over the table factor
+    # (y1 - y2)(y1 + y3) to the power -6, whose expansion has 49 terms
+    "(y1^2-y2^2)/((y1-y2)*(y1+y3))",
+])
+def test_printed_invariants_finish_and_parse_back(rhs):
+    code, out, err = run_cli_bounded(
+        ["ode", "generalized", "--format", "json", "--rhs", rhs, "--order", "4"])
+    assert (code, err) == (0, "")
+    ctx = JetContext(4)
+    thetas = wilczynski.generalized_theta(
+        wilczynski.NonlinearODE(4, ExtendedJetFunction(parse_jet_expression(rhs, ctx))))
+    printed = {int(r["check"].removeprefix("ode.generalized-theta")): r["lhs"]
+               for r in json.loads(out)}
+    assert sorted(printed) == sorted(thetas) == [3, 4]
+    # compared outside the assert: a failing pair is printed by str
+    wrong = [r for r, text in printed.items() if parse_jet_expression(text, ctx) != thetas[r]]
+    assert wrong == []
 
 
 def test_ode_generalized_schwarzian():
@@ -179,6 +223,10 @@ def test_order_below_three_rejected(order, capsys):
     (["ode", "generalized", "--rhs", "2\u00b2", "--order", "3"], "unexpected '\u00b2' (at position 1)"),
     (["ode", "generalized", "--rhs", "\u0663*y1"], "unexpected '\u0663' (at position 0)"),
     (["ode", "generalized", "--kappa", "0"], "kappa must be nonzero"),
+    (["ode", "generalized", "--rhs", "y2^8192"],
+     "power 8192 leaves the exponent range [-8192, 8192) (at position 2)"),
+    (["ode", "generalized", "--rhs", "y1 + (y2^2) ^ 9000"],
+     "power 9000 leaves the exponent range [-8192, 8192) (at position 12)"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict
@@ -186,6 +234,14 @@ def test_bad_input_is_one_error_line(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_a_power_past_the_range_on_its_own_is_not_a_parse_error():
+    # x^-9000 is one denominator factor x with exponent -9000: no Poly
+    # exponent leaves the range while the text is parsed
+    code, text = run_cli(["ode", "generalized", "--rhs", "x^-9000"])
+    assert code == 0
+    assert text.count('"is_zero": true') == 5
 
 
 def _outcome(argv, capsys):

@@ -7,12 +7,17 @@ from outside: str, the lex-leading term, the ring laws, exact division
 and evaluation.  The JetFunction trial reduction is checked against
 Poly.exact_div, a printed JetFunction is checked to parse back to itself,
 and partial, the free and the on-equation D_x and the cube-root
-extension of a derivation are checked to be derivations.  The cube-root
-extension is checked to be a ring by evaluation at rational jets, u-free
-values to stay u-free, and every operation to return a factor table in
-the constructor's normal form.
+extension of a derivation are checked to be derivations.  poly_gcd is
+checked against the primitive PRS oracle, and the per-factor reduction
+of normalize_pair against one gcd with the expanded denominator.  The
+cube-root extension is checked to be a ring by evaluation at rational
+jets, u-free values to stay u-free, and every operation to return a
+factor table in the constructor's normal form.
 """
 
+import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
@@ -32,9 +37,10 @@ from g2sextic.diffpoly import (
     free_total_derivative_map,
     on_equation_derivative_map,
     parse_jet_expression,
+    poly_gcd,
 )
 
-from reference_data import term_by_term_value
+from reference_data import expanded_normalize_pair, prs_gcd, term_by_term_value
 
 NAMES = ("a", "b", "c")
 CTX = JetContext.plain(NAMES)
@@ -337,11 +343,93 @@ def test_field_operations_commute_with_evaluate(f, g, point):
 @settings(max_examples=50)
 @given(jet_functions())
 def test_str_parses_back(f):
-    # compared outside the assert: pytest would print a failing pair by str,
-    # whose poly_gcd can run for minutes on a wrongly parsed value
+    # compared outside the assert, so that a failure shows the printed text
     text = str(f)
     same = parse_jet_expression(text, f.ctx) == f
     assert same, text
+
+
+# -- gcd and the reduced pair ----------------------------------------------------------
+
+
+# small enough for the oracle, whose remainders keep their integer content
+gcd_exps = st.tuples(*[st.integers(0, 2)] * len(NAMES))
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(gcd_exps, coefs, max_size=4), st.dictionaries(gcd_exps, coefs, max_size=4),
+       st.dictionaries(gcd_exps, st.integers(-4, 4), max_size=3))
+def test_gcd_matches_the_prs_oracle(a, b, common):
+    h = build(common)
+    a, b = build(a) * h, build(b) * h
+    g = poly_gcd(a, b)
+    assert g == prs_gcd(a, b)
+    if not g.is_zero():
+        assert g.content() == 1 and g.leading()[1] > 0
+        assert a.exact_div(g) is not None and b.exact_div(g) is not None
+        assert g.exact_div(h) is not None
+
+
+@settings(max_examples=50)
+@given(jet_functions())
+def test_normalize_pair_matches_the_expanded_route(f):
+    assert f.normalize_pair() == expanded_normalize_pair(f)
+
+
+@st.composite
+def shared_factor_functions(draw):
+    """A JetFunction whose table holds products p q of two pool factors,
+    so reducible factors that may share a prime, to powers down to -3,
+    over a numerator that is a product of some of those primes."""
+    pairs = draw(st.lists(st.tuples(pool_factors, pool_factors), min_size=1, max_size=2))
+    primes = [p for pair in pairs for p in pair]
+    num = build(draw(st.dictionaries(plain_exps, coefs, min_size=1, max_size=2)))
+    for p in draw(st.lists(st.sampled_from(primes), max_size=4)):
+        num = num * p
+    factors = {p * q: draw(st.integers(-3, -1)) for p, q in pairs}
+    return JetFunction(CTX, num, factors)
+
+
+@settings(max_examples=40)
+@given(shared_factor_functions())
+def test_normalize_pair_over_shared_factors_matches_the_expanded_route(f):
+    num, den = f.normalize_pair()
+    assert (num, den) == expanded_normalize_pair(f)
+    assert JetFunction.from_polys(num, den) == f
+
+
+@contextmanager
+def cpu_seconds(limit):
+    """Raise TimeoutError once the block has spent limit seconds of this
+    process's user CPU time, which load from other processes does not
+    stretch."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over {limit} s of CPU time")
+
+    previous = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, limit)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
+
+
+def test_gcd_of_a_24_term_numerator_finishes():
+    # a remainder sequence that keeps the integer content of its remainders
+    # ran for more than 40 s on this pair; a primitive one takes about 0.1 s
+    rng = random.Random(1)
+    num = CTX.const(0)
+    while len(num.terms) < 24:
+        powers = ((0, rng.randint(0, 3)), (1, rng.randint(0, 6)), (2, rng.randint(0, 3)))
+        num = num + CTX.monomial(powers, rng.randint(-9, 9))
+    a, b, c = (CTX.var(name) for name in NAMES)
+    den = a * a + a * b + a * c + a + b * c + b  # (a + b)(a + c + 1)
+    with cpu_seconds(1):
+        assert poly_gcd(num, den) == CTX.const(1)
+    with cpu_seconds(1):
+        assert poly_gcd(num * (a + b), den) == a + b
 
 
 # -- derivations ------------------------------------------------------------------------
