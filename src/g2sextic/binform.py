@@ -7,17 +7,18 @@ BinaryForm, from_monomial_coeffs and invariant_I2 are generic: their
 coefficients may be any commutative ring elements supporting +, -, *
 (the orbit module feeds coframe-valued coefficients through them).
 transvectant, invariant_I3 and gl2_act take rational coefficients only
-(ints and Fractions).  They clear each input's denominators once, run
-their inner loops on ints, and divide once per output coefficient, so
-their results are in scalar.exact's int-or-Fraction normal form.
+(ints and Fractions).  They clear each input's denominators once with
+scalar.cleared, run their inner loops on ints, and divide once per output
+coefficient, so their results are in scalar.exact's int-or-Fraction
+normal form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
-from .scalar import exact, parse_rational
+from .scalar import cleared, exact, parse_rational
 
 # I2(V) = c6 * <V,V>_6 for the bare 1/p! transvectant; fixed by the
 # brute-force expansion oracle in the test suite.
@@ -99,14 +100,8 @@ class BinaryForm:
 #
 # Internally a form is expanded to its monomial coefficient list
 # m[k] = coefficient of t^(n-k) s^k, on which partial derivatives are
-# index shifts.  These lists hold ints: _cleared scales a list by the lcm L
-# of its denominators, and the result is divided by L once.
-
-
-def _cleared(coeffs):
-    """Int numerators of rational coeffs over their lcm denominator L: (nums, L)."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+# index shifts.  These lists hold ints: scalar.cleared scales a list by the
+# lcm L of its denominators, and the result is divided by L once.
 
 
 def _from_cleared_monomials(mono, den) -> BinaryForm:
@@ -152,7 +147,7 @@ def transvectant(u: BinaryForm, v: BinaryForm, p: int) -> BinaryForm:
         raise ValueError(f"transvectant order {p} is negative")
     if p > min(n, m):
         raise ValueError(f"transvectant order {p} exceeds min degree ({n}, {m})")
-    (mu, den_u), (mv, den_v) = _cleared(u.monomial_coeffs()), _cleared(v.monomial_coeffs())
+    (mu, den_u), (mv, den_v) = cleared(u.monomial_coeffs()), cleared(v.monomial_coeffs())
     acc = [0] * (n + m - 2 * p + 1)
     for i in range(p + 1):
         term = _mono_mul(_mixed_derivative(mu, p - i, i), _mixed_derivative(mv, i, p - i))
@@ -194,9 +189,9 @@ def gl2_act(v: BinaryForm, matrix) -> BinaryForm:
 
     With this convention an invariant of weight w picks up det(N)^w.
     """
-    (a, b, c, dd), den_m = _cleared([*matrix[0], *matrix[1]])
+    (a, b, c, dd), den_m = cleared([*matrix[0], *matrix[1]])
     n = v.degree
-    mono, den_v = _cleared(v.monomial_coeffs())
+    mono, den_v = cleared(v.monomial_coeffs())
     # new_t = a t + b s, new_s = c t + d s; expand sum m[k] new_t^(n-k) new_s^k,
     # which is den_m^n times the substitution by the cleared matrix
     t_pows = _power_list((a, b), n)

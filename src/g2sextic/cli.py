@@ -306,8 +306,7 @@ _RESIDUAL_BATCH = 100  # jets per batch of C10 residuals
 def criterion_sampling_oracle(samples: int = 50, seed: int = 0) -> list:
     """C10: Theta_8^3 - kappa0 Theta_3^8 = 0 at 50 exact cubic jets."""
     ctx = JetContext(7)
-    th3 = wilczynski.curve_theta3(ctx)
-    th8 = wilczynski.curve_theta8(ctx)
+    th3, th8 = wilczynski.curve_thetas(ctx)
     kappa0 = targets.KAPPA_CUSPIDAL
     # The residuals are taken per batch of drawn jets, so at most one batch
     # is held at once.  Batches rather than single jets: at 1,500 samples,

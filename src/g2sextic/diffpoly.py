@@ -20,10 +20,11 @@ Three layers:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd
 
-from .scalar import exact, power
+from .scalar import cleared, exact, power
 
 
 class DiffAlgebraError(ArithmeticError):
@@ -350,9 +351,7 @@ class Poly:
             if lo < 0 and not vals[v]:
                 raise PoleError(f"negative power of zero at {ctx.names[v]}")
             rows.append((vals[v], fields, lo, hi))
-        coefs = self.terms.values()
-        den = lcm(*[c.denominator for c in coefs])
-        column = [c.numerator * (den // c.denominator) for c in coefs]
+        column, den = cleared(self.terms.values())
         for value, fields, lo, hi in rows:
             n, d = value.numerator, value.denominator
             npow, dpow = [1], [1]
@@ -368,27 +367,17 @@ class Poly:
 
     # -- integer normal form -------------------------------------------------
 
-    def content(self) -> Fraction:
-        """Positive rational c with self = c * (primitive integer poly)."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, c.numerator)
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        return Fraction(num, den)
-
     def primitive(self) -> tuple[Fraction, "Poly"]:
         """(unit, poly) with self = unit * poly, poly primitive integer,
-        positive lex-leading coefficient."""
+        positive lex-leading coefficient: the cleared numerators over their
+        gcd, signed by the lex-leading one (Knuth, TAOCP vol. 2, 4.6.1)."""
         if not self.terms:
             return Fraction(0), self
-        c = self.content()
-        lead = self.terms[max(self.terms)]
-        if lead < 0:
-            c = -c
-        return c, self.scale(1 / c)
+        nums, den = cleared(self.terms.values())
+        g = int_gcd(*nums)
+        if self.terms[max(self.terms)] < 0:
+            g = -g
+        return Fraction(g, den), _poly(self.ctx, {e: n // g for e, n in zip(self.terms, nums)})
 
     def leading(self):
         """(powers, coef) of the lex-leading term, as in monomials()."""
@@ -430,14 +419,8 @@ class Poly:
                 return None
         unit, prim = divisor.primitive()
         dterms = prim.terms
-        scale = 1
-        for c in self.terms.values():
-            if type(c) is not int:
-                scale = lcm(scale, c.denominator)
-        if scale == 1:
-            rem = dict(self.terms)
-        else:
-            rem = {e: c.numerator * (scale // c.denominator) for e, c in self.terms.items()}
+        nums, scale = cleared(self.terms.values())
+        rem = dict(zip(self.terms, nums))
         de = max(dterms)
         dc = dterms[de]
         shift = one - de
@@ -1036,6 +1019,9 @@ def _is_digit(ch: str) -> bool:
     return ch.isascii() and ch.isdigit()
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 class _Parser:
     """Tokens: names from the context, integer literals, + - * / ^ ( )."""
 
@@ -1059,36 +1045,34 @@ class _Parser:
             raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
         return value
 
+    def _apply(self, op: str, at: int, a, b):
+        """a op b for a binary operator at position at; an exponent that
+        leaves the packed range is a ParseError there."""
+        try:
+            return _BINARY[op](a, b)
+        except ExponentRangeError as exc:
+            raise ParseError(str(exc), at) from None
+
     def _expr(self):
         value = self._term()
-        while True:
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self._term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self._term()
-            else:
-                return value
+        while (op := self._peek()) in ("+", "-"):
+            at = self.pos
+            self.pos += 1
+            value = self._apply(op, at, value, self._term())
+        return value
 
     def _term(self):
         value = self._factor()
-        while True:
-            ch = self._peek()
-            if ch == "*":
-                self.pos += 1
-                value = value * self._factor()
-            elif ch == "/":
-                self.pos += 1
-                self._skip_ws()
-                at = self.pos
-                divisor = self._factor()
-                if divisor.is_zero():
-                    raise ParseError("division by zero", at)
-                value = value / divisor
-            else:
-                return value
+        while (op := self._peek()) in ("*", "/"):
+            at = self.pos
+            self.pos += 1
+            self._skip_ws()
+            start = self.pos
+            operand = self._factor()
+            if op == "/" and operand.is_zero():
+                raise ParseError("division by zero", start)
+            value = self._apply(op, at, value, operand)
+        return value
 
     def _factor(self):
         base = self._base()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 BASIS_SYMBOLS = ("1", "i", "r2", "ir2", "r5", "ir5", "r10", "ir10")
 
@@ -213,10 +214,12 @@ SQRT10 = AlgebraicScalar((0, 0, 0, 0, 0, 0, 1, 0))
 
 # -- algorithms shared by every exact coefficient type -----------------------
 #
-# The one square-and-multiply and the one Gauss-Jordan loop of the package.
-# power serves AlgebraicScalar and diffpoly's Poly, JetFunction and
-# ExtendedJetFunction, each passing its own unit; row_reduce solves over
-# Fraction, AlgebraicScalar and JetFunction.
+# The one square-and-multiply, the one Gauss-Jordan loop and the one
+# denominator clearing of the package.  power serves AlgebraicScalar and
+# diffpoly's Poly, JetFunction and ExtendedJetFunction, each passing its own
+# unit; row_reduce solves over Fraction, AlgebraicScalar and JetFunction;
+# cleared puts the rational kernels on ints: binform's transvectant and
+# GL(2) action, and Poly's evaluate, exact_div and primitive.
 
 
 def power(base, n: int, one):
@@ -262,6 +265,14 @@ def row_reduce(rows, ncols: int):
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
         pivots.append(col)
     return mat, pivots
+
+
+def cleared(values):
+    """(ints, den) with ints[i] / den == values[i] and den the lcm of the
+    denominators of the rationals values (ints and Fractions); ([], 1) for
+    none.  values is read twice, so pass a sequence or a dict view."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # -- textual serialization -------------------------------------------------

@@ -440,11 +440,6 @@ def _graph_equation(ctx: JetContext) -> _Equation:
     )
 
 
-def curve_theta3(ctx: JetContext) -> JetFunction:
-    """Theta_3 = P3 - (3/2) P2' on graphs; equals halphen_theta3 / (-54)."""
-    return _graph_equation(ctx).thetas()[3]
-
-
 def theta8(theta3: JetFunction, p2: JetFunction, derive) -> JetFunction:
     """Theta_8 = 6 T T'' - 7 (T')^2 - 27 P2 T^2 for T = Theta_3."""
     t1 = derive(theta3)
@@ -452,9 +447,12 @@ def theta8(theta3: JetFunction, p2: JetFunction, derive) -> JetFunction:
     return theta3 * t2 * 6 - t1 * t1 * 7 - p2 * theta3 * theta3 * 27
 
 
-def curve_theta8(ctx: JetContext) -> JetFunction:
+def curve_thetas(ctx: JetContext) -> tuple[JetFunction, JetFunction]:
+    """(Theta_3, Theta_8) on graphs, from one graph equation: Theta_3 =
+    P3 - (3/2) P2' equals halphen_theta3 / (-54)."""
     graph = _graph_equation(ctx)
-    return theta8(graph.thetas()[3], graph.P(2), graph.derive)
+    theta3 = graph.thetas()[3]
+    return theta3, theta8(theta3, graph.P(2), graph.derive)
 
 
 # -- projective curvature --------------------------------------------------------
@@ -555,8 +553,7 @@ def curvature_ode(kappa=None) -> NonlinearODE:
     if not symbolic and not Fraction(kappa):
         raise ValueError("kappa must be nonzero")
     ctx = curvature_context(symbolic)
-    theta3 = curve_theta3(ctx)
-    t8 = curve_theta8(ctx)
+    theta3, t8 = curve_thetas(ctx)
     a_coef = t8.partial("y7")
     if a_coef.is_zero():
         raise DiffAlgebraError("Theta_8 lost its y7 term")

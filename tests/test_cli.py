@@ -227,6 +227,11 @@ def test_order_below_three_rejected(order, capsys):
      "power 8192 leaves the exponent range [-8192, 8192) (at position 2)"),
     (["ode", "generalized", "--rhs", "y1 + (y2^2) ^ 9000"],
      "power 9000 leaves the exponent range [-8192, 8192) (at position 12)"),
+    # a product or a sum that leaves the range is placed at its operator
+    (["ode", "generalized", "--rhs", "y2^8000*y2^8000"],
+     "exponent 16000 of y2 outside [-8192, 8192) (at position 7)"),
+    (["ode", "generalized", "--rhs", "y2^-8000 + y2^8000"],
+     "exponent 16000 of y2 outside [-8192, 8192) (at position 9)"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict

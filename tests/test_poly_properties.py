@@ -19,6 +19,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -151,6 +152,18 @@ def test_coefficients_stay_exact(a, b, c):
         quotient = (pa * pb).exact_div(pb)  # None when a has negative exponents
         results += [quotient] if quotient is not None else []
     assert all(exact_coefficients(p) for p in results)
+
+
+@given(st.dictionaries(laurent_exps, unlike_coefs, min_size=1, max_size=5))
+def test_primitive_splits_off_a_signed_rational_unit(d):
+    p = build(d)
+    assume(not p.is_zero())
+    unit, prim = p.primitive()
+    assert unit * prim == p
+    ints = [c for _, c in prim.monomials()]
+    assert all(type(c) is int for c in ints) and gcd(*ints) == 1
+    assert prim.leading()[1] > 0
+    assert prim.primitive() == (1, prim)
 
 
 # -- the ring laws -------------------------------------------------------------------
@@ -365,7 +378,7 @@ def test_gcd_matches_the_prs_oracle(a, b, common):
     g = poly_gcd(a, b)
     assert g == prs_gcd(a, b)
     if not g.is_zero():
-        assert g.content() == 1 and g.leading()[1] > 0
+        assert g.primitive() == (1, g) and g.leading()[1] > 0
         assert a.exact_div(g) is not None and b.exact_div(g) is not None
         assert g.exact_div(h) is not None
 

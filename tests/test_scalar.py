@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from g2sextic import cli, g2verify, targets
 from g2sextic.diffpoly import JetContext
@@ -14,6 +17,7 @@ from g2sextic.scalar import (
     SQRT5,
     SQRT10,
     AlgebraicScalar,
+    cleared,
     format_algebraic,
     format_rational,
     parse_rational,
@@ -141,6 +145,27 @@ def test_power_is_repeated_product():
         for n in range(10):
             assert power(x, n, one) == product
             product = product * x
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+
+@given(st.lists(st.integers(-50, 50) | st.fractions(max_denominator=60), max_size=8))
+def test_cleared_rebuilds_every_value_over_the_lcm(values):
+    ints, den = cleared(values)
+    assert all(type(n) is int for n in ints)
+    assert [Fraction(n, den) for n in ints] == values
+    # den is a common multiple of the denominators that divides their
+    # product, and it stops being one when any of its primes (all below 60)
+    # is divided out: so it is their lcm
+    dens = [Fraction(v).denominator for v in values]
+    assert all(den % d == 0 for d in dens) and prod(dens) % den == 0
+    assert all(any((den // p) % d for d in dens) for p in SMALL_PRIMES if den % p == 0)
+
+
+def test_cleared_of_nothing_is_an_empty_list_over_one():
+    assert cleared([]) == ([], 1)
+    assert cleared({}.values()) == ([], 1)
 
 
 def test_inverse_examples():

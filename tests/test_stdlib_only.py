@@ -1,7 +1,8 @@
 """The package imports nothing outside the standard library and itself,
 it and the tests read every name they import, the package reads every
 private name it defines, and the package, perfbench or the tests read
-every public name it defines."""
+every public name it defines.  Only scalar.py takes math.lcm, so
+scalar.cleared stays the one routine that clears denominators."""
 
 import ast
 import sys
@@ -49,6 +50,19 @@ def unused_imports(path: Path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     return sorted((line, name) for line, name in imported if name not in read)
+
+
+def lcm_lines(path: Path):
+    """Lines of the file that take math.lcm: a `from math import lcm`,
+    under any alias, or a read of the attribute math.lcm."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            lines += [node.lineno for alias in node.names if alias.name == "lcm"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "lcm"
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 def defined_names(paths, private):
@@ -132,6 +146,21 @@ def test_an_unused_import_is_reported(tmp_path):
         "print(sys.argv, g)\nlcm = 1\n"
     )
     assert unused_imports(module) == [(2, "os"), (3, "os"), (6, "lcm")]
+
+
+def test_only_scalar_takes_lcm():
+    # scalar.cleared is the package's one denominator-clearing routine
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert {p.name for p in modules if lcm_lines(p)} == {"scalar.py"}
+
+
+def test_taking_lcm_is_reported(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import math\nfrom math import gcd, lcm as least\nfrom fractions import lcm\n"
+        "math.lcm(2, 3)\nmath.gcd(2, 3)\nother.lcm\n"
+    )
+    assert lcm_lines(module) == [2, 4]
 
 
 def test_every_private_name_is_read():

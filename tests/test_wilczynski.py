@@ -38,8 +38,7 @@ from g2sextic.wilczynski import (
     curvature_kappa_log_curve,
     curvature_ode,
     curvature_thetas,
-    curve_theta3,
-    curve_theta8,
+    curve_thetas,
     generalized_theta,
     graph_ode,
     halphen_theta3,
@@ -330,7 +329,7 @@ def _halphen_numerator_on_power_curve(q):
 
 def test_halphen_vs_semi_calibration():
     ctx = JetContext(7)
-    assert halphen_theta3(ctx) == curve_theta3(ctx) * HALPHEN_VS_SEMI
+    assert halphen_theta3(ctx) == curve_thetas(ctx)[0] * HALPHEN_VS_SEMI
 
 
 def test_theta8_zero_input():
@@ -393,8 +392,7 @@ def test_kappa_degenerate_rejected():
 
 def test_curvature_ode_structure():
     ctx = JetContext(7)
-    th3 = curve_theta3(ctx)
-    th8 = curve_theta8(ctx)
+    th3, th8 = curve_thetas(ctx)
     a_coef = th8.partial("y7")
     dmap = free_total_derivative_map(ctx)
     # A = 2r Theta_r * (y7-coefficient of Theta_3'') with r = 3
@@ -417,7 +415,7 @@ def test_curvature_ode_rejects_zero_kappa():
 
 def test_cubic_jets_satisfy_curvature_equation():
     ctx = JetContext(7)
-    th3, th8 = curve_theta3(ctx), curve_theta8(ctx)
+    th3, th8 = curve_thetas(ctx)
     for t0 in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3)):
         jets = jets_along_curve(T_SQUARED, T_CUBED, 7, t0)
         assert th8.evaluate(jets) ** 3 - KAPPA0 * th3.evaluate(jets) ** 8 == 0
@@ -426,7 +424,7 @@ def test_cubic_jets_satisfy_curvature_equation():
 def test_power_curve_jets_constant_curvature():
     # projective images of (t^p, t^q) keep kappa = kappa(q/p) pointwise
     ctx = JetContext(7)
-    th3, th8 = curve_theta3(ctx), curve_theta8(ctx)
+    th3, th8 = curve_thetas(ctx)
     shear = [[1, 2, 0], [0, 1, -1], [1, 0, 1]]  # det 3, any invertible works
     for p, q in ((2, 3), (1, 4), (2, 5)):
         kappa = kappa_closed_form(Fraction(q, p))
@@ -680,7 +678,7 @@ def test_sampler_jets_match_symbolic_chain(seed, monkeypatch):
 def test_theta_values_at_sampled_jets_match_term_by_term(seed):
     # C10's residuals evaluate these two at every sampled jet
     ctx = JetContext(7)
-    thetas = (curve_theta3(ctx), curve_theta8(ctx))
+    thetas = curve_thetas(ctx)
     for jets in cli.cuspidal_jet_samples(200, seed):
         for th in thetas:
             assert th.num.evaluate(jets) == term_by_term_value(th.num, jets)
