@@ -24,7 +24,6 @@ from . import binform, g2verify, orbit, targets, wilczynski
 from .binform import BinaryForm
 from .diffpoly import (
     DiffAlgebraError,
-    ExtendedJetFunction,
     JetContext,
     PoleError,
     parse_jet_expression,
@@ -367,7 +366,7 @@ SCHWARZIAN = ("moebius-graphs", "3*y2^2/(2*y1)", 3)
 
 def _rhs_thetas(rhs_text: str, order: int) -> dict:
     """Generalized invariants Theta_3..Theta_order of y^(order) = rhs_text."""
-    rhs = ExtendedJetFunction(parse_jet_expression(rhs_text, JetContext(order)))
+    rhs = parse_jet_expression(rhs_text, JetContext(order))
     # through the module's name, which perfbench's tracer rebinds
     return wilczynski.generalized_theta(NonlinearODE(order, rhs))
 

@@ -15,7 +15,10 @@ Three layers:
   reduced without any multivariate gcd.  normalize() reduces fully: the
   numerator takes its gcd with one denominator factor at a time.
 * ExtendedJetFunction - rank-3 algebraic extension by a formal generator u
-  with u^3 = R, derivations acting by D(u) = (1/3)(D R / R) u.
+  with u^3 = R, derivations acting by D(u) = (1/3)(D R / R) u.  Every
+  element declares its cube base R.  Only the curvature equation
+  Theta_8^3 = kappa Theta_3^8 enters the extension; an equation with a
+  rational right-hand side stays with JetFunction.
 """
 
 from __future__ import annotations
@@ -830,35 +833,26 @@ class ExtendedJetFunction:
 
     __slots__ = ("c0", "c1", "c2", "base")
 
-    def __init__(self, c0: JetFunction, c1=None, c2=None, base: JetFunction | None = None):
-        ctx = c0.ctx
-        zero = JetFunction(ctx, ctx.const(0), {})
-        self.c0 = c0
-        self.c1 = c1 if c1 is not None else zero
-        self.c2 = c2 if c2 is not None else zero
-        self.base = base
-        if base is None and (self.c1 or self.c2):
-            raise ValueError("u-components need a declared cube base")
+    def __init__(self, c0: JetFunction, c1: JetFunction, c2: JetFunction, base: JetFunction):
+        self.c0, self.c1, self.c2, self.base = c0, c1, c2, base
 
     @property
     def ctx(self):
         return self.c0.ctx
 
     @staticmethod
-    def coerce(other, like: "ExtendedJetFunction"):
+    def _coerce(other, like: "ExtendedJetFunction"):
+        """other as an element over like.base, or None."""
         if isinstance(other, ExtendedJetFunction):
             return other
-        if isinstance(other, JetFunction):
-            return ExtendedJetFunction(other)
         if isinstance(other, (int, Fraction)):
-            return ExtendedJetFunction(like.ctx.fn(other))
+            other = like.ctx.fn(other)
+        if isinstance(other, JetFunction):
+            zero = like.ctx.fn(0)
+            return ExtendedJetFunction(other, zero, zero, like.base)
         return None
 
     def _join_base(self, other: "ExtendedJetFunction"):
-        if self.base is None:
-            return other.base
-        if other.base is None:
-            return self.base
         if self.base is other.base or self.base == other.base:
             return self.base
         raise ValueError("incompatible cube-root bases")
@@ -873,7 +867,7 @@ class ExtendedJetFunction:
         return self.c1.is_zero() and self.c2.is_zero()
 
     def __add__(self, other):
-        o = self.coerce(other, self)
+        o = self._coerce(other, self)
         if o is None:
             return NotImplemented
         return ExtendedJetFunction(
@@ -886,7 +880,7 @@ class ExtendedJetFunction:
         return ExtendedJetFunction(-self.c0, -self.c1, -self.c2, self.base)
 
     def __sub__(self, other):
-        o = self.coerce(other, self)
+        o = self._coerce(other, self)
         if o is None:
             return NotImplemented
         return self + (-o)
@@ -895,17 +889,14 @@ class ExtendedJetFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self.coerce(other, self)
+        o = self._coerce(other, self)
         if o is None:
             return NotImplemented
         base = self._join_base(o)
         a0, a1, a2 = self.c0, self.c1, self.c2
         b0, b1, b2 = o.c0, o.c1, o.c2
-        if base is None:
-            return ExtendedJetFunction(a0 * b0)
-        r = base
-        c0 = a0 * b0 + r * (a1 * b2 + a2 * b1)
-        c1 = a0 * b1 + a1 * b0 + r * (a2 * b2)
+        c0 = a0 * b0 + base * (a1 * b2 + a2 * b1)
+        c1 = a0 * b1 + a1 * b0 + base * (a2 * b2)
         c2 = a0 * b2 + a1 * b1 + a2 * b0
         return ExtendedJetFunction(c0, c1, c2, base)
 
@@ -927,10 +918,10 @@ class ExtendedJetFunction:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of extended element")
-        return power(self, n, ExtendedJetFunction(self.ctx.fn(1), base=self.base))
+        return power(self, n, self._coerce(1, self))
 
     def __eq__(self, other):
-        o = self.coerce(other, self)
+        o = self._coerce(other, self)
         if o is None:
             return NotImplemented
         return (self - o).is_zero()
@@ -946,17 +937,15 @@ class ExtendedJetFunction:
         # the images under dmap may themselves carry u-components (the
         # on-equation total derivative does), so everything is assembled
         # with full extension arithmetic
-        d0 = self.coerce(self.c0.derivative(dmap), self)
-        if self.base is None:
-            return d0
+        d0 = self._coerce(self.c0.derivative(dmap), self)
         u = self.generator()
-        rho = self.coerce(self.base.log_derivative(dmap) / 3, self)
+        rho = self._coerce(self.base.log_derivative(dmap) / 3, self)
         out = d0
         if self.c1:
-            d1 = self.coerce(self.c1.derivative(dmap), self) + rho * self.c1
+            d1 = self._coerce(self.c1.derivative(dmap), self) + rho * self.c1
             out = out + d1 * u
         if self.c2:
-            d2 = self.coerce(self.c2.derivative(dmap), self) + rho * (self.c2 * 2)
+            d2 = self._coerce(self.c2.derivative(dmap), self) + rho * (self.c2 * 2)
             out = out + d2 * u * u
         return out
 

@@ -39,7 +39,7 @@ from .exterior import (
     volume_form,
     wedge,
 )
-from .scalar import ZERO, AlgebraicScalar
+from .scalar import ZERO, AlgebraicScalar, I
 
 # The volume form theta^{1...7} that orients *; C02 reports it next to lambda.
 ORIENTATION = "theta1^...^theta7"
@@ -187,9 +187,7 @@ def g2_identities(phi: ExteriorForm, samples: int = 20, seed: int = 0) -> dict:
         constant and constant.is_rational() and constant.rational_value() > 0
     )
     # complexified null direction: V = E1 + i E2 has g(V, V) = 0
-    from .scalar import I as IMAG
-
-    null_vector = [AlgebraicScalar.rational(1), IMAG, ZERO, ZERO, ZERO, ZERO, ZERO]
+    null_vector = [AlgebraicScalar.rational(1), I, ZERO, ZERO, ZERO, ZERO, ZERO]
     out["null_direction_vanishes"] = (not metric_of_vector(null_vector)) and (
         not _quadratic(gram, null_vector)
     )

@@ -504,10 +504,15 @@ def curvature_kappa_log_curve() -> Fraction:
 
 @dataclass(frozen=True)
 class NonlinearODE:
-    """y^(n) = F(x, y, y1, .., y_(n-1)), F free of y_n."""
+    """y^(n) = F(x, y, y1, .., y_(n-1)), F free of y_n.
+
+    F is a JetFunction when rational.  Only the curvature equation
+    (curvature_ode) has an F with a formal cube root, an
+    ExtendedJetFunction over u^3 = kappa Theta_3^8.
+    """
 
     order: int
-    rhs: ExtendedJetFunction
+    rhs: JetFunction | ExtendedJetFunction
 
     def __post_init__(self):
         top = self.rhs.ctx.jet_name(self.order)
@@ -526,7 +531,7 @@ def linear_as_nonlinear(ode: LinearODE, ctx: JetContext) -> NonlinearODE:
     total = ctx.fn(0)
     for i in range(1, n + 1):
         total = total + embed(ode.p[i - 1], ctx) * ctx.fn(ctx.jet_name(n - i)) * comb(n, i)
-    return NonlinearODE(n, ExtendedJetFunction(-total))
+    return NonlinearODE(n, -total)
 
 
 def _embed_x_function(f: JetFunction, ctx: JetContext) -> JetFunction:
@@ -580,7 +585,7 @@ def generalized_theta(ode: NonlinearODE) -> dict:
         n,
         lambda i: ode.rhs.partial(ctx.jet_name(n - i)) * Fraction(-1, comb(n, i)),
         lambda f: f.derivative(dmap),
-        ExtendedJetFunction(ctx.fn(1), base=ode.rhs.base),
+        ode.rhs ** 0,
     )
     return equation.thetas()
 
@@ -617,8 +622,7 @@ def specialize_kappa(thetas, k) -> dict:
 
     return {
         r: ExtendedJetFunction(
-            specialize(t.c0), specialize(t.c1), specialize(t.c2),
-            None if t.base is None else specialize(t.base),
+            specialize(t.c0), specialize(t.c1), specialize(t.c2), specialize(t.base)
         )
         for r, t in thetas.items()
     }
@@ -631,7 +635,7 @@ def wunschmann_relations(theta3, theta4, ode: NonlinearODE):
     ctx = ode.ctx
     dmap = on_equation_derivative_map(ctx, 7, ode.rhs)
     w1 = theta3 * (-3430)
-    d_theta3 = ExtendedJetFunction.coerce(theta3, ode.rhs).derivative(dmap)
+    d_theta3 = (ode.rhs ** 0 * theta3).derivative(dmap)
     w2 = (
         theta4
         + d_theta3 * Fraction(2, 5)

@@ -19,7 +19,7 @@ from g2sextic.cli import (
     main,
     suite_ode_generalized,
 )
-from g2sextic.diffpoly import ExtendedJetFunction, JetContext, parse_jet_expression
+from g2sextic.diffpoly import JetContext, parse_jet_expression
 
 
 def run_cli(argv):
@@ -98,7 +98,7 @@ def test_printed_invariants_finish_and_parse_back(rhs):
     assert (code, err) == (0, "")
     ctx = JetContext(4)
     thetas = wilczynski.generalized_theta(
-        wilczynski.NonlinearODE(4, ExtendedJetFunction(parse_jet_expression(rhs, ctx))))
+        wilczynski.NonlinearODE(4, parse_jet_expression(rhs, ctx)))
     printed = {int(r["check"].removeprefix("ode.generalized-theta")): r["lhs"]
                for r in json.loads(out)}
     assert sorted(printed) == sorted(thetas) == [3, 4]
@@ -232,6 +232,12 @@ def test_order_below_three_rejected(order, capsys):
      "exponent 16000 of y2 outside [-8192, 8192) (at position 7)"),
     (["ode", "generalized", "--rhs", "y2^-8000 + y2^8000"],
      "exponent 16000 of y2 outside [-8192, 8192) (at position 9)"),
+    # these parse to one large factor exponent and overflow only while
+    # the equation is derived, where no text position exists
+    (["ode", "generalized", "--rhs", "(1/y2)^9000"],
+     "exponent 8192 of y2 outside [-8192, 8192)"),
+    (["ode", "generalized", "--rhs", "y2^8000/y2^-8000"],
+     "exponent 15999 of y2 outside [-8192, 8192)"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict
@@ -394,6 +400,30 @@ def test_golden_report_text(argv, code, text):
 def test_golden_g2_json(realform, code, digest):
     got_code, text = run_cli(["g2", "--realform", realform, "--format", "json"])
     assert got_code == code
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# `ode generalized --format json` stdout: three rational --rhs equations,
+# C12's two-cusp-sextics equation and the curvature equation at kappa = 3
+GOLDEN_GENERALIZED_SHA256 = [
+    (["--rhs", "(y2*y3 - y1)/(y1^2 + y2)", "--order", "4"],
+     "b258db9b0c01081de99a1d41cf82636f544ed91399670d66f2aee99cf33106b0"),
+    (["--rhs", "(y1^2-y2^2)/((y1-y2)*(y1+y3))", "--order", "4"],
+     "72b85f201303ddc79097836e62e95d439f1d89caf0866c437975968b053ea437"),
+    (["--rhs", "3*y2^2/(2*y1)", "--order", "3"],
+     "a8f54164778859dce267739c5e62406846fb2e1a7155962b82f93e3bcbc63d96"),
+    (["--rhs", "(105*y6*y5*y4 - 84*y5^3)/(25*y4^2)", "--order", "7"],
+     "643d514abe4e03d1492b8a37157441298b11b06ee9107711fc37849ef3d36915"),
+    (["--kappa", "3"],
+     "768c87d843a64f89cc3205ed0bb3091754220c8bca9c24730cf501d1f33dcb85"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_GENERALIZED_SHA256,
+                         ids=[" ".join(args) for args, _ in GOLDEN_GENERALIZED_SHA256])
+def test_golden_generalized_json(args, digest):
+    code, text = run_cli(["ode", "generalized", "--format", "json", *args])
+    assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -170,8 +170,8 @@ def test_pow_and_inverse():
 
 def test_extended_restriction_agrees_with_plain():
     base = fn("y2^8")
-    a = ExtendedJetFunction(fn("y2 + x"), base=base)
-    b = ExtendedJetFunction(fn("y3"), base=base)
+    a = ExtendedJetFunction(fn("y2 + x"), fn("0"), fn("0"), base)
+    b = ExtendedJetFunction(fn("y3"), fn("0"), fn("0"), base)
     plain = (fn("y2 + x") * fn("y3") + fn("y2 + x") - fn("y3")) ** 2
     ext = (a * b + a - b) ** 2
     assert ext.u_free()
@@ -203,6 +203,36 @@ def test_extended_total_derivative_consistency():
     lhs = (u * u * du) * 3  # d(u^3) = 3 u^2 du
     assert lhs.u_free()
     assert lhs.c0 == total_derivative(base)
+
+
+def test_extended_bases_must_agree():
+    zero, one = fn("0"), fn("1")
+    u = ExtendedJetFunction(zero, one, zero, fn("y2^8"))
+    v = ExtendedJetFunction(zero, one, zero, fn("y3"))
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="^incompatible cube-root bases$"):
+            op(u, v)
+
+
+def test_extended_equal_bases_combine():
+    # two base objects of one value: _join_base's == branch, not its `is`
+    zero, one = fn("0"), fn("1")
+    u = ExtendedJetFunction(zero, one, zero, fn("y2^8"))
+    v = ExtendedJetFunction(zero, one, zero, fn("y2^8"))
+    assert u.base is not v.base
+    assert (u + v).base is u.base
+    assert u * v * u == ExtendedJetFunction(fn("y2^8"), zero, zero, v.base)
+
+
+def test_extended_rejects_negative_powers_and_u_bearing_divisors():
+    zero, one = fn("0"), fn("1")
+    u = ExtendedJetFunction(zero, one, zero, fn("y2^8"))
+    with pytest.raises(ValueError):
+        u ** -1
+    with pytest.raises(ValueError):
+        fn("y3") * u ** 0 / u
+    # a u-free divisor is its c0
+    assert (u / (u * u * u)) * fn("y2^8") == u
 
 
 def test_partial_derivative_examples():

@@ -540,7 +540,8 @@ def test_cube_root_extension_is_a_ring(h, parts, point):
 def test_u_freeness_survives_u_free_operands(h, f, g, k):
     assume(h)
     base = h ** 3
-    a, b = ExtendedJetFunction(f, base=base), ExtendedJetFunction(g, base=base)
+    zero = JET_CTX.fn(0)
+    a, b = ExtendedJetFunction(f, zero, zero, base), ExtendedJetFunction(g, zero, zero, base)
     results = [(a + b, f + g), (a - b, f - g), (a * b, f * g), (a * g, f * g), (a * k, f * k),
                (a / k, f / k)]
     if g:

@@ -482,6 +482,24 @@ def test_lemma_distinguished_value():
     assert all(v.u_free() for v in thetas.values())
 
 
+def test_curvature_invariants_carry_the_equation_base():
+    # the cube base is declared once, by curvature_ode, and every
+    # invariant keeps that object
+    ode = curvature_ode()
+    thetas = generalized_theta(ode)
+    assert all(isinstance(v, ExtendedJetFunction) for v in thetas.values())
+    assert all(v.base is ode.rhs.base for v in thetas.values())
+
+
+def test_rational_rhs_invariants_are_jet_functions():
+    # an equation with a rational right-hand side never enters the extension
+    ctx = JetContext(4)
+    rhs = parse_jet_expression("(y2*y3 - y1)/(y1^2 + y2)", ctx)
+    thetas = generalized_theta(NonlinearODE(4, rhs))
+    assert sorted(thetas) == [3, 4]
+    assert all(type(v) is JetFunction for v in thetas.values())
+
+
 def test_lemma_other_value_nonzero(direct_kappa_one):
     assert not direct_kappa_one[6].is_zero()
     assert direct_kappa_one[3].is_zero()
@@ -511,15 +529,16 @@ def test_specialize_kappa_rejects_kappa_in_a_factor(part):
     # with kappa in a factor table, kappa -> k need not be a homomorphism
     ctx = curvature_context(True)
     bad = ctx.fn(1) / ctx.fn("kappa")
-    value = (ExtendedJetFunction(bad) if part == "c0"
-             else ExtendedJetFunction(ctx.fn(0), ctx.fn(1), base=bad))
+    zero, one = ctx.fn(0), ctx.fn(1)
+    value = (ExtendedJetFunction(bad, zero, zero, ctx.fn("y2")) if part == "c0"
+             else ExtendedJetFunction(zero, one, zero, bad))
     with pytest.raises(DiffAlgebraError):
         specialize_kappa({3: value}, 1)
 
 
 def test_generalized_trivial_equation():
     ctx = JetContext(7)
-    ode = NonlinearODE(7, ExtendedJetFunction(ctx.fn(0)))
+    ode = NonlinearODE(7, ctx.fn(0))
     assert all(v.is_zero() for v in generalized_theta(ode).values())
 
 
@@ -529,11 +548,11 @@ def test_generalized_matches_classical_on_linear():
     ctx = JetContext(3)
     gen = generalized_theta(linear_as_nonlinear(lin, ctx))
     th = gen[3]
-    assert th.u_free()
+    assert isinstance(th, JetFunction)
     # equality of functions of x inside the jet ring
     for x0 in (Fraction(1), Fraction(2), Fraction(-1, 3)):
         point = {"x": x0, "y": 0, "y1": 0, "y2": 0}
-        assert th.c0.evaluate(point) == classical[3].evaluate({"x": x0})
+        assert th.evaluate(point) == classical[3].evaluate({"x": x0})
 
 
 def _p_form_values(n, p_jet, point_of):
@@ -579,7 +598,7 @@ def test_p_form_at_points_matches_linear_ode():
 
 def test_p_form_at_points_matches_nonlinear_ode():
     ctx = JetContext(4)
-    rhs = ExtendedJetFunction(parse_jet_expression("x*y3^2 + y*y2 - y1^3", ctx))
+    rhs = parse_jet_expression("x*y3^2 + y*y2 - y1^3", ctx)
     ode = NonlinearODE(4, rhs)
     dmap = on_equation_derivative_map(ctx, 4, rhs)
     p_jet = _jet_table(
@@ -605,7 +624,7 @@ def test_wunschmann_relations_of_a_constant_theta3():
     # D_x of a constant Theta_3 is 0, not the constant: W2 = -240100 *
     # (-12/35) * dF/dy6 = 164640 y6 for F = y6^2
     ctx = JetContext(7)
-    ode = NonlinearODE(7, ExtendedJetFunction(parse_jet_expression("y6^2", ctx)))
+    ode = NonlinearODE(7, parse_jet_expression("y6^2", ctx))
     w1, w2 = wunschmann_relations(Fraction(1), Fraction(0), ode)
     assert w1 == -3430
     assert w2 == parse_jet_expression("164640*y6", ctx)
