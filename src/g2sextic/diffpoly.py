@@ -390,10 +390,16 @@ class Poly:
     def exact_div(self, divisor: "Poly"):
         """Quotient when divisor divides self exactly, else None (lex).
 
-        A monomial divides by an exponent shift; any other divisor on
-        integers: self = F / scale and divisor = unit * D with F integral
-        and D primitive integral.  By Gauss's lemma F / D is integral when
-        it exists, so the first non-integer quotient coefficient disproves it.
+        The tests run in this order.  A monomial divides by an exponent
+        shift.  For any other divisor the leading term of a quotient q is
+        lead(self) / lead(divisor), since lead(q * divisor) is
+        lead(q) * lead(divisor) in lex order (Monagan & Pearce, CASC 2007):
+        one key subtraction rejects a quotient whose leading term has a
+        negative exponent.  Then a variable of higher degree in the divisor
+        than in self rejects it.  Last, the quotient loop runs on integers:
+        self = F / scale and divisor = unit * D with F integral and D
+        primitive integral.  By Gauss's lemma F / D is integral when it
+        exists, so the first non-integer quotient coefficient disproves it.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -416,6 +422,10 @@ class Poly:
             if over is not None:  # no exponent negative, one too large
                 raise ctx._range_error(over, 3)
             return _poly(ctx, out)
+        de = max(divisor.terms)
+        # a leading exponent past the top is left to the tests below
+        if (max(self.terms) - de + one + bias) & top != top:
+            return None
         for v in divisor.variables():
             name = self.ctx.names[v]
             if self.degree(name) < divisor.degree(name):
@@ -424,7 +434,6 @@ class Poly:
         dterms = prim.terms
         nums, scale = cleared(self.terms.values())
         rem = dict(zip(self.terms, nums))
-        de = max(dterms)
         dc = dterms[de]
         shift = one - de
         lower = [(e2 - one, c2) for e2, c2 in dterms.items()]

@@ -17,12 +17,15 @@ The gcd of two polynomials is computed here by a primitive PRS on dense
 univariate dicts, independently of ``diffpoly.poly_gcd``, and a rational
 function is reduced by one gcd against its expanded denominator,
 independently of the per-factor route of ``JetFunction.normalize_pair``.
+An exact quotient is computed here by long division with no leading-key
+test, the route ``Poly.exact_div`` took before it rejected a quotient
+whose leading term has a negative exponent.
 """
 
 import random
 from fractions import Fraction
 
-from g2sextic.diffpoly import JetContext, JetFunction, PoleError, Poly, _poly, poly_gcd
+from g2sextic.diffpoly import JetContext, JetFunction, PoleError, Poly, _div, _poly, poly_gcd
 from g2sextic.exterior import (
     ExteriorForm,
     add,
@@ -43,7 +46,7 @@ from g2sextic.orbit import (
     realize_threeform,
     threeform_from_sextic,
 )
-from g2sextic.scalar import AlgebraicScalar, I, ONE, SQRT10, ZERO
+from g2sextic.scalar import AlgebraicScalar, I, ONE, SQRT10, ZERO, cleared
 from g2sextic.wilczynski import DegenerateCurveError
 
 R10 = SQRT10
@@ -455,3 +458,59 @@ def expanded_normalize_pair(f):
         den = den.exact_div(g)
     unit, prim = den.primitive()
     return num.scale(1 / unit), prim
+
+
+def long_division(dividend: Poly, divisor: Poly):
+    """dividend / divisor when it is exact, else None, with the outcomes of
+    Poly.exact_div: a monomial divisor shifts exponents; any other divisor
+    meets the per-variable degree test and then long division in lex order
+    on the cleared integer numerators by the divisor's primitive part.  A
+    negative quotient exponent is None and one past the bound raises
+    ExponentRangeError, in the order the terms meet them."""
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if dividend.is_zero():
+        return dividend
+    ctx = dividend.ctx
+    one, top, bias, mask = ctx._one, ctx._top, ctx._div_bias, ctx._div_mask
+    if len(divisor.terms) == 1:
+        (de, dc), = divisor.terms.items()
+        out = {}
+        over = None
+        for e, c in dividend.terms.items():
+            qe = e + one - de
+            if (qe + bias) & mask != top:
+                if (qe + bias) & top != top:
+                    return None
+                over = qe
+            out[qe] = _div(c, dc)
+        if over is not None:
+            raise ctx._range_error(over, 3)
+        return _poly(ctx, out)
+    for v in divisor.variables():
+        name = ctx.names[v]
+        if dividend.degree(name) < divisor.degree(name):
+            return None
+    unit, prim = divisor.primitive()
+    nums, scale = cleared(dividend.terms.values())
+    rem = dict(zip(dividend.terms, nums))
+    de = max(prim.terms)
+    dc = prim.terms[de]
+    out = {}
+    while rem:
+        re = max(rem)
+        qe = re + one - de
+        if (qe + bias) & mask != top and not ctx._quotient_in_range(qe):
+            return None
+        qc, r = divmod(rem[re], dc)
+        if r:
+            return None
+        out[qe] = qc
+        for e2, c2 in prim.terms.items():
+            e = qe + e2 - one
+            nc = rem.get(e, 0) - qc * c2
+            if nc:
+                rem[e] = nc
+            else:
+                rem.pop(e, None)
+    return _poly(ctx, {e: _div(c, scale * unit) for e, c in out.items()})

@@ -427,6 +427,22 @@ def test_golden_generalized_json(args, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# `verify-all --format json --seed S` stdout; exit 1 is the standing
+# c05.signature-su3 fail
+GOLDEN_VERIFY_ALL_SHA256 = [
+    ("1", 1, "796cf157ea873945ef575b333332b92ba1e01976dde1f49054acb8e60ca6c708"),
+    ("1107", 1, "34cd573015b0e1827d461c979a3cc2d64ae8fba00ac70529e824f7e93e8b34ab"),
+]
+
+
+@pytest.mark.parametrize("seed, code, digest", GOLDEN_VERIFY_ALL_SHA256,
+                         ids=[seed for seed, _, _ in GOLDEN_VERIFY_ALL_SHA256])
+def test_golden_verify_all_json(seed, code, digest):
+    got_code, text = run_cli(["verify-all", "--format", "json", "--seed", seed])
+    assert got_code == code
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_json_reports_deterministic():
     _, first = run_cli(["g2", "--realform", "su21", "--format", "json"])
     _, second = run_cli(["g2", "--realform", "su21", "--format", "json"])

@@ -4,7 +4,9 @@ The reference model keeps a polynomial as {exponent tuple: Fraction},
 multiplies by adding tuples and prints with the documented format, so
 the kernel's representation of exponents and coefficients is checked
 from outside: str, the lex-leading term, the ring laws, exact division
-and evaluation.  The JetFunction trial reduction is checked against
+and evaluation.  Exact division is also checked against the long-division
+oracle, which has no leading-key test, on Laurent pairs near the exponent
+bound.  The JetFunction trial reduction is checked against
 Poly.exact_div, a printed JetFunction is checked to parse back to itself,
 and partial, the free and the on-equation D_x and the cube-root
 extension of a derivation are checked to be derivations.  poly_gcd is
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 
 import pytest
 
+from g2sextic import diffpoly
 from g2sextic.diffpoly import (
     EXPONENT_BOUND,
     DiffAlgebraError,
@@ -34,6 +37,7 @@ from g2sextic.diffpoly import (
     JetContext,
     JetFunction,
     PoleError,
+    Poly,
     _poly,
     free_total_derivative_map,
     on_equation_derivative_map,
@@ -41,7 +45,7 @@ from g2sextic.diffpoly import (
     poly_gcd,
 )
 
-from reference_data import expanded_normalize_pair, prs_gcd, term_by_term_value
+from reference_data import expanded_normalize_pair, long_division, prs_gcd, term_by_term_value
 
 NAMES = ("a", "b", "c")
 CTX = JetContext.plain(NAMES)
@@ -306,6 +310,64 @@ def test_laurent_quotient_past_the_bound_is_none_not_a_range_error():
     assert dividend.exact_div(divisor) is None
     with pytest.raises(ExponentRangeError):  # by the leading term alone
         dividend.exact_div(mono(0, -1) * mono(1, 1))
+
+
+def test_a_leading_key_miss_needs_no_degree_content_or_clearing(monkeypatch):
+    # (a b + c) / (a^2 + b): the leading quotient term would be a^-1 b, so
+    # the division fails before the degree test, the divisor's content and
+    # the clearing of the dividend
+    dividend = mono(0, 1) * mono(1, 1) + mono(2, 1)
+    divisor = mono(0, 2) + mono(1, 1)
+
+    def unreachable(*args):
+        raise AssertionError("ran past the leading-key test")
+
+    monkeypatch.setattr(Poly, "degree", unreachable)
+    monkeypatch.setattr(Poly, "primitive", unreachable)
+    monkeypatch.setattr(diffpoly, "cleared", unreachable)
+    assert dividend.exact_div(divisor) is None
+
+
+@st.composite
+def division_pairs(draw):
+    """(dividend, divisor) over Laurent divisors.  Half of the dividends
+    are q * divisor, with q shifted to the top or bottom of the range in
+    one variable v for some; a quarter are such a product plus one term.
+    In the last quarter both are shifted in v so that the leading quotient
+    term has exponent EXPONENT_BOUND in v, one past the range.  No draw
+    starts a quotient inside the range near its top without being a
+    product: over a Laurent divisor the quotient loop can then step an
+    exponent down thousands of times before one turns negative."""
+    divisor = build(draw(st.dictionaries(laurent_exps, coefs, min_size=1, max_size=4)))
+    assume(not divisor.is_zero())
+    kind = draw(st.sampled_from(("hit", "hit", "near", "past")))
+    v = draw(st.sampled_from(range(len(NAMES))))
+    if kind == "past":
+        dividend = build(draw(st.dictionaries(laurent_exps, nonzero, min_size=1, max_size=5)))
+        top = dividend.degree(NAMES[v])
+        lead = dict(dividend.leading()[0]).get(v, 0) - top
+        dlead = dict(divisor.leading()[0]).get(v, 0)
+        return dividend * mono(v, -top) * mono(v, B - 1), divisor * mono(v, lead - 1 - dlead)
+    q = build(draw(laurent)) * mono(v, draw(st.sampled_from((0, B - 7, 7 - B))))
+    product = q * divisor
+    if kind == "near":
+        product = product + build(draw(st.dictionaries(laurent_exps, coefs, max_size=1)))
+    return product, divisor
+
+
+def outcome(divide, dividend, divisor):
+    try:
+        return divide(dividend, divisor)
+    except ExponentRangeError as err:
+        return ExponentRangeError, str(err)
+
+
+@settings(max_examples=300)
+@given(division_pairs())
+def test_exact_div_matches_long_division(pair):
+    # the same quotient, None or ExponentRangeError as the oracle
+    dividend, divisor = pair
+    assert outcome(Poly.exact_div, dividend, divisor) == outcome(long_division, dividend, divisor)
 
 # -- JetFunction trial reduction ----------------------------------------------------
 
