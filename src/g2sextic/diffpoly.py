@@ -16,7 +16,10 @@ Three layers:
   numerator takes its gcd with one denominator factor at a time.
 * ExtendedJetFunction - rank-3 algebraic extension by a formal generator u
   with u^3 = R, derivations acting by D(u) = (1/3)(D R / R) u.  Every
-  element declares its cube base R.  Only the curvature equation
+  element declares its cube base R.  A number or a JetFunction is a
+  u-free scalar that acts on the components c0, c1, c2 and is never
+  lifted.  u never gets a branch: evaluation takes u's value from the
+  caller and checks its cube.  Only the curvature equation
   Theta_8^3 = kappa Theta_3^8 enters the extension; an equation with a
   rational right-hand side stays with JetFunction.
 """
@@ -38,16 +41,15 @@ class PoleError(DiffAlgebraError):
     """Evaluation at a zero of the denominator."""
 
 
-class CubeRootError(DiffAlgebraError):
-    """Evaluation needs an irrational (or undeclared) cube root."""
-
-
 class MissingJetError(DiffAlgebraError):
     """A total derivative needed a jet variable beyond the declared universe."""
 
 
 class ExponentRangeError(DiffAlgebraError):
     """An exponent left the packed range [-EXPONENT_BOUND, EXPONENT_BOUND)."""
+
+    def __init__(self, name: str, k: int):
+        super().__init__(f"exponent {k} of {name} outside [-{EXPONENT_BOUND}, {EXPONENT_BOUND})")
 
 
 # -- packed monomials ----------------------------------------------------------
@@ -122,10 +124,7 @@ class JetContext:
         key = self._one
         for v, k in exps.items():
             if not -EXPONENT_BOUND <= k < EXPONENT_BOUND:
-                raise ExponentRangeError(
-                    f"exponent {k} of {self.names[v]} outside "
-                    f"[-{EXPONENT_BOUND}, {EXPONENT_BOUND})"
-                )
+                raise ExponentRangeError(self.names[v], k)
             key += k << self._shifts[v]
         return key
 
@@ -147,9 +146,7 @@ class JetContext:
             k = ((biased >> shift) & _FIELD_MASK) - bias
             if not -EXPONENT_BOUND <= k < EXPONENT_BOUND:
                 break
-        return ExponentRangeError(
-            f"exponent {k} of {self.names[v]} outside [-{EXPONENT_BOUND}, {EXPONENT_BOUND})"
-        )
+        return ExponentRangeError(self.names[v], k)
 
     def _quotient_in_range(self, key: int) -> bool:
         """For a quotient key failing the guard test: False when some
@@ -294,10 +291,7 @@ class Poly:
             if not k:
                 continue
             if k == -EXPONENT_BOUND:
-                raise ExponentRangeError(
-                    f"exponent {k - 1} of {name} outside "
-                    f"[-{EXPONENT_BOUND}, {EXPONENT_BOUND})"
-                )
+                raise ExponentRangeError(name, k - 1)
             out[e - step] = exact(c * k)
         return _poly(ctx, out)
 
@@ -836,9 +830,18 @@ def total_derivative(f, rhs=None, order: int | None = None):
 
 # -- the cube-root extension ---------------------------------------------------
 
+# the u-free operands, which act on an extension element's components
+_SCALARS = (int, Fraction, JetFunction)
+
 
 class ExtendedJetFunction:
-    """c0 + c1 u + c2 u^2 with u^3 = base (a nonzero JetFunction)."""
+    """c0 + c1 u + c2 u^2 with u^3 = base (a nonzero JetFunction).
+
+    A number or a JetFunction is a u-free scalar: * multiplies each
+    component by it, + adds it to c0, and neither lifts it into the
+    extension.  u never gets a branch: evaluate takes u's value from the
+    caller.
+    """
 
     __slots__ = ("c0", "c1", "c2", "base")
 
@@ -876,11 +879,12 @@ class ExtendedJetFunction:
         return self.c1.is_zero() and self.c2.is_zero()
 
     def __add__(self, other):
-        o = self._coerce(other, self)
-        if o is None:
+        if isinstance(other, _SCALARS):
+            return ExtendedJetFunction(self.c0 + other, self.c1, self.c2, self.base)
+        if not isinstance(other, ExtendedJetFunction):
             return NotImplemented
         return ExtendedJetFunction(
-            self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2, self._join_base(o)
+            self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2, self._join_base(other)
         )
 
     __radd__ = __add__
@@ -898,12 +902,13 @@ class ExtendedJetFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other, self)
-        if o is None:
+        if isinstance(other, _SCALARS):
+            return ExtendedJetFunction(self.c0 * other, self.c1 * other, self.c2 * other, self.base)
+        if not isinstance(other, ExtendedJetFunction):
             return NotImplemented
-        base = self._join_base(o)
+        base = self._join_base(other)
         a0, a1, a2 = self.c0, self.c1, self.c2
-        b0, b1, b2 = o.c0, o.c1, o.c2
+        b0, b1, b2 = other.c0, other.c1, other.c2
         c0 = a0 * b0 + base * (a1 * b2 + a2 * b1)
         c1 = a0 * b1 + a1 * b0 + base * (a2 * b2)
         c2 = a0 * b2 + a1 * b1 + a2 * b0
@@ -913,16 +918,12 @@ class ExtendedJetFunction:
 
     def __truediv__(self, other):
         if isinstance(other, ExtendedJetFunction):
-            if other.u_free():
-                other = other.c0
-            else:
+            if not other.u_free():
                 raise ValueError("division by u-bearing element not supported")
+            other = other.c0
         if isinstance(other, (int, Fraction)):
             other = self.ctx.fn(other)
-        inv = other.inverse()
-        return ExtendedJetFunction(
-            self.c0 * inv, self.c1 * inv, self.c2 * inv, self.base
-        )
+        return self * other.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -938,18 +939,13 @@ class ExtendedJetFunction:
     def partial(self, name: str) -> "ExtendedJetFunction":
         return self.derivative({name: self.ctx.fn(1)})
 
-    def generator(self) -> "ExtendedJetFunction":
-        zero = self.ctx.fn(0)
-        return ExtendedJetFunction(zero, self.ctx.fn(1), zero, self.base)
-
     def derivative(self, dmap: dict) -> "ExtendedJetFunction":
-        # the images under dmap may themselves carry u-components (the
-        # on-equation total derivative does), so everything is assembled
-        # with full extension arithmetic
-        d0 = self._coerce(self.c0.derivative(dmap), self)
-        u = self.generator()
-        rho = self._coerce(self.base.log_derivative(dmap) / 3, self)
-        out = d0
+        # the images under dmap may carry u-components (the on-equation
+        # total derivative does), so each D(c_k) is lifted; D(u) = rho u
+        zero = self.ctx.fn(0)
+        u = ExtendedJetFunction(zero, self.ctx.fn(1), zero, self.base)
+        rho = self.base.log_derivative(dmap) / 3
+        out = self._coerce(self.c0.derivative(dmap), self)
         if self.c1:
             d1 = self._coerce(self.c1.derivative(dmap), self) + rho * self.c1
             out = out + d1 * u
@@ -958,13 +954,11 @@ class ExtendedJetFunction:
             out = out + d2 * u * u
         return out
 
-    def evaluate(self, point: dict) -> Fraction:
-        if self.u_free():
-            return self.c0.evaluate(point)
-        r = self.base.evaluate(point)
-        root = _rational_cube_root(r)
-        if root is None:
-            raise CubeRootError(f"{r} has no rational cube root")
+    def evaluate(self, point: dict, root) -> Fraction:
+        """The value at point with u = root; a ValueError unless root^3
+        is the base's value there."""
+        if root ** 3 != self.base.evaluate(point):
+            raise ValueError(f"{root} is not a cube root of the base at the point")
         return (
             self.c0.evaluate(point)
             + self.c1.evaluate(point) * root
@@ -977,29 +971,6 @@ class ExtendedJetFunction:
         return f"({self.c0}) + ({self.c1})*u + ({self.c2})*u^2  [u^3 = {self.base}]"
 
     __repr__ = __str__
-
-
-def _rational_cube_root(q: Fraction):
-    """The rational cube root of q, or None when it is irrational."""
-
-    def int_root(n: int):
-        m = abs(n)  # bisection on |n|, the sign restored at the end
-        lo, hi = 0, 1 << ((m.bit_length() + 2) // 3 + 1)
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            c = mid ** 3
-            if c == m:
-                return mid if n >= 0 else -mid
-            if c < m:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
-
-    a, b = int_root(q.numerator), int_root(q.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
 
 
 # -- expression parser ---------------------------------------------------------

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from g2sextic.diffpoly import (
-    CubeRootError,
     ExtendedJetFunction,
     JetContext,
     JetFunction,
@@ -12,7 +11,6 @@ from g2sextic.diffpoly import (
     ParseError,
     PoleError,
     Poly,
-    _rational_cube_root,
     free_total_derivative_map,
     parse_jet_expression,
     poly_gcd,
@@ -235,6 +233,33 @@ def test_extended_rejects_negative_powers_and_u_bearing_divisors():
     assert (u / (u * u * u)) * fn("y2^8") == u
 
 
+def test_u_free_operands_act_on_components_unlifted(monkeypatch):
+    # a number or a JetFunction multiplies each of c0, c1, c2 and adds to
+    # c0; none of *, + and / lifts it into the extension
+    def no_lift(other, like):
+        raise AssertionError(f"{other} was lifted into the extension")
+
+    base = fn("y2^8")
+    a = ExtendedJetFunction(fn("y3 + x"), fn("1/y4"), fn("y2*y5"), base)
+    g = fn("(y3 - 2)/(y2 + y4)")
+    parts = [a.c0, a.c1, a.c2]
+    monkeypatch.setattr(ExtendedJetFunction, "_coerce", staticmethod(no_lift))
+    expected = [
+        (a * g, [c * g for c in parts]),
+        (g * a, [g * c for c in parts]),
+        (a * 3, [c * 3 for c in parts]),
+        (Fraction(2, 7) * a, [c * Fraction(2, 7) for c in parts]),
+        (a + g, [parts[0] + g, parts[1], parts[2]]),
+        (g + a, [g + parts[0], parts[1], parts[2]]),
+        (5 + a, [parts[0] + 5, parts[1], parts[2]]),
+        (a / g, [c / g for c in parts]),
+        (a / 4, [c / 4 for c in parts]),
+    ]
+    for got, components in expected:
+        assert got.base is base
+        assert [got.c0, got.c1, got.c2] == components
+
+
 def test_partial_derivative_examples():
     assert fn("y2^2*y5").partial("y5") == fn("y2^2")
     coeff = fn("y3*y7 + y2").partial("y7")
@@ -242,35 +267,24 @@ def test_partial_derivative_examples():
 
 
 def test_extended_evaluate():
+    # u's value comes from the caller; its cube must be the base's value
     base = fn("y2^3")
     u = ExtendedJetFunction(fn("0"), fn("1"), fn("0"), base)
-    assert u.evaluate({"y2": 2}) == 2
-    expr = ExtendedJetFunction(fn("x"), fn("1"), fn("0"), fn("x^3 * 8"))
-    assert expr.evaluate({"x": 3}) == 3 + 6
-    bad = ExtendedJetFunction(fn("0"), fn("1"), fn("0"), fn("y2"))
-    with pytest.raises(CubeRootError):
-        bad.evaluate({"y2": 2})
-    assert bad.evaluate({"y2": 27}) == 3
-    assert bad.evaluate({"y2": -8}) == -2
-
-
-def test_rational_cube_root_is_exact():
-    # small cubes and the non-cubes next to them, of both signs
-    for k in range(-60, 61):
-        assert _rational_cube_root(Fraction(k ** 3)) == k
-        if k:
-            assert _rational_cube_root(Fraction(k ** 3 + k // abs(k))) is None
-    # numerators and denominators of at least 2^50, around and far above it
-    big = 3 ** 40 + 1
-    for n in (2 ** 17, 2 ** 17 + 1, 10 ** 6 + 3, big):
-        assert n ** 3 >= 2 ** 50
-        assert _rational_cube_root(Fraction(n ** 3, 8)) == Fraction(n, 2)
-        assert _rational_cube_root(Fraction(-27, n ** 3)) == Fraction(-3, n)
-        assert _rational_cube_root(Fraction(-(n ** 3), 7 ** 3)) == Fraction(-n, 7)
-        assert _rational_cube_root(Fraction(n ** 3 + 1, 8)) is None
-        assert _rational_cube_root(Fraction(-8, n ** 3 - 1)) is None
-    assert _rational_cube_root(Fraction(big ** 3, (big + 1) ** 3)) == Fraction(big, big + 1)
-    assert _rational_cube_root(Fraction(2 ** 51, 3)) is None
+    assert u.evaluate({"y2": 2}, 2) == 2
+    expr = ExtendedJetFunction(fn("x"), fn("1"), fn("y2"), fn("x^3 * 8"))
+    assert expr.evaluate({"x": 3, "y2": 5}, 6) == 3 + 6 + 5 * 36
+    # no branch is chosen: any root with the right cube is taken as given
+    cube = ExtendedJetFunction(fn("0"), fn("0"), fn("1"), fn("y2"))
+    assert cube.evaluate({"y2": Fraction(27, 8)}, Fraction(3, 2)) == Fraction(9, 4)
+    assert cube.evaluate({"y2": -8}, -2) == 4
+    for point, root in (({"y2": 2}, 2), ({"y2": 27}, -3), ({"y2": 27}, Fraction(3, 2))):
+        with pytest.raises(ValueError, match="is not a cube root of the base"):
+            cube.evaluate(point, root)
+    # a u-free element checks its root too
+    with pytest.raises(ValueError):
+        ExtendedJetFunction(fn("y2"), fn("0"), fn("0"), base).evaluate({"y2": 2}, 3)
+    with pytest.raises(PoleError):
+        ExtendedJetFunction(fn("1/y3"), fn("0"), fn("0"), base).evaluate({"y2": 1, "y3": 0}, 1)
 
 
 def test_parser_errors_and_grammar():

@@ -581,19 +581,24 @@ jet_points = st.tuples(*[nonzero] * len(LOW))
 @settings(max_examples=20)
 @given(low_functions(), st.lists(low_functions(), min_size=9, max_size=9), jet_points)
 def test_cube_root_extension_is_a_ring(h, parts, point):
-    # with u^3 = h^3, evaluation at a jet sends u to the rational value of
-    # h, a ring homomorphism wherever no factor of the pool vanishes
+    # with u^3 = h^3, evaluation at a jet with u given the rational value
+    # of h is a ring homomorphism wherever no factor of the pool vanishes
     at = dict(zip(LOW, point))
     assume(h and all(p.evaluate(at) for p in LOW_FACTORS))
     base = h ** 3
     a, b, c = (ExtendedJetFunction(*parts[i:i + 3], base) for i in (0, 3, 6))
-    va, vb, vc = a.evaluate(at), b.evaluate(at), c.evaluate(at)
+    root = h.evaluate(at)
+
+    def value(x):
+        return x.evaluate(at, root)
+
+    va, vb, vc = value(a), value(b), value(c)
     ab = a * b
-    assert (a + b).evaluate(at) == va + vb
-    assert (a - b).evaluate(at) == va - vb
-    assert ab.evaluate(at) == va * vb == (b * a).evaluate(at)
-    assert (ab * c).evaluate(at) == va * vb * vc == (a * (b * c)).evaluate(at)
-    assert (a * (b + c)).evaluate(at) == va * (vb + vc)
+    assert value(a + b) == va + vb
+    assert value(a - b) == va - vb
+    assert value(ab) == va * vb == value(b * a)
+    assert value(ab * c) == va * vb * vc == value(a * (b * c))
+    assert value(a * (b + c)) == va * (vb + vc)
     assert a * 1 == a and (a + 0) == a and not (a - a)
 
 
@@ -605,7 +610,8 @@ def test_u_freeness_survives_u_free_operands(h, f, g, k):
     zero = JET_CTX.fn(0)
     a, b = ExtendedJetFunction(f, zero, zero, base), ExtendedJetFunction(g, zero, zero, base)
     results = [(a + b, f + g), (a - b, f - g), (a * b, f * g), (a * g, f * g), (a * k, f * k),
-               (a / k, f / k)]
+               (a / k, f / k), (g * a, g * f), (k * a, k * f), (a + g, f + g), (g + a, g + f),
+               (a + k, f + k), (k + a, k + f), (a - g, f - g), (g - a, g - f), (k - a, k - f)]
     if g:
         results += [(a / b, f / g), (a / g, f / g)]
     for ext, plain in results:

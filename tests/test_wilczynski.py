@@ -19,6 +19,7 @@ from g2sextic.diffpoly import (
     parse_jet_expression,
     poly_gcd,
 )
+from g2sextic.targets import KAPPA_CUSPIDAL
 from g2sextic.wilczynski import (
     HALPHEN_VS_SEMI,
     CurvatureUndefinedError,
@@ -237,6 +238,31 @@ def test_reparametrization_weight_linear_ode():
             assert th_hat[3].evaluate({"x": x0}) == a ** 3 * th[3].evaluate({"x": a * x0})
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_thetas_invariant_under_rescaling_y(n):
+    # Y = lambda(x) y: with a_n = 1 and a_(n-i) = C(n,i) p_i, Leibniz gives
+    # the coefficients b_j = sum_(k>=j) a_k C(k,j) lambda^(k-j) of y^(j),
+    # so p~_i = b_(n-i) / (b_n C(n,i)); every Theta_r is unchanged
+    rng = random.Random(90 + n)
+    x = x_fn("x")
+    p = tuple(x_fn(rng.randint(-3, 3)) + x * rng.randint(-3, 3) + x * x * rng.randint(1, 3)
+              for _ in range(n))
+    lam = [x * x + 1]  # lambda and its derivatives
+    for _ in range(n):
+        lam.append(x_derivative(lam[-1]))
+    a = {n: x_fn(1), **{n - i: p[i - 1] * comb(n, i) for i in range(1, n + 1)}}
+    b = {j: sum((a[k] * lam[k - j] * comb(k, j) for k in range(j, n + 1)), x_fn(0))
+         for j in range(n + 1)}
+    rescaled = tuple(b[n - i] / (b[n] * comb(n, i)) for i in range(1, n + 1))
+    assert rescaled[0] != p[0]
+    before = classical_theta_of_ode(LinearODE(n, p))
+    after = classical_theta_of_ode(LinearODE(n, rescaled))
+    assert set(before) == set(after) == set(range(3, n + 1))
+    assert all(not th.is_zero() for th in before.values())
+    for r, th in before.items():
+        assert after[r] == th
+
+
 def _scale_argument(f, a):
     """f(x) -> f(a x) for rational functions of x."""
     def scale_poly(p):
@@ -419,6 +445,18 @@ def test_cubic_jets_satisfy_curvature_equation():
     for t0 in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3)):
         jets = jets_along_curve(T_SQUARED, T_CUBED, 7, t0)
         assert th8.evaluate(jets) ** 3 - KAPPA0 * th3.evaluate(jets) ** 8 == 0
+
+
+@pytest.mark.parametrize("seed", [3, 1107])
+def test_resolved_curvature_ode_holds_on_cubic_jets(seed):
+    # y7 = F = (u - B)/A with u^3 = kappa0 Theta_3^8: on a cuspidal cubic
+    # Theta_8 is a cube root of the base, and F with u = Theta_8 gives y7
+    ode = curvature_ode(KAPPA_CUSPIDAL)
+    _, th8 = curve_thetas(ode.ctx)
+    for jets in cli.cuspidal_jet_samples(20, seed):
+        root = th8.evaluate(jets)
+        assert root ** 3 == ode.rhs.base.evaluate(jets)
+        assert ode.rhs.evaluate(jets, root) == jets["y7"]
 
 
 def test_power_curve_jets_constant_curvature():
