@@ -16,18 +16,20 @@ Three layers:
   numerator takes its gcd with one denominator factor at a time.
 * ExtendedJetFunction - rank-3 algebraic extension by a formal generator u
   with u^3 = R, derivations acting by D(u) = (1/3)(D R / R) u.  Every
-  element declares its cube base R.  A number or a JetFunction is a
-  u-free scalar that acts on the components c0, c1, c2 and is never
-  lifted.  u never gets a branch: evaluation takes u's value from the
-  caller and checks its cube.  Only the curvature equation
-  Theta_8^3 = kappa Theta_3^8 enters the extension; an equation with a
-  rational right-hand side stays with JetFunction.
+  element declares its cube base R and carries u: a u-free result of the
+  extension's arithmetic is the plain JetFunction, and a number or a
+  JetFunction acts on the components c0, c1, c2.  u never gets a branch:
+  evaluation takes u's value from the caller and checks its cube.  Only
+  the curvature equation Theta_8^3 = kappa Theta_3^8 enters the
+  extension; an equation with a rational right-hand side stays with
+  JetFunction.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 
 from .scalar import cleared, exact, power
@@ -394,6 +396,8 @@ class Poly:
         self = F / scale and divisor = unit * D with F integral and D
         primitive integral.  By Gauss's lemma F / D is integral when it
         exists, so the first non-integer quotient coefficient disproves it.
+        The loop pops the remainder's leading keys from a heap (Monagan &
+        Pearce, CASC 2007), not a scan of the whole remainder per step.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -428,12 +432,16 @@ class Poly:
         dterms = prim.terms
         nums, scale = cleared(self.terms.values())
         rem = dict(zip(self.terms, nums))
+        heap = [-e for e in rem]  # a key that leaves rem is skipped when popped
+        heapify(heap)
         dc = dterms[de]
         shift = one - de
         lower = [(e2 - one, c2) for e2, c2 in dterms.items()]
         out = {}
         while rem:
-            re = max(rem)
+            re = -heappop(heap)
+            if re not in rem:
+                continue
             qe = re + shift
             if (qe + bias) & mask != top and not ctx._quotient_in_range(qe):
                 return None
@@ -443,6 +451,8 @@ class Poly:
             out[qe] = qc
             for e2, c2 in lower:
                 e = qe + e2
+                if e not in rem:
+                    heappush(heap, -e)
                 nc = rem.get(e, 0) - qc * c2
                 if nc:
                     rem[e] = nc
@@ -837,10 +847,9 @@ _SCALARS = (int, Fraction, JetFunction)
 class ExtendedJetFunction:
     """c0 + c1 u + c2 u^2 with u^3 = base (a nonzero JetFunction).
 
-    A number or a JetFunction is a u-free scalar: * multiplies each
-    component by it, + adds it to c0, and neither lifts it into the
-    extension.  u never gets a branch: evaluate takes u's value from the
-    caller.
+    An element carries u: a result of its arithmetic with c1 = c2 = 0 is
+    the plain JetFunction c0.  A number or a JetFunction multiplies each
+    component under * and adds to c0 under +.  u never gets a branch.
     """
 
     __slots__ = ("c0", "c1", "c2", "base")
@@ -852,17 +861,11 @@ class ExtendedJetFunction:
     def ctx(self):
         return self.c0.ctx
 
-    @staticmethod
-    def _coerce(other, like: "ExtendedJetFunction"):
-        """other as an element over like.base, or None."""
-        if isinstance(other, ExtendedJetFunction):
-            return other
-        if isinstance(other, (int, Fraction)):
-            other = like.ctx.fn(other)
-        if isinstance(other, JetFunction):
-            zero = like.ctx.fn(0)
-            return ExtendedJetFunction(other, zero, zero, like.base)
-        return None
+    def _of(self, c0, c1, c2):
+        """c0 + c1 u + c2 u^2 over self.base: the JetFunction c0 when u-free."""
+        if c1.is_zero() and c2.is_zero():
+            return c0
+        return ExtendedJetFunction(c0, c1, c2, self.base)
 
     def _join_base(self, other: "ExtendedJetFunction"):
         if self.base is other.base or self.base == other.base:
@@ -875,35 +878,28 @@ class ExtendedJetFunction:
     def __bool__(self):
         return not self.is_zero()
 
-    def u_free(self) -> bool:
-        return self.c1.is_zero() and self.c2.is_zero()
-
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            return ExtendedJetFunction(self.c0 + other, self.c1, self.c2, self.base)
+            return self._of(self.c0 + other, self.c1, self.c2)
         if not isinstance(other, ExtendedJetFunction):
             return NotImplemented
-        return ExtendedJetFunction(
-            self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2, self._join_base(other)
-        )
+        self._join_base(other)
+        return self._of(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtendedJetFunction(-self.c0, -self.c1, -self.c2, self.base)
+        return self._of(-self.c0, -self.c1, -self.c2)
 
     def __sub__(self, other):
-        o = self._coerce(other, self)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            return ExtendedJetFunction(self.c0 * other, self.c1 * other, self.c2 * other, self.base)
+            return self._of(self.c0 * other, self.c1 * other, self.c2 * other)
         if not isinstance(other, ExtendedJetFunction):
             return NotImplemented
         base = self._join_base(other)
@@ -912,15 +908,13 @@ class ExtendedJetFunction:
         c0 = a0 * b0 + base * (a1 * b2 + a2 * b1)
         c1 = a0 * b1 + a1 * b0 + base * (a2 * b2)
         c2 = a0 * b2 + a1 * b1 + a2 * b0
-        return ExtendedJetFunction(c0, c1, c2, base)
+        return self._of(c0, c1, c2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, ExtendedJetFunction):
-            if not other.u_free():
-                raise ValueError("division by u-bearing element not supported")
-            other = other.c0
+            raise ValueError("division by u-bearing element not supported")
         if isinstance(other, (int, Fraction)):
             other = self.ctx.fn(other)
         return self * other.inverse()
@@ -928,30 +922,27 @@ class ExtendedJetFunction:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of extended element")
-        return power(self, n, self._coerce(1, self))
+        return power(self, n, self.ctx.fn(1))
 
     def __eq__(self, other):
-        o = self._coerce(other, self)
-        if o is None:
+        if not isinstance(other, (*_SCALARS, ExtendedJetFunction)):
             return NotImplemented
-        return (self - o).is_zero()
+        return (self - other).is_zero()
 
-    def partial(self, name: str) -> "ExtendedJetFunction":
+    def partial(self, name: str):
         return self.derivative({name: self.ctx.fn(1)})
 
-    def derivative(self, dmap: dict) -> "ExtendedJetFunction":
-        # the images under dmap may carry u-components (the on-equation
-        # total derivative does), so each D(c_k) is lifted; D(u) = rho u
+    def derivative(self, dmap: dict):
+        # D(u) = rho u; the images under dmap may carry u-components (the
+        # on-equation total derivative does), and so may each D(c_k)
         zero = self.ctx.fn(0)
         u = ExtendedJetFunction(zero, self.ctx.fn(1), zero, self.base)
         rho = self.base.log_derivative(dmap) / 3
-        out = self._coerce(self.c0.derivative(dmap), self)
+        out = self.c0.derivative(dmap)
         if self.c1:
-            d1 = self._coerce(self.c1.derivative(dmap), self) + rho * self.c1
-            out = out + d1 * u
+            out = out + (self.c1.derivative(dmap) + rho * self.c1) * u
         if self.c2:
-            d2 = self._coerce(self.c2.derivative(dmap), self) + rho * (self.c2 * 2)
-            out = out + d2 * u * u
+            out = out + (self.c2.derivative(dmap) + rho * (self.c2 * 2)) * u * u
         return out
 
     def evaluate(self, point: dict, root) -> Fraction:
@@ -966,8 +957,6 @@ class ExtendedJetFunction:
         )
 
     def __str__(self):
-        if self.u_free():
-            return str(self.c0)
         return f"({self.c0}) + ({self.c1})*u + ({self.c2})*u^2  [u^3 = {self.base}]"
 
     __repr__ = __str__

@@ -217,24 +217,27 @@ SQRT10 = AlgebraicScalar((0, 0, 0, 0, 0, 0, 1, 0))
 # The one square-and-multiply, the one Gauss-Jordan loop and the one
 # denominator clearing of the package.  power serves AlgebraicScalar and
 # diffpoly's Poly, JetFunction and ExtendedJetFunction, each passing its own
-# unit; row_reduce solves over Fraction, AlgebraicScalar and JetFunction;
-# cleared puts the rational kernels on ints: binform's transvectant and
-# GL(2) action, and Poly's evaluate, exact_div and primitive.
+# unit, which only a zeroth power returns (the JetFunction 1 for the
+# cube-root extension, whose elements all carry u); row_reduce solves over
+# Fraction, AlgebraicScalar and JetFunction; cleared puts the rational
+# kernels on ints: binform's transvectant and GL(2) action, and Poly's
+# evaluate, exact_div and primitive.
 
 
 def power(base, n: int, one):
-    """base ** n for n >= 0 by square-and-multiply, starting from `one`.
+    """base ** n for n >= 0 by square-and-multiply; `one` only for n = 0.
 
-    The final squaring is skipped: its result would never be used.
+    The first factor is base itself, never one * base, and the final
+    squaring is skipped: its result would never be used.
     """
-    out = one
+    out = None
     while n:
         if n & 1:
-            out = out * base
+            out = base if out is None else out * base
         n >>= 1
         if n:
             base = base * base
-    return out
+    return one if out is None else out
 
 
 def row_reduce(rows, ncols: int):

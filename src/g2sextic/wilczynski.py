@@ -585,7 +585,7 @@ def generalized_theta(ode: NonlinearODE) -> dict:
         n,
         lambda i: ode.rhs.partial(ctx.jet_name(n - i)) * Fraction(-1, comb(n, i)),
         lambda f: f.derivative(dmap),
-        ode.rhs ** 0,
+        ctx.fn(1),
     )
     return equation.thetas()
 
@@ -602,7 +602,8 @@ def curvature_thetas() -> MappingProxyType:
 
 def specialize_kappa(thetas, k) -> dict:
     """The invariants of curvature_ode(k) from the symbolic ones, by
-    kappa -> k in every numerator of c0, c1, c2 and the cube base.
+    kappa -> k in every numerator of a JetFunction, or of an element's c0,
+    c1, c2 and cube base, rebuilt as c0 + c1 u + c2 u^2.
 
     Sound when kappa occurs in no factor table: then kappa -> k is a ring
     homomorphism that commutes with D_x (D_x kappa = 0) and sends
@@ -620,12 +621,13 @@ def specialize_kappa(thetas, k) -> dict:
             raise DiffAlgebraError("kappa occurs in a factor table; cannot specialize")
         return JetFunction(ctx, _substitute(f.num, image, one), f.factors)
 
-    return {
-        r: ExtendedJetFunction(
-            specialize(t.c0), specialize(t.c1), specialize(t.c2), specialize(t.base)
-        )
-        for r, t in thetas.items()
-    }
+    def specialize_value(t):
+        if isinstance(t, JetFunction):
+            return specialize(t)
+        u = ExtendedJetFunction(ctx.fn(0), ctx.fn(1), ctx.fn(0), specialize(t.base))
+        return specialize(t.c0) + specialize(t.c1) * u + specialize(t.c2) * u * u
+
+    return {r: specialize_value(t) for r, t in thetas.items()}
 
 
 def wunschmann_relations(theta3, theta4, ode: NonlinearODE):
@@ -635,7 +637,7 @@ def wunschmann_relations(theta3, theta4, ode: NonlinearODE):
     ctx = ode.ctx
     dmap = on_equation_derivative_map(ctx, 7, ode.rhs)
     w1 = theta3 * (-3430)
-    d_theta3 = (ode.rhs ** 0 * theta3).derivative(dmap)
+    d_theta3 = (ctx.fn(1) * theta3).derivative(dmap)
     w2 = (
         theta4
         + d_theta3 * Fraction(2, 5)

@@ -18,14 +18,27 @@ univariate dicts, independently of ``diffpoly.poly_gcd``, and a rational
 function is reduced by one gcd against its expanded denominator,
 independently of the per-factor route of ``JetFunction.normalize_pair``.
 An exact quotient is computed here by long division with no leading-key
-test, the route ``Poly.exact_div`` took before it rejected a quotient
-whose leading term has a negative exponent.
+test and a scan of the remainder for its leading term, the route
+``Poly.exact_div`` took before it rejected a quotient whose leading term
+has a negative exponent and took leading terms from a heap.  The eight
+projective vector fields of the plane are listed here with their
+prolongation to jets, which reads only D_x and partial derivatives, not
+the Wilczynski assembly.
 """
 
 import random
 from fractions import Fraction
 
-from g2sextic.diffpoly import JetContext, JetFunction, PoleError, Poly, _div, _poly, poly_gcd
+from g2sextic.diffpoly import (
+    JetContext,
+    JetFunction,
+    PoleError,
+    Poly,
+    _div,
+    _poly,
+    free_total_derivative_map,
+    poly_gcd,
+)
 from g2sextic.exterior import (
     ExteriorForm,
     add,
@@ -514,3 +527,39 @@ def long_division(dividend: Poly, divisor: Poly):
             else:
                 rem.pop(e, None)
     return _poly(ctx, {e: _div(c, scale * unit) for e, c in out.items()})
+
+
+# -- projective vector fields and their prolongation ----------------------------
+
+# the eight fields xi d/dx + eta d/dy of sl(3) acting on the affine chart
+# of P^2, as the texts of (xi, eta)
+PROJECTIVE_FIELDS = {
+    "d/dx": ("1", "0"),
+    "d/dy": ("0", "1"),
+    "x d/dx": ("x", "0"),
+    "y d/dx": ("y", "0"),
+    "x d/dy": ("0", "x"),
+    "y d/dy": ("0", "y"),
+    "x^2 d/dx + xy d/dy": ("x^2", "x*y"),
+    "xy d/dx + y^2 d/dy": ("x*y", "y^2"),
+}
+
+
+def prolongation(xi: JetFunction, eta: JetFunction, order: int):
+    """f -> pr X f for X = xi d/dx + eta d/dy, on functions of the jets up
+    to y_order: pr X = xi D_x + sum_(k=0..order) D_x^k(Q) d/dy_k with the
+    characteristic Q = eta - y1 xi (Olver, Applications of Lie Groups to
+    Differential Equations, 2.3).  The context must hold y_(order+1)."""
+    ctx = xi.ctx
+    dmap = free_total_derivative_map(ctx)
+    q = [eta - ctx.fn("y1") * xi]
+    for _ in range(order):
+        q.append(q[-1].derivative(dmap))
+
+    def apply(f: JetFunction) -> JetFunction:
+        total = xi * f.derivative(dmap)
+        for k, qk in enumerate(q):
+            total = total + qk * f.partial(ctx.jet_name(k))
+        return total
+
+    return apply

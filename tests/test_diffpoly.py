@@ -172,16 +172,20 @@ def test_extended_restriction_agrees_with_plain():
     b = ExtendedJetFunction(fn("y3"), fn("0"), fn("0"), base)
     plain = (fn("y2 + x") * fn("y3") + fn("y2 + x") - fn("y3")) ** 2
     ext = (a * b + a - b) ** 2
-    assert ext.u_free()
-    assert ext.c0 == plain
+    # a u-free result is the plain JetFunction, not an element
+    assert type(ext) is JetFunction
+    assert ext == plain
 
 
 def test_extended_cube_rule():
     base = fn("y2^8")
     u = ExtendedJetFunction(fn("0"), fn("1"), fn("0"), base)
-    assert (u * u * u).u_free()
-    assert (u * u * u).c0 == base
+    for cube in (u * u * u, u ** 3):
+        assert type(cube) is JetFunction
+        assert cube == base
     assert (u ** 4).c1 == base  # u^4 = R u
+    assert (u ** 4).c0.is_zero() and (u ** 4).c2.is_zero()
+    assert type(u ** 0) is JetFunction and u ** 0 == 1
 
 
 def test_extended_partial_derivative():
@@ -199,8 +203,8 @@ def test_extended_total_derivative_consistency():
     u = ExtendedJetFunction(fn("0"), fn("1"), fn("0"), base)
     du = total_derivative(u)
     lhs = (u * u * du) * 3  # d(u^3) = 3 u^2 du
-    assert lhs.u_free()
-    assert lhs.c0 == total_derivative(base)
+    assert type(lhs) is JetFunction
+    assert lhs == total_derivative(base)
 
 
 def test_extended_bases_must_agree():
@@ -227,23 +231,34 @@ def test_extended_rejects_negative_powers_and_u_bearing_divisors():
     u = ExtendedJetFunction(zero, one, zero, fn("y2^8"))
     with pytest.raises(ValueError):
         u ** -1
-    with pytest.raises(ValueError):
-        fn("y3") * u ** 0 / u
-    # a u-free divisor is its c0
+    # an element always carries u, so no element is a divisor: not a
+    # u-bearing one, nor one built by hand with c1 = c2 = 0
+    with pytest.raises(ValueError, match="^division by u-bearing element not supported$"):
+        (fn("y3") * u) / u
+    with pytest.raises(ValueError, match="^division by u-bearing element not supported$"):
+        u / ExtendedJetFunction(fn("y2"), zero, zero, u.base)
+    with pytest.raises(TypeError):
+        fn("y3") / u
+    # u^3 is the JetFunction y2^8, a u-free divisor
     assert (u / (u * u * u)) * fn("y2^8") == u
 
 
 def test_u_free_operands_act_on_components_unlifted(monkeypatch):
     # a number or a JetFunction multiplies each of c0, c1, c2 and adds to
-    # c0; none of *, + and / lifts it into the extension
-    def no_lift(other, like):
-        raise AssertionError(f"{other} was lifted into the extension")
+    # c0; none of *, + and / lifts it into the extension, so each builds
+    # one element, the result
+    built = []
+    init = ExtendedJetFunction.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
 
     base = fn("y2^8")
     a = ExtendedJetFunction(fn("y3 + x"), fn("1/y4"), fn("y2*y5"), base)
     g = fn("(y3 - 2)/(y2 + y4)")
     parts = [a.c0, a.c1, a.c2]
-    monkeypatch.setattr(ExtendedJetFunction, "_coerce", staticmethod(no_lift))
+    monkeypatch.setattr(ExtendedJetFunction, "__init__", counted_init)
     expected = [
         (a * g, [c * g for c in parts]),
         (g * a, [g * c for c in parts]),
@@ -255,9 +270,17 @@ def test_u_free_operands_act_on_components_unlifted(monkeypatch):
         (a / g, [c / g for c in parts]),
         (a / 4, [c / 4 for c in parts]),
     ]
-    for got, components in expected:
+    assert len(built) == len(expected)
+    for (got, components), args in zip(expected, built):
+        assert args == (got.c0, got.c1, got.c2, base)
         assert got.base is base
         assert [got.c0, got.c1, got.c2] == components
+    # a zero operand leaves no u: the result is the JetFunction 0, and
+    # no element is built for it
+    built.clear()
+    for zero in (a * 0, 0 * a, a * fn("0")):
+        assert type(zero) is JetFunction and zero.is_zero()
+    assert not built
 
 
 def test_partial_derivative_examples():

@@ -312,6 +312,18 @@ def test_laurent_quotient_past_the_bound_is_none_not_a_range_error():
         dividend.exact_div(mono(0, -1) * mono(1, 1))
 
 
+def test_laurent_quotient_stepping_down_to_a_negative_exponent_is_none():
+    # the quotient would be a series in c^-1 from c^(B-1) down: the leading
+    # key and degree tests pass, and the quotient loop steps c down about B
+    # times until a quotient exponent turns negative
+    def term(a, b, c, coef):
+        return CTX.monomial(((0, a), (1, b), (2, c)), coef)
+
+    dividend = term(2, 3, B - 1, 3) + term(2, -1, B - 4, 3) + term(-3, -2, B - 1, Fraction(-3, 2))
+    divisor = term(-2, 1, 0, 3) + term(-2, 1, -1, -3) + term(-3, 2, -5, -2)
+    assert dividend.exact_div(divisor) is None
+
+
 def test_a_leading_key_miss_needs_no_degree_content_or_clearing(monkeypatch):
     # (a b + c) / (a^2 + b): the leading quotient term would be a^-1 b, so
     # the division fails before the degree test, the divisor's content and
@@ -590,7 +602,8 @@ def test_cube_root_extension_is_a_ring(h, parts, point):
     root = h.evaluate(at)
 
     def value(x):
-        return x.evaluate(at, root)
+        # a u-free result is a JetFunction, whose value needs no root
+        return x.evaluate(at) if type(x) is JetFunction else x.evaluate(at, root)
 
     va, vb, vc = value(a), value(b), value(c)
     ab = a * b
@@ -605,18 +618,53 @@ def test_cube_root_extension_is_a_ring(h, parts, point):
 @settings(max_examples=50)
 @given(low_functions(), low_functions(), low_functions(), st.integers(1, 3))
 def test_u_freeness_survives_u_free_operands(h, f, g, k):
+    # u-free values built by hand as elements come out of every operation
+    # as the plain JetFunction of the same operation on their c0, and so
+    # do products whose u-powers make u^3
     assume(h)
     base = h ** 3
-    zero = JET_CTX.fn(0)
+    zero, one = JET_CTX.fn(0), JET_CTX.fn(1)
     a, b = ExtendedJetFunction(f, zero, zero, base), ExtendedJetFunction(g, zero, zero, base)
+    u = ExtendedJetFunction(zero, one, zero, base)
     results = [(a + b, f + g), (a - b, f - g), (a * b, f * g), (a * g, f * g), (a * k, f * k),
                (a / k, f / k), (g * a, g * f), (k * a, k * f), (a + g, f + g), (g + a, g + f),
-               (a + k, f + k), (k + a, k + f), (a - g, f - g), (g - a, g - f), (k - a, k - f)]
+               (a + k, f + k), (k + a, k + f), (a - g, f - g), (g - a, g - f), (k - a, k - f),
+               (-a, -f), (a ** (k + 1), f ** (k + 1)), (a ** 0, one), ((u * f) * (u * u * g), f * g * base),
+               ((u + f) - u, f), (u ** 3 * f, base * f)]
     if g:
-        results += [(a / b, f / g), (a / g, f / g)]
+        results += [(a / g, f / g)]
+        with pytest.raises(ValueError):
+            a / b  # an element is never a divisor
     for ext, plain in results:
-        assert ext.u_free()
-        assert ext.c0 == plain
+        assert type(ext) is JetFunction
+        assert ext == plain
+
+
+@settings(max_examples=25)
+@given(low_functions(), st.lists(low_functions(), min_size=6, max_size=6),
+       low_functions(), st.integers(0, 3))
+def test_no_arithmetic_result_is_a_u_free_element(h, parts, g, k):
+    # an element of the extension carries u: a result with c1 = c2 = 0 is
+    # the JetFunction c0, whichever operation made it
+    assume(h)
+    base = h ** 3
+    zero, one = JET_CTX.fn(0), JET_CTX.fn(1)
+    u = ExtendedJetFunction(zero, one, zero, base)
+    a, b = (parts[i] + parts[i + 1] * u + parts[i + 2] * u * u for i in (0, 3))
+    operands = [a, b, u, u * u]
+    scalars = [g, k, Fraction(k, 3)]
+    results = [-x for x in operands] + [x ** k for x in operands]
+    for x in operands:
+        for y in operands + scalars:
+            results += [x + y, y + x, x - y, y - x, x * y, y * x]
+        for y in scalars:
+            if y:
+                results.append(x / y)
+        results += [x.partial("y1"), x.derivative(free_total_derivative_map(JET_CTX))]
+    for r in results:
+        assert isinstance(r, (JetFunction, ExtendedJetFunction))
+        if isinstance(r, ExtendedJetFunction):
+            assert r.c1 or r.c2
 
 
 # -- the factor-table normal form -------------------------------------------------------

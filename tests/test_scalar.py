@@ -147,6 +147,34 @@ def test_power_is_repeated_product():
             product = product * x
 
 
+class _Counted:
+    """An int under a * that logs each product's operands."""
+
+    def __init__(self, value, log):
+        self.value, self.log = value, log
+
+    def __mul__(self, other):
+        self.log.append((self, other))
+        return _Counted(self.value * other.value, self.log)
+
+
+def test_power_never_multiplies_by_one():
+    # the unit is the result of a zeroth power alone; for n >= 1 the first
+    # factor is the base, so square-and-multiply takes
+    # floor(log2 n) + popcount(n) - 1 products and none of them reads one
+    log = []
+    one = _Counted(1, log)
+    assert power(_Counted(3, log), 0, one) is one
+    for n in range(1, 70):
+        log.clear()
+        base = _Counted(3, log)
+        result = power(base, n, one)
+        assert result.value == 3 ** n
+        assert all(one is not x and one is not y for x, y in log)
+        assert len(log) == n.bit_length() - 1 + bin(n).count("1") - 1
+    assert power(base, 1, one) is base
+
+
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 

@@ -431,7 +431,9 @@ def test_curvature_ode_structure():
 def test_curvature_ode_rhs_free_of_y7():
     ode = curvature_ode(KAPPA0)
     assert ode.rhs.partial("y7").is_zero()
-    assert not ode.rhs.u_free()  # genuinely uses the cube root
+    # genuinely uses the cube root: an element, so it carries u
+    assert isinstance(ode.rhs, ExtendedJetFunction)
+    assert ode.rhs.c1 or ode.rhs.c2
 
 
 def test_curvature_ode_rejects_zero_kappa():
@@ -499,7 +501,7 @@ def test_lemma_symbolic_kappa():
     assert thetas[5].is_zero()
     assert thetas[7].is_zero()
     th6 = thetas[6]
-    assert th6.u_free()
+    assert type(th6) is JetFunction  # u-free, so never an element
     ctx = th6.ctx
     h = parse_jet_expression("9*y2^2*y5 - 45*y2*y3*y4 + 40*y3^3", ctx)
     const = Fraction(-1, 2 ** 2 * 3 ** 12 * 7 ** 4)
@@ -509,24 +511,31 @@ def test_lemma_symbolic_kappa():
         * h ** 2
         / ctx.fn("y2") ** 6
     )
-    assert th6.c0 == expected
+    assert th6 == expected
 
 
 def test_lemma_distinguished_value():
     ode = curvature_ode(KAPPA0)
     thetas = generalized_theta(ode)
     assert all(v.is_zero() for v in thetas.values())
-    # cube-root consistency: every invariant is u-free
-    assert all(v.u_free() for v in thetas.values())
+    # cube-root consistency: every invariant is u-free, a plain JetFunction
+    assert all(type(v) is JetFunction for v in thetas.values())
 
 
 def test_curvature_invariants_carry_the_equation_base():
-    # the cube base is declared once, by curvature_ode, and every
-    # invariant keeps that object
+    # the cube base is declared once, by curvature_ode: every u-bearing
+    # value derived from the equation keeps that object, and every
+    # invariant is u-free, so a plain JetFunction with no base
     ode = curvature_ode()
+    dmap = on_equation_derivative_map(ode.ctx, 7, ode.rhs)
+    derived = [ode.rhs.partial("y5"), ode.rhs.derivative(dmap), ode.rhs ** 2,
+               ode.ctx.fn("y6").derivative(dmap)]
+    assert all(isinstance(v, ExtendedJetFunction) for v in derived)
+    assert all(v.base is ode.rhs.base for v in derived)
+    # the cube base has no y6, so dF/dy6 = -(dB/dy6) / A is u-free
+    assert type(ode.rhs.partial("y6")) is JetFunction
     thetas = generalized_theta(ode)
-    assert all(isinstance(v, ExtendedJetFunction) for v in thetas.values())
-    assert all(v.base is ode.rhs.base for v in thetas.values())
+    assert all(type(v) is JetFunction for v in thetas.values())
 
 
 def test_rational_rhs_invariants_are_jet_functions():
@@ -556,10 +565,23 @@ def test_specialized_kappa_matches_direct_run(direct_kappa_one):
                  for name in names}
         for r, direct in direct_kappa_one.items():
             got = specialized[r]
-            for part in ("c0", "c1", "c2"):
-                assert getattr(got, part).evaluate(point) == getattr(direct, part).evaluate(point)
-            assert got.base.evaluate(point) == direct.base.evaluate(point)
-    assert specialized[6].c0.evaluate(point) != 0
+            assert type(got) is type(direct) is JetFunction
+            assert got.evaluate(point) == direct.evaluate(point)
+    assert specialized[6].evaluate(point) != 0
+
+
+def test_specialized_kappa_rebuilds_an_element_over_the_specialized_base():
+    # the symbolic equation's right-hand side (u - B) / A, specialized at
+    # kappa = 1, is the one of curvature_ode(1) component by component
+    direct = curvature_ode(Fraction(1)).rhs
+    got = specialize_kappa({7: curvature_ode().rhs}, 1)[7]
+    assert isinstance(got, ExtendedJetFunction)
+    rng = random.Random(5)
+    for _ in range(3):
+        point = {name: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                 for name in direct.ctx.names}
+        for part in ("c0", "c1", "c2", "base"):
+            assert getattr(got, part).evaluate(point) == getattr(direct, part).evaluate(point)
 
 
 @pytest.mark.parametrize("part", ["c0", "base"])
