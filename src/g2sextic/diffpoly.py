@@ -6,23 +6,28 @@ Three layers:
   by the const, var and monomial of a JetContext (a fixed variable
   universe).  A coefficient is an int when integral and a Fraction
   otherwise; each monomial is one packed int key (see JetContext).
-* JetFunction - rational functions stored as  num * prod f_i^e_i  with the
-  f_i primitive integer polynomials; negative exponents are denominator
-  factors.  The constructor alone normalizes a factor table (zero
-  exponents dropped, one-term factors split into variables).  One pass of
+* JetFunction - rational functions stored as  unit * prim * prod f_i^e_i
+  with a rational unit, and prim and the f_i primitive integer
+  polynomials (content and primitive part, Knuth, TAOCP vol. 2, 4.6.1);
+  negative exponents are denominator factors.  A factor table has no zero
+  exponent, and a one-term factor is split into variables, its
+  coefficient going into the unit.  By Gauss's lemma the arithmetic stays
+  on integer polynomials: only a sum takes a primitive part.  One pass of
   trial division by Poly.exact_div, which divides by a monomial with an
-  exponent shift, keeps the localized arithmetic of the invariant pipelines
-  reduced without any multivariate gcd.  normalize() reduces fully: the
-  numerator takes its gcd with one denominator factor at a time.
+  exponent shift, keeps the localized arithmetic of the invariant
+  pipelines reduced without any multivariate gcd; a product with a
+  constant, whose table is reduced already, needs none.  normalize()
+  reduces fully: the numerator takes its gcd with one denominator factor
+  at a time.
 * ExtendedJetFunction - rank-3 algebraic extension by a formal generator u
   with u^3 = R, derivations acting by D(u) = (1/3)(D R / R) u.  Every
   element declares its cube base R and carries u: a u-free result of the
-  extension's arithmetic is the plain JetFunction, and a number or a
-  JetFunction acts on the components c0, c1, c2.  u never gets a branch:
-  evaluation takes u's value from the caller and checks its cube.  Only
-  the curvature equation Theta_8^3 = kappa Theta_3^8 enters the
-  extension; an equation with a rational right-hand side stays with
-  JetFunction.
+  extension's arithmetic is the plain JetFunction, a number or a
+  JetFunction acts on the components c0, c1, c2, and a product by u
+  shifts them.  u never gets a branch: evaluation takes u's value from
+  the caller and checks its cube.  Only the curvature equation
+  Theta_8^3 = kappa Theta_3^8 enters the extension; an equation with a
+  rational right-hand side stays with JetFunction.
 """
 
 from __future__ import annotations
@@ -173,8 +178,9 @@ class JetContext:
 
     def fn(self, name_or_const) -> "JetFunction":
         if isinstance(name_or_const, str):
-            return JetFunction(self, self.var(name_or_const), {})
-        return JetFunction(self, self.const(name_or_const), {})
+            return _jet(self, 1, self.var(name_or_const), {})
+        c = exact(name_or_const)
+        return _jet(self, c, self.const(1 if c else 0), {})
 
 
 def _poly(ctx: JetContext, terms: dict) -> "Poly":
@@ -535,68 +541,102 @@ def _content_split(p: Poly, name: str) -> tuple[Poly, Poly]:
 # -- rational jet functions ---------------------------------------------------
 
 
-class JetFunction:
-    """num * prod f^e with primitive integer factors f (e in Z, nonzero)."""
+def _jet(ctx: JetContext, unit, prim: Poly, factors: dict) -> "JetFunction":
+    """The JetFunction unit * prim * prod f^e as given: unit exact, prim
+    primitive (the zero Poly when unit is 0) and the table in normal form,
+    trial-reduced against prim."""
+    f = object.__new__(JetFunction)
+    f.ctx, f.unit, f.prim, f.factors = ctx, unit, prim, factors
+    return f
 
-    __slots__ = ("ctx", "num", "factors")
+
+def _is_one(prim: Poly) -> bool:
+    """A primitive polynomial is the constant 1."""
+    return len(prim.terms) == 1 and prim.ctx._one in prim.terms
+
+
+def _split_monomials(ctx: JetContext, unit, factors: dict):
+    """(unit, table) with one-term factors (constants too) replaced by
+    per-variable factors, their coefficients folded into unit, so that
+    trial reduction sees them."""
+    out = {}
+    for f, e in factors.items():
+        if len(f.terms) == 1:
+            ((key, coef),) = f.terms.items()
+            if coef != 1:
+                unit *= Fraction(coef) ** e
+            for v, k in ctx._powers(key):
+                vp = ctx.var(ctx.names[v])
+                out[vp] = out.get(vp, 0) + k * e
+        else:
+            out[f] = out.get(f, 0) + e
+    return exact(unit), out
+
+
+def _trial_reduce(prim: Poly, factors: dict) -> Poly:
+    """Cancel denominator factors that exactly divide prim, and drop zero
+    exponents of the table in place; the reduced prim.  One pass suffices:
+    a factor that fails to divide a numerator N cannot divide a later
+    numerator, which divides N.  By Gauss's lemma the quotient of a
+    primitive prim by a primitive factor is primitive, and its lex-leading
+    coefficient is positive."""
+    for f, e in list(factors.items()):
+        while e < 0:
+            q = prim.exact_div(f)
+            if q is None:
+                break
+            prim = q
+            e += 1
+        if e:
+            factors[f] = e
+        else:
+            del factors[f]
+    return prim
+
+
+def _normal(ctx: JetContext, unit, prim: Poly, factors: dict) -> tuple:
+    """(unit, prim, table) of unit * prim * prod f^e in normal form, for a
+    primitive prim and a table of one-term and primitive factors."""
+    if not unit:
+        return 0, _poly(ctx, {}), {}
+    unit, factors = _split_monomials(ctx, unit, factors)
+    return unit, _trial_reduce(prim, factors), factors
+
+
+class JetFunction:
+    """unit * prim * prod f^e: a rational unit, a primitive integer prim
+    and a table of primitive integer factors f (e in Z, nonzero).
+
+    unit is an int when integral and a Fraction otherwise, and is 0 exactly
+    for the zero function, whose prim is the zero Poly and whose table is
+    empty.  prim is in Poly.primitive()'s normal form: integer
+    coefficients with gcd 1 and a positive lex-leading coefficient.  By
+    Gauss's lemma every operation keeps that form on ints: a product
+    multiplies the units and the two prims, a sum scales two integer
+    numerators by ints and takes one primitive(), and an exact quotient by
+    a factor is primitive.  num = unit * prim is a read-only view.
+    """
+
+    __slots__ = ("ctx", "unit", "prim", "factors")
 
     def __init__(self, ctx: JetContext, num: Poly, factors: dict | None = None):
         self.ctx = ctx
-        factors = dict(factors or {})
-        if num.is_zero():
-            factors = {}
-        self.num, self.factors = self._split_monomials(ctx, num, factors)
-        self._trial_reduce()
+        self.unit, self.prim, self.factors = _normal(ctx, *num.primitive(), factors or {})
 
-    @staticmethod
-    def _split_monomials(ctx, num, factors):
-        """Replace one-term factors (constants too) by per-variable
-        factors, their coefficients folded into num, so that trial
-        reduction sees them."""
-        out = {}
-        scale = Fraction(1)
-        for f, e in factors.items():
-            if len(f.terms) == 1:
-                ((key, coef),) = f.terms.items()
-                if coef != 1:
-                    scale *= Fraction(coef) ** e
-                for v, k in ctx._powers(key):
-                    vp = ctx.var(ctx.names[v])
-                    out[vp] = out.get(vp, 0) + k * e
-            else:
-                out[f] = out.get(f, 0) + e
-        if scale != 1:
-            num = num.scale(scale)
-        return num, out
-
-    # -- representation maintenance ----------------------------------------
-
-    def _trial_reduce(self):
-        """Cancel denominator factors that exactly divide the numerator, and
-        drop zero exponents.  One pass suffices: a factor that fails to
-        divide the numerator N cannot divide a later numerator, which
-        divides N."""
-        for f, e in list(self.factors.items()):
-            while e < 0:
-                q = self.num.exact_div(f)
-                if q is None:
-                    break
-                self.num = q
-                e += 1
-            if e:
-                self.factors[f] = e
-            else:
-                del self.factors[f]
+    @property
+    def num(self) -> Poly:
+        return self.prim.scale(self.unit)
 
     @staticmethod
     def from_polys(num: Poly, den: Poly) -> "JetFunction":
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        unit, prim = den.primitive()
-        return JetFunction(num.ctx, num.scale(1 / unit), {prim: -1})
+        den_unit, den_prim = den.primitive()
+        unit, prim = num.primitive()
+        return _jet(num.ctx, *_normal(num.ctx, unit / den_unit, prim, {den_prim: -1}))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.unit
 
     def __bool__(self):
         return not self.is_zero()
@@ -608,7 +648,7 @@ class JetFunction:
         if isinstance(other, JetFunction):
             return other
         if isinstance(other, (int, Fraction)):
-            return JetFunction(ctx, ctx.const(other), {})
+            return ctx.fn(other)
         return None
 
     def __add__(self, other):
@@ -618,20 +658,28 @@ class JetFunction:
         # insertion order, not Poly.__hash__, orders the trial divisions
         common = {f: min(self.factors.get(f, 0), o.factors.get(f, 0))
                   for f in {**self.factors, **o.factors}}
-        left, right = self.num, o.num
+        (a, b), den = cleared((self.unit, o.unit))
+        left, right = self.prim, o.prim
         for f, base in common.items():
             k = self.factors.get(f, 0) - base
-            if k:
+            if k and a:
                 left = left * f ** k
             k = o.factors.get(f, 0) - base
-            if k:
+            if k and b:
                 right = right * f ** k
-        return JetFunction(self.ctx, left + right, common)
+        if a != 1:
+            left = left.scale(a)
+        if b != 1:
+            right = right.scale(b)
+        unit, prim = (left + right).primitive()
+        if not unit:
+            return self.ctx.fn(0)
+        return _jet(self.ctx, exact(unit / den), _trial_reduce(prim, common), common)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JetFunction(self.ctx, -self.num, self.factors)
+        return _jet(self.ctx, -self.unit, self.prim, self.factors)
 
     def __sub__(self, other):
         o = self._coerce(self.ctx, other)
@@ -646,10 +694,19 @@ class JetFunction:
         o = self._coerce(self.ctx, other)
         if o is None:
             return NotImplemented
+        unit = exact(self.unit * o.unit)
+        if not unit:
+            return self.ctx.fn(0)
+        # a constant operand leaves the other's prim and table, which is
+        # already reduced against that prim
+        if not o.factors and _is_one(o.prim):
+            return _jet(self.ctx, unit, self.prim, self.factors)
+        if not self.factors and _is_one(self.prim):
+            return _jet(self.ctx, unit, o.prim, o.factors)
         factors = dict(self.factors)
         for f, e in o.factors.items():
             factors[f] = factors.get(f, 0) + e
-        return JetFunction(self.ctx, self.num * o.num, factors)
+        return _jet(self.ctx, unit, _trial_reduce(self.prim * o.prim, factors), factors)
 
     __rmul__ = __mul__
 
@@ -657,9 +714,8 @@ class JetFunction:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero jet function")
         factors = {f: -e for f, e in self.factors.items()}
-        unit, prim = self.num.primitive()
-        factors[prim] = factors.get(prim, 0) - 1
-        return JetFunction(self.ctx, self.ctx.const(1 / unit), factors)
+        factors[self.prim] = factors.get(self.prim, 0) - 1
+        return _jet(self.ctx, *_normal(self.ctx, 1 / Fraction(self.unit), self.ctx.const(1), factors))
 
     def __truediv__(self, other):
         o = self._coerce(self.ctx, other)
@@ -673,7 +729,7 @@ class JetFunction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return power(self, n, JetFunction(self.ctx, self.ctx.const(1), {}))
+        return power(self, n, self.ctx.fn(1))
 
     def __eq__(self, other):
         o = self._coerce(self.ctx, other)
@@ -684,17 +740,16 @@ class JetFunction:
     __hash__ = None  # value equality is by cross-multiplication; not hashable
 
     def as_factored(self) -> "JetFunction":
-        """Move the numerator's primitive part into the factor table.
+        """Move prim into the factor table.
 
         Keeps powers and logarithmic derivatives of structured quantities
         (cube bases, pulled-back invariants) in factored form.
         """
         if self.is_zero():
             return self
-        unit, prim = self.num.primitive()
         factors = dict(self.factors)
-        factors[prim] = factors.get(prim, 0) + 1
-        return JetFunction(self.ctx, self.ctx.const(unit), factors)
+        factors[self.prim] = factors.get(self.prim, 0) + 1
+        return _jet(self.ctx, *_normal(self.ctx, self.unit, self.ctx.const(1), factors))
 
     # -- expanded views -------------------------------------------------------
 
@@ -746,31 +801,37 @@ class JetFunction:
     def derivative(self, dmap: dict):
         """Derivation given by dmap: name -> image (JetFunction/Extended/
         Ellipsis for 'needed but undefined')."""
-        ctx, num, factors = self.ctx, self.num, self.factors
-        total = _derive_poly(ctx, num, dmap) * JetFunction(ctx, ctx.const(1), factors)
+        ctx, unit, prim, factors = self.ctx, self.unit, self.prim, self.factors
+        if not unit:
+            return ctx.fn(0)
+        # each term keeps prim and a table that differs from self's in one
+        # lowered exponent, so it is reduced against prim already
+        total = _derive_poly(ctx, prim, dmap) * _jet(ctx, unit, ctx.const(1), factors)
         for f, e in factors.items():
             dfv = _derive_poly(ctx, f, dmap)
             if isinstance(dfv, JetFunction) and dfv.is_zero():
                 continue
             shifted = dict(factors)
-            shifted[f] = e - 1
-            total = dfv * JetFunction(ctx, num.scale(e), shifted) + total
+            if e == 1:
+                del shifted[f]
+            else:
+                shifted[f] = e - 1
+            total = dfv * _jet(ctx, exact(unit * e), prim, shifted) + total
         return total
 
     def log_derivative(self, dmap: dict):
         """D(self)/self computed term-by-term; stays in the localization."""
-        total = _derive_poly(self.ctx, self.num, dmap) / JetFunction(
-            self.ctx, self.num, {}
-        )
+        ctx = self.ctx
+        total = _derive_poly(ctx, self.prim, dmap) / JetFunction(ctx, self.prim, {})
         for f, e in self.factors.items():
-            dfv = _derive_poly(self.ctx, f, dmap)
-            total = total + dfv * JetFunction(self.ctx, self.ctx.const(e), {f: -1})
+            dfv = _derive_poly(ctx, f, dmap)
+            total = total + dfv * _jet(ctx, e, ctx.const(1), {f: -1})
         return total
 
     def evaluate(self, point: dict) -> Fraction:
         """The value at point; a PoleError when any denominator factor
         vanishes there, whatever the order of the factor table."""
-        value = self.num.evaluate(point)
+        value = self.unit * self.prim.evaluate(point)
         values = {f: f.evaluate(point) for f in self.factors}
         if any(not values[f] and e < 0 for f, e in self.factors.items()):
             raise PoleError("denominator factor vanishes at the point")
@@ -789,7 +850,7 @@ class JetFunction:
 
 def _derive_poly(ctx: JetContext, p: Poly, dmap: dict):
     """Sum over variables of dp/dv * dmap[v]; promotes to Extended as needed."""
-    total = JetFunction(ctx, ctx.const(0), {})
+    total = ctx.fn(0)
     for v in p.variables():
         name = ctx.names[v]
         image = dmap.get(name)
@@ -935,15 +996,20 @@ class ExtendedJetFunction:
     def derivative(self, dmap: dict):
         # D(u) = rho u; the images under dmap may carry u-components (the
         # on-equation total derivative does), and so may each D(c_k)
-        zero = self.ctx.fn(0)
-        u = ExtendedJetFunction(zero, self.ctx.fn(1), zero, self.base)
         rho = self.base.log_derivative(dmap) / 3
         out = self.c0.derivative(dmap)
         if self.c1:
-            out = out + (self.c1.derivative(dmap) + rho * self.c1) * u
+            out = out + self._times_u(self.c1.derivative(dmap) + rho * self.c1)
         if self.c2:
-            out = out + (self.c2.derivative(dmap) + rho * (self.c2 * 2)) * u * u
+            out = out + self._times_u(self._times_u(self.c2.derivative(dmap) + rho * (self.c2 * 2)))
         return out
+
+    def _times_u(self, x):
+        """x * u over self.base, a shift of the components:
+        (c0 + c1 u + c2 u^2) u = base c2 + c0 u + c1 u^2."""
+        if isinstance(x, ExtendedJetFunction):
+            return self._of(self._join_base(x) * x.c2, x.c0, x.c1)
+        return self._of(self.ctx.fn(0), x, self.ctx.fn(0))
 
     def evaluate(self, point: dict, root) -> Fraction:
         """The value at point with u = root; a ValueError unless root^3

@@ -427,6 +427,27 @@ def test_golden_generalized_json(args, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# stdout of the symbolic-kappa curvature equation, whose invariants carry
+# kappa, of the curvature equation at kappa = 1 as text, and of a large
+# sampling run
+GOLDEN_COMMAND_SHA256 = [
+    (["ode", "generalized", "--format", "json"], 0,
+     "08b0e7315ac89824f966f28f7bb7428dadd77aae2df808cbb1aad468c4ab017a"),
+    (["ode", "generalized", "--kappa", "1"], 0,
+     "158b6e7214ec8d396829c4f3e0e4150a3ffef8b8dc0e8f4102286e1ab610da12"),
+    (["ode", "sample", "--samples", "200", "--seed", "3"], 0,
+     "895c330ef800321e351c9858c8b33b016ec96e1d736bd6a59b494e48b81b4aef"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN_COMMAND_SHA256,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN_COMMAND_SHA256])
+def test_golden_command_output(argv, code, digest):
+    got_code, text = run_cli(argv)
+    assert got_code == code
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # `verify-all --format json --seed S` stdout; exit 1 is the standing
 # c05.signature-su3 fail
 GOLDEN_VERIFY_ALL_SHA256 = [

@@ -14,7 +14,8 @@ checked against the primitive PRS oracle, and the per-factor reduction
 of normalize_pair against one gcd with the expanded denominator.  The
 cube-root extension is checked to be a ring by evaluation at rational
 jets, u-free values to stay u-free, and every operation to return a
-factor table in the constructor's normal form.
+factor table in the constructor's normal form and a numerator that is a
+rational unit times a primitive integer polynomial.
 """
 
 import random
@@ -670,21 +671,26 @@ def test_no_arithmetic_result_is_a_u_free_element(h, parts, g, k):
 # -- the factor-table normal form -------------------------------------------------------
 
 
+def assert_normal_table(h):
+    """The constructor's normal form of a factor table: nonzero exponents,
+    no constant factor, and every one-term factor a single variable with
+    coefficient 1."""
+    for p, e in h.factors.items():
+        assert e and not p.is_constant()
+        if len(p.terms) == 1:
+            ((powers, coef),) = p.monomials()
+            assert coef == 1 and [k for _, k in powers] == [1]
+
+
 def assert_normal_tables(f, g, derivations):
-    """Every operation hands back the constructor's normal form: nonzero
-    exponents, no constant factor, and every one-term factor a single
-    variable with coefficient 1."""
+    """Every operation hands back the constructor's normal form."""
     results = [f, g, f + g, f - g, f * g, f.as_factored(),
                JetFunction.from_polys(f.numerator_polynomial(), f.denominator_polynomial())]
     if g:
         results += [f / g, g.inverse()]
     results += [derive(f) for derive in derivations]
     for h in results:
-        for p, e in h.factors.items():
-            assert e and not p.is_constant()
-            if len(p.terms) == 1:
-                ((powers, coef),) = p.monomials()
-                assert coef == 1 and [k for _, k in powers] == [1]
+        assert_normal_table(h)
 
 
 @given(jet_functions(), jet_functions(), st.sampled_from(NAMES))
@@ -696,3 +702,49 @@ def test_operations_keep_the_factor_table_normal(f, g, name):
 def test_derivations_keep_the_factor_table_normal(f, g, name):
     dmap = free_total_derivative_map(JET_CTX)
     assert_normal_tables(f, g, [lambda h: h.partial(name), lambda h: h.derivative(dmap)])
+
+
+# -- the integer numerator ----------------------------------------------------------------
+
+
+def assert_integer_numerator(h):
+    """h = unit * prim * prod f^e with an exact rational unit that is 0
+    exactly for the zero function, a primitive integer prim with a positive
+    lex-leading coefficient (the zero Poly for zero), and a normal table."""
+    assert type(h.unit) is int or (type(h.unit) is Fraction and h.unit.denominator != 1)
+    assert (h.unit == 0) == h.prim.is_zero() == (h.numerator_polynomial().is_zero())
+    if h.prim.is_zero():
+        assert h.factors == {}
+        return
+    coefficients = list(h.prim.terms.values())
+    assert all(type(c) is int for c in coefficients)
+    assert gcd(*coefficients) == 1 and h.prim.leading()[1] > 0
+    assert h.num == h.prim.scale(h.unit)
+    assert_normal_table(h)
+
+
+@given(jet_functions(), jet_functions(), st.integers(-2, 3), values, st.sampled_from(NAMES))
+def test_operations_keep_an_integer_primitive_numerator(f, g, n, c, name):
+    results = [f, g, JetFunction(CTX, f.num * 3, f.factors), JetFunction(CTX, f.num, g.factors),
+               f + g, f - g, f - f, f + c, c - f, f * g, f * c, c * f, -f, f.as_factored(),
+               f.partial(name)]
+    if f or n >= 0:
+        results.append(f ** n)
+    if g:
+        results += [f / g, c / g, g.inverse(),
+                    JetFunction.from_polys(f.numerator_polynomial(), g.numerator_polynomial())]
+    if c:
+        results.append(f / c)
+    for h in results:
+        assert_integer_numerator(h)
+
+
+@given(low_functions(), low_functions(), low_functions(), st.sampled_from(LOW))
+def test_derivations_keep_an_integer_primitive_numerator(f, g, rhs, name):
+    dmap = on_equation_derivative_map(JET_CTX, 3, rhs)
+    for h in (f, f * g, f + g):
+        assert_integer_numerator(h.partial(name))
+        assert_integer_numerator(h.derivative(free_total_derivative_map(JET_CTX)))
+        assert_integer_numerator(h.derivative(dmap))
+        if h:
+            assert_integer_numerator(h.log_derivative(dmap))
