@@ -279,9 +279,11 @@ class Poly:
         c = exact(c)
         if not c:
             return _poly(self.ctx, {})
-        out = {e: v * c for e, v in self.terms.items()}
-        if type(c) is not int or any(type(v) is not int for v in self.terms.values()):
-            out = {e: exact(v) for e, v in out.items()}
+        if type(c) is int:
+            # one pass: an int times an int needs no normal form
+            out = {e: v * c if type(v) is int else exact(v * c) for e, v in self.terms.items()}
+        else:
+            out = {e: exact(v * c) for e, v in self.terms.items()}
         return _poly(self.ctx, out)
 
     def __pow__(self, n: int):

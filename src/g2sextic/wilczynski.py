@@ -5,6 +5,10 @@ rings.  Conjugation by exp(-int p1) produces the semi-invariants P_i; the
 formal change of independent variable is done in a ring carrying
 v = sqrt(xi'), eta = xi''/xi' and the P_i, whose derivation implements the
 substitutions  xi'' = xi' eta  and  eta' = (1/2) eta^2 + 6/(n+1) P2.
+The ring stores 2(n+1) times that derivation, whose images are integral,
+so the assembly multiplies and derives integer polynomials only and
+divides out the powers of 2(n+1) once per Theta_r (Gauss's lemma; Knuth,
+TAOCP vol. 2, 4.6.1).
 
 A differential operator sum_j M_(c_j) G^j is the plain list [c_0, c_1, ...]
 of its Poly coefficients.  _compose(a, b, derive) composes two of them with
@@ -19,12 +23,13 @@ are assembled from the canonical-form coefficients by
 
 and every eta must cancel - a residual eta is a hard failure.
 
-Every concrete equation - a linear ODE in x, a graph y = y(x), the
-generic equation of the p-form, or y^(n) = F - gets its Theta_r the same
-way: its semi-invariants P_i^(k) = D^k(P_i(p)) are substituted into the
-P-form of Theta_r.  For y^(n) = F, p_r^(k) is
--binom(n,r)^(-1) D_x^k(dF/dy^(n-r)) with D_x the on-equation total
-derivative.
+Every concrete equation - a linear ODE in x, a graph y = y(x), or
+y^(n) = F - gets its Theta_r the same way: its semi-invariants
+P_i^(k) = D^k(P_i(p)) are substituted into the P-form of Theta_r.  For
+y^(n) = F, p_r^(k) is -binom(n,r)^(-1) D_x^k(dF/dy^(n-r)) with D_x the
+on-equation total derivative.  The generic equation, whose p_i^(k) are
+variables, gets its p-form by the same substitution done fraction-free
+(_generic_p_forms).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .diffpoly import (
     free_total_derivative_map,
     on_equation_derivative_map,
 )
-from .scalar import row_reduce
+from .scalar import cleared, row_reduce
 
 
 class EtaResidueError(DiffAlgebraError):
@@ -118,7 +123,9 @@ def _w_ring(n: int):
     """Ring carrying v = sqrt(xi'), eta, and the semi-invariants P_i.
 
     Returns (ctx, dmap, keys) with keys[v] = (i, k) for the variable P_i^(k)
-    and None for v and eta.
+    and None for v and eta.  dmap is m = 2(n+1) times the derivation
+    v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2, P_i^(k)' = P_i^(k+1),
+    so that every image is an integer polynomial.
     """
     depth = n + 3
     keys = (None, None) + tuple(
@@ -127,12 +134,13 @@ def _w_ring(n: int):
     names = ["v", "eta"] + [f"P{i}_{k}" for i, k in keys[2:]]
     ctx = JetContext.plain(tuple(names))
     v, eta = ctx.var("v"), ctx.var("eta")
+    m = 2 * (n + 1)
     dmap = {
-        "v": (v * eta).scale(Fraction(1, 2)),
-        "eta": (eta * eta).scale(Fraction(1, 2)) + ctx.var("P2_0").scale(Fraction(6, n + 1)),
+        "v": (v * eta).scale(n + 1),
+        "eta": (eta * eta).scale(n + 1) + ctx.var("P2_0").scale(12),
     }
     for i, k in keys[2:]:
-        dmap[f"P{i}_{k}"] = ctx.var(f"P{i}_{k + 1}") if k < depth else None
+        dmap[f"P{i}_{k}"] = ctx.var(f"P{i}_{k + 1}").scale(m) if k < depth else None
     return ctx, dmap, keys
 
 
@@ -215,7 +223,12 @@ def classical_theta(n: int) -> dict:
     """Theta_3..Theta_n for order n, in both P- and p-variables.
 
     Returns {r: {"P": Poly, "p": Poly}}; raises EtaResidueError if any
-    eta monomial survives the assembly.
+    eta monomial survives the assembly.  Every polynomial product and
+    derivation runs on integer coefficients: the P-forms are assembled with
+    m E, m = 2(n+1), in place of E and scaled by one rational per Theta_r,
+    and the p-forms are summed over one common denominator per Theta_r
+    (_generic_p_forms).  Fractions appear only in those scalars and in the
+    returned forms.
     """
     if n < 3:
         raise ValueError("need order n >= 3")
@@ -227,14 +240,21 @@ def classical_theta(n: int) -> dict:
         return ctx.monomial(((v_idx, e),))
 
     vm2 = v_power(-2)
+    m = 2 * (n + 1)
 
     def e_derive(g: Poly) -> Poly:
+        """m E(g) = v^(-2) (m d)(g): integral on integer polynomials."""
         return _poly_derive(g, dmap) * vm2
 
+    # The ladder runs on B = M_(v^2) (m E) = m D_x, so that every operator
+    # coefficient is an integer polynomial: the equation's operator
+    # sum_i C(n,i) P_i D_x^(n-i) (P_0 = 1) is m^(-n) times
+    # sum_i C(n,i) m^i P_i B^(n-i), whose coefficient of (m E)^j is
+    # m^(n-j) times the coefficient of E^j.
     op = _operator(
-        [ctx.const(0), v_power(2)],  # D_x = M_(v^2) E
+        [ctx.const(0), v_power(2)],
         n,
-        [(i, ctx.var(f"P{i}_0")) for i in range(2, n + 1)],
+        [(i, ctx.var(f"P{i}_0").scale(m ** i)) for i in range(2, n + 1)],
         e_derive,
     )
     # compose with multiplication by v^(1-n):  Y = (xi')^(-(n-1)/2) W
@@ -245,16 +265,23 @@ def classical_theta(n: int) -> dict:
     if not coeffs[n - 1].is_zero():
         raise EtaResidueError("q_1 failed to vanish")
 
-    # Theta_r = sum_s wil_coefficient(r, s) E^s(q_(r-s)): each E^s(q_i) is
-    # derived once and added into Theta_(i+s); i descends so that every
-    # Theta_r sums its terms in the order s = 0, 1, ...
+    # Theta_r = sum_s wil_coefficient(r, s) E^s(q_(r-s)), where
+    # q_i = coeffs[n-i] / (m^i C(n,i)) and E^s = (m E)^s / m^s: every term
+    # of Theta_r carries 1/m^r, and the scalars wil_coefficient(r, s) /
+    # C(n, r-s) are cleared to ints over one denominator per r.  Each
+    # (m E)^s(coeffs[n-i]) is derived once and added into Theta_(i+s); i
+    # descends so that every Theta_r sums its terms in the order s = 0, 1, ...
+    weights = {
+        r: cleared([wil_coefficient(r, s) / comb(n, r - s) for s in range(r - 2)])
+        for r in range(3, n + 1)
+    }
     theta = {r: ctx.const(0) for r in range(3, n + 1)}
     for i in range(n, 2, -1):
-        g = coeffs[n - i].scale(Fraction(1, comb(n, i)))  # q_i
+        g = coeffs[n - i]
         for s in range(n - i + 1):
             if s:
                 g = e_derive(g)
-            theta[i + s] = theta[i + s] + g.scale(wil_coefficient(i + s, s))
+            theta[i + s] = theta[i + s] + g.scale(weights[i + s][0][s])
     theta_P = {}
     for r in range(3, n + 1):
         if set(theta[r].coefficients("eta")) - {0}:
@@ -266,26 +293,74 @@ def classical_theta(n: int) -> dict:
             raise EtaResidueError(
                 f"Theta_{r} is not homogeneous of weight {r} in xi'"
             )
-        theta_P[r] = by_weight.get(-2 * r, ctx.const(0))
+        den = weights[r][1] * m ** r
+        theta_P[r] = by_weight.get(-2 * r, ctx.const(0)).scale(Fraction(1, den))
 
-    # the generic equation: p_i^(k) is the variable p{i}_{k}
-    p_ctx, p_dmap, _ = _p_ring(n)
-    generic = _Equation(
-        n,
-        lambda i: p_ctx.var(f"p{i}_0"),
-        lambda f: _poly_derive(f, p_dmap),
-        p_ctx.const(1),
-    )
-    theta_p = generic.thetas(theta_P)
+    theta_p = _generic_p_forms(n, theta_P)
     return {r: {"P": poly, "p": theta_p[r]} for r, poly in theta_P.items()}
+
+
+def _generic_p_forms(n: int, theta_P: dict) -> dict:
+    """Theta_r of the generic equation, whose p_i^(k) is the variable
+    p{i}_{k}, from the P-forms, with integer polynomial arithmetic.
+
+    P_i^(k) is kept as (content, primitive integer part): P_i^(0) is
+    semi_invariants(n)[i].primitive(), and P_i^(k+1) is the primitive part
+    of the derivative of P_i^(k)'s primitive part (the p-ring's derivation
+    has integral images), its content multiplied into P_i^(k)'s.  Each
+    monomial coef prod P^e of a P-form gets the scalar coef prod content^e;
+    those scalars are cleared to ints over one denominator, the integer
+    products of primitive parts are summed, and the sum is scaled by 1/den
+    once (Gauss's lemma; Knuth, TAOCP vol. 2, 4.6.1).  The powers are
+    cached per Theta_r and each product is added into the running sum as
+    it is made, so no Theta_r's pieces are held at once.
+    """
+    p_ctx, p_dmap, _ = _p_ring(n)
+    w_keys = _w_ring(n)[2]
+    chains: dict = {}
+
+    def jet(key):
+        """(content, primitive part) of P_i^(k) for key = (i, k)."""
+        i, k = key
+        if i not in chains:
+            chains[i] = [semi_invariants(n)[i].primitive()]
+        chain = chains[i]
+        while len(chain) <= k:
+            c, prim = chain[-1]
+            d, prim = _poly_derive(prim, p_dmap).primitive()
+            chain.append((c * d, prim))
+        return chain[k]
+
+    theta_p = {}
+    for r, form in theta_P.items():
+        monomials = form.monomials()
+        scalars = []
+        for powers, coef in monomials:
+            for v, e in powers:
+                coef *= jet(w_keys[v])[0] ** e
+            scalars.append(coef)
+        ints, den = cleared(scalars)
+        total = _substitute_monomials(
+            [(powers, c) for (powers, _), c in zip(monomials, ints)],
+            lambda v: jet(w_keys[v])[1],
+            p_ctx.const(1),
+        )
+        theta_p[r] = total.scale(Fraction(1, den))
+    return theta_p
 
 
 def _substitute(poly: Poly, image, one):
     """poly with each variable v replaced by image(v), a Poly, JetFunction
     or ExtendedJetFunction; one is the unit of the target ring."""
+    return _substitute_monomials(poly.monomials(), image, one)
+
+
+def _substitute_monomials(monomials, image, one):
+    """sum coef prod image(v)^k over the (powers, coef) pairs of monomials,
+    as in Poly.monomials(), added up in their order."""
     powers: dict = {}
     total = None
-    for monomial, coef in poly.monomials():
+    for monomial, coef in monomials:
         term = None
         for v, k in monomial:
             if (v, k) not in powers:
@@ -329,14 +404,12 @@ class _Equation:
     def P(self, i: int, k: int = 0):
         return self._jet("P", i, k)
 
-    def thetas(self, forms: dict | None = None) -> dict:
-        """Theta_r of the equation from the P-forms (default: classical_theta)."""
-        if forms is None:
-            forms = {r: data["P"] for r, data in classical_theta(self.n).items()}
+    def thetas(self) -> dict:
+        """Theta_r of the equation from the P-forms of classical_theta."""
         w_keys = _w_ring(self.n)[2]
         return {
-            r: _substitute(form, lambda v: self.P(*w_keys[v]), self.one)
-            for r, form in sorted(forms.items())
+            r: _substitute(data["P"], lambda v: self.P(*w_keys[v]), self.one)
+            for r, data in sorted(classical_theta(self.n).items())
         }
 
 

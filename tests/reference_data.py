@@ -23,11 +23,17 @@ test and a scan of the remainder for its leading term, the route
 has a negative exponent and took leading terms from a heap.  The eight
 projective vector fields of the plane are listed here with their
 prolongation to jets, which reads only D_x and partial derivatives, not
-the Wilczynski assembly.
+the Wilczynski assembly.  The classical invariants Theta_r are assembled
+here the rational way, with the change-of-variable derivation E itself
+and its Fraction coefficients, and the generic p-forms come from
+substituting the generic equation's semi-invariants into them as for a
+concrete equation, independently of the integer arithmetic of
+``wilczynski.classical_theta``.
 """
 
 import random
 from fractions import Fraction
+from math import comb
 
 from g2sextic.diffpoly import (
     JetContext,
@@ -60,7 +66,17 @@ from g2sextic.orbit import (
     threeform_from_sextic,
 )
 from g2sextic.scalar import AlgebraicScalar, I, ONE, SQRT10, ZERO, cleared
-from g2sextic.wilczynski import DegenerateCurveError
+from g2sextic.wilczynski import (
+    DegenerateCurveError,
+    _compose,
+    _Equation,
+    _operator,
+    _p_ring,
+    _poly_derive,
+    _substitute,
+    _w_ring,
+    wil_coefficient,
+)
 
 R10 = SQRT10
 T_CTX = JetContext.plain(("t",))
@@ -563,3 +579,59 @@ def prolongation(xi: JetFunction, eta: JetFunction, order: int):
         return total
 
     return apply
+
+
+def generic_theta_by_substitution(n: int) -> dict:
+    """{r: {"P", "p"}} for Theta_3..Theta_n of order n by the rational route.
+
+    The P-forms come from the operator D_x = v^2 E with E = v^(-2) d, d the
+    derivation v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2,
+    P_i^(k)' = P_i^(k+1) with its Fraction images, and q_i and Theta_r
+    scaled term by term.  The p-forms substitute the generic equation's
+    P_i^(k), built by _Equation from the variables p{i}_{k}, into them.
+    """
+    ctx, _, keys = _w_ring(n)
+    v, eta = ctx.var("v"), ctx.var("eta")
+    half = Fraction(1, 2)
+    dmap = {
+        "v": (v * eta).scale(half),
+        "eta": (eta * eta).scale(half) + ctx.var("P2_0").scale(Fraction(6, n + 1)),
+    }
+    depth = n + 3
+    for i, k in keys[2:]:
+        dmap[f"P{i}_{k}"] = ctx.var(f"P{i}_{k + 1}") if k < depth else None
+
+    def v_power(e: int) -> Poly:
+        return ctx.monomial(((ctx.index["v"], e),))
+
+    def e_derive(g: Poly) -> Poly:
+        return _poly_derive(g, dmap) * v_power(-2)
+
+    op = _operator(
+        [ctx.const(0), v_power(2)],
+        n,
+        [(i, ctx.var(f"P{i}_0")) for i in range(2, n + 1)],
+        e_derive,
+    )
+    op = _compose(op, [v_power(1 - n)], e_derive)
+    coeffs = [c * v_power(-(n + 1)) for c in op]
+    theta = {r: ctx.const(0) for r in range(3, n + 1)}
+    for i in range(n, 2, -1):
+        g = coeffs[n - i].scale(Fraction(1, comb(n, i)))  # q_i
+        for s in range(n - i + 1):
+            if s:
+                g = e_derive(g)
+            theta[i + s] = theta[i + s] + g.scale(wil_coefficient(i + s, s))
+
+    p_ctx, p_dmap, _ = _p_ring(n)
+    generic = _Equation(
+        n,
+        lambda i: p_ctx.var(f"p{i}_0"),
+        lambda f: _poly_derive(f, p_dmap),
+        p_ctx.const(1),
+    )
+    out = {}
+    for r in sorted(theta):
+        form = theta[r].coefficients("v")[-2 * r]
+        out[r] = {"P": form, "p": _substitute(form, lambda w: generic.P(*keys[w]), generic.one)}
+    return out

@@ -159,6 +159,19 @@ def test_coefficients_stay_exact(a, b, c):
     assert all(exact_coefficients(p) for p in results)
 
 
+@given(laurent, st.integers(-6, 6))
+def test_scale_by_an_int_matches_reference(a, k):
+    # one pass over the terms: the same keys in the same order, each
+    # coefficient times k in its exact form, for int and Fraction terms alike
+    p = build(a)
+    scaled = p.scale(k)
+    assert scaled == build({e: c * k for e, c in a.items()})
+    assert exact_coefficients(scaled)
+    assert list(scaled.terms) == (list(p.terms) if k else [])
+    integral = p.primitive()[1]
+    assert all(type(c) is int for c in integral.scale(k).terms.values())
+
+
 @given(st.dictionaries(laurent_exps, unlike_coefs, min_size=1, max_size=5))
 def test_primitive_splits_off_a_signed_rational_unit(d):
     p = build(d)

@@ -1,4 +1,7 @@
+import hashlib
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
@@ -14,6 +17,7 @@ from g2sextic.diffpoly import (
     JetContext,
     JetFunction,
     PoleError,
+    Poly,
     free_total_derivative_map,
     on_equation_derivative_map,
     parse_jet_expression,
@@ -59,6 +63,7 @@ from g2sextic.wilczynski import (
 )
 
 from reference_data import (
+    generic_theta_by_substitution,
     symbolic_jets_along_curve,
     t_polynomial,
     term_by_term_function_value,
@@ -204,6 +209,84 @@ def test_top_theta_sizes():
     }
 
 
+# sha256 of f"{P}|{p}" for Theta_n of order n, taken from the rational
+# assembly that preceded the integer one
+TOP_THETA_SHA256 = {
+    3: "95fc7839200460da666a59e4636961e7a5c20a17ed2e2851fcbce63ba9a7f603",
+    4: "29963f28ca506fac82ba89f6c676376c39b62d607435776e32a732d2cbefe4d9",
+    5: "db4ead6be89c50e4e62ab5ea557fa8ddb8fcb49c75bdea6928843f19b9d34132",
+    6: "77e1893a5091b02b998cad2e93c0c774594e8d1a55c96eebbea86ba1a099276b",
+    7: "5a17f0d539500ae3f2877e45f5fa280c0be600ab27e116d67771d020ed5b458d",
+    8: "4d356c437b20c6b36469604ce860be13127dbf44ff2fbb34d51d5ef0152b07ec",
+    9: "3defe4655948627173e7de3909b93de9dd8ed025699372b3e3be723b49f6282e",
+    10: "c40ca46977ef370dff89ddbbe7bb1c6dcde8044548ae918bfeabca1cd882e8b3",
+    11: "38aca3fb177e821a49c1903ce33d9be7ca81d95808b8158d23e06000ecd3945a",
+    12: "121d43985806b79ac986d38e9e76e29426f116bc6a203b717d2d92ce675ee971",
+}
+
+
+def test_top_theta_digests():
+    digests = {}
+    for n in TOP_THETA_SHA256:
+        top = classical_theta(n)[n]
+        digests[n] = hashlib.sha256(f"{top['P']}|{top['p']}".encode()).hexdigest()
+    assert digests == TOP_THETA_SHA256
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_classical_theta_matches_the_rational_route(n):
+    # the same forms with the same term order as the rational assembly and
+    # the substitution of the generic equation's semi-invariants
+    expected = generic_theta_by_substitution(n)
+    thetas = classical_theta(n)
+    assert list(thetas) == list(expected)
+    for r, data in thetas.items():
+        for kind in ("P", "p"):
+            assert list(data[kind].terms.items()) == list(expected[r][kind].terms.items())
+
+
+def _integral(operand) -> bool:
+    if isinstance(operand, Poly):
+        return all(type(c) is int for c in operand.terms.values())
+    return type(operand) is int
+
+
+def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
+    # every Poly product of a fresh classical_theta(9) has int coefficients
+    # on both operands: those of the derivations, of the p-form expansion
+    # and of the operator ladder alike
+    classical_theta.cache_clear()
+    semi_invariants.cache_clear()
+    multiply = Poly.__mul__
+    products, fractional = Counter(), Counter()
+
+    def counted(self, other):
+        caller = sys._getframe(1)
+        callers = set()
+        frame = caller
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        if caller.f_code.co_name == "_poly_derive":
+            kind = "derivation"
+        elif "_generic_p_forms" in callers:
+            kind = "p-form"
+        else:
+            kind = "assembly"
+        products[kind] += 1
+        if not (_integral(self) and _integral(other)):
+            fractional[kind] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    classical_theta(9)
+    monkeypatch.undo()
+    assert fractional == Counter()
+    assert products["derivation"] > 500
+    assert products["p-form"] > 200
+    assert products["assembly"] > 100
+
+
 def test_wil_coefficient_normalization():
     # the q_r coefficient is always 1
     for r in range(3, 8):
@@ -238,7 +321,7 @@ def test_reparametrization_weight_linear_ode():
             assert th_hat[3].evaluate({"x": x0}) == a ** 3 * th[3].evaluate({"x": a * x0})
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_thetas_invariant_under_rescaling_y(n):
     # Y = lambda(x) y: with a_n = 1 and a_(n-i) = C(n,i) p_i, Leibniz gives
     # the coefficients b_j = sum_(k>=j) a_k C(k,j) lambda^(k-j) of y^(j),
