@@ -16,7 +16,7 @@ normal form.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .scalar import cleared, exact, parse_rational
 
@@ -110,22 +110,14 @@ def _from_cleared_monomials(mono, den) -> BinaryForm:
     return BinaryForm(n, [exact(Fraction(c, den * comb(n, k))) for k, c in enumerate(mono)])
 
 
-def _dt(mono):
-    # d/dt of sum m[k] t^(n-k) s^k
-    n = len(mono) - 1
-    return [mono[k] * (n - k) for k in range(n)]
-
-
-def _ds(mono):
-    return [mono[k + 1] * (k + 1) for k in range(len(mono) - 1)]
-
-
 def _mixed_derivative(mono, dt_count, ds_count):
-    for _ in range(dt_count):
-        mono = _dt(mono)
-    for _ in range(ds_count):
-        mono = _ds(mono)
-    return mono
+    """d^a/dt^a d^b/ds^b of sum m[k] t^(n-k) s^k for a = dt_count and
+    b = ds_count: the term t^(n-k) s^k goes to index k - b with the falling
+    factorials perm(n - k, a) perm(k, b), so the coefficient at index k is
+    m[k+b] perm(n-k-b, a) perm(k+b, b)."""
+    n = len(mono) - 1
+    return [mono[k + ds_count] * perm(n - k - ds_count, dt_count) * perm(k + ds_count, ds_count)
+            for k in range(n - dt_count - ds_count + 1)]
 
 
 def _mono_mul(a, b):
@@ -207,11 +199,10 @@ def gl2_act(v: BinaryForm, matrix) -> BinaryForm:
 
 
 def _power_list(linear, n):
-    """Powers (x t + y s)^k for k = 0..n as monomial lists."""
-    pows = [[1]]
-    for _ in range(n):
-        pows.append(_mono_mul(pows[-1], linear))
-    return pows
+    """Powers (x t + y s)^k for k = 0..n as monomial lists, by the binomial
+    theorem: the coefficient of t^(k-j) s^j is C(k, j) x^(k-j) y^j."""
+    x, y = linear
+    return [[comb(k, j) * x ** (k - j) * y ** j for j in range(k + 1)] for k in range(n + 1)]
 
 
 def det2(matrix):

@@ -200,13 +200,12 @@ def criterion_curvature_law() -> list:
     and the gamma <-> 1/gamma symmetry."""
     out = []
     gammas = [Fraction(3, 2), Fraction(3), Fraction(4), Fraction(5, 2), Fraction(7, 3)]
-    law_ok = all(
-        wilczynski.curvature_kappa(g) == wilczynski.kappa_closed_form(g) for g in gammas
-    )
+    kappas = {g: wilczynski.curvature_kappa(g) for g in gammas}
+    law_ok = all(kappa == wilczynski.kappa_closed_form(g) for g, kappa in kappas.items())
     out.append(_report("c07.kappa-closed-form", law_ok,
                        details={"gammas": [str(g) for g in gammas]}))
     for check_id, kappa, expected in (
-        ("c07.kappa-cuspidal", wilczynski.curvature_kappa(Fraction(3, 2)), targets.KAPPA_CUSPIDAL),
+        ("c07.kappa-cuspidal", kappas[Fraction(3, 2)], targets.KAPPA_CUSPIDAL),
         ("c07.kappa-log-curve", wilczynski.curvature_kappa_log_curve(), targets.KAPPA_LOG),
     ):
         out.append(_report(check_id, kappa == expected, kappa, expected))

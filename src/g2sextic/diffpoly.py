@@ -558,15 +558,18 @@ def _is_one(prim: Poly) -> bool:
 
 
 def _split_monomials(ctx: JetContext, unit, factors: dict):
-    """(unit, table) with one-term factors (constants too) replaced by
-    per-variable factors, their coefficients folded into unit, so that
-    trial reduction sees them."""
+    """(unit, table) with each factor's content (Poly.primitive()) folded
+    into unit and one-term factors (constants too) replaced by
+    per-variable factors: every table factor is then a primitive integer
+    polynomial, as _is_one and _trial_reduce assume, and trial reduction
+    sees the variables of a monomial."""
     out = {}
     for f, e in factors.items():
+        content, f = f.primitive()
+        if content != 1:
+            unit *= content ** e
         if len(f.terms) == 1:
-            ((key, coef),) = f.terms.items()
-            if coef != 1:
-                unit *= Fraction(coef) ** e
+            ((key, _),) = f.terms.items()
             for v, k in ctx._powers(key):
                 vp = ctx.var(ctx.names[v])
                 out[vp] = out.get(vp, 0) + k * e
@@ -598,10 +601,12 @@ def _trial_reduce(prim: Poly, factors: dict) -> Poly:
 
 def _normal(ctx: JetContext, unit, prim: Poly, factors: dict) -> tuple:
     """(unit, prim, table) of unit * prim * prod f^e in normal form, for a
-    primitive prim and a table of one-term and primitive factors."""
+    primitive prim and a table of factors; a zero factor makes the zero
+    function, or a ZeroDivisionError under a negative exponent."""
+    if unit:
+        unit, factors = _split_monomials(ctx, unit, factors)
     if not unit:
         return 0, _poly(ctx, {}), {}
-    unit, factors = _split_monomials(ctx, unit, factors)
     return unit, _trial_reduce(prim, factors), factors
 
 
@@ -633,9 +638,7 @@ class JetFunction:
     def from_polys(num: Poly, den: Poly) -> "JetFunction":
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        den_unit, den_prim = den.primitive()
-        unit, prim = num.primitive()
-        return _jet(num.ctx, *_normal(num.ctx, unit / den_unit, prim, {den_prim: -1}))
+        return JetFunction(num.ctx, num, {den: -1})
 
     def is_zero(self) -> bool:
         return not self.unit
@@ -657,6 +660,10 @@ class JetFunction:
         o = self._coerce(self.ctx, other)
         if o is None:
             return NotImplemented
+        if not o.unit:
+            return self
+        if not self.unit:
+            return o
         # insertion order, not Poly.__hash__, orders the trial divisions
         common = {f: min(self.factors.get(f, 0), o.factors.get(f, 0))
                   for f in {**self.factors, **o.factors}}
@@ -664,10 +671,10 @@ class JetFunction:
         left, right = self.prim, o.prim
         for f, base in common.items():
             k = self.factors.get(f, 0) - base
-            if k and a:
+            if k:
                 left = left * f ** k
             k = o.factors.get(f, 0) - base
-            if k and b:
+            if k:
                 right = right * f ** k
         if a != 1:
             left = left.scale(a)
@@ -788,8 +795,7 @@ class JetFunction:
                     den = den * f ** -e
                     break
                 num, den, e = num.exact_div(g), den * f.exact_div(g), e + 1
-        unit, prim = den.primitive()
-        return num.scale(1 / unit), prim
+        return num, den
 
     def normalize(self) -> "JetFunction":
         num, den = self.normalize_pair()

@@ -304,31 +304,29 @@ def _generic_p_forms(n: int, theta_P: dict) -> dict:
     """Theta_r of the generic equation, whose p_i^(k) is the variable
     p{i}_{k}, from the P-forms, with integer polynomial arithmetic.
 
-    P_i^(k) is kept as (content, primitive integer part): P_i^(0) is
-    semi_invariants(n)[i].primitive(), and P_i^(k+1) is the primitive part
-    of the derivative of P_i^(k)'s primitive part (the p-ring's derivation
-    has integral images), its content multiplied into P_i^(k)'s.  Each
-    monomial coef prod P^e of a P-form gets the scalar coef prod content^e;
+    Each chain keeps one content: P_i^(k) = c_i d^k(Q_i) with
+    (c_i, Q_i) = semi_invariants(n)[i].primitive(), and the p-ring's
+    derivation d maps integer polynomials to integer polynomials.  Each
+    monomial coef prod P^e of a P-form gets the scalar coef prod c_i^e;
     those scalars are cleared to ints over one denominator, the integer
-    products of primitive parts are summed, and the sum is scaled by 1/den
+    products of the d^k(Q_i) are summed, and the sum is scaled by 1/den
     once (Gauss's lemma; Knuth, TAOCP vol. 2, 4.6.1).  The powers are
     cached per Theta_r and each product is added into the running sum as
     it is made, so no Theta_r's pieces are held at once.
     """
     p_ctx, p_dmap, _ = _p_ring(n)
     w_keys = _w_ring(n)[2]
-    chains: dict = {}
+    contents, chains = {}, {}
+    for i, semi in semi_invariants(n).items():
+        contents[i], prim = semi.primitive()
+        chains[i] = [prim]
 
     def jet(key):
-        """(content, primitive part) of P_i^(k) for key = (i, k)."""
+        """d^k(Q_i) for key = (i, k)."""
         i, k = key
-        if i not in chains:
-            chains[i] = [semi_invariants(n)[i].primitive()]
         chain = chains[i]
         while len(chain) <= k:
-            c, prim = chain[-1]
-            d, prim = _poly_derive(prim, p_dmap).primitive()
-            chain.append((c * d, prim))
+            chain.append(_poly_derive(chain[-1], p_dmap))
         return chain[k]
 
     theta_p = {}
@@ -337,12 +335,12 @@ def _generic_p_forms(n: int, theta_P: dict) -> dict:
         scalars = []
         for powers, coef in monomials:
             for v, e in powers:
-                coef *= jet(w_keys[v])[0] ** e
+                coef *= contents[w_keys[v][0]] ** e
             scalars.append(coef)
         ints, den = cleared(scalars)
         total = _substitute_monomials(
             [(powers, c) for (powers, _), c in zip(monomials, ints)],
-            lambda v: jet(w_keys[v])[1],
+            lambda v: jet(w_keys[v]),
             p_ctx.const(1),
         )
         theta_p[r] = total.scale(Fraction(1, den))

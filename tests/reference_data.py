@@ -28,7 +28,10 @@ here the rational way, with the change-of-variable derivation E itself
 and its Fraction coefficients, and the generic p-forms come from
 substituting the generic equation's semi-invariants into them as for a
 concrete equation, independently of the integer arithmetic of
-``wilczynski.classical_theta``.
+``wilczynski.classical_theta``.  The mixed partial derivatives of a
+binary form's monomial list are taken here one d/dt or d/ds at a time,
+and the powers of a linear form by repeated convolution, independently
+of the falling-factorial and binomial closed forms in ``binform``.
 """
 
 import random
@@ -543,6 +546,34 @@ def long_division(dividend: Poly, divisor: Poly):
             else:
                 rem.pop(e, None)
     return _poly(ctx, {e: _div(c, scale * unit) for e, c in out.items()})
+
+
+# -- binary forms, one derivative or one product at a time ----------------------
+
+
+def mixed_derivative_by_steps(mono, dt_count, ds_count):
+    """d^a/dt^a d^b/ds^b of sum m[k] t^(n-k) s^k for a = dt_count and
+    b = ds_count, one derivative at a time."""
+    for _ in range(dt_count):
+        n = len(mono) - 1
+        mono = [mono[k] * (n - k) for k in range(n)]
+    for _ in range(ds_count):
+        mono = [mono[k + 1] * (k + 1) for k in range(len(mono) - 1)]
+    return mono
+
+
+def binomial_powers_by_convolution(linear, n):
+    """Powers (x t + y s)^k for k = 0..n as monomial lists, each the
+    convolution of the one before with [x, y]."""
+    pows = [[1]]
+    for _ in range(n):
+        prev = pows[-1]
+        out = [0] * (len(prev) + len(linear) - 1)
+        for i, a in enumerate(prev):
+            for j, b in enumerate(linear):
+                out[i + j] += a * b
+        pows.append(out)
+    return pows
 
 
 # -- projective vector fields and their prolongation ----------------------------

@@ -3,10 +3,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from g2sextic.binform import (
     I2_CALIBRATION,
     BinaryForm,
+    _mixed_derivative,
+    _power_list,
     det2,
     gl2_act,
     invariant_I2,
@@ -14,6 +18,8 @@ from g2sextic.binform import (
     parse_form,
     transvectant,
 )
+
+from reference_data import binomial_powers_by_convolution, mixed_derivative_by_steps
 
 # --- independent brute-force oracle: dict-based bivariate polynomials -------
 
@@ -300,3 +306,21 @@ def test_results_are_int_or_reduced_fraction():
         assert all(normal_form(c) for c in values)
         seen.update(type(c) for c in values)
     assert seen == {int, Fraction}  # both branches were exercised
+
+
+# -- the closed forms against the step-by-step oracles ----------------------------
+
+ints = st.integers(-10 ** 6, 10 ** 6)
+
+
+@given(st.lists(ints, min_size=1, max_size=13))
+def test_mixed_derivative_matches_one_derivative_at_a_time(mono):
+    n = len(mono) - 1
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            assert _mixed_derivative(mono, a, b) == mixed_derivative_by_steps(mono, a, b)
+
+
+@given(ints, ints, st.integers(0, 12))
+def test_power_list_matches_repeated_convolution(x, y, n):
+    assert _power_list((x, y), n) == binomial_powers_by_convolution((x, y), n)

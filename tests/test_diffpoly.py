@@ -166,6 +166,33 @@ def test_pow_and_inverse():
         fn("0").inverse()
 
 
+def test_table_factors_are_made_primitive():
+    # a factor's content goes into the unit, so the trial division of y1 + 1
+    # by 2*y1 + 2 leaves the constant 1/2 there, not in a prim taken for 1
+    y1, one = CTX.var("y1"), CTX.const(1)
+    half = JetFunction(CTX, y1 + one, {y1.scale(2) + CTX.const(2): -1})
+    minus = JetFunction(CTX, y1 + one, {-(y1 + one): -1})
+    assert half * fn("y1") == fn("y1") / 2
+    assert minus * fn("y1") == -fn("y1")
+    assert half.factors == {} and minus.factors == {}
+    assert half.unit == Fraction(1, 2) and minus.unit == -1
+
+
+def test_a_zero_factor_makes_the_zero_function():
+    y1, zero = CTX.var("y1"), CTX.const(0)
+    f = JetFunction(CTX, y1, {zero: 2})
+    assert f.is_zero() and f.prim.is_zero() and f.factors == {}
+    with pytest.raises(ZeroDivisionError):
+        JetFunction(CTX, y1, {zero: -1})
+
+
+def test_adding_zero_keeps_the_factor_table():
+    h = (fn("y1") + fn("y2")).as_factored() * fn("y3")
+    assert [(str(p), e) for p, e in h.factors.items()] == [("1*y1 + 1*y2", 1)]
+    for total in (h + 0, 0 + h, h + CTX.fn(0), h - 0):
+        assert total.factors == h.factors and total.prim == h.prim and total.unit == h.unit
+
+
 def test_extended_restriction_agrees_with_plain():
     base = fn("y2^8")
     a = ExtendedJetFunction(fn("y2 + x"), fn("0"), fn("0"), base)

@@ -686,10 +686,10 @@ def test_no_arithmetic_result_is_a_u_free_element(h, parts, g, k):
 
 def assert_normal_table(h):
     """The constructor's normal form of a factor table: nonzero exponents,
-    no constant factor, and every one-term factor a single variable with
-    coefficient 1."""
+    no constant factor, every factor a primitive integer polynomial and
+    every one-term factor a single variable with coefficient 1."""
     for p, e in h.factors.items():
-        assert e and not p.is_constant()
+        assert e and not p.is_constant() and p.primitive()[0] == 1
         if len(p.terms) == 1:
             ((powers, coef),) = p.monomials()
             assert coef == 1 and [k for _, k in powers] == [1]
@@ -739,6 +739,7 @@ def assert_integer_numerator(h):
 @given(jet_functions(), jet_functions(), st.integers(-2, 3), values, st.sampled_from(NAMES))
 def test_operations_keep_an_integer_primitive_numerator(f, g, n, c, name):
     results = [f, g, JetFunction(CTX, f.num * 3, f.factors), JetFunction(CTX, f.num, g.factors),
+               JetFunction(CTX, f.num, {p.scale(-2): e for p, e in g.factors.items()}),
                f + g, f - g, f - f, f + c, c - f, f * g, f * c, c * f, -f, f.as_factored(),
                f.partial(name)]
     if f or n >= 0:

@@ -2,7 +2,9 @@
 it and the tests read every name they import, the package reads every
 private name it defines, and the package, perfbench or the tests read
 every public name it defines.  Only scalar.py takes math.lcm, so
-scalar.cleared stays the one routine that clears denominators."""
+scalar.cleared stays the one routine that clears denominators.  Every
+Python file of the package, the tests and perfbench parses with the
+grammar of Python 3.10, the floor that pyproject.toml declares."""
 
 import ast
 import sys
@@ -161,6 +163,34 @@ def test_taking_lcm_is_reported(tmp_path):
         "math.lcm(2, 3)\nmath.gcd(2, 3)\nother.lcm\n"
     )
     assert lcm_lines(module) == [2, 4]
+
+
+def files_above_the_floor(paths, floor=(3, 10)):
+    """(path, message) for every file that does not parse with the grammar
+    of Python floor."""
+    found = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
+        except SyntaxError as err:
+            found.append((path.name, err.msg))
+    return found
+
+
+def test_every_file_parses_at_the_declared_python_floor():
+    paths = [p for d in (PACKAGE_DIR, TESTS_DIR, PERFBENCH_DIR) for p in sorted(d.rglob("*.py"))]
+    assert len(paths) > 30
+    assert files_above_the_floor(paths) == []
+
+
+def test_a_file_above_the_floor_is_reported(tmp_path):
+    # except* is Python 3.11; match is 3.10, so it is reported only below 3.10
+    newer = tmp_path / "newer.py"
+    newer.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    floor = tmp_path / "floor.py"
+    floor.write_text("match 1:\n    case 1:\n        pass\n")
+    assert [name for name, _ in files_above_the_floor([newer, floor])] == ["newer.py"]
+    assert [name for name, _ in files_above_the_floor([floor], (3, 9))] == ["floor.py"]
 
 
 def test_every_private_name_is_read():
