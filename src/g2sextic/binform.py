@@ -3,9 +3,10 @@
 A degree-n form is stored by its binomial-convention coefficients
 v_0..v_n, i.e. the polynomial  sum_k C(n,k) v_k t^(n-k) s^k.
 
-BinaryForm, from_monomial_coeffs and invariant_I2 are generic: their
-coefficients may be any commutative ring elements supporting +, -, *
-(the orbit module feeds coframe-valued coefficients through them).
+BinaryForm and from_monomial_coeffs are generic: their coefficients may
+be any commutative ring elements supporting +, -, * (the orbit module
+feeds coframe-valued coefficients through them, and its metric is I2
+polarized, read from the same I2_PAIRING as invariant_I2).
 transvectant, invariant_I3 and gl2_act take rational coefficients only
 (ints and Fractions).  They clear each input's denominators once with
 scalar.cleared, run their inner loops on ints, and divide once per output
@@ -152,12 +153,16 @@ def transvectant(u: BinaryForm, v: BinaryForm, p: int) -> BinaryForm:
 # -- invariants ---------------------------------------------------------------
 
 
+# I2 as a pairing of coefficients: (j, k, w) contributes w v_j v_k.
+I2_PAIRING = ((0, 6, 1), (1, 5, -6), (2, 4, 15), (3, 3, -10))
+
+
 def invariant_I2(v: BinaryForm):
-    """v0 v6 - 6 v1 v5 + 15 v2 v4 - 10 v3^2 for a binary sextic."""
+    """v0 v6 - 6 v1 v5 + 15 v2 v4 - 10 v3^2 for a binary sextic (I2_PAIRING)."""
     if v.degree != 6:
         raise ValueError("I2 needs a degree-6 form")
     c = v.coeffs
-    return c[0] * c[6] - 6 * (c[1] * c[5]) + 15 * (c[2] * c[4]) - 10 * (c[3] * c[3])
+    return sum(w * (c[j] * c[k]) for j, k, w in I2_PAIRING)
 
 
 def invariant_I3(u: BinaryForm, v: BinaryForm, w: BinaryForm):

@@ -384,6 +384,8 @@ class Poly:
         g = int_gcd(*nums)
         if self.terms[max(self.terms)] < 0:
             g = -g
+        if g == 1 and den == 1:  # primitive already: keep the dict and its hash
+            return Fraction(1), self
         return Fraction(g, den), _poly(self.ctx, {e: n // g for e, n in zip(self.terms, nums)})
 
     def leading(self):
@@ -567,6 +569,8 @@ def _split_monomials(ctx: JetContext, unit, factors: dict):
     for f, e in factors.items():
         content, f = f.primitive()
         if content != 1:
+            if not content and e < 0:
+                raise ZeroDivisionError("division by zero polynomial")
             unit *= content ** e
         if len(f.terms) == 1:
             ((key, _),) = f.terms.items()
@@ -865,8 +869,6 @@ def _derive_poly(ctx: JetContext, p: Poly, dmap: dict):
         if image is None:
             continue
         dp = p.diff(name)
-        if dp.is_zero():
-            continue
         if image is Ellipsis:
             raise MissingJetError(
                 f"derivative of {name} undefined: supply the equation right-hand side"

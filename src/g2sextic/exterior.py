@@ -76,22 +76,17 @@ def theta(*indices) -> ExteriorForm:
     return ExteriorForm(len(indices), {tuple(indices): 1})
 
 
-def _binary_op(a: ExteriorForm, b: ExteriorForm, sub=False) -> ExteriorForm:
+def add(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     if a.degree != b.degree:
         raise ValueError("degree mismatch in form addition")
     out = dict(a.terms)
     for idx, coef in b.terms.items():
-        cur = out.get(idx, ZERO)
-        out[idx] = cur - coef if sub else cur + coef
+        out[idx] = out.get(idx, ZERO) + coef
     return ExteriorForm(a.degree, out)
 
 
-def add(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
-    return _binary_op(a, b)
-
-
 def sub(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
-    return _binary_op(a, b, sub=True)
+    return add(a, scale(b, -1))
 
 
 def scale(a: ExteriorForm, c) -> ExteriorForm:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .binform import BinaryForm
+from .binform import I2_PAIRING, BinaryForm
 from .exterior import ExteriorForm, add as form_add, scale as form_scale, wedge
-from .scalar import I, SQRT10, ZERO, AlgebraicScalar
+from .scalar import I, ONE, SQRT10, ZERO, AlgebraicScalar
 
 # Independent sigma symbols after eliminating sigma^3_3 = -s11 - s22.
 SYMBOLS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
@@ -202,15 +202,13 @@ def pullout_power(p: int, q: int) -> int:
 
 
 def metric_from_sextic(s_form: BinaryForm) -> SymTensor:
-    """a0.a6 - 6 a1.a5 + 15 a2.a4 - 10 a3^2 on a degree-6 coframe form."""
+    """I2 polarized on a degree-6 coframe form: the sum of w a_j.a_k over I2_PAIRING."""
     if s_form.degree != 6:
         raise ValueError("metric extraction needs a degree-6 form")
     a = s_form.coeffs
     out = SymTensor()
-    out.add_product(1, a[0], a[6])
-    out.add_product(-6, a[1], a[5])
-    out.add_product(15, a[2], a[4])
-    out.add_product(-10, a[3], a[3])
+    for j, k, w in I2_PAIRING:
+        out.add_product(w, a[j], a[k])
     return out
 
 
@@ -291,55 +289,40 @@ def identity_gram() -> list:
 REAL_FORMS = ("split", "su3", "su21")
 
 
+# the off-diagonal pairs (a, b), on the coordinates (x1, x2), (x3, x4), (x5, x6)
+_OFF_DIAGONAL = ((2, 3), (1, 3), (1, 2))
+# eta of the reality condition X^dagger eta + eta X = 0
+_ETA = {"su3": (1, 1, 1), "su21": (1, 1, -1)}
+
+
 def _real_slice_covectors(tag: str):
     """sigma symbols as 7-component coordinate covectors per reality condition.
 
     Coordinates: (x1..x6) spanning the off-diagonal block, x7 the diagonal
-    combination transverse to the stabiliser (sigma^1_1 -> 0,
-    sigma^2_2 -> -x7 resp. -i x7).
+    combination transverse to the stabiliser; sigma^1_1 -> 0.  split:
+    each off-diagonal sigma^a_b is its own real coordinate and
+    sigma^2_2 -> -x7.  su3, su21: sigma^a_b = x + i y and
+    sigma^b_a = -eta_a eta_b conj(sigma^a_b) on each pair, which is
+    X^dagger eta + eta X = 0, and sigma^2_2 -> -i x7.
     """
+    if tag != "split" and tag not in _ETA:
+        raise ValueError(f"unknown real form {tag!r}")
 
-    def combo(*pairs):
+    def covector(*entries):
         vec = [ZERO] * 7
-        for j, coef in pairs:
-            vec[j] = vec[j] + AlgebraicScalar.coerce(coef)
+        for j, coef in entries:
+            vec[j] = coef
         return vec
 
-    one = AlgebraicScalar.rational(1)
-    if tag == "split":
-        return {
-            (2, 3): combo((0, one)),
-            (3, 2): combo((1, one)),
-            (1, 3): combo((2, one)),
-            (3, 1): combo((3, one)),
-            (1, 2): combo((4, one)),
-            (2, 1): combo((5, one)),
-            (1, 1): [ZERO] * 7,
-            (2, 2): combo((6, -one)),
-        }
-    if tag == "su21":
-        return {
-            (2, 3): combo((0, one), (1, I)),
-            (3, 2): combo((0, one), (1, -I)),
-            (1, 3): combo((2, one), (3, I)),
-            (3, 1): combo((2, one), (3, -I)),
-            (1, 2): combo((4, one), (5, I)),
-            (2, 1): combo((4, -one), (5, I)),
-            (1, 1): [ZERO] * 7,
-            (2, 2): combo((6, -I)),
-        }
-    if tag == "su3":
-        return {
-            (2, 3): combo((0, one), (1, I)),
-            (3, 2): combo((0, -one), (1, I)),
-            (1, 3): combo((2, one), (3, I)),
-            (3, 1): combo((2, -one), (3, I)),
-            (1, 2): combo((4, one), (5, I)),
-            (2, 1): combo((4, -one), (5, I)),
-            (1, 1): [ZERO] * 7,
-            (2, 2): combo((6, -I)),
-        }
-    raise ValueError(f"unknown real form {tag!r}")
+    out = {(1, 1): covector(), (2, 2): covector((6, -ONE if tag == "split" else -I))}
+    for k, (a, b) in enumerate(_OFF_DIAGONAL):
+        if tag == "split":
+            out[a, b], out[b, a] = covector((2 * k, ONE)), covector((2 * k + 1, ONE))
+        else:
+            eta = _ETA[tag]
+            out[a, b] = covector((2 * k, ONE), (2 * k + 1, I))
+            out[b, a] = [-eta[a - 1] * eta[b - 1] * c.conj() for c in out[a, b]]
+    return out
 
 
 def signature(tag: str) -> tuple[int, int]:

@@ -121,12 +121,6 @@ class AlgebraicScalar:
         """Complex conjugation i -> -i; an involutive field automorphism."""
         return self._flip(_I_BIT)
 
-    def conj_sqrt2(self) -> "AlgebraicScalar":
-        return self._flip(_R2_BIT)
-
-    def conj_sqrt5(self) -> "AlgebraicScalar":
-        return self._flip(_R5_BIT)
-
     def _flip(self, bit: int) -> "AlgebraicScalar":
         return AlgebraicScalar(
             tuple(-c if idx & bit else c for idx, c in enumerate(self.coords))
@@ -136,11 +130,11 @@ class AlgebraicScalar:
         """Exact inverse via the conjugate tower; ZeroDivisionError on 0."""
         if not self:
             raise ZeroDivisionError("inversion of zero AlgebraicScalar")
-        x1 = self.conj()
+        x1 = self._flip(_I_BIT)
         b = self * x1  # fixed by i -> -i
-        x2 = b.conj_sqrt2()
+        x2 = b._flip(_R2_BIT)
         c = b * x2  # fixed by i, sqrt2 flips
-        x3 = c.conj_sqrt5()
+        x3 = c._flip(_R5_BIT)
         d = c * x3  # rational norm
         norm = Fraction(d.coords[0])
         if any(d.coords[1:]):

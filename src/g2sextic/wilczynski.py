@@ -96,9 +96,7 @@ def _poly_derive(p: Poly, dmap: dict) -> Poly:
             raise EtaResidueError(
                 f"derivative of {p.ctx.names[v]} exceeds the declared order budget"
             )
-        dp = p.diff(p.ctx.names[v])
-        if not dp.is_zero():
-            total = total + dp * img
+        total = total + p.diff(p.ctx.names[v]) * img
     return total
 
 
@@ -518,12 +516,16 @@ def theta8(theta3: JetFunction, p2: JetFunction, derive) -> JetFunction:
     return theta3 * t2 * 6 - t1 * t1 * 7 - p2 * theta3 * theta3 * 27
 
 
+def _theta3_theta8(equation: _Equation) -> tuple:
+    """(Theta_3, Theta_8) of a third-order equation."""
+    theta3 = equation.thetas()[3]
+    return theta3, theta8(theta3, equation.P(2), equation.derive)
+
+
 def curve_thetas(ctx: JetContext) -> tuple[JetFunction, JetFunction]:
     """(Theta_3, Theta_8) on graphs, from one graph equation: Theta_3 =
     P3 - (3/2) P2' equals halphen_theta3 / (-54)."""
-    graph = _graph_equation(ctx)
-    theta3 = graph.thetas()[3]
-    return theta3, theta8(theta3, graph.P(2), graph.derive)
+    return _theta3_theta8(_graph_equation(ctx))
 
 
 # -- projective curvature --------------------------------------------------------
@@ -540,11 +542,9 @@ def curvature_kappa_of_ode(ode: LinearODE) -> Fraction:
     """kappa = Theta_8^3 / Theta_3^8 for a third-order linear ODE."""
     if ode.order != 3:
         raise ValueError("curvature needs the third-order curve ODE")
-    equation = _linear_equation(ode)
-    theta3 = equation.thetas()[3]
+    theta3, t8 = _theta3_theta8(_linear_equation(ode))
     if theta3.is_zero():
         raise CurvatureUndefinedError("Theta_3 vanishes: conic or degenerate curve")
-    t8 = theta8(theta3, equation.P(2), x_derivative)
     kappa = t8 ** 3 / theta3 ** 8
     if not kappa.partial("x").is_zero():
         raise DiffAlgebraError("curvature came out x-dependent")
@@ -564,10 +564,6 @@ def curvature_kappa(gamma: Fraction) -> Fraction:
             f"gamma = {gamma} excluded (gamma != 0, 1, -1, 2, 1/2)"
         )
     return curvature_kappa_of_ode(power_curve_ode(gamma))
-
-
-def curvature_kappa_log_curve() -> Fraction:
-    return curvature_kappa_of_ode(log_curve_ode())
 
 
 # -- the 7th-order curvature ODE --------------------------------------------------
@@ -674,7 +670,8 @@ def curvature_thetas() -> MappingProxyType:
 def specialize_kappa(thetas, k) -> dict:
     """The invariants of curvature_ode(k) from the symbolic ones, by
     kappa -> k in every numerator of a JetFunction, or of an element's c0,
-    c1, c2 and cube base, rebuilt as c0 + c1 u + c2 u^2.
+    c1, c2 and cube base: each numerator's coefficients in kappa, scaled
+    by k^e and summed.
 
     Sound when kappa occurs in no factor table: then kappa -> k is a ring
     homomorphism that commutes with D_x (D_x kappa = 0) and sends
@@ -682,21 +679,23 @@ def specialize_kappa(thetas, k) -> dict:
     DiffAlgebraError.
     """
     ctx = next(iter(thetas.values())).ctx
-    kappa_idx, value, one = ctx.index["kappa"], ctx.const(Fraction(k)), ctx.const(1)
-
-    def image(v: int) -> Poly:
-        return value if v == kappa_idx else ctx.monomial(((v, 1),))
+    kappa_idx, k = ctx.index["kappa"], Fraction(k)
 
     def specialize(f: JetFunction) -> JetFunction:
         if any(kappa_idx in g.variables() for g in f.factors):
             raise DiffAlgebraError("kappa occurs in a factor table; cannot specialize")
-        return JetFunction(ctx, _substitute(f.num, image, one), f.factors)
+        num = ctx.const(0)
+        for e, c in f.prim.coefficients("kappa").items():
+            num = num + c.scale(f.unit * k ** e)
+        return JetFunction(ctx, num, f.factors)
 
     def specialize_value(t):
         if isinstance(t, JetFunction):
             return specialize(t)
-        u = ExtendedJetFunction(ctx.fn(0), ctx.fn(1), ctx.fn(0), specialize(t.base))
-        return specialize(t.c0) + specialize(t.c1) * u + specialize(t.c2) * u * u
+        c0, c1, c2 = (specialize(c) for c in (t.c0, t.c1, t.c2))
+        if c1.is_zero() and c2.is_zero():
+            return c0
+        return ExtendedJetFunction(c0, c1, c2, specialize(t.base))
 
     return {r: specialize_value(t) for r, t in thetas.items()}
 

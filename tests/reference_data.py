@@ -3,8 +3,8 @@
 The eight structure equations, the unit-coefficient three-form and its
 dual are transcribed here once; tests compare engine output against these
 exactly.  The three real slices of sl(3, C) are derived here from their
-reality conditions, independently of the hand-written slice tables in
-``orbit``.  The jets of a parametrized curve are computed here by the
+reality conditions as the kernel of one linear system, independently of
+the slice coordinates that ``orbit`` writes down from them.  The jets of a parametrized curve are computed here by the
 symbolic chain y_(j+1) = y_j'/x' on rational functions of t, independently
 of the power-series route of ``wilczynski.jets_along_curve``.  Values of
 polynomials and rational functions are computed here term by term on
@@ -32,6 +32,11 @@ concrete equation, independently of the integer arithmetic of
 binary form's monomial list are taken here one d/dt or d/ds at a time,
 and the powers of a linear form by repeated convolution, independently
 of the falling-factorial and binomial closed forms in ``binform``.
+kappa -> k is done here by substituting k for kappa, and every other
+variable by itself, term by term in each numerator, and an extension
+element is rebuilt as c0 + c1 u + c2 u^2: the route
+``wilczynski.specialize_kappa`` took before it evaluated each numerator's
+coefficients in kappa.
 """
 
 import random
@@ -39,6 +44,7 @@ from fractions import Fraction
 from math import comb
 
 from g2sextic.diffpoly import (
+    ExtendedJetFunction,
     JetContext,
     JetFunction,
     PoleError,
@@ -666,3 +672,27 @@ def generic_theta_by_substitution(n: int) -> dict:
         form = theta[r].coefficients("v")[-2 * r]
         out[r] = {"P": form, "p": _substitute(form, lambda w: generic.P(*keys[w]), generic.one)}
     return out
+
+
+# -- kappa -> k by substitution ---------------------------------------------------
+
+
+def specialize_kappa_by_substitution(thetas, k) -> dict:
+    """wilczynski.specialize_kappa by substitution: kappa -> k and every other
+    variable to itself in each numerator, over the unchanged factor table."""
+    ctx = next(iter(thetas.values())).ctx
+    kappa_idx, value, one = ctx.index["kappa"], ctx.const(Fraction(k)), ctx.const(1)
+
+    def image(v):
+        return value if v == kappa_idx else ctx.monomial(((v, 1),))
+
+    def specialize(f):
+        return JetFunction(ctx, _substitute(f.num, image, one), f.factors)
+
+    def specialize_value(t):
+        if isinstance(t, JetFunction):
+            return specialize(t)
+        u = ExtendedJetFunction(ctx.fn(0), ctx.fn(1), ctx.fn(0), specialize(t.base))
+        return specialize(t.c0) + specialize(t.c1) * u + specialize(t.c2) * u * u
+
+    return {r: specialize_value(t) for r, t in thetas.items()}

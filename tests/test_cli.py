@@ -428,8 +428,9 @@ def test_golden_generalized_json(args, digest):
 
 
 # stdout of the symbolic-kappa curvature equation, whose invariants carry
-# kappa, of the curvature equation at kappa = 1 as text, and of a large
-# sampling run
+# kappa, of the curvature equation at kappa = 1 as text, of a large
+# sampling run, and of the default acceptance gate (text, seed 0; exit 1
+# is the standing c05.signature-su3 fail)
 GOLDEN_COMMAND_SHA256 = [
     (["ode", "generalized", "--format", "json"], 0,
      "08b0e7315ac89824f966f28f7bb7428dadd77aae2df808cbb1aad468c4ab017a"),
@@ -437,6 +438,8 @@ GOLDEN_COMMAND_SHA256 = [
      "158b6e7214ec8d396829c4f3e0e4150a3ffef8b8dc0e8f4102286e1ab610da12"),
     (["ode", "sample", "--samples", "200", "--seed", "3"], 0,
      "895c330ef800321e351c9858c8b33b016ec96e1d736bd6a59b494e48b81b4aef"),
+    (["verify-all"], 1,
+     "59982a64318c0b0e10857a921fa03cb9c3c119a26f534139b4e04cd76904f6b6"),
 ]
 
 
@@ -451,6 +454,7 @@ def test_golden_command_output(argv, code, digest):
 # `verify-all --format json --seed S` stdout; exit 1 is the standing
 # c05.signature-su3 fail
 GOLDEN_VERIFY_ALL_SHA256 = [
+    ("0", 1, "35414137b5b0da7c5ecc075165e8eb33457c7b6cd069dd064f7be20d1568e772"),
     ("1", 1, "796cf157ea873945ef575b333332b92ba1e01976dde1f49054acb8e60ca6c708"),
     ("1107", 1, "34cd573015b0e1827d461c979a3cc2d64ae8fba00ac70529e824f7e93e8b34ab"),
 ]

@@ -178,11 +178,19 @@ def test_table_factors_are_made_primitive():
     assert half.unit == Fraction(1, 2) and minus.unit == -1
 
 
+def test_primitive_keeps_a_primitive_polynomial():
+    # content 1 and no denominator: the polynomial itself, dict and hash kept
+    p = CTX.var("y1") * 2 + CTX.var("y2") * 3
+    assert p.primitive() == (Fraction(1), p) and p.primitive()[1] is p
+    unit, prim = (p * Fraction(2, 7)).primitive()
+    assert unit == Fraction(2, 7) and prim == p and prim is not p
+
+
 def test_a_zero_factor_makes_the_zero_function():
     y1, zero = CTX.var("y1"), CTX.const(0)
     f = JetFunction(CTX, y1, {zero: 2})
     assert f.is_zero() and f.prim.is_zero() and f.factors == {}
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
         JetFunction(CTX, y1, {zero: -1})
 
 

@@ -158,8 +158,8 @@ SLICE_INERTIA = {"split": (3, 4), "su3": (3, 4), "su21": (7, 0)}
 
 @pytest.mark.parametrize("tag", REAL_FORMS)
 def test_real_slice_inertia_from_reality_condition(tag):
-    # the slice is solved from its reality condition, not read from the
-    # hand tables; it is 8-dimensional and contains the stabiliser
+    # the slice is solved from its reality condition, not read from
+    # orbit's slice coordinates; it is 8-dimensional and contains the stabiliser
     solved = real_slice(tag)
     assert len(solved) == 8
     assert real_rank(solved + [stabiliser(tag)]) == 8
@@ -173,8 +173,8 @@ def test_real_slice_inertia_from_reality_condition(tag):
 
 @pytest.mark.parametrize("tag", REAL_FORMS)
 def test_slice_tables_span_solved_slice(tag):
-    # column j of the hand table is the slice vector with x_j = 1; the
-    # tables leave out sigma^1_1, so the stabiliser completes their span
+    # column j of orbit's slice coordinates is the slice vector with
+    # x_j = 1; they leave out sigma^1_1, so the stabiliser completes their span
     table = _real_slice_covectors(tag)
     columns = [tuple(table[sym][j] for sym in SYMBOLS) for j in range(7)]
     solved = real_slice(tag)
@@ -186,7 +186,7 @@ def test_slice_tables_span_solved_slice(tag):
 def test_phi_metric_inertia(tag):
     # Bryant (math/0305124): (x -| phi) ^ (y -| phi) ^ phi = 6 g_phi(x, y)
     # vol_phi, so g_phi = det(B)^(-1/9) B is read from phi alone, with no
-    # orientation, no family metric and no hand table
+    # orientation, no family metric and no slice coordinates
     phi = realized_threeform(tag)
     assert is_basic(phi)  # the stabiliser is the eighth frame vector
     form = polarized_bryant_form(phi)

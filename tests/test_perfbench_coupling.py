@@ -1,27 +1,31 @@
-"""Every callable that perfbench's tracer wraps still exists in the package.
+"""The package names that perfbench reads still exist in the package.
 
 The benchmark's tracer (perfbench/tracer.py) names the functions and
-methods it wraps by module and attribute path.  A rename in the package
-would otherwise show only in the slow perfbench tests; this test loads
-the tracer by path, without installing anything, and resolves each name.
+methods it wraps by module and attribute path, and the high-order
+workload (perfbench/workloads.py) names the p-ring variables it evaluates
+at.  A rename or a smaller ring would otherwise show only in the slow
+perfbench tests; these tests load the perfbench modules by path, without
+installing anything, and resolve each name.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from g2sextic.wilczynski import _p_ring
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves_to_a_package_callable():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     assert tracer.TRACED
     unresolved = []
     for metric, module_name, path in tracer.TRACED:
@@ -31,3 +35,14 @@ def test_every_traced_name_resolves_to_a_package_callable():
         if not callable(owner) or not owner.__module__.startswith(tracer.PACKAGE):
             unresolved.append((metric, module_name, path))
     assert unresolved == []
+
+
+def test_high_order_point_names_are_p_ring_variables():
+    # ode_values_by_evaluation gives a value to p{i}_{k} for every i <= n
+    # and k < n + 4, n = ODE_ORDER, and Poly.evaluate raises KeyError on a
+    # name outside the ring
+    workloads = load_perfbench("workloads")
+    n = workloads.ODE_ORDER
+    ctx = _p_ring(n)[0]
+    names = [f"p{i}_{k}" for i in range(1, n + 1) for k in range(n + 4)]
+    assert [name for name in names if name not in ctx.index] == []

@@ -39,8 +39,8 @@ from g2sextic.wilczynski import (
     classical_theta,
     classical_theta_of_ode,
     curvature_kappa,
+    curvature_kappa_of_ode,
     curvature_context,
-    curvature_kappa_log_curve,
     curvature_ode,
     curvature_thetas,
     curve_thetas,
@@ -64,6 +64,7 @@ from g2sextic.wilczynski import (
 
 from reference_data import (
     generic_theta_by_substitution,
+    specialize_kappa_by_substitution,
     symbolic_jets_along_curve,
     t_polynomial,
     term_by_term_function_value,
@@ -473,7 +474,7 @@ def test_kappa_cuspidal_cubic():
 
 
 def test_kappa_log_curve():
-    assert curvature_kappa_log_curve() == Fraction(3 ** 9, 4)
+    assert curvature_kappa_of_ode(log_curve_ode()) == Fraction(3 ** 9, 4)
 
 
 def test_kappa_closed_form_match():
@@ -665,6 +666,30 @@ def test_specialized_kappa_rebuilds_an_element_over_the_specialized_base():
                  for name in direct.ctx.names}
         for part in ("c0", "c1", "c2", "base"):
             assert getattr(got, part).evaluate(point) == getattr(direct, part).evaluate(point)
+
+
+def _normal_form(f: JetFunction):
+    """unit, prim and factor table, with the term order of every polynomial."""
+    return (f.unit, list(f.prim.terms.items()),
+            [(list(g.terms.items()), e) for g, e in f.factors.items()])
+
+
+@pytest.mark.parametrize("k", [KAPPA0, 1, Fraction(-3, 7), Fraction(2, 5)])
+def test_specialize_kappa_matches_the_substitution_route(k):
+    # evaluating each numerator's kappa-coefficients gives what substituting
+    # k for kappa term by term gives, byte for byte, on the lemma's
+    # invariants and on the equation's u-bearing right-hand side
+    for thetas in (curvature_thetas(), {7: curvature_ode().rhs}):
+        got = specialize_kappa(thetas, k)
+        expected = specialize_kappa_by_substitution(thetas, k)
+        assert got.keys() == expected.keys()
+        for r, value in expected.items():
+            assert type(got[r]) is type(value)
+            if isinstance(value, JetFunction):
+                assert _normal_form(got[r]) == _normal_form(value)
+            else:
+                for part in ("c0", "c1", "c2", "base"):
+                    assert _normal_form(getattr(got[r], part)) == _normal_form(getattr(value, part))
 
 
 @pytest.mark.parametrize("part", ["c0", "base"])
