@@ -65,13 +65,6 @@ class BinaryForm:
             self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __sub__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return BinaryForm(
-            self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def __neg__(self):
         return BinaryForm(self.degree, tuple(-a for a in self.coeffs))
 

@@ -932,11 +932,16 @@ class ExtendedJetFunction:
     def ctx(self):
         return self.c0.ctx
 
-    def _of(self, c0, c1, c2):
-        """c0 + c1 u + c2 u^2 over self.base: the JetFunction c0 when u-free."""
+    @staticmethod
+    def of(c0, c1, c2, base):
+        """c0 + c1 u + c2 u^2 with u^3 = base: the JetFunction c0 when u-free."""
         if c1.is_zero() and c2.is_zero():
             return c0
-        return ExtendedJetFunction(c0, c1, c2, self.base)
+        return ExtendedJetFunction(c0, c1, c2, base)
+
+    def _of(self, c0, c1, c2):
+        """c0 + c1 u + c2 u^2 over self.base."""
+        return ExtendedJetFunction.of(c0, c1, c2, self.base)
 
     def _join_base(self, other: "ExtendedJetFunction"):
         if self.base is other.base or self.base == other.base:

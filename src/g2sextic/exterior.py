@@ -125,14 +125,16 @@ def is_basic(a: ExteriorForm) -> bool:
 
 
 def d(alpha: ExteriorForm, dtheta) -> ExteriorForm:
-    """Exterior derivative: the antiderivation with d theta^l = dtheta[l]."""
+    """Exterior derivative: the antiderivation with d theta^l = dtheta[l],
+    d alpha = sum_l dtheta[l] ^ (e_l -| alpha).
+
+    e_l -| theta^I = (-1)^pos theta^(I minus l) for l at position pos of I,
+    and a two-form commutes with every form.
+    """
     out = ExteriorForm.zero(alpha.degree + 1)
-    for idx, coef in alpha.terms.items():
-        for pos, l in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            c = coef if pos % 2 == 0 else -coef
-            piece = wedge(scale(dtheta[l], c), ExteriorForm(len(rest), {rest: 1}))
-            out = add(out, piece)
+    for l in range(1, NUM_INDICES + 1):
+        unit = [int(k == l) for k in range(1, NUM_INDICES + 1)]
+        out = add(out, wedge(dtheta[l], interior(unit, alpha)))
     return out
 
 

@@ -104,13 +104,11 @@ def verify_cocalibrated(phi: ExteriorForm, dtheta) -> G2Certificate:
     )
 
 
-def metric_of_vector(vector) -> AlgebraicScalar:
-    """g(V, V) for the orthonormal basic coframe (theta^8 direction absent)."""
-    total = ZERO
-    for v in vector[:7]:
-        c = AlgebraicScalar.coerce(v)
-        total = total + c * c
-    return total
+def metric_of_vector(vector):
+    """g(V, V) for the orthonormal basic coframe (theta^8 direction absent),
+    in the components' own ring: a Fraction for a rational V, an
+    AlgebraicScalar for a complex one."""
+    return sum(v * v for v in vector[:7])
 
 
 def contraction_pairing(phi: ExteriorForm, u, w) -> AlgebraicScalar:
@@ -177,7 +175,7 @@ def g2_identities(phi: ExteriorForm, samples: int = 20, seed: int = 0) -> dict:
         if not gvv:
             consistent = consistent and not cval
             continue
-        ratio = cval * gvv.inv()
+        ratio = cval * (1 / gvv)
         if constant is None:
             constant = ratio
         consistent = consistent and ratio == constant

@@ -32,10 +32,6 @@ class Matrix3:
     def __setattr__(self, *args):
         raise AttributeError("Matrix3 is immutable")
 
-    def __getitem__(self, ab):
-        a, b = ab
-        return self.rows[a][b]
-
     def __add__(self, other):
         return Matrix3(
             tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)
@@ -45,9 +41,6 @@ class Matrix3:
         return Matrix3(
             tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)
         )
-
-    def __neg__(self):
-        return Matrix3(tuple(-x for x in r) for r in self.rows)
 
     def __mul__(self, other):
         if isinstance(other, Matrix3):

@@ -58,11 +58,7 @@ class SigmaLinear:
     def __add__(self, other):
         if isinstance(other, SigmaLinear):
             return SigmaLinear._of(a + b for a, b in zip(self.coeffs, other.coeffs))
-        if not other:  # allows sum() and the BinaryForm zero conventions
-            return self
         return NotImplemented
-
-    __radd__ = __add__
 
     def __neg__(self):
         return SigmaLinear._of(-a for a in self.coeffs)
@@ -70,13 +66,6 @@ class SigmaLinear:
     def __sub__(self, other):
         if isinstance(other, SigmaLinear):
             return self + (-other)
-        if not other:
-            return self
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if not other:
-            return -self
         return NotImplemented
 
     def __mul__(self, c):
@@ -91,8 +80,6 @@ class SigmaLinear:
     def __eq__(self, other):
         if isinstance(other, SigmaLinear):
             return self.coeffs == other.coeffs
-        if not other:
-            return not self
         return NotImplemented
 
     def __hash__(self):

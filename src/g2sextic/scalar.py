@@ -91,9 +91,6 @@ class AlgebraicScalar:
     def __sub__(self, other):
         return self + (-AlgebraicScalar.coerce(other))
 
-    def __rsub__(self, other):
-        return AlgebraicScalar.coerce(other) + (-self)
-
     def __mul__(self, other):
         x, y = self.coords, AlgebraicScalar.coerce(other).coords
         # a rational factor scales the other one's coordinates

@@ -433,15 +433,19 @@ def classical_theta_of_ode(ode: LinearODE) -> dict:
     return _linear_equation(ode).thetas()
 
 
+def _graph_coefficients(d2: JetFunction, d3: JetFunction) -> tuple:
+    """(p1, p2, p3) of the graph y = f(x) as a third-order equation, for
+    any d2, d3 with d3/d2 = f'''/f'': p1 = -f'''/(3 f''), p2 = p3 = 0."""
+    zero = d2.ctx.fn(0)
+    return -(d3 / (d2 * 3)), zero, zero
+
+
 def _slope_ode(d1: JetFunction) -> LinearODE:
-    """The graph ODE of a curve with slope d1 = f': p1 = -f'''/(3 f''), p2 = p3 = 0."""
+    """The graph ODE of a curve with slope d1 = f'."""
     d2 = x_derivative(d1)
     if d2.is_zero():
         raise DegenerateCurveError("the curve is a line: f'' = 0")
-    d3 = x_derivative(d2)
-    p1 = -(d3 / (d2 * 3))
-    zero = x_fn(0)
-    return LinearODE(3, (p1, zero, zero))
+    return LinearODE(3, _graph_coefficients(d2, x_derivative(d2)))
 
 
 def graph_ode(f: JetFunction) -> LinearODE:
@@ -450,13 +454,11 @@ def graph_ode(f: JetFunction) -> LinearODE:
 
 
 def power_curve_ode(gamma: Fraction) -> LinearODE:
-    """The graph ODE of y = x^gamma, handled through p1 = -(gamma-2)/(3x)."""
+    """The graph ODE of y = x^gamma, whose f'''/f'' is (gamma - 2)/x."""
     gamma = Fraction(gamma)
     if gamma in (Fraction(0), Fraction(1)):
         raise DegenerateCurveError("y = x^gamma degenerates for gamma in {0, 1}")
-    p1 = x_fn(2 - gamma) / (x_fn("x") * 3)
-    zero = x_fn(0)
-    return LinearODE(3, (p1, zero, zero))
+    return LinearODE(3, _graph_coefficients(x_fn("x"), x_fn(gamma - 2)))
 
 
 def log_curve_ode() -> LinearODE:
@@ -500,13 +502,10 @@ HALPHEN_VS_SEMI = Fraction(-54)  # halphen_theta3 == -54 * (P3 - 3/2 P2')
 
 
 def _graph_equation(ctx: JetContext) -> _Equation:
-    """The graph y = y(x) as a third-order equation: p1 = -y3/(3 y2), p2 = p3 = 0."""
+    """The graph y = y(x) as a third-order equation in the jet variables."""
     dmap = free_total_derivative_map(ctx)
-    p1 = -(ctx.fn("y3") / (ctx.fn("y2") * 3))
-    zero = ctx.fn(0)
-    return _Equation(
-        3, lambda i: p1 if i == 1 else zero, lambda f: f.derivative(dmap), ctx.fn(1)
-    )
+    p = _graph_coefficients(ctx.fn("y2"), ctx.fn("y3"))
+    return _Equation(3, lambda i: p[i - 1], lambda f: f.derivative(dmap), ctx.fn(1))
 
 
 def theta8(theta3: JetFunction, p2: JetFunction, derive) -> JetFunction:
@@ -692,10 +691,7 @@ def specialize_kappa(thetas, k) -> dict:
     def specialize_value(t):
         if isinstance(t, JetFunction):
             return specialize(t)
-        c0, c1, c2 = (specialize(c) for c in (t.c0, t.c1, t.c2))
-        if c1.is_zero() and c2.is_zero():
-            return c0
-        return ExtendedJetFunction(c0, c1, c2, specialize(t.base))
+        return ExtendedJetFunction.of(*(specialize(c) for c in (t.c0, t.c1, t.c2, t.base)))
 
     return {r: specialize_value(t) for r, t in thetas.items()}
 

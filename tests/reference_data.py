@@ -320,7 +320,7 @@ def sampled_g2_identities(phi, samples, seed):
         if not gvv:
             consistent = consistent and not cval
             continue
-        ratio = cval * gvv.inv()
+        ratio = cval * (1 / gvv)
         if constant is None:
             constant = ratio
         consistent = consistent and ratio == constant

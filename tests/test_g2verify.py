@@ -152,8 +152,26 @@ def test_a_changed_coefficient_breaks_proportionality(seed):
     rng = random.Random(seed)
     first = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(7)]
     assert metric_of_vector(first)
-    expected = contraction_value(phi, first) * metric_of_vector(first).inv()
+    expected = contraction_value(phi, first) * (1 / metric_of_vector(first))
     assert report["contraction_constant"] == expected
+
+
+def test_rational_samples_stay_rational(monkeypatch):
+    # g(V, V) of a rational V is a Fraction, and its ratio is taken by a
+    # rational 1 / g(V, V): no sample inverts in Q(i, sqrt2, sqrt5)
+    calls = []
+    inv = AlgebraicScalar.inv
+
+    def counted(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(AlgebraicScalar, "inv", counted)
+    g2_identities(targets.unit_three_form(), samples=50, seed=3)
+    assert calls == []
+    vector = [Fraction(1, 2), Fraction(-2, 3), Fraction(0), 1, 0, 0, 0]
+    assert type(metric_of_vector(vector)) is Fraction
+    assert metric_of_vector(vector) == Fraction(61, 36)
 
 
 def test_unit_gram_is_six_times_the_metric():

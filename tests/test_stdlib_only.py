@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library and itself,
 it and the tests read every name they import, the package reads every
-private name it defines, and the package, perfbench or the tests read
+private name it defines, no package module reads a private name that
+only another one defines, and the package, perfbench or the tests read
 every public name it defines.  Only scalar.py takes math.lcm, so
 scalar.cleared stays the one routine that clears denominators.  Every
 Python file of the package, the tests and perfbench parses with the
@@ -105,6 +106,59 @@ def dead_private_names(paths):
     read nowhere in the given files (as a name, an attribute or an import)."""
     read = read_names(paths)
     return sorted(entry for entry in defined_names(paths, private=True) if entry[2] not in read)
+
+
+def is_private_name(name):
+    """One leading underscore: not public, not a dunder, not name-mangled."""
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions(path: Path):
+    """Every private name the file defines: a function, class or method, a
+    module constant, a __slots__ entry or an attribute assigned as x._name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            names.update(c.value for c in ast.walk(node.value)
+                         if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if is_private_name(name)}
+
+
+def private_reads(path: Path):
+    """(line, name) for every private name the file reads: as a name, an
+    attribute or an import."""
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            reads += [(node.lineno, alias.name) for alias in node.names]
+    return [(line, name) for line, name in reads if is_private_name(name)]
+
+
+def foreign_private_reads(paths):
+    """(file name, line, name) for every private name that a file reads,
+    another of the files defines and the file itself does not define."""
+    defined = {path: private_definitions(path) for path in paths}
+    found = []
+    for path in paths:
+        others = set().union(*(names for p, names in defined.items() if p != path))
+        found += [(path.name, line, name) for line, name in private_reads(path)
+                  if name in others and name not in defined[path]]
+    return sorted(found)
 
 
 def unread_public_names(paths, readers):
@@ -214,6 +268,37 @@ def test_a_dead_private_name_is_reported(tmp_path):
                      "def _imported():\n    pass\ndef _attribute():\n    pass\n")
     assert dead_private_names([module, other]) == [
         ("module.py", 2, "_dead"), ("module.py", 6, "_Unused"), ("module.py", 11, "_orphan"),
+    ]
+
+
+def test_no_module_reads_another_modules_private_name():
+    assert foreign_private_reads(sorted(PACKAGE_DIR.glob("*.py"))) == []
+
+
+def test_a_foreign_private_read_is_reported(tmp_path):
+    owner = tmp_path / "owner.py"
+    owner.write_text(
+        "_LIMIT = 3\n_LOW, _HIGH = 1, 2\n"
+        "def _helper():\n    pass\n"
+        "class Box:\n    __slots__ = (\"_cache\",)\n"
+        "    def _of(self):\n        self._tag = 1\n"
+        "def _shared():\n    pass\n"
+    )
+    # _shared is the reader's own too; argparse-style names that no file
+    # defines, and dunders, are out of scope
+    reader = tmp_path / "reader.py"
+    reader.write_text(
+        "from owner import _LIMIT, Box\n"
+        "import owner\n"
+        "owner._helper()\n"
+        "box = Box()\nbox._cache\nbox._of()\nbox._tag\nowner._HIGH\n"
+        "def _shared():\n    pass\n"
+        "owner._shared()\n"
+        "parser._option_string_actions\nbox.__slots__\n"
+    )
+    assert foreign_private_reads([owner, reader]) == [
+        ("reader.py", 1, "_LIMIT"), ("reader.py", 3, "_helper"), ("reader.py", 5, "_cache"),
+        ("reader.py", 6, "_of"), ("reader.py", 7, "_tag"), ("reader.py", 8, "_HIGH"),
     ]
 
 

@@ -704,6 +704,18 @@ def test_specialize_kappa_rejects_kappa_in_a_factor(part):
         specialize_kappa({3: value}, 1)
 
 
+def test_specialize_kappa_returns_the_plain_c0_once_u_drops_out():
+    # c1 = (kappa - 2) y2 vanishes at kappa = 2, so the value is u-free there
+    ctx = curvature_context(True)
+    kappa, y2 = ctx.fn("kappa"), ctx.fn("y2")
+    c0 = kappa * ctx.fn("y3") + 1
+    value = ExtendedJetFunction(c0, (kappa - 2) * y2, ctx.fn(0), y2 * y2)
+    got = specialize_kappa({3: value}, 2)[3]
+    assert type(got) is JetFunction
+    assert got == specialize_kappa({3: c0}, 2)[3]
+    assert isinstance(specialize_kappa({3: value}, 1)[3], ExtendedJetFunction)
+
+
 def test_generalized_trivial_equation():
     ctx = JetContext(7)
     ode = NonlinearODE(7, ctx.fn(0))
