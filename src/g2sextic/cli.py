@@ -305,7 +305,8 @@ _RESIDUAL_BATCH = 100  # jets per batch of C10 residuals
 
 
 def criterion_sampling_oracle(samples: int = 50, seed: int = 0) -> list:
-    """C10: Theta_8^3 - kappa0 Theta_3^8 = 0 at 50 exact cubic jets."""
+    """C10: Theta_8^3 - kappa0 Theta_3^8 = 0 at `samples` exact cubic jets
+    drawn from the seeded stream of cuspidal_jet_samples."""
     ctx = JetContext(7)
     th3, th8 = wilczynski.curve_thetas(ctx)
     kappa0 = targets.KAPPA_CUSPIDAL

@@ -199,7 +199,7 @@ class Poly:
     coefficients, each an int when integral and a Fraction otherwise.
     """
 
-    __slots__ = ("ctx", "terms", "_hash")
+    __slots__ = ("ctx", "terms", "_hash", "_plan")
 
     def __hash__(self):
         if self._hash is None:
@@ -344,33 +344,50 @@ class Poly:
         coefficient denominators; then the term c prod v^k is the int
         c L prod n^(k-lo) d^(hi-k) over L prod n^(-lo) d^hi (Knuth, TAOCP
         vol. 2, 4.6.4; Monagan & Pearce, CASC 2007).
+
+        What depends only on the polynomial is its evaluation plan, built
+        by the first call and kept: the used variables in order with their
+        names, each one's exponent column as indices k - lo with lo and hi,
+        and the cleared column c L with L.  The plan's slot is one that
+        _poly leaves unset, so building a Poly costs nothing more.  A call
+        checks the point, raises powers and sums ints.
         """
-        ctx = self.ctx
-        vals = {ctx.index[name]: value for name, value in point.items()}
-        rows = []
-        for v in sorted(self.variables()):
-            if v not in vals:
-                raise ValueError(f"no value for {ctx.names[v]}")
-            shift = ctx._shifts[v]
-            fields = [(e >> shift) & _FIELD_MASK for e in self.terms]
-            lo = min(min(fields) - EXPONENT_BOUND, 0)
-            hi = max(max(fields) - EXPONENT_BOUND, 0)
-            if lo < 0 and not vals[v]:
-                raise PoleError(f"negative power of zero at {ctx.names[v]}")
-            rows.append((vals[v], fields, lo, hi))
-        column, den = cleared(self.terms.values())
-        for value, fields, lo, hi in rows:
+        try:
+            rows, column, den = self._plan
+        except AttributeError:
+            rows, column, den = self._plan = self._evaluation_plan()
+        values = []
+        for name, _, lo, _ in rows:
+            if name not in point:
+                raise ValueError(f"no value for {name}")
+            value = point[name]
+            if lo < 0 and not value:
+                raise PoleError(f"negative power of zero at {name}")
+            values.append(value)
+        for value, (_, index, lo, hi) in zip(values, rows):
             n, d = value.numerator, value.denominator
             npow, dpow = [1], [1]
             for _ in range(hi - lo):
                 npow.append(npow[-1] * n)
                 dpow.append(dpow[-1] * d)
-            # the factor n^(k-lo) d^(hi-k) of exponent k, indexed by its field
+            # the factor n^(k-lo) d^(hi-k) of exponent k, at index k - lo
             table = [a * b for a, b in zip(npow, reversed(dpow))]
-            offset = EXPONENT_BOUND + lo
-            column = [c * table[f - offset] for c, f in zip(column, fields)]
+            column = [c * table[i] for c, i in zip(column, index)]
             den *= npow[-lo] * dpow[hi]
         return Fraction(sum(column), den)
+
+    def _evaluation_plan(self) -> tuple:
+        """(rows, column, den) for evaluate: one row (name, index, lo, hi)
+        per used variable in index order, index holding k - lo for each
+        term's exponent k, and scalar.cleared of the coefficients."""
+        ctx = self.ctx
+        rows = []
+        for v in sorted(self.variables()):
+            shift = ctx._shifts[v]
+            ks = [((e >> shift) & _FIELD_MASK) - EXPONENT_BOUND for e in self.terms]
+            lo, hi = min(min(ks), 0), max(max(ks), 0)
+            rows.append((ctx.names[v], [k - lo for k in ks], lo, hi))
+        return (tuple(rows), *cleared(self.terms.values()))
 
     # -- integer normal form -------------------------------------------------
 
@@ -842,16 +859,29 @@ class JetFunction:
 
     def evaluate(self, point: dict) -> Fraction:
         """The value at point; a PoleError when any denominator factor
-        vanishes there, whatever the order of the factor table."""
-        value = self.unit * self.prim.evaluate(point)
-        values = {f: f.evaluate(point) for f in self.factors}
-        if any(not values[f] and e < 0 for f, e in self.factors.items()):
-            raise PoleError("denominator factor vanishes at the point")
+        vanishes there, whatever the order of the factor table.
+
+        unit, prim's value and each factor's value to its power fold into
+        one int numerator and one int denominator, and the one Fraction is
+        built at the end."""
+        value = self.prim.evaluate(point)
+        num = self.unit.numerator * value.numerator
+        den = self.unit.denominator * value.denominator
+        vanishes = pole = False
         for f, e in self.factors.items():
-            if not values[f]:
-                return Fraction(0)
-            value *= values[f] ** e
-        return value
+            value = f.evaluate(point)
+            if not value:
+                vanishes = True
+                pole = pole or e < 0
+            elif e > 0:
+                num *= value.numerator ** e
+                den *= value.denominator ** e
+            else:
+                num *= value.denominator ** -e
+                den *= value.numerator ** -e
+        if pole:
+            raise PoleError("denominator factor vanishes at the point")
+        return Fraction(0) if vanishes else Fraction(num, den)
 
     def __str__(self):
         num, den = self.normalize_pair()

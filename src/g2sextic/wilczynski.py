@@ -772,13 +772,13 @@ def _taylor_shift(p: list, t0: Fraction, n: int) -> tuple:
     return [c[i] * b ** i if i <= d else 0 for i in range(n)], b ** d
 
 
-def _taylor_series(f: tuple, t0: Fraction, n: int) -> tuple:
-    """num(t0 + s) / den(t0 + s) to n coefficients for f = (num, den); a
-    PoleError when den vanishes at t0."""
-    num, den = (_taylor_shift(p, t0, n) for p in f)
-    if not den[0][0]:
+def _inverse_at(den: list, t0: Fraction, n: int) -> tuple:
+    """1 / den(t0 + s) to n coefficients; a PoleError when den vanishes
+    at t0."""
+    shifted = _taylor_shift(den, t0, n)
+    if not shifted[0][0]:
         raise PoleError(f"the denominator vanishes at t = {t0}")
-    return _series_mul(num, _series_inv(den))
+    return _series_inv(shifted)
 
 
 def jets_along_curve(x: tuple, y: tuple, k: int, t0: Fraction) -> dict:
@@ -793,21 +793,26 @@ def jets_along_curve(x: tuple, y: tuple, k: int, t0: Fraction) -> dict:
     y1 = y'/x', then y_(j+1) = (d y_j / dt) / x', done on power series in
     s = t - t0 truncated after s^k, the fewest terms that still fix y_k:
     x and y become series by Taylor shifts of their numerator and
-    denominator and one series quotient each (Knuth, TAOCP vol. 2, 4.7),
-    w = 1/x' is one series inverse, and each step derives the series and
-    multiplies it by w, which drops its last coefficient.  The constant
-    coefficient of the j-th series is y_j.
+    denominator, a series inverse of the denominator and one product
+    (Knuth, TAOCP vol. 2, 4.7); when y's denominator equals x's, as on
+    every curve (z0/z2, z1/z2) of the sampler, y reuses x's inverse.
+    w = 1/x' is one more series inverse, and each step derives the series
+    and multiplies it by w, which drops its last coefficient.  The
+    constant coefficient of the j-th series is y_j.
 
     Rejects, in this order: a pole of x at t0 (PoleError), x'(t0) = 0
     (DegenerateCurveError), a pole of y at t0 (PoleError).
     """
     t0 = Fraction(t0)
     n = max(k, 1) + 1
-    xs = _taylor_series(x, t0, n)
+    inverse = _inverse_at(x[1], t0, n)
+    xs = _series_mul(_taylor_shift(x[0], t0, n), inverse)
     dx = _derive_series(xs)
     if not dx[0][0]:
         raise DegenerateCurveError("x'(t0) = 0: not a graph over x near the point")
-    ys = _taylor_series(y, t0, n)
+    if y[1] != x[1]:
+        inverse = _inverse_at(y[1], t0, n)
+    ys = _series_mul(_taylor_shift(y[0], t0, n), inverse)
     jets = {"x": Fraction(xs[0][0], xs[1]), "y": Fraction(ys[0][0], ys[1])}
     w = _series_inv(dx)
     cur = ys

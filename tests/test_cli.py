@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from g2sextic.cli import (
     main,
     suite_ode_generalized,
 )
-from g2sextic.diffpoly import JetContext, parse_jet_expression
+from g2sextic.diffpoly import JetContext, Poly, parse_jet_expression
 
 
 def run_cli(argv):
@@ -525,6 +526,31 @@ def test_sampler_draw_stream_is_pinned(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "fd877083e3ad64023e76927b4138eddde8cc0f3d16de3becfe6455a6bb053374"
     )
+
+
+def test_each_evaluated_poly_builds_its_evaluation_plan_once(monkeypatch):
+    # C10 evaluates the numerators and factors of Theta_3 and Theta_8 at
+    # every jet; what depends only on the polynomial is done once each
+    evaluated, built = {}, Counter()
+    evaluate, plan = Poly.evaluate, Poly._evaluation_plan
+
+    def counted_evaluate(self, point):
+        evaluated[id(self)] = self
+        return evaluate(self, point)
+
+    def counted_plan(self):
+        built[id(self)] += 1
+        return plan(self)
+
+    monkeypatch.setattr(Poly, "evaluate", counted_evaluate)
+    monkeypatch.setattr(Poly, "_evaluation_plan", counted_plan)
+    (report,) = criterion_sampling_oracle(200, 1)
+    assert report.status == "pass"
+    assert evaluated and set(built) == set(evaluated)
+    assert set(built.values()) == {1}
+    # a Poly that is built and never evaluated carries no plan
+    for forms in wilczynski.classical_theta.__wrapped__(6).values():
+        assert not any(hasattr(p, "_plan") for p in forms.values())
 
 
 def test_parser_rejects_unknown_realform():

@@ -39,8 +39,9 @@ def test_every_traced_name_resolves_to_a_package_callable():
 
 def test_high_order_point_names_are_p_ring_variables():
     # ode_values_by_evaluation gives a value to p{i}_{k} for every i <= n
-    # and k < n + 4, n = ODE_ORDER, and Poly.evaluate raises KeyError on a
-    # name outside the ring
+    # and k < n + 4, n = ODE_ORDER, and Poly.evaluate reads only the names
+    # of the variables a polynomial uses, so a name outside the ring would
+    # pass unnoticed
     workloads = load_perfbench("workloads")
     n = workloads.ODE_ORDER
     ctx = _p_ring(n)[0]

@@ -46,7 +46,13 @@ from g2sextic.diffpoly import (
     poly_gcd,
 )
 
-from reference_data import expanded_normalize_pair, long_division, prs_gcd, term_by_term_value
+from reference_data import (
+    expanded_normalize_pair,
+    long_division,
+    prs_gcd,
+    term_by_term_function_value,
+    term_by_term_value,
+)
 
 NAMES = ("a", "b", "c")
 CTX = JetContext.plain(NAMES)
@@ -256,6 +262,50 @@ def test_evaluate_over_unlike_denominators(a, point):
     assert pa.evaluate(at) == term_by_term_value(pa, at) == ref_eval(a, point)
 
 
+def value_or_error(value_of, f, at):
+    """The value, or the class of the ValueError or PoleError raised instead."""
+    try:
+        return value_of(f, at)
+    except (ValueError, PoleError) as err:
+        return type(err)
+
+
+# a full point (zeros, ints, Fractions, unlike denominators), or a point of
+# nonzero values with one name left out, so that the error is one class
+full_points = st.tuples(*[values | unlike_coefs] * len(NAMES)).map(lambda p: dict(zip(NAMES, p)))
+partial_points = st.tuples(points, st.sampled_from(NAMES)).map(
+    lambda pm: {n: x for n, x in zip(NAMES, pm[0]) if n != pm[1]})
+point_sequences = st.lists(full_points | partial_points, min_size=2, max_size=6)
+
+
+@given(laurent, point_sequences)
+def test_one_plan_serves_a_sequence_of_points(a, sequence):
+    # the plan is built by the first call and kept through calls that
+    # raise; every call matches the term-by-term value or its error
+    pa = build(a)
+    assert not hasattr(pa, "_plan")
+    for at in sequence:
+        assert value_or_error(Poly.evaluate, pa, at) == value_or_error(term_by_term_value, pa, at)
+    assert pa._plan == pa._evaluation_plan()
+
+
+def test_a_raising_call_between_two_values_leaves_the_plan_correct():
+    a, b, c = (CTX.var(n) for n in NAMES)
+    p = a ** 2 * b.scale(Fraction(1, 6)) + c.scale(Fraction(-3, 10)) + CTX.monomial(((0, -1), (1, 3)), 5)
+    good = {"a": Fraction(2, 3), "b": -7, "c": Fraction(5, 4)}
+    unlike = {"a": Fraction(-5, 9), "b": Fraction(7, 10), "c": 0}
+    value = term_by_term_value(p, good)
+    assert p.evaluate(good) == value
+    plan = p._plan
+    with pytest.raises(PoleError, match="negative power of zero at a"):
+        p.evaluate({**good, "a": 0})
+    with pytest.raises(ValueError, match="no value for c"):
+        p.evaluate({"a": 1, "b": 1})
+    assert p._plan is plan
+    assert p.evaluate(unlike) == term_by_term_value(p, unlike)
+    assert p.evaluate(good) == value
+
+
 # -- the packed exponent range --------------------------------------------------------
 
 B = EXPONENT_BOUND
@@ -439,6 +489,35 @@ def test_field_operations_commute_with_evaluate(f, g, point):
     assert (f * g).evaluate(at) == vf * vg
     if vg:
         assert (f / g).evaluate(at) == vf / vg
+
+
+@given(jet_functions(), point_sequences)
+def test_jet_function_values_over_a_sequence_of_points(f, sequence):
+    # zeros make poles of denominator factors and zeros of numerator ones
+    for at in sequence:
+        assert value_or_error(JetFunction.evaluate, f, at) == value_or_error(term_by_term_function_value, f, at)
+
+
+@pytest.mark.parametrize("order", [(1, -1), (-1, 1)])
+def test_a_vanishing_denominator_factor_is_a_pole_in_either_table_order(order):
+    # f = a + b and g = a*c + b both vanish at (1, -1, 1); f alone at (1, -1, 2)
+    a, b, c = (CTX.var(n) for n in NAMES)
+    f, g = a + b, a * c + b
+    h = JetFunction(CTX, c + CTX.const(3), dict(zip((f, g), order)))
+    assert list(h.factors.values()) == list(order)
+    for at in ({"a": 2, "b": Fraction(1, 2), "c": 3}, {"a": 1, "b": -1, "c": 1},
+               {"a": Fraction(1, 3), "b": 5, "c": Fraction(-2, 7)}):
+        assert value_or_error(JetFunction.evaluate, h, at) == value_or_error(term_by_term_function_value, h, at)
+    with pytest.raises(PoleError, match="denominator factor vanishes"):
+        h.evaluate({"a": 1, "b": -1, "c": 1})
+    # the vanishing factor at (1, -1, 2) is f, a numerator factor under
+    # (1, -1) and a pole under (-1, 1)
+    at = {"a": 1, "b": -1, "c": 2}
+    if order[0] > 0:
+        assert h.evaluate(at) == 0 and type(h.evaluate(at)) is Fraction
+    else:
+        with pytest.raises(PoleError):
+            h.evaluate(at)
 
 
 @settings(max_examples=50)

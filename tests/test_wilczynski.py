@@ -841,6 +841,39 @@ def test_jets_along_curve_shared_root_is_a_pole(shared_in):
     assert jets_along_curve(*curve, 3, Fraction(2)) == jets_along_curve(*reduced, 3, Fraction(2))
 
 
+@pytest.mark.parametrize("k", [0, 3, 7])
+def test_jets_along_curve_shared_denominator_is_inverted_once(k, monkeypatch):
+    # every sampler curve is (z0/z2, z1/z2); an equal but distinct list
+    # shares the inverse too, and an unequal one takes its own
+    inverse_at, calls = wilczynski._inverse_at, []
+
+    def counted(den, t0, n):
+        calls.append(den)
+        return inverse_at(den, t0, n)
+
+    monkeypatch.setattr(wilczynski, "_inverse_at", counted)
+    den, t0 = [3, -1, 0, 2], Fraction(5, 3)
+    x, y = ([1, 0, -2, 1], den), ([-4, 1, 0, 1], list(den))
+    for curve, inverses in (((x, y), 1), ((x, (y[0], den)), 1), ((x, ([-4, 1, 0, 1], [1, 1])), 2)):
+        calls.clear()
+        assert jets_along_curve(*curve, k, t0) == symbolic_jets_along_curve(*curve, k, t0)
+        assert len(calls) == inverses
+
+
+def test_jets_along_curve_shared_denominator_pole_comes_first():
+    # a shared denominator that vanishes at t0 = 1 is a pole of x, raised
+    # before the x' test: also for x = (t - 1)^3 / (t - 1), whose reduced
+    # form (t - 1)^2 is critical there
+    shared = [-1, 1]
+    y = ([2, 0, 1], list(shared))
+    for x in (([1, 0, 0, 1], shared), ([-1, 3, -3, 1], shared)):
+        with pytest.raises(PoleError):
+            jets_along_curve(x, y, 4, Fraction(1))
+    with pytest.raises(DegenerateCurveError):
+        jets_along_curve(([1, -2, 1], [1]), y, 4, Fraction(1))
+    assert _outcome(symbolic_jets_along_curve, ([1, 0, 0, 1], shared), y, 4, Fraction(1)) is PoleError
+
+
 # -- series jets against the symbolic chain -------------------------------------------
 
 
@@ -899,19 +932,22 @@ def _coprime(num, den):
     return poly_gcd(t_polynomial(num), t_polynomial(den)).is_constant()
 
 
-@settings(max_examples=200)
+@settings(max_examples=600)
 @given(a=_POLY, b=_POLY, c=_POLY, d=_POLY, p=st.integers(-4, 4), q=st.integers(1, 3),
        pole_x=st.booleans(), pole_y=st.booleans(), critical=st.booleans(),
-       k=st.integers(0, 7))
-def test_series_jets_match_symbolic_chain(a, b, c, d, p, q, pole_x, pole_y, critical, k):
+       k=st.integers(0, 7), shared=st.sampled_from(("no", "same", "equal")))
+def test_series_jets_match_symbolic_chain(a, b, c, d, p, q, pole_x, pole_y, critical, k, shared):
     # x = A/B, y = C/D with A..D of degree <= 3, at t0 = p/q; the flags put
-    # a pole of x or y, or a critical point of x, at t0
+    # a pole of x or y, or a critical point of x, at t0; shared makes D the
+    # list B itself or an equal copy, as on the sampler's curves (z0/z2, z1/z2)
     assume(any(b) and any(d))
     t0 = Fraction(p, q)
     root = [-p, q]
     if pole_x:
         b = _times(b, root)
-    if pole_y:
+    if shared != "no":
+        d = b if shared == "same" else list(b)
+    elif pole_y:
         d = _times(d, root)
     if critical:  # x = root^2 A/B + 1
         a = [u + v for u, v in zip_longest(_times(_times(a, root), root), b, fillvalue=0)]
@@ -921,3 +957,4 @@ def test_series_jets_match_symbolic_chain(a, b, c, d, p, q, pole_x, pole_y, crit
     x, y = (a, b), (c, d)
     expected = _outcome(symbolic_jets_along_curve, x, y, k, t0)
     assert _outcome(jets_along_curve, x, y, k, t0) == expected
+
