@@ -81,9 +81,6 @@ class BinaryForm:
             and all(a == b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __hash__(self):
-        return hash((self.degree, self.coeffs))
-
     def __str__(self):
         return format_form(self)
 

@@ -124,8 +124,8 @@ def criterion_realization() -> list:
     """C3: the family pipeline reproduces the orthonormal metric and phi."""
     _, _, dictionary = _frame()
     sextic = orbit.family_sextic(2, 3)
-    gram = orbit.realize_metric(orbit.metric_from_sextic(sextic), dictionary)
-    phi = orbit.realize_threeform(orbit.threeform_from_sextic(sextic), dictionary)
+    gram = orbit.realize_metric(sextic, dictionary)
+    phi = orbit.realize_threeform(sextic, dictionary)
     gram_ok = gram == orbit.identity_gram()
     return [
         _report("c03.metric-gram-identity", gram_ok,

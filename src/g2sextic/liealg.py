@@ -62,9 +62,6 @@ class Matrix3:
     def __eq__(self, other):
         return isinstance(other, Matrix3) and self.rows == other.rows
 
-    def __hash__(self):
-        return hash(self.rows)
-
     def is_zero(self) -> bool:
         return all(not x for r in self.rows for x in r)
 

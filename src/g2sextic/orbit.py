@@ -1,10 +1,11 @@
 """The cuspidal-curve family machinery.
 
 Builds the coframe-valued form attached to the projective family of
-y^p = x^q curves, derives the quadratic form and three-form it induces,
-realizes both in the theta coframe, computes signatures of the three real
-slices, and handles stabilizers, Aloff-Wallach index bookkeeping and the
-Legendrian lift smoothness criterion.
+y^p = x^q curves and derives the quadratic form and three-form it induces;
+in a coframe, both are read off the family form with its coefficients
+realized once.  Computes signatures of the three real slices, and handles
+stabilizers, Aloff-Wallach index bookkeeping and the Legendrian lift
+smoothness criterion.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ class SigmaLinear:
     """Exact linear combination of Maurer-Cartan entries sigma^a_b.
 
     The trace relation is applied on construction, so comparisons are
-    canonical.
+    canonical.  A realized coefficient (_realize) holds a coframe's
+    coordinates instead: the arithmetic is coordinate-wise, and only
+    __str__ names sigma symbols, which a realized form never prints.
     """
 
     __slots__ = ("coeffs",)
@@ -70,20 +73,14 @@ class SigmaLinear:
 
     def __mul__(self, c):
         c = AlgebraicScalar.coerce(c)
-        return SigmaLinear._of(a * c for a in self.coeffs)
+        return SigmaLinear._of(a * c if a else a for a in self.coeffs)
 
     __rmul__ = __mul__
-
-    def __bool__(self):
-        return any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, SigmaLinear):
             return self.coeffs == other.coeffs
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __str__(self):
         parts = [f"{c}*s{a}{b}" for (a, b), c in zip(SYMBOLS, self.coeffs) if c]
@@ -100,7 +97,7 @@ def sigma(a: int, b: int) -> SigmaLinear:
 
 
 class SymTensor:
-    """Symmetric 2-tensor: value on V is sum over stored products."""
+    """Symmetric 2-tensor: the sum of its terms c x_s x_t, keyed (s, t) with s <= t."""
 
     __slots__ = ("terms",)
 
@@ -109,12 +106,10 @@ class SymTensor:
 
     def add_product(self, coef, x: SigmaLinear, y: SigmaLinear):
         coef = AlgebraicScalar.coerce(coef)
-        for s in range(8):
-            xs = x.coeffs[s]
+        for s, xs in enumerate(x.coeffs):
             if not xs:
                 continue
-            for t in range(8):
-                yt = y.coeffs[t]
+            for t, yt in enumerate(y.coeffs):
                 if not yt:
                     continue
                 key = (s, t) if s <= t else (t, s)
@@ -177,9 +172,7 @@ def family_sextic(p: int, q: int) -> BinaryForm:
     zero = SigmaLinear()
     monomial = [zero] * (2 * q + 1)
     for power, combo in by_power.items():
-        monomial[2 * q - (power - low)] = SigmaLinear(
-            {key: coef for key, coef in combo.items()}
-        )
+        monomial[2 * q - (power - low)] = SigmaLinear(combo)
     return BinaryForm.from_monomial_coeffs(2 * q, monomial)
 
 
@@ -199,18 +192,11 @@ def metric_from_sextic(s_form: BinaryForm) -> SymTensor:
     return out
 
 
-def _cubic_sum(terms, forms) -> ExteriorForm:
-    """sum coef * forms[x] ^ forms[y] ^ forms[z] over (coef, x, y, z) in terms."""
-    out = ExteriorForm.zero(3)
-    for coef, x, y, z in terms:
-        out = form_add(out, form_scale(wedge(wedge(forms[x], forms[y]), forms[z]), coef))
-    return out
-
-
 def threeform_from_sextic(s_form: BinaryForm) -> ExteriorForm:
     """sqrt(5/2) (3(a1^a2^a6 + a0^a4^a5) + a3^(a0^a6 + 6 a1^a5 - 15 a2^a4)).
 
-    The result is a 3-form over the sigma symbols (SYMBOLS[s] is index s + 1).
+    Coordinate s of the coefficients is index s + 1: the sigma symbol
+    SYMBOLS[s] of a family form, theta^(s+1) or x(s+1) of a realized one.
     """
     if s_form.degree != 6:
         raise ValueError("three-form extraction needs a degree-6 form")
@@ -220,27 +206,36 @@ def threeform_from_sextic(s_form: BinaryForm) -> ExteriorForm:
     ]
     root = SQRT10 * Fraction(1, 2)  # sqrt(5/2)
     terms = ((3, 1, 2, 6), (3, 0, 4, 5), (1, 3, 0, 6), (6, 3, 1, 5), (-15, 3, 2, 4))
-    return _cubic_sum(((root * coef, x, y, z) for coef, x, y, z in terms), a)
+    out = ExteriorForm.zero(3)
+    for coef, x, y, z in terms:
+        out = form_add(out, form_scale(wedge(wedge(a[x], a[y]), a[z]), root * coef))
+    return out
 
 
-# -- realization in the theta coframe -----------------------------------------
+# -- realization in a coframe -------------------------------------------------
 
 
-def realize_metric(tensor: SymTensor, covectors) -> list:
-    """Gram matrix of a symmetric sigma-tensor, given a mapping from each sigma
-    symbol to its covector (over theta^1..theta^8, or a real slice's
-    coordinates); raises RealityError if an entry is not real."""
-    vectors = [covectors[sym] for sym in SYMBOLS]
-    dim = len(vectors[0])
+def _realize(s_form: BinaryForm, covectors) -> BinaryForm:
+    """The family form with each coefficient a_j replaced by its coordinates
+    sum_s a_j[s] covectors[SYMBOLS[s]]: over theta^1..theta^8 for
+    sigma_in_theta, over x1..x7 for a real slice."""
+    images = [SigmaLinear._of(covectors[sym]) for sym in SYMBOLS]
+    zero = SigmaLinear._of([ZERO] * len(images[0].coeffs))
+    sums = (sum((im * c for c, im in zip(lin.coeffs, images) if c), zero) for lin in s_form.coeffs)
+    return BinaryForm(s_form.degree, sums)
+
+
+def realize_metric(s_form: BinaryForm, covectors) -> list:
+    """Gram matrix of the family form's metric, given each sigma symbol's
+    covector (over theta^1..theta^8, or a real slice's coordinates): T_jj
+    and T_jk/2 of T = metric_from_sextic of the realized form; raises
+    RealityError if an entry is not real."""
+    realized = _realize(s_form, covectors)
+    dim = len(realized.coeffs[0].coeffs)
     gram = [[ZERO] * dim for _ in range(dim)]
     half = Fraction(1, 2)
-    for (s, t), coef in tensor.terms.items():
-        vx, vy = vectors[s], vectors[t]
-        for j in range(dim):
-            for k in range(dim):
-                contrib = coef * (vx[j] * vy[k] + vy[j] * vx[k]) * half
-                if contrib:
-                    gram[j][k] = gram[j][k] + contrib
+    for (j, k), coef in metric_from_sextic(realized).terms.items():
+        gram[j][k] = gram[k][j] = coef if j == k else coef * half
     for j, row in enumerate(gram):
         for k, entry in enumerate(row):
             if not entry.is_real():
@@ -248,15 +243,11 @@ def realize_metric(tensor: SymTensor, covectors) -> list:
     return gram
 
 
-def realize_threeform(tf: ExteriorForm, dictionary) -> ExteriorForm:
-    """A 3-form over the sigma symbols (threeform_from_sextic) in the theta coframe."""
-    covectors = [
-        ExteriorForm(1, {(k + 1,): c for k, c in enumerate(dictionary[sym]) if c})
-        for sym in SYMBOLS
-    ]
-    out = _cubic_sum(
-        ((coef, s - 1, t - 1, u - 1) for (s, t, u), coef in tf.terms.items()), covectors
-    )
+def realize_threeform(s_form: BinaryForm, covectors) -> ExteriorForm:
+    """phi of the family form in a coframe: threeform_from_sextic of the
+    realized form (see realize_metric); raises RealityError if a term is
+    not real."""
+    out = threeform_from_sextic(_realize(s_form, covectors))
     for idx, coef in out.terms.items():
         if not coef.is_real():
             raise RealityError(f"three-form term {idx} not real: {coef}")
@@ -314,7 +305,7 @@ def _real_slice_covectors(tag: str):
 
 def signature(tag: str) -> tuple[int, int]:
     """(n+, n-) of the family metric restricted to the chosen real slice."""
-    gram = realize_metric(metric_from_sextic(family_sextic(2, 3)), _real_slice_covectors(tag))
+    gram = realize_metric(family_sextic(2, 3), _real_slice_covectors(tag))
     return rational_signature([[entry.rational_value() for entry in row] for row in gram])
 
 

@@ -272,11 +272,6 @@ def cleared(values):
 # -- textual serialization -------------------------------------------------
 
 
-def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 # p, p/q or a decimal, with a sign (the unicode minus too) and spaces around;
 # no exponent notation, whose short text can stand for a huge integer.
 _RATIONAL = re.compile(
@@ -314,6 +309,6 @@ def format_algebraic(a: AlgebraicScalar) -> str:
         if not c:
             continue
         sym = BASIS_SYMBOLS[idx]
-        coef = f"({format_rational(c)})"
+        coef = f"({c})"
         parts.append(coef if sym == "1" else f"{coef}*{sym}")
     return " + ".join(parts) if parts else "0"

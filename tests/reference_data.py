@@ -4,8 +4,12 @@ The eight structure equations, the unit-coefficient three-form and its
 dual are transcribed here once; tests compare engine output against these
 exactly.  The three real slices of sl(3, C) are derived here from their
 reality conditions as the kernel of one linear system, independently of
-the slice coordinates that ``orbit`` writes down from them.  The jets of a parametrized curve are computed here by the
-symbolic chain y_(j+1) = y_j'/x' on rational functions of t, independently
+the slice coordinates that ``orbit`` writes down from them.  The family
+metric and three-form are pushed forward to a coframe here from their
+sigma-level tensors, bilinearly and trilinearly term by term, the route
+``orbit`` took before it realized the family form's coefficients once.
+The jets of a parametrized curve are computed here by the symbolic chain
+y_(j+1) = y_j'/x' on rational functions of t, independently
 of the power-series route of ``wilczynski.jets_along_curve``.  Values of
 polynomials and rational functions are computed here term by term on
 Fractions, independently of the common-denominator integer sum of
@@ -36,7 +40,10 @@ kappa -> k is done here by substituting k for kappa, and every other
 variable by itself, term by term in each numerator, and an extension
 element is rebuilt as c0 + c1 u + c2 u^2: the route
 ``wilczynski.specialize_kappa`` took before it evaluated each numerator's
-coefficients in kappa.
+coefficients in kappa.  The scalar and Ricci curvature of the homogeneous
+metric on SU(2,1)/U(1) are computed here from the structure constants
+alone, independently of ``d``, the Hodge star and the torsion of the
+co-calibration certificate.
 """
 
 import random
@@ -68,10 +75,10 @@ from g2sextic.g2verify import contraction_value, metric_of_vector
 from g2sextic.liealg import Matrix3, diag, rational_kernel
 from g2sextic.orbit import (
     SYMBOLS,
+    RealityError,
     family_sextic,
     metric_from_sextic,
     rational_signature,
-    realize_threeform,
     threeform_from_sextic,
 )
 from g2sextic.scalar import AlgebraicScalar, I, ONE, SQRT10, ZERO, cleared
@@ -255,19 +262,15 @@ def slice_frame(tag):
     return solved[:drop] + solved[drop + 1 :] + [stab]
 
 
+def frame_covectors(vectors):
+    """Each sigma symbol's values on the vectors: its covector in their frame."""
+    return {sym: tuple(v[s] for v in vectors) for s, sym in enumerate(SYMBOLS)}
+
+
 def metric_gram(vectors):
     """Gram matrix of the C04 family metric on slice vectors (rational entries)."""
-    tensor = metric_from_sextic(family_sextic(2, 3))
-    half = Fraction(1, 2)
-
-    def pair(x, y):
-        value = sum(
-            (c * (x[s] * y[t] + x[t] * y[s]) * half for (s, t), c in tensor.terms.items()),
-            ZERO,
-        )
-        return value.rational_value()
-
-    return [[pair(x, y) for y in vectors] for x in vectors]
+    gram = pushforward_metric(metric_from_sextic(family_sextic(2, 3)), frame_covectors(vectors))
+    return [[entry.rational_value() for entry in row] for row in gram]
 
 
 def slice_inertia(tag):
@@ -279,9 +282,96 @@ def slice_inertia(tag):
 def realized_threeform(tag):
     """The (2,3) family three-form realized on the slice frame of tag; the
     stabiliser is the eighth frame vector, so the form is theta^8-free."""
-    frame = slice_frame(tag)
-    dictionary = {sym: tuple(v[s] for v in frame) for s, sym in enumerate(SYMBOLS)}
-    return realize_threeform(threeform_from_sextic(family_sextic(2, 3)), dictionary)
+    covectors = frame_covectors(slice_frame(tag))
+    return pushforward_threeform(threeform_from_sextic(family_sextic(2, 3)), covectors)
+
+
+# -- the family metric and phi pushed forward from their sigma-level tensors ----
+
+
+def pushforward_metric(tensor, covectors):
+    """Gram matrix of a symmetric sigma-tensor (orbit.SymTensor) in a coframe,
+    bilinearly, term by term; RealityError if an entry is not real."""
+    vectors = [covectors[sym] for sym in SYMBOLS]
+    dim = len(vectors[0])
+    gram = [[ZERO] * dim for _ in range(dim)]
+    half = Fraction(1, 2)
+    for (s, t), coef in tensor.terms.items():
+        vx, vy = vectors[s], vectors[t]
+        for j in range(dim):
+            for k in range(dim):
+                contrib = coef * (vx[j] * vy[k] + vy[j] * vx[k]) * half
+                if contrib:
+                    gram[j][k] = gram[j][k] + contrib
+    for j, row in enumerate(gram):
+        for k, entry in enumerate(row):
+            if not entry.is_real():
+                raise RealityError(f"Gram entry ({j+1},{k+1}) not real: {entry}")
+    return gram
+
+
+def pushforward_threeform(tf, covectors):
+    """A 3-form over the sigma symbols (orbit.threeform_from_sextic) in a
+    coframe, trilinearly: each term's three covectors wedged; RealityError
+    if a term is not real."""
+    forms = [
+        ExteriorForm(1, {(k + 1,): c for k, c in enumerate(covectors[sym]) if c})
+        for sym in SYMBOLS
+    ]
+    out = ExteriorForm.zero(3)
+    for (s, t, u), coef in tf.terms.items():
+        out = add(out, scale(wedge(wedge(forms[s - 1], forms[t - 1]), forms[u - 1]), coef))
+    for idx, coef in out.terms.items():
+        if not coef.is_real():
+            raise RealityError(f"three-form term {idx} not real: {coef}")
+    return out
+
+
+# -- curvature of the homogeneous metric, from the structure constants alone ----
+#
+# G/H with m = span(e1..e7) orthonormal, h = span(e8) and G unimodular:
+# Besse, Einstein Manifolds, 7.38-7.39.  Nothing here reads d, * or phi.
+
+
+def structure_table(dtheta):
+    """c[j][k][l] with [e_j, e_k] = sum_l c_jk^l e_l (0-based), read from
+    d theta^l = -sum_{j<k} c_jk^l theta^j ^ theta^k."""
+    n = len(dtheta)
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for l, form in dtheta.items():
+        for (j, k), coef in form.terms.items():
+            c[j - 1][k - 1][l - 1] = -coef
+            c[k - 1][j - 1][l - 1] = coef
+    return c
+
+
+def killing_form(c, x, y):
+    """B(e_x, e_y) = tr(ad e_x ad e_y), with (ad e_x)^l_k = c_xk^l."""
+    n = len(c)
+    return sum((c[x][k][l] * c[y][l][k] for k in range(n) for l in range(n)), ZERO)
+
+
+def homogeneous_scalar_curvature(dtheta):
+    """scal = -1/4 sum_ij |[Xi, Xj]_m|^2 - 1/2 sum_i B(Xi, Xi)."""
+    c = structure_table(dtheta)
+    m = range(len(c) - 1)
+    brackets = sum((c[i][j][p] * c[i][j][p] for i in m for j in m for p in m), ZERO)
+    killing = sum((killing_form(c, i, i) for i in m), ZERO)
+    return brackets * Fraction(-1, 4) - killing * Fraction(1, 2)
+
+
+def homogeneous_ricci(dtheta):
+    """Ric(X, Y) = -1/2 sum_i <[X,Xi]_m, [Y,Xi]_m> - 1/2 B(X, Y)
+    + 1/4 sum_ij <[Xi,Xj]_m, X> <[Xi,Xj]_m, Y>, on X1..X7."""
+    c = structure_table(dtheta)
+    m = range(len(c) - 1)
+
+    def entry(x, y):
+        first = sum((c[x][i][p] * c[y][i][p] for i in m for p in m), ZERO)
+        last = sum((c[i][j][x] * c[i][j][y] for i in m for j in m), ZERO)
+        return (first + killing_form(c, x, y)) * Fraction(-1, 2) + last * Fraction(1, 4)
+
+    return [[entry(x, y) for y in m] for x in m]
 
 
 # -- the G2 compatibility identity, one contraction per vector -----------------

@@ -3,12 +3,14 @@ from math import gcd
 
 import pytest
 
+from g2sextic import cli
 from g2sextic.binform import BinaryForm
 from g2sextic.exterior import forms_equal, is_basic, is_zero, scale
 from g2sextic.liealg import sigma_in_theta, su21_basis
 from g2sextic.orbit import (
     REAL_FORMS,
     SYMBOLS,
+    RealityError,
     SigmaLinear,
     SymTensor,
     aloff_wallach_from_pq,
@@ -29,12 +31,15 @@ from g2sextic.orbit import (
     threeform_from_sextic,
     _real_slice_covectors,
 )
-from g2sextic.scalar import BASIS_SYMBOLS
+from g2sextic.scalar import BASIS_SYMBOLS, AlgebraicScalar
 
 from reference_data import (
     expected_phi,
+    frame_covectors,
     metric_gram,
     polarized_bryant_form,
+    pushforward_metric,
+    pushforward_threeform,
     real_rank,
     real_slice,
     realized_threeform,
@@ -131,14 +136,55 @@ def test_threeform_swap_antisymmetry():
 
 
 def test_realized_metric_is_identity():
-    gram = realize_metric(metric_from_sextic(family_sextic(2, 3)), DICTIONARY)
+    gram = realize_metric(family_sextic(2, 3), DICTIONARY)
     assert gram == identity_gram()
 
 
 def test_realized_threeform_is_reference_phi():
-    phi = realize_threeform(threeform_from_sextic(family_sextic(2, 3)), DICTIONARY)
+    phi = realize_threeform(family_sextic(2, 3), DICTIONARY)
     assert forms_equal(phi, expected_phi())
     assert is_basic(phi)
+
+
+# every coframe the family form is realized in: theta^1..theta^8 of su(2,1),
+# orbit's coordinates x1..x7 of each real slice, and the solved slice frames
+COFRAMES = {
+    "su21-theta": lambda: DICTIONARY,
+    **{f"{tag}-coordinates": (lambda tag=tag: _real_slice_covectors(tag)) for tag in REAL_FORMS},
+    **{f"{tag}-frame": (lambda tag=tag: frame_covectors(slice_frame(tag))) for tag in REAL_FORMS},
+}
+
+
+@pytest.mark.parametrize("coframe", COFRAMES)
+def test_realization_equals_the_pushforward(coframe):
+    # realizing the coefficients once gives the sigma-level tensors pushed
+    # forward bilinearly and trilinearly, entry for entry
+    covectors = COFRAMES[coframe]()
+    sextic = family_sextic(2, 3)
+    gram = realize_metric(sextic, covectors)
+    assert gram == pushforward_metric(metric_from_sextic(sextic), covectors)
+    phi = realize_threeform(sextic, covectors)
+    assert not is_zero(phi)
+    assert forms_equal(phi, pushforward_threeform(threeform_from_sextic(sextic), covectors))
+
+
+def test_realization_multiplies_few_scalars(monkeypatch):
+    # C03 and C05 realize the family form once per coframe; pushing the
+    # sigma-level tensors forward took 5,512 scalar products here
+    cli._frame()  # build the structure equations outside the count
+    multiply = AlgebraicScalar.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(AlgebraicScalar, "__mul__", counted)
+    monkeypatch.setattr(AlgebraicScalar, "__rmul__", counted)
+    reports = cli.criterion_realization() + cli.criterion_signatures()
+    monkeypatch.undo()
+    assert len(reports) == 6
+    assert 0 < len(calls) <= 1000
 
 
 def test_signatures():
@@ -262,13 +308,19 @@ def test_stabilizer_weights_formula():
 
 
 def test_realize_detects_reality_violation():
-    from g2sextic.orbit import RealityError
-
     broken = dict(DICTIONARY)
     # drop the conjugation relation between sigma^2_1 and sigma^1_2
     broken[(2, 1)] = broken[(1, 2)]
+    sextic = family_sextic(2, 3)
+    with pytest.raises(RealityError) as realized:
+        realize_metric(sextic, broken)
+    with pytest.raises(RealityError) as pushed:
+        pushforward_metric(metric_from_sextic(sextic), broken)
+    assert str(realized.value) == str(pushed.value)  # the same first entry, row-major
     with pytest.raises(RealityError):
-        realize_metric(metric_from_sextic(family_sextic(2, 3)), broken)
+        realize_threeform(sextic, broken)
+    with pytest.raises(RealityError):
+        pushforward_threeform(threeform_from_sextic(sextic), broken)
 
 
 def test_threeform_pattern_proportional_to_i3():
