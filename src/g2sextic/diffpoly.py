@@ -192,6 +192,18 @@ def _poly(ctx: JetContext, terms: dict) -> "Poly":
     return p
 
 
+def _add_into(out: dict, terms: dict) -> None:
+    """Add terms into out in place: a new key goes last, a sum that
+    cancels leaves, and every coefficient keeps the int/Fraction form."""
+    get, pop = out.get, out.pop
+    for e, c in terms.items():
+        nc = get(e, 0) + c
+        if nc:
+            out[e] = nc if type(nc) is int else exact(nc)
+        else:
+            pop(e, None)
+
+
 class Poly:
     """Immutable sparse polynomial; exponents may be negative (Laurent).
 
@@ -225,13 +237,7 @@ class Poly:
 
     def __add__(self, other):
         out = dict(self.terms)
-        get = out.get
-        for e, c in other.terms.items():
-            nc = get(e, 0) + c
-            if nc:
-                out[e] = nc if type(nc) is int else exact(nc)
-            else:
-                out.pop(e, None)
+        _add_into(out, other.terms)
         return _poly(self.ctx, out)
 
     def __neg__(self):
@@ -327,11 +333,69 @@ class Poly:
         return tuple((tuple(powers(e)), c) for e, c in self.terms.items())
 
     def variables(self):
+        """The indices of the variables with a nonzero exponent in some
+        term, inserted in ascending order: the set fields of the OR of
+        every key ^ _one, the most significant (variable 0) first."""
         ctx = self.ctx
         differs = 0
         for e in self.terms:
             differs |= e ^ ctx._one
-        return {v for v, s in enumerate(ctx._shifts) if (differs >> s) & _FIELD_MASK}
+        out = set()
+        last = ctx.nvars - 1
+        while differs:
+            field = (differs.bit_length() - 1) // FIELD_BITS
+            out.add(last - field)
+            differs &= (1 << (field * FIELD_BITS)) - 1
+        return out
+
+    def derive(self, images) -> "Poly":
+        """sum_v d(self)/dv * images[v] over the used variables v, in the
+        order of variables(): the derivation with images[v] the image of
+        variable index v.  An unmapped used variable raises KeyError(v).
+
+        Every piece is added into one dict as it is made, in place of a
+        running sum copied once per variable (Monagan & Pearce, CASC
+        2007).  A one-term image c x^f sends each term a x^e with k = e_v
+        != 0 straight to the key e - e_v + f with coefficient a k c; any
+        other image adds diff(v) * image.  Keys, coefficients and their
+        order equal those of the sum of those products taken variable by
+        variable, and so do the errors: a bottom exponent of v raises as
+        diff does, before the product guard of that variable's terms.
+        """
+        ctx = self.ctx
+        terms = self.terms
+        names, shifts = ctx.names, ctx._shifts
+        top, mask = ctx._top, ctx._mul_mask
+        bound, field_mask = EXPONENT_BOUND, _FIELD_MASK
+        out: dict = {}
+        get, pop = out.get, out.pop
+        for v in self.variables():
+            image = images[v]
+            if len(image.terms) != 1:
+                _add_into(out, (self.diff(names[v]) * image).terms)
+                continue
+            shift = shifts[v]
+            ((f, ic),) = image.terms.items()
+            delta = f - ctx._one - (1 << shift)
+            bad = None
+            for e, c in terms.items():
+                k = ((e >> shift) & field_mask) - bound
+                if not k:
+                    continue
+                if k == -bound:
+                    raise ExponentRangeError(names[v], k - 1)
+                e += delta
+                if (e + top) & mask != top and bad is None:
+                    bad = e
+                c = c * k * ic
+                nc = get(e, 0) + c
+                if nc:
+                    out[e] = nc if type(nc) is int else exact(nc)
+                else:
+                    pop(e, None)
+            if bad is not None:
+                raise ctx._range_error(bad, 4)
+        return _poly(ctx, out)
 
     def evaluate(self, point: dict) -> Fraction:
         """The value at point (name -> int or Fraction), always a Fraction.

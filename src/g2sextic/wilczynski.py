@@ -88,42 +88,43 @@ def x_derivative(f: JetFunction) -> JetFunction:
 # -- abstract differential polynomial rings -----------------------------------
 
 
-def _poly_derive(p: Poly, dmap: dict) -> Poly:
-    total = p.ctx.const(0)
-    for v in p.variables():
-        img = dmap.get(p.ctx.names[v])
-        if img is None:
-            raise EtaResidueError(
-                f"derivative of {p.ctx.names[v]} exceeds the declared order budget"
-            )
-        total = total + p.diff(p.ctx.names[v]) * img
-    return total
+def _poly_derive(p: Poly, images: dict) -> Poly:
+    """The ring derivation of p, Poly.derive over the index-keyed images of
+    _p_ring or _w_ring.  A variable of the top order k = n + 3 has no image:
+    deriving it is an EtaResidueError."""
+    try:
+        return p.derive(images)
+    except KeyError as missing:
+        name = p.ctx.names[missing.args[0]]
+        raise EtaResidueError(
+            f"derivative of {name} exceeds the declared order budget"
+        ) from None
 
 
 @lru_cache(maxsize=None)
 def _p_ring(n: int):
     """Ring of p_i and their formal x-derivatives, i = 1..n.
 
-    Returns (ctx, dmap, keys) with keys[v] = (i, k) for the variable p_i^(k).
+    Returns (ctx, images, keys) with keys[v] = (i, k) for the variable
+    p_i^(k) and images[v] = p_i^(k+1) for k < n + 3, the map of
+    _poly_derive.
     """
     depth = n + 3
     keys = tuple((i, k) for i in range(1, n + 1) for k in range(depth + 1))
     ctx = JetContext.plain(tuple(f"p{i}_{k}" for i, k in keys))
-    dmap = {
-        f"p{i}_{k}": ctx.var(f"p{i}_{k + 1}") if k < depth else None
-        for i, k in keys
-    }
-    return ctx, dmap, keys
+    images = {v: ctx.var(f"p{i}_{k + 1}") for v, (i, k) in enumerate(keys) if k < depth}
+    return ctx, images, keys
 
 
 @lru_cache(maxsize=None)
 def _w_ring(n: int):
     """Ring carrying v = sqrt(xi'), eta, and the semi-invariants P_i.
 
-    Returns (ctx, dmap, keys) with keys[v] = (i, k) for the variable P_i^(k)
-    and None for v and eta.  dmap is m = 2(n+1) times the derivation
-    v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2, P_i^(k)' = P_i^(k+1),
-    so that every image is an integer polynomial.
+    Returns (ctx, images, keys) with keys[v] = (i, k) for the variable
+    P_i^(k) and None for v and eta.  images, the map of _poly_derive, holds
+    the image of each variable index under m = 2(n+1) times the derivation
+    v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2, P_i^(k)' = P_i^(k+1)
+    (none for k = n + 3), so that every image is an integer polynomial.
     """
     depth = n + 3
     keys = (None, None) + tuple(
@@ -133,13 +134,14 @@ def _w_ring(n: int):
     ctx = JetContext.plain(tuple(names))
     v, eta = ctx.var("v"), ctx.var("eta")
     m = 2 * (n + 1)
-    dmap = {
-        "v": (v * eta).scale(n + 1),
-        "eta": (eta * eta).scale(n + 1) + ctx.var("P2_0").scale(12),
+    images = {
+        ctx.index["v"]: (v * eta).scale(n + 1),
+        ctx.index["eta"]: (eta * eta).scale(n + 1) + ctx.var("P2_0").scale(12),
     }
-    for i, k in keys[2:]:
-        dmap[f"P{i}_{k}"] = ctx.var(f"P{i}_{k + 1}").scale(m) if k < depth else None
-    return ctx, dmap, keys
+    for w, (i, k) in enumerate(keys[2:], start=2):
+        if k < depth:
+            images[w] = ctx.var(f"P{i}_{k + 1}").scale(m)
+    return ctx, images, keys
 
 
 def _compose(a: list, b: list, derive) -> list:
@@ -191,13 +193,13 @@ def semi_invariants(n: int) -> dict:
     D by D - p1; the Y^(n-1) coefficient of the result vanishes
     identically (asserted).
     """
-    ctx, dmap, _ = _p_ring(n)
+    ctx, images, _ = _p_ring(n)
     one = ctx.const(1)
     op = _operator(
         [-ctx.var("p1_0"), one],  # D - p1
         n,
         [(i, ctx.var(f"p{i}_0")) for i in range(1, n + 1)],
-        lambda f: _poly_derive(f, dmap),
+        lambda f: _poly_derive(f, images),
     )
     if not op[n - 1].is_zero():
         raise EtaResidueError("semi-canonical reduction left a Y^(n-1) term")
@@ -226,11 +228,13 @@ def classical_theta(n: int) -> dict:
     m E, m = 2(n+1), in place of E and scaled by one rational per Theta_r,
     and the p-forms are summed over one common denominator per Theta_r
     (_generic_p_forms).  Fractions appear only in those scalars and in the
-    returned forms.
+    returned forms.  Each derivation is one Poly.derive pass (_poly_derive):
+    every image but eta's is one term, so its pieces are written straight
+    into one dict, with no product and no copy of a running sum.
     """
     if n < 3:
         raise ValueError("need order n >= 3")
-    ctx, dmap, _ = _w_ring(n)
+    ctx, images, _ = _w_ring(n)
     v_idx = ctx.index["v"]
 
     def v_power(e: int) -> Poly:
@@ -242,7 +246,7 @@ def classical_theta(n: int) -> dict:
 
     def e_derive(g: Poly) -> Poly:
         """m E(g) = v^(-2) (m d)(g): integral on integer polynomials."""
-        return _poly_derive(g, dmap) * vm2
+        return _poly_derive(g, images) * vm2
 
     # The ladder runs on B = M_(v^2) (m E) = m D_x, so that every operator
     # coefficient is an integer polynomial: the equation's operator
@@ -312,7 +316,7 @@ def _generic_p_forms(n: int, theta_P: dict) -> dict:
     cached per Theta_r and each product is added into the running sum as
     it is made, so no Theta_r's pieces are held at once.
     """
-    p_ctx, p_dmap, _ = _p_ring(n)
+    p_ctx, p_images, _ = _p_ring(n)
     w_keys = _w_ring(n)[2]
     contents, chains = {}, {}
     for i, semi in semi_invariants(n).items():
@@ -324,7 +328,7 @@ def _generic_p_forms(n: int, theta_P: dict) -> dict:
         i, k = key
         chain = chains[i]
         while len(chain) <= k:
-            chain.append(_poly_derive(chain[-1], p_dmap))
+            chain.append(_poly_derive(chain[-1], p_images))
         return chain[k]
 
     theta_p = {}

@@ -24,7 +24,11 @@ independently of the per-factor route of ``JetFunction.normalize_pair``.
 An exact quotient is computed here by long division with no leading-key
 test and a scan of the remainder for its leading term, the route
 ``Poly.exact_div`` took before it rejected a quotient whose leading term
-has a negative exponent and took leading terms from a heap.  The eight
+has a negative exponent and took leading terms from a heap.  A ring
+derivation sum_v dp/dv * image(v) is taken here by one Poly.diff pass,
+one product and one copy of the running sum per variable, the route
+``wilczynski._poly_derive`` took before ``Poly.derive`` wrote every piece
+into one dict.  The eight
 projective vector fields of the plane are listed here with their
 prolongation to jets, which reads only D_x and partial derivatives, not
 the Wilczynski assembly.  The classical invariants Theta_r are assembled
@@ -84,6 +88,7 @@ from g2sextic.orbit import (
 from g2sextic.scalar import AlgebraicScalar, I, ONE, SQRT10, ZERO, cleared
 from g2sextic.wilczynski import (
     DegenerateCurveError,
+    EtaResidueError,
     _compose,
     _Equation,
     _operator,
@@ -644,6 +649,21 @@ def long_division(dividend: Poly, divisor: Poly):
     return _poly(ctx, {e: _div(c, scale * unit) for e, c in out.items()})
 
 
+def derive_by_partials(p: Poly, dmap: dict) -> Poly:
+    """sum_v dp/dv * dmap[v] over p.variables() with dmap keyed by variable
+    index, as a running sum of Poly.diff(v) * dmap[v]; a used variable with
+    no image raises wilczynski's EtaResidueError."""
+    total = p.ctx.const(0)
+    for v in p.variables():
+        img = dmap.get(v)
+        if img is None:
+            raise EtaResidueError(
+                f"derivative of {p.ctx.names[v]} exceeds the declared order budget"
+            )
+        total = total + p.diff(p.ctx.names[v]) * img
+    return total
+
+
 # -- binary forms, one derivative or one product at a time ----------------------
 
 
@@ -721,12 +741,13 @@ def generic_theta_by_substitution(n: int) -> dict:
     v, eta = ctx.var("v"), ctx.var("eta")
     half = Fraction(1, 2)
     dmap = {
-        "v": (v * eta).scale(half),
-        "eta": (eta * eta).scale(half) + ctx.var("P2_0").scale(Fraction(6, n + 1)),
+        ctx.index["v"]: (v * eta).scale(half),
+        ctx.index["eta"]: (eta * eta).scale(half) + ctx.var("P2_0").scale(Fraction(6, n + 1)),
     }
     depth = n + 3
-    for i, k in keys[2:]:
-        dmap[f"P{i}_{k}"] = ctx.var(f"P{i}_{k + 1}") if k < depth else None
+    for w, (i, k) in enumerate(keys[2:], start=2):
+        if k < depth:
+            dmap[w] = ctx.var(f"P{i}_{k + 1}")
 
     def v_power(e: int) -> Poly:
         return ctx.monomial(((ctx.index["v"], e),))

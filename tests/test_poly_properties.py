@@ -9,7 +9,10 @@ oracle, which has no leading-key test, on Laurent pairs near the exponent
 bound.  The JetFunction trial reduction is checked against
 Poly.exact_div, a printed JetFunction is checked to parse back to itself,
 and partial, the free and the on-equation D_x and the cube-root
-extension of a derivation are checked to be derivations.  poly_gcd is
+extension of a derivation are checked to be derivations.  Poly.derive is
+checked against the running sum of diff(v) * image(v), to keep the normal
+form and to obey Leibniz's rule on Laurent polynomials with one- and
+two-term images, and variables() against a test of every field.  poly_gcd is
 checked against the primitive PRS oracle, and the per-factor reduction
 of normalize_pair against one gcd with the expanded denominator.  The
 cube-root extension is checked to be a ring by evaluation at rational
@@ -47,6 +50,7 @@ from g2sextic.diffpoly import (
 )
 
 from reference_data import (
+    derive_by_partials,
     expanded_normalize_pair,
     long_division,
     prs_gcd,
@@ -348,6 +352,109 @@ def test_derivative_and_quotient_exponent_range():
     with pytest.raises(ExponentRangeError):
         mono(1, B - 1).exact_div(mono(1, -1))
     assert mono(1, B - 2).exact_div(mono(1, -1)) == mono(1, B - 1)
+
+
+# -- one-pass derivation -----------------------------------------------------------
+
+# one- and two-term images with nonzero coefficients, one per variable
+images = st.dictionaries(laurent_exps, nonzero, min_size=1, max_size=2)
+image_maps = st.tuples(*[images] * len(NAMES)).map(
+    lambda ds: {v: build(d) for v, d in enumerate(ds)}
+)
+
+
+def typed_terms(p):
+    return [(e, c, type(c)) for e, c in p.terms.items()]
+
+
+@given(laurent, image_maps)
+def test_derive_matches_the_partials_route(a, imgs):
+    # the same keys, coefficients, coefficient types and term order as the
+    # running sum of diff(v) * image(v)
+    pa = build(a)
+    assert typed_terms(pa.derive(imgs)) == typed_terms(derive_by_partials(pa, imgs))
+
+
+@given(laurent, image_maps)
+def test_derive_keeps_the_normal_form(a, imgs):
+    out = build(a).derive(imgs)
+    assert exact_coefficients(out)
+    assert all(out.terms.values())
+
+
+@given(laurent, laurent, image_maps)
+def test_derive_obeys_leibniz(a, b, imgs):
+    pa, pb = build(a), build(b)
+    assert (pa * pb).derive(imgs) == pa.derive(imgs) * pb + pa * pb.derive(imgs)
+
+
+def range_error(derive, p, imgs) -> str:
+    with pytest.raises(ExponentRangeError) as info:
+        derive(p, imgs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("derive", [Poly.derive, derive_by_partials])
+@pytest.mark.parametrize("two_term", [False, True])
+def test_derive_exponent_range(derive, two_term):
+    # the bottom field -B fails in diff, the top one at the product guard,
+    # with one-term and two-term images; the kernel and the partials route
+    # name the same variable and exponent
+    a, b, c = (mono(v, 1) for v in range(3))
+    imgs = {0: c, 1: a + c if two_term else a, 2: b}
+    assert range_error(derive, mono(0, -B), imgs) == str(ExponentRangeError("a", -B - 1))
+    assert range_error(derive, mono(0, B - 1) * b, imgs) == str(ExponentRangeError("a", B))
+
+
+@pytest.mark.parametrize("derive", [Poly.derive, derive_by_partials])
+@pytest.mark.parametrize("order", ["top-first", "bottom-first"])
+def test_derive_bottom_exponent_wins_over_the_product_guard(derive, order):
+    # d/db of a^(B-1) b + b^-B: the first term's piece leaves the top of a's
+    # field, the second has b at the bottom; diff(b) fails before any
+    # product is made, whichever term comes first
+    top, bottom = mono(0, B - 1) * mono(1, 1), mono(1, -B)
+    p = top + bottom if order == "top-first" else bottom + top
+    imgs = {0: mono(2, 1), 1: mono(0, 1)}
+    assert range_error(derive, p, imgs) == str(ExponentRangeError("b", -B - 1))
+
+
+WIDE = JetContext.plain(tuple(f"w{v}" for v in range(200)))
+wide_terms = st.dictionaries(
+    st.dictionaries(st.integers(0, 199), st.integers(-3, 3).filter(bool), max_size=4).map(
+        lambda d: tuple(sorted(d.items()))
+    ),
+    st.integers(-5, 5).filter(bool),
+    max_size=5,
+)
+
+
+def full_field_scan(p):
+    """The used variables by a test of every field of the OR of the keys."""
+    ctx = p.ctx
+    differs = 0
+    for e in p.terms:
+        differs |= e ^ ctx._one
+    return {v for v, s in enumerate(ctx._shifts) if (differs >> s) & diffpoly._FIELD_MASK}
+
+
+def wide(d):
+    out = WIDE.const(0)
+    for powers, c in d.items():
+        out = out + WIDE.monomial(powers, c)
+    return out
+
+
+@given(wide_terms)
+def test_variables_matches_the_full_field_scan_in_iteration_order(d):
+    p = wide(d)
+    assert list(p.variables()) == list(full_field_scan(p))
+
+
+def test_variables_keeps_an_order_that_is_not_ascending():
+    # in a 200-variable ring the set {7, 192} iterates as 192, 7; the
+    # derivations sum their pieces in that order
+    p = WIDE.monomial(((7, 1), (192, -2)))
+    assert list(p.variables()) == list(full_field_scan(p)) == [192, 7]
 
 
 @pytest.mark.parametrize("order", ["b-first", "a-first"])
