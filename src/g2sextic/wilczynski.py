@@ -29,11 +29,12 @@ P_i^(k) = D^k(P_i(p)) are substituted into the P-form of Theta_r.  For
 y^(n) = F, p_r^(k) is -binom(n,r)^(-1) D_x^k(dF/dy^(n-r)) with D_x the
 on-equation total derivative.  The generic equation, whose p_i^(k) are
 variables, gets its p-form by the same substitution done fraction-free
-(_generic_p_forms).
+(_GenericEquation.p_form), on the first read of that p-form.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -222,15 +223,19 @@ def wil_coefficient(r: int, s: int) -> Fraction:
 def classical_theta(n: int) -> dict:
     """Theta_3..Theta_n for order n, in both P- and p-variables.
 
-    Returns {r: {"P": Poly, "p": Poly}}; raises EtaResidueError if any
-    eta monomial survives the assembly.  Every polynomial product and
-    derivation runs on integer coefficients: the P-forms are assembled with
-    m E, m = 2(n+1), in place of E and scaled by one rational per Theta_r,
-    and the p-forms are summed over one common denominator per Theta_r
-    (_generic_p_forms).  Fractions appear only in those scalars and in the
-    returned forms.  Each derivation is one Poly.derive pass (_poly_derive):
-    every image but eta's is one term, so its pieces are written straight
-    into one dict, with no product and no copy of a running sum.
+    Returns {r: forms}, where forms is a read-only mapping with the keys
+    "P" and "p" (_ThetaForms): the P-form is built here, and the generic
+    p-form is expanded from it on its first read and then kept, so a
+    caller that reads only "P" pays for no p-form.  Raises
+    EtaResidueError if any eta monomial survives the assembly.  Every
+    polynomial product and derivation runs on integer coefficients: the
+    P-forms are assembled with m E, m = 2(n+1), in place of E and scaled by
+    one rational per Theta_r, and each p-form is summed over one common
+    denominator (_GenericEquation.p_form).  Fractions appear only in those
+    scalars and in the returned forms.  Each derivation is one Poly.derive
+    pass (_poly_derive): every image but eta's is one term, so its pieces
+    are written straight into one dict, with no product and no copy of a
+    running sum.
     """
     if n < 3:
         raise ValueError("need order n >= 3")
@@ -298,55 +303,99 @@ def classical_theta(n: int) -> dict:
         den = weights[r][1] * m ** r
         theta_P[r] = by_weight.get(-2 * r, ctx.const(0)).scale(Fraction(1, den))
 
-    theta_p = _generic_p_forms(n, theta_P)
-    return {r: {"P": poly, "p": theta_p[r]} for r, poly in theta_P.items()}
+    generic = _GenericEquation(n)
+    return {r: _ThetaForms(poly, generic) for r, poly in theta_P.items()}
 
 
-def _generic_p_forms(n: int, theta_P: dict) -> dict:
-    """Theta_r of the generic equation, whose p_i^(k) is the variable
-    p{i}_{k}, from the P-forms, with integer polynomial arithmetic.
+class _ThetaForms(Mapping):
+    """One Theta_r of classical_theta(n), read-only, with the keys "P" and
+    "p": the P-form, built with classical_theta(n), and the generic
+    equation's p-form, expanded from it on its first read and then kept."""
+
+    __slots__ = ("_P", "_p", "_generic")
+
+    def __init__(self, P: Poly, generic: _GenericEquation):
+        self._P, self._p, self._generic = P, None, generic
+
+    def __getitem__(self, key):
+        if key == "P":
+            return self._P
+        if key == "p":
+            if self._p is None:
+                self._p = self._generic.p_form(self._P)
+            return self._p
+        raise KeyError(key)
+
+    def __contains__(self, key):
+        # Mapping's default reads the value, which would expand the p-form
+        return key in ("P", "p")
+
+    def __iter__(self):
+        return iter(("P", "p"))
+
+    def __len__(self):
+        return 2
+
+
+class _GenericEquation:
+    """The generic order-n equation, whose p_i^(k) is the variable p{i}_{k}
+    of _p_ring(n).  p_form turns a Theta_r's P-form into its p-form with
+    integer polynomial arithmetic.
 
     Each chain keeps one content: P_i^(k) = c_i d^k(Q_i) with
     (c_i, Q_i) = semi_invariants(n)[i].primitive(), and the p-ring's
-    derivation d maps integer polynomials to integer polynomials.  Each
-    monomial coef prod P^e of a P-form gets the scalar coef prod c_i^e;
-    those scalars are cleared to ints over one denominator, the integer
-    products of the d^k(Q_i) are summed, and the sum is scaled by 1/den
-    once (Gauss's lemma; Knuth, TAOCP vol. 2, 4.6.1).  The powers are
-    cached per Theta_r and each product is added into the running sum as
-    it is made, so no Theta_r's pieces are held at once.
+    derivation d maps integer polynomials to integer polynomials.  The
+    contents are taken on the first p_form call, each d^k(Q_i) is derived
+    when first needed, and both are shared by every Theta_r of order n.
     """
-    p_ctx, p_images, _ = _p_ring(n)
-    w_keys = _w_ring(n)[2]
-    contents, chains = {}, {}
-    for i, semi in semi_invariants(n).items():
-        contents[i], prim = semi.primitive()
-        chains[i] = [prim]
 
-    def jet(key):
+    __slots__ = ("n", "_contents", "_chains")
+
+    def __init__(self, n: int):
+        self.n = n
+        self._contents = self._chains = None
+
+    def _jet(self, key) -> Poly:
         """d^k(Q_i) for key = (i, k)."""
         i, k = key
-        chain = chains[i]
-        while len(chain) <= k:
-            chain.append(_poly_derive(chain[-1], p_images))
+        chain = self._chains[i]
+        if len(chain) <= k:
+            images = _p_ring(self.n)[1]
+            while len(chain) <= k:
+                chain.append(_poly_derive(chain[-1], images))
         return chain[k]
 
-    theta_p = {}
-    for r, form in theta_P.items():
+    def p_form(self, form: Poly) -> Poly:
+        """The p-form of the Theta_r whose P-form is form.
+
+        Each monomial coef prod P^e of form gets the scalar
+        coef prod c_i^e; those scalars are cleared to ints over one
+        denominator, the integer products of the d^k(Q_i) are summed, and
+        the sum is scaled by 1/den once (Gauss's lemma; Knuth, TAOCP vol. 2,
+        4.6.1).  The powers are cached per call and each product is added
+        into the running sum as it is made, so no Theta_r's pieces are held
+        at once.
+        """
+        if self._chains is None:
+            contents, chains = {}, {}
+            for i, semi in semi_invariants(self.n).items():
+                contents[i], prim = semi.primitive()
+                chains[i] = [prim]
+            self._contents, self._chains = contents, chains
+        w_keys = _w_ring(self.n)[2]
         monomials = form.monomials()
         scalars = []
         for powers, coef in monomials:
             for v, e in powers:
-                coef *= contents[w_keys[v][0]] ** e
+                coef *= self._contents[w_keys[v][0]] ** e
             scalars.append(coef)
         ints, den = cleared(scalars)
         total = _substitute_monomials(
             [(powers, c) for (powers, _), c in zip(monomials, ints)],
-            lambda v: jet(w_keys[v]),
-            p_ctx.const(1),
+            lambda v: self._jet(w_keys[v]),
+            _p_ring(self.n)[0].const(1),
         )
-        theta_p[r] = total.scale(Fraction(1, den))
-    return theta_p
+        return total.scale(Fraction(1, den))
 
 
 def _substitute(poly: Poly, image, one):

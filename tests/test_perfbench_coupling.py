@@ -10,9 +10,11 @@ installing anything, and resolve each name.
 
 import importlib
 import importlib.util
+from collections.abc import Mapping
 from pathlib import Path
 
-from g2sextic.wilczynski import _p_ring
+from g2sextic.diffpoly import Poly
+from g2sextic.wilczynski import _p_ring, classical_theta
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,3 +49,14 @@ def test_high_order_point_names_are_p_ring_variables():
     ctx = _p_ring(n)[0]
     names = [f"p{i}_{k}" for i in range(1, n + 1) for k in range(n + 4)]
     assert [name for name in names if name not in ctx.index] == []
+
+
+def test_classical_theta_p_forms_are_polys_over_the_p_ring():
+    # the tracer's classical_theta observer, _run_high_order and
+    # ode_values_by_evaluation read classical_theta(n)[r]["p"] as a Poly
+    # in the variables p{i}_{k}
+    for n in range(3, 13):
+        ctx = _p_ring(n)[0]
+        for r, forms in classical_theta(n).items():
+            assert isinstance(forms, Mapping)
+            assert isinstance(forms["p"], Poly) and forms["p"].ctx is ctx, (n, r)

@@ -254,6 +254,11 @@ def _integral(operand) -> bool:
     return type(operand) is int
 
 
+def _read_p_forms(orders) -> dict:
+    """{(n, r): classical_theta(n)[r]["p"]} for n in orders, r ascending."""
+    return {(n, r): forms["p"] for n in orders for r, forms in classical_theta(n).items()}
+
+
 def _recorded_derivations(monkeypatch, run):
     """Every (operand, images, result) of Poly.derive while run() runs;
     every patch of monkeypatch is undone afterwards."""
@@ -275,11 +280,12 @@ def _recorded_derivations(monkeypatch, run):
 
 def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
     # every derivation and every Poly product of a fresh classical_theta(9)
-    # has int coefficients on both sides: the derivations of the operator
-    # ladder and of the p-form chains, with their images and results, and
-    # the products of the p-form expansion and of the ladder alike.  A
-    # derivation adds one piece d/dv * image(v) per used variable v; the
-    # 184 derivations of classical_theta(9) add 983 pieces
+    # and of the expansion of all its p-forms has int coefficients on both
+    # sides: the derivations of the operator ladder and of the p-form
+    # chains, with their images and results, and the products of the p-form
+    # expansion and of the ladder alike.  A derivation adds one piece
+    # d/dv * image(v) per used variable v; the 184 derivations of
+    # classical_theta(9) and its p-forms add 983 pieces
     classical_theta.cache_clear()
     semi_invariants.cache_clear()
     multiply = Poly.__mul__
@@ -293,7 +299,7 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
             frame = frame.f_back
         if "derive" in callers:
             kind = "derivation"
-        elif "_generic_p_forms" in callers:
+        elif "p_form" in callers:
             kind = "p-form"
         else:
             kind = "assembly"
@@ -303,7 +309,7 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
         return multiply(self, other)
 
     monkeypatch.setattr(Poly, "__mul__", counted)
-    derivations = _recorded_derivations(monkeypatch, lambda: classical_theta(9))
+    derivations = _recorded_derivations(monkeypatch, lambda: _read_p_forms((9,)))
     assert fractional == Counter()
     assert products["p-form"] > 200
     assert products["assembly"] > 100
@@ -330,7 +336,7 @@ def test_every_assembly_derivation_matches_the_partials_route(monkeypatch):
         semi_invariants.cache_clear()
         for n in range(3, 10):
             semi_invariants(n)
-            classical_theta(n)
+            _read_p_forms((n,))
 
     calls = _recorded_derivations(monkeypatch, run)
     assert len(calls) > 500
@@ -340,6 +346,92 @@ def test_every_assembly_derivation_matches_the_partials_route(monkeypatch):
     }
     for operand, images, result in calls:
         assert _same_terms(result, derive_by_partials(operand, images))
+
+
+def _counted_p_forms(monkeypatch) -> list:
+    """The P-form of every p-form expansion from now on; monkeypatch
+    undoes the count."""
+    expand = wilczynski._GenericEquation.p_form
+    expanded = []
+
+    def counted(self, form):
+        expanded.append(form)
+        return expand(self, form)
+
+    monkeypatch.setattr(wilczynski._GenericEquation, "p_form", counted)
+    return expanded
+
+
+def test_reading_the_p_forms_derives_nothing_in_the_p_ring(monkeypatch):
+    # in fresh caches, the P-forms of n = 3..12 (and a membership test of
+    # "p") cost no p-form expansion and no derivation in any p-ring: every
+    # derivation is one of the w-ring assembly
+    classical_theta.cache_clear()
+    semi_invariants.cache_clear()
+    expanded = _counted_p_forms(monkeypatch)
+
+    def run():
+        for n in range(3, 13):
+            for forms in classical_theta(n).values():
+                assert "p" in forms and "q" not in forms
+                forms["P"]
+
+    calls = _recorded_derivations(monkeypatch, run)
+    assert expanded == []
+    assert calls
+    w_images = [_w_ring(n)[1] for n in range(3, 13)]
+    assert all(any(images is w for w in w_images) for _, images, _ in calls)
+
+
+def test_a_p_form_is_expanded_once():
+    classical_theta.cache_clear()
+    forms = classical_theta(6)[5]
+    first = forms["p"]
+    assert isinstance(first, Poly)
+    assert forms["p"] is first
+    assert classical_theta(6)[5]["p"] is first
+
+
+def test_p_forms_do_not_depend_on_the_order_of_reading():
+    # the chains d^k(Q_i) are shared by every Theta_r of one order n, and
+    # the first r to ask builds them: descending and ascending reads give
+    # the same p-forms term for term
+    orders = range(3, 10)
+    classical_theta.cache_clear()
+    semi_invariants.cache_clear()
+    ascending = _read_p_forms(orders)
+    classical_theta.cache_clear()
+    semi_invariants.cache_clear()
+    descending = {
+        (n, r): classical_theta(n)[r]["p"]
+        for n in reversed(orders)
+        for r in sorted(classical_theta(n), reverse=True)
+    }
+    assert sorted(descending) == sorted(ascending)
+    for key, form in ascending.items():
+        assert _same_terms(descending[key], form)
+
+
+def test_theta_forms_are_a_two_key_mapping():
+    forms = classical_theta(5)[4]
+    assert list(forms) == ["P", "p"]
+    assert len(forms) == 2
+    with pytest.raises(KeyError):
+        forms["q"]
+    with pytest.raises(TypeError):
+        forms["p"] = forms["P"]
+
+
+def test_no_command_expands_a_p_form(monkeypatch):
+    # verify-all (C08, C09), C10 and `ode generalized` read the P-forms
+    # only; fresh caches make every read of "p" an expansion
+    classical_theta.cache_clear()
+    expanded = _counted_p_forms(monkeypatch)
+    cli.suite_verify_all(1, 50)
+    cli.criterion_sampling_oracle(200, 1)
+    cli.suite_ode_generalized()
+    assert classical_theta.cache_info().currsize >= 5
+    assert expanded == []
 
 
 def test_rational_route_derivations_match_the_partials_route(monkeypatch):
