@@ -706,7 +706,7 @@ class JetFunction:
     Gauss's lemma every operation keeps that form on ints: a product
     multiplies the units and the two prims, a sum scales two integer
     numerators by ints and takes one primitive(), and an exact quotient by
-    a factor is primitive.  num = unit * prim is a read-only view.
+    a factor is primitive.
     """
 
     __slots__ = ("ctx", "unit", "prim", "factors")
@@ -714,10 +714,6 @@ class JetFunction:
     def __init__(self, ctx: JetContext, num: Poly, factors: dict | None = None):
         self.ctx = ctx
         self.unit, self.prim, self.factors = _normal(ctx, *num.primitive(), factors or {})
-
-    @property
-    def num(self) -> Poly:
-        return self.prim.scale(self.unit)
 
     @staticmethod
     def from_polys(num: Poly, den: Poly) -> "JetFunction":
@@ -848,11 +844,11 @@ class JetFunction:
     # -- expanded views -------------------------------------------------------
 
     def numerator_polynomial(self) -> Poly:
-        out = self.num
+        out = self.prim
         for f, e in self.factors.items():
             if e > 0:
                 out = out * f ** e
-        return out
+        return out.scale(self.unit)
 
     def denominator_polynomial(self) -> Poly:
         out = self.ctx.const(1)

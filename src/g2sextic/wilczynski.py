@@ -23,13 +23,12 @@ are assembled from the canonical-form coefficients by
 
 and every eta must cancel - a residual eta is a hard failure.
 
-Every concrete equation - a linear ODE in x, a graph y = y(x), or
-y^(n) = F - gets its Theta_r the same way: its semi-invariants
-P_i^(k) = D^k(P_i(p)) are substituted into the P-form of Theta_r.  For
-y^(n) = F, p_r^(k) is -binom(n,r)^(-1) D_x^k(dF/dy^(n-r)) with D_x the
-on-equation total derivative.  The generic equation, whose p_i^(k) are
-variables, gets its p-form by the same substitution done fraction-free
-(_GenericEquation.p_form), on the first read of that p-form.
+Every equation - a linear ODE in x, a graph y = y(x), y^(n) = F, or the
+generic equation, whose p_i^(k) are variables - gets its Theta_r from the
+P-form by one fraction-free substitution of its semi-invariants
+P_i^(k) = c_i D^k(Q_i(p)) (_Equation.theta); the generic Theta_r is the
+p-form.  For y^(n) = F, p_r^(k) is -binom(n,r)^(-1) D_x^k(dF/dy^(n-r))
+with D_x the on-equation total derivative.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, gcd
 from types import MappingProxyType
 
@@ -231,7 +230,7 @@ def classical_theta(n: int) -> dict:
     polynomial product and derivation runs on integer coefficients: the
     P-forms are assembled with m E, m = 2(n+1), in place of E and scaled by
     one rational per Theta_r, and each p-form is summed over one common
-    denominator (_GenericEquation.p_form).  Fractions appear only in those
+    denominator (_Equation.theta).  Fractions appear only in those
     scalars and in the returned forms.  Each derivation is one Poly.derive
     pass (_poly_derive): every image but eta's is one term, so its pieces
     are written straight into one dict, with no product and no copy of a
@@ -310,7 +309,7 @@ def classical_theta(n: int) -> dict:
 class _ThetaForms(Mapping):
     """One Theta_r of classical_theta(n), read-only, with the keys "P" and
     "p": the P-form, built with classical_theta(n), and the generic
-    equation's p-form, expanded from it on its first read and then kept."""
+    equation's theta of it, expanded on its first read and then kept."""
 
     __slots__ = ("_P", "_p", "_generic")
 
@@ -322,7 +321,7 @@ class _ThetaForms(Mapping):
             return self._P
         if key == "p":
             if self._p is None:
-                self._p = self._generic.p_form(self._P)
+                self._p = self._generic.theta(self._P)
             return self._p
         raise KeyError(key)
 
@@ -335,67 +334,6 @@ class _ThetaForms(Mapping):
 
     def __len__(self):
         return 2
-
-
-class _GenericEquation:
-    """The generic order-n equation, whose p_i^(k) is the variable p{i}_{k}
-    of _p_ring(n).  p_form turns a Theta_r's P-form into its p-form with
-    integer polynomial arithmetic.
-
-    Each chain keeps one content: P_i^(k) = c_i d^k(Q_i) with
-    (c_i, Q_i) = semi_invariants(n)[i].primitive(), and the p-ring's
-    derivation d maps integer polynomials to integer polynomials.  The
-    contents are taken on the first p_form call, each d^k(Q_i) is derived
-    when first needed, and both are shared by every Theta_r of order n.
-    """
-
-    __slots__ = ("n", "_contents", "_chains")
-
-    def __init__(self, n: int):
-        self.n = n
-        self._contents = self._chains = None
-
-    def _jet(self, key) -> Poly:
-        """d^k(Q_i) for key = (i, k)."""
-        i, k = key
-        chain = self._chains[i]
-        if len(chain) <= k:
-            images = _p_ring(self.n)[1]
-            while len(chain) <= k:
-                chain.append(_poly_derive(chain[-1], images))
-        return chain[k]
-
-    def p_form(self, form: Poly) -> Poly:
-        """The p-form of the Theta_r whose P-form is form.
-
-        Each monomial coef prod P^e of form gets the scalar
-        coef prod c_i^e; those scalars are cleared to ints over one
-        denominator, the integer products of the d^k(Q_i) are summed, and
-        the sum is scaled by 1/den once (Gauss's lemma; Knuth, TAOCP vol. 2,
-        4.6.1).  The powers are cached per call and each product is added
-        into the running sum as it is made, so no Theta_r's pieces are held
-        at once.
-        """
-        if self._chains is None:
-            contents, chains = {}, {}
-            for i, semi in semi_invariants(self.n).items():
-                contents[i], prim = semi.primitive()
-                chains[i] = [prim]
-            self._contents, self._chains = contents, chains
-        w_keys = _w_ring(self.n)[2]
-        monomials = form.monomials()
-        scalars = []
-        for powers, coef in monomials:
-            for v, e in powers:
-                coef *= self._contents[w_keys[v][0]] ** e
-            scalars.append(coef)
-        ints, den = cleared(scalars)
-        total = _substitute_monomials(
-            [(powers, c) for (powers, _), c in zip(monomials, ints)],
-            lambda v: self._jet(w_keys[v]),
-            _p_ring(self.n)[0].const(1),
-        )
-        return total.scale(Fraction(1, den))
 
 
 def _substitute(poly: Poly, image, one):
@@ -421,19 +359,29 @@ def _substitute_monomials(monomials, image, one):
 
 
 class _Equation:
-    """A concrete order-n equation seen through its semi-invariants.
+    """An order-n equation seen through its semi-invariants.
 
     p_of(i) is the coefficient p_i, derive the x-derivation of the ring it
-    lives in and one that ring's unit.  P_i^(k) is built on first use:
-    P_i^(0) is P_i(p) with p_i^(k) = derive^k(p_of(i)), and
-    P_i^(k+1) = derive(P_i^(k)).
+    lives in and one that ring's unit.  P_i^(k) = c_i Q_i^(k), with
+    (c_i, Q_i) = semi_invariants(n)[i].primitive() taken on first use;
+    Q_i^(0) is Q_i(p) with p_i^(k) = derive^k(p_of(i)), and
+    Q_i^(k+1) = derive(Q_i^(k)).
     """
 
     def __init__(self, n: int, p_of, derive, one):
         self.n, self.p_of, self.derive, self.one = n, p_of, derive, one
         self._jets: dict = {}
 
+    @cached_property
+    def _parts(self) -> dict:
+        return {i: semi.primitive() for i, semi in semi_invariants(self.n).items()}
+
+    def _primitive_of_p(self, i: int):
+        p_keys = _p_ring(self.n)[2]
+        return _substitute(self._parts[i][1], lambda v: self._jet("p", *p_keys[v]), self.one)
+
     def _jet(self, kind: str, i: int, k: int):
+        """p_i^(k) for kind "p", Q_i^(k) for kind "Q"."""
         key = (kind, i, k)
         if key not in self._jets:
             if k:
@@ -441,25 +389,50 @@ class _Equation:
             elif kind == "p":
                 value = self.p_of(i)
             else:
-                p_keys = _p_ring(self.n)[2]
-                value = _substitute(
-                    semi_invariants(self.n)[i],
-                    lambda v: self._jet("p", *p_keys[v]),
-                    self.one,
-                )
+                value = self._primitive_of_p(i)
             self._jets[key] = value
         return self._jets[key]
 
     def P(self, i: int, k: int = 0):
-        return self._jet("P", i, k)
+        return self._jet("Q", i, k) * self._parts[i][0]
+
+    def theta(self, form: Poly):
+        """The Theta_r whose P-form is form: the scalars coef prod c_i^e of
+        its monomials are cleared to ints over one denominator, the integer
+        products of the Q_i^(k) are summed as they are made, with the powers
+        cached per call, and the sum is scaled by 1/den once (Gauss's lemma;
+        Knuth, TAOCP vol. 2, 4.6.1)."""
+        w_keys = _w_ring(self.n)[2]
+        monomials = form.monomials()
+        scalars = []
+        for powers, coef in monomials:
+            for v, e in powers:
+                coef *= self._parts[w_keys[v][0]][0] ** e
+            scalars.append(coef)
+        ints, den = cleared(scalars)
+        total = _substitute_monomials(
+            [(powers, c) for (powers, _), c in zip(monomials, ints)],
+            lambda v: self._jet("Q", *w_keys[v]),
+            self.one,
+        )
+        return total * Fraction(1, den)
 
     def thetas(self) -> dict:
         """Theta_r of the equation from the P-forms of classical_theta."""
-        w_keys = _w_ring(self.n)[2]
-        return {
-            r: _substitute(data["P"], lambda v: self.P(*w_keys[v]), self.one)
-            for r, data in sorted(classical_theta(self.n).items())
-        }
+        thetas = sorted(classical_theta(self.n).items())
+        return {r: self.theta(forms["P"]) for r, forms in thetas}
+
+
+class _GenericEquation(_Equation):
+    """The generic order-n equation, whose p_i^(k) is the variable p{i}_{k}
+    of _p_ring(n), so that Q_i(p) is Q_i and theta gives the p-form."""
+
+    def __init__(self, n: int):
+        ctx, images, _ = _p_ring(n)
+        super().__init__(n, None, lambda f: _poly_derive(f, images), ctx.const(1))
+
+    def _primitive_of_p(self, i: int) -> Poly:
+        return self._parts[i][1]
 
 
 # -- linear ODEs ----------------------------------------------------------------
@@ -659,7 +632,7 @@ def _embed_x_function(f: JetFunction, ctx: JetContext) -> JetFunction:
     def embed(poly: Poly) -> Poly:
         return _substitute(poly, lambda v: x, one)
 
-    return JetFunction(ctx, embed(f.num), {embed(p): e for p, e in f.factors.items()})
+    return JetFunction(ctx, embed(f.prim), {embed(p): e for p, e in f.factors.items()}) * f.unit
 
 
 def curvature_context(symbolic: bool) -> JetContext:

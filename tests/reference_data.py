@@ -34,12 +34,17 @@ prolongation to jets, which reads only D_x and partial derivatives, not
 the Wilczynski assembly.  The classical invariants Theta_r are assembled
 here the rational way, with the change-of-variable derivation E itself
 and its Fraction coefficients, and the generic p-forms come from
-substituting the generic equation's semi-invariants into them as for a
-concrete equation, independently of the integer arithmetic of
-``wilczynski.classical_theta``.  The mixed partial derivatives of a
-binary form's monomial list are taken here one d/dt or d/ds at a time,
-and the powers of a linear form by repeated convolution, independently
-of the falling-factorial and binomial closed forms in ``binform``.
+substituting the generic equation's rational semi-invariants and their
+p-ring derivatives into them, independently of the integer arithmetic of
+``wilczynski.classical_theta`` and ``wilczynski._Equation.theta``.  The
+Theta_r of a concrete equation are computed here by substituting its
+rational semi-invariants P_i^(k) into the P-forms, the route
+``wilczynski._Equation`` took before it cleared the contents of the
+semi-invariants over one denominator per Theta_r.  The mixed partial
+derivatives of a binary form's monomial list are taken here one d/dt or
+d/ds at a time, and the powers of a linear form by repeated convolution,
+independently of the falling-factorial and binomial closed forms in
+``binform``.
 kappa -> k is done here by substituting k for kappa, and every other
 variable by itself, term by term in each numerator, and an extension
 element is rebuilt as c0 + c1 u + c2 u^2: the route
@@ -90,12 +95,13 @@ from g2sextic.wilczynski import (
     DegenerateCurveError,
     EtaResidueError,
     _compose,
-    _Equation,
     _operator,
     _p_ring,
     _poly_derive,
     _substitute,
     _w_ring,
+    classical_theta,
+    semi_invariants,
     wil_coefficient,
 )
 
@@ -485,10 +491,10 @@ def term_by_term_value(poly, point):
 
 
 def term_by_term_function_value(f, point):
-    """The value of a JetFunction num * prod factor^e at point, every
+    """The value of a JetFunction unit * prim * prod factor^e at point, every
     polynomial valued by term_by_term_value; a PoleError when a
     denominator factor vanishes there."""
-    value = term_by_term_value(f.num, point)
+    value = term_by_term_value(f.prim.scale(f.unit), point)
     for factor, e in f.factors.items():
         base = term_by_term_value(factor, point)
         if not base and e < 0:
@@ -735,7 +741,8 @@ def generic_theta_by_substitution(n: int) -> dict:
     derivation v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2,
     P_i^(k)' = P_i^(k+1) with its Fraction images, and q_i and Theta_r
     scaled term by term.  The p-forms substitute the generic equation's
-    P_i^(k), built by _Equation from the variables p{i}_{k}, into them.
+    P_i^(k), the rational semi_invariants(n)[i] derived k times in the
+    p-ring, into them.
     """
     ctx, _, keys = _w_ring(n)
     v, eta = ctx.var("v"), ctx.var("eta")
@@ -772,17 +779,47 @@ def generic_theta_by_substitution(n: int) -> dict:
             theta[i + s] = theta[i + s] + g.scale(wil_coefficient(i + s, s))
 
     p_ctx, p_dmap, _ = _p_ring(n)
-    generic = _Equation(
-        n,
-        lambda i: p_ctx.var(f"p{i}_0"),
-        lambda f: _poly_derive(f, p_dmap),
-        p_ctx.const(1),
-    )
+    chains = {i: [semi] for i, semi in semi_invariants(n).items()}
+
+    def generic_P(i, k):
+        chain = chains[i]
+        while len(chain) <= k:
+            chain.append(_poly_derive(chain[-1], p_dmap))
+        return chain[k]
+
     out = {}
     for r in sorted(theta):
         form = theta[r].coefficients("v")[-2 * r]
-        out[r] = {"P": form, "p": _substitute(form, lambda w: generic.P(*keys[w]), generic.one)}
+        out[r] = {"P": form, "p": _substitute(form, lambda w: generic_P(*keys[w]), p_ctx.const(1))}
     return out
+
+
+def thetas_by_rational_substitution(n: int, p_of, derive, one) -> dict:
+    """{r: Theta_r} of a concrete order-n equation by the rational route:
+    each P-form of classical_theta(n) with every P_i^(k) replaced by
+    derive^k(P_i(p)), P_i(p) the rational semi_invariants(n)[i] with
+    p_i^(k) = derive^k(p_of(i)).  p_of, derive and one are those of
+    wilczynski._Equation."""
+    p_keys, w_keys = _p_ring(n)[2], _w_ring(n)[2]
+    jets = {}
+
+    def jet(kind, i, k):
+        if (kind, i, k) not in jets:
+            if k:
+                value = derive(jet(kind, i, k - 1))
+            elif kind == "p":
+                value = p_of(i)
+            else:
+                value = _substitute(
+                    semi_invariants(n)[i], lambda v: jet("p", *p_keys[v]), one
+                )
+            jets[kind, i, k] = value
+        return jets[kind, i, k]
+
+    return {
+        r: _substitute(forms["P"], lambda v: jet("P", *w_keys[v]), one)
+        for r, forms in sorted(classical_theta(n).items())
+    }
 
 
 # -- kappa -> k by substitution ---------------------------------------------------
@@ -798,7 +835,7 @@ def specialize_kappa_by_substitution(thetas, k) -> dict:
         return value if v == kappa_idx else ctx.monomial(((v, 1),))
 
     def specialize(f):
-        return JetFunction(ctx, _substitute(f.num, image, one), f.factors)
+        return JetFunction(ctx, _substitute(f.prim.scale(f.unit), image, one), f.factors)
 
     def specialize_value(t):
         if isinstance(t, JetFunction):

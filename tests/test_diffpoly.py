@@ -146,7 +146,7 @@ def non_coprime_sum():
     f = JetFunction(ctx, ctx.const(1), {x + two: -1})
     g = JetFunction(ctx, x + three, {(x + two) * (x + three): -1})
     total = f + g
-    return str(total.num), [(str(p), e) for p, e in total.factors.items()]
+    return str(total.prim.scale(total.unit)), [(str(p), e) for p, e in total.factors.items()]
 
 
 @pytest.mark.parametrize("other_hash", [lambda p: len(p.terms), lambda p: -len(p.terms)],

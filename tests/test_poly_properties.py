@@ -581,7 +581,8 @@ def test_trial_reduction_is_complete_after_one_pass(f, g):
     # no denominator factor left in the table divides the numerator
     results = [f, g, f + g, f * g] + ([f / g] if g else [])
     for h in results:
-        assert [p for p, e in h.factors.items() if e < 0 and h.num.exact_div(p) is not None] == []
+        num = h.prim.scale(h.unit)
+        assert [p for p, e in h.factors.items() if e < 0 and num.exact_div(p) is not None] == []
 
 
 @settings(max_examples=50)
@@ -725,7 +726,8 @@ JET_CTX = JetContext(3)
 # below the top order y3, where the free D_x is defined
 LOW = ("x", "y", "y1", "y2")
 LOW_FACTORS = tuple(
-    parse_jet_expression(text, JET_CTX).num for text in ("y1", "x + 1", "y*y2 - 2", "y1^2 + y")
+    f.prim.scale(f.unit)
+    for f in (parse_jet_expression(text, JET_CTX) for text in ("y1", "x + 1", "y*y2 - 2", "y1^2 + y"))
 )
 low_exps = st.tuples(*[st.integers(0, 2)] * len(LOW))
 
@@ -918,14 +920,14 @@ def assert_integer_numerator(h):
     coefficients = list(h.prim.terms.values())
     assert all(type(c) is int for c in coefficients)
     assert gcd(*coefficients) == 1 and h.prim.leading()[1] > 0
-    assert h.num == h.prim.scale(h.unit)
     assert_normal_table(h)
 
 
 @given(jet_functions(), jet_functions(), st.integers(-2, 3), values, st.sampled_from(NAMES))
 def test_operations_keep_an_integer_primitive_numerator(f, g, n, c, name):
-    results = [f, g, JetFunction(CTX, f.num * 3, f.factors), JetFunction(CTX, f.num, g.factors),
-               JetFunction(CTX, f.num, {p.scale(-2): e for p, e in g.factors.items()}),
+    num = f.prim.scale(f.unit)
+    results = [f, g, JetFunction(CTX, num * 3, f.factors), JetFunction(CTX, num, g.factors),
+               JetFunction(CTX, num, {p.scale(-2): e for p, e in g.factors.items()}),
                f + g, f - g, f - f, f + c, c - f, f * g, f * c, c * f, -f, f.as_factored(),
                f.partial(name)]
     if f or n >= 0:

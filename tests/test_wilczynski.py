@@ -36,6 +36,7 @@ from g2sextic.wilczynski import (
     _constant_value,
     _p_ring,
     _poly_derive,
+    _substitute,
     _w_ring,
     classical_theta,
     classical_theta_of_ode,
@@ -68,6 +69,7 @@ from reference_data import (
     generic_theta_by_substitution,
     specialize_kappa_by_substitution,
     symbolic_jets_along_curve,
+    thetas_by_rational_substitution,
     t_polynomial,
     term_by_term_function_value,
     term_by_term_value,
@@ -85,7 +87,8 @@ def test_semi_invariants_printed_forms():
     ctx = P[2].ctx
 
     def poly(text):
-        return parse_jet_expression(text, ctx).num
+        f = parse_jet_expression(text, ctx)
+        return f.prim.scale(f.unit)
 
     assert P[2] == poly("p2_0 - p1_0^2 - p1_1")
     assert P[3] == poly("p3_0 - 3*p1_0*p2_0 + 2*p1_0^3 - p1_2")
@@ -96,8 +99,8 @@ def test_semi_canonical_reduction_all_orders():
     for n in range(3, 8):
         P = semi_invariants(n)
         ctx = P[2].ctx
-        expected = parse_jet_expression("p2_0 - p1_0^2 - p1_1", ctx).num
-        assert P[2] == expected
+        expected = parse_jet_expression("p2_0 - p1_0^2 - p1_1", ctx)
+        assert P[2] == expected.prim.scale(expected.unit)
 
 
 def test_semi_invariants_by_leibniz():
@@ -168,15 +171,15 @@ def test_theta3_printed_p_form():
     ctx = theta["p"].ctx
     printed = parse_jet_expression(
         "p3_0 - 3*p1_0*p2_0 + 2*p1_0^3 + 3*p1_0*p1_1 - 3*p2_1/2 + p1_2/2", ctx
-    ).num
-    assert theta["p"] == printed
+    )
+    assert theta["p"] == printed.prim.scale(printed.unit)
 
 
 def test_theta3_via_semi_invariants():
     theta = classical_theta(3)[3]
     ctx = theta["P"].ctx
-    printed = parse_jet_expression("P3_0 - 3*P2_1/2", ctx).num
-    assert theta["P"] == printed
+    printed = parse_jet_expression("P3_0 - 3*P2_1/2", ctx)
+    assert theta["P"] == printed.prim.scale(printed.unit)
 
 
 def _terms_by_name(poly):
@@ -283,13 +286,16 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
     # and of the expansion of all its p-forms has int coefficients on both
     # sides: the derivations of the operator ladder and of the p-form
     # chains, with their images and results, and the products of the p-form
-    # expansion and of the ladder alike.  A derivation adds one piece
-    # d/dv * image(v) per used variable v; the 184 derivations of
-    # classical_theta(9) and its p-forms add 983 pieces
+    # expansion (_Equation.theta) and of the ladder alike.  Poly * number is
+    # Poly.scale, not a product: by ints in the p-form sums, and by a
+    # Fraction only in the one scale by 1/den that ends each of the seven
+    # p-forms.  A derivation adds one piece d/dv * image(v) per used
+    # variable v; the 184 derivations of classical_theta(9) and its p-forms
+    # add 983 pieces
     classical_theta.cache_clear()
     semi_invariants.cache_clear()
     multiply = Poly.__mul__
-    products, fractional = Counter(), Counter()
+    products, fractional, scales = Counter(), Counter(), Counter()
 
     def counted(self, other):
         callers = set()
@@ -297,9 +303,12 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
         while frame is not None:
             callers.add(frame.f_code.co_name)
             frame = frame.f_back
+        if not isinstance(other, Poly):
+            scales[type(other)] += 1
+            return multiply(self, other)
         if "derive" in callers:
             kind = "derivation"
-        elif "p_form" in callers:
+        elif "theta" in callers:
             kind = "p-form"
         else:
             kind = "assembly"
@@ -311,6 +320,7 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", counted)
     derivations = _recorded_derivations(monkeypatch, lambda: _read_p_forms((9,)))
     assert fractional == Counter()
+    assert scales[Fraction] == 7 and set(scales) == {int, Fraction}
     assert products["p-form"] > 200
     assert products["assembly"] > 100
     assert len(derivations) > 150
@@ -349,16 +359,17 @@ def test_every_assembly_derivation_matches_the_partials_route(monkeypatch):
 
 
 def _counted_p_forms(monkeypatch) -> list:
-    """The P-form of every p-form expansion from now on; monkeypatch
-    undoes the count."""
-    expand = wilczynski._GenericEquation.p_form
+    """The P-form of every p-form expansion from now on, the generic
+    equation's theta; monkeypatch undoes the count."""
+    expand = wilczynski._Equation.theta
     expanded = []
 
     def counted(self, form):
-        expanded.append(form)
+        if isinstance(self, wilczynski._GenericEquation):
+            expanded.append(form)
         return expand(self, form)
 
-    monkeypatch.setattr(wilczynski._GenericEquation, "p_form", counted)
+    monkeypatch.setattr(wilczynski._Equation, "theta", counted)
     return expanded
 
 
@@ -479,7 +490,7 @@ def test_reparametrization_weight_linear_ode():
     for a in (Fraction(2), Fraction(3), Fraction(1, 2)):
         hatted = []
         for i, pi in enumerate(p, start=1):
-            scaled = _scale_argument(pi, a)
+            scaled = _at(pi, x * a)
             hatted.append(scaled * a ** i)
         ode, ode_hat = LinearODE(3, p), LinearODE(3, tuple(hatted))
         th, th_hat = classical_theta_of_ode(ode), classical_theta_of_ode(ode_hat)
@@ -513,18 +524,56 @@ def test_thetas_invariant_under_rescaling_y(n):
         assert after[r] == th
 
 
-def _scale_argument(f, a):
-    """f(x) -> f(a x) for rational functions of x."""
-    def scale_poly(p):
-        out = p.ctx.const(0)
-        for powers, c in p.monomials():
-            out = out + p.ctx.monomial(powers, c * a ** dict(powers).get(0, 0))
-        return out
+def _at(f: JetFunction, phi: JetFunction) -> JetFunction:
+    """f(phi(x)) for rational functions f and phi of x."""
+    def at_phi(poly):
+        return _substitute(poly, lambda v: phi, x_fn(1))
 
-    out = JetFunction(f.ctx, scale_poly(f.num), {})
+    out = at_phi(f.prim) * f.unit
     for poly, e in f.factors.items():
-        out = out * JetFunction(f.ctx, scale_poly(poly), {}) ** e
+        out = out * at_phi(poly) ** e
     return out
+
+
+CHANGES_OF_X = {
+    "x + x^2": lambda x: x + x * x,
+    "(2x + 1)/(x + 3)": lambda x: (x * 2 + 1) / (x + 3),
+}
+
+
+@pytest.mark.parametrize("phi_name", list(CHANGES_OF_X))
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_thetas_are_relative_invariants_of_weight_r_under_a_change_of_x(n, phi_name):
+    # x = phi(t) makes D_x = w D_t with w = 1/phi'(t): the operator
+    # sum_j a_j(x) D_x^j with a_n = 1 and a_(n-i) = C(n,i) p_i becomes
+    # sum_j a_j(phi(t)) (w D_t)^j, whose leading coefficient is w^n, and
+    # Theta~_r(t) = phi'(t)^r Theta_r(phi(t)) (Wilczynski 1906; Doubrov,
+    # IMA Vol. Math. Appl. 144, 2008).  The new variable t is named x.
+    rng = random.Random(110 + n)
+    x = x_fn("x")
+    p = tuple(x_fn(rng.randint(-3, 3)) + x * rng.randint(-3, 3) + x * x * rng.randint(1, 3)
+              for _ in range(n))
+    phi = CHANGES_OF_X[phi_name](x)
+    dphi = x_derivative(phi)
+    w = x_fn(1) / dphi
+    a = {n: x_fn(1), **{n - i: _at(p[i - 1], phi) * comb(n, i) for i in range(1, n + 1)}}
+    # (w D_t)^j as coefficient lists in D_t: D_t o sum_k c_k D_t^k =
+    # sum_k (c_k' D_t^k + c_k D_t^(k+1))
+    power, op = [x_fn(1)], [a[0]]
+    for j in range(1, n + 1):
+        derived = [x_derivative(c) for c in power] + [x_fn(0)]
+        power = [(d + c) * w for d, c in zip(derived, [x_fn(0)] + power)]
+        op = [s + c * a[j] for s, c in zip(op + [x_fn(0)], power)]
+    changed = tuple(op[n - i] / (op[n] * comb(n, i)) for i in range(1, n + 1))
+    before = classical_theta_of_ode(LinearODE(n, p))
+    after = classical_theta_of_ode(LinearODE(n, changed))
+    assert set(before) == set(after) == set(range(3, n + 1))
+    for t0 in (Fraction(1, 2), Fraction(-5, 3)):
+        x0, dx0 = phi.evaluate({"x": t0}), dphi.evaluate({"x": t0})
+        for r, th in before.items():
+            expected = dx0 ** r * th.evaluate({"x": x0})
+            assert expected
+            assert after[r].evaluate({"x": t0}) == expected
 
 
 # -- curve ODEs -----------------------------------------------------------------
@@ -942,15 +991,62 @@ def test_p_form_at_points_matches_linear_ode():
         assert any(expected.values())
 
 
+def _on_equation(ode: NonlinearODE) -> tuple:
+    """(n, p_of, derive, one) of y^(n) = F, as generalized_theta builds it."""
+    n, ctx = ode.order, ode.ctx
+    dmap = on_equation_derivative_map(ctx, n, ode.rhs)
+    return (n, lambda i: ode.rhs.partial(ctx.jet_name(n - i)) * Fraction(-1, comb(n, i)),
+            lambda f: f.derivative(dmap), ctx.fn(1))
+
+
+def _thetas_and_equation(equation) -> tuple:
+    return equation.thetas(), (equation.n, equation.p_of, equation.derive, equation.one)
+
+
+def _seeded_order_8_equation() -> tuple:
+    rng = random.Random(8)
+    x = x_fn("x")
+    p = tuple((x * x * rng.randint(1, 5) + x * rng.randint(-5, 5) + rng.randint(1, 5))
+              / (x + rng.randint(1, 9)) for _ in range(8))
+    return _thetas_and_equation(wilczynski._linear_equation(LinearODE(8, p)))
+
+
+def _graph_equation_of_order_7() -> tuple:
+    # the equation of curve_thetas(JetContext(7))
+    return _thetas_and_equation(wilczynski._graph_equation(JetContext(7)))
+
+
+def _c12_equation() -> tuple:
+    ctx = JetContext(7)
+    ode = NonlinearODE(7, parse_jet_expression("(105*y6*y5*y4 - 84*y5^3)/(25*y4^2)", ctx))
+    return generalized_theta(ode), _on_equation(ode)
+
+
+def _curvature_equation() -> tuple:
+    return dict(curvature_thetas()), _on_equation(curvature_ode())
+
+
+@pytest.mark.parametrize("equation", [
+    _seeded_order_8_equation, _graph_equation_of_order_7, _c12_equation, _curvature_equation,
+])
+def test_concrete_thetas_match_the_rational_substitution(equation):
+    # _Equation.theta sums integer products of the primitive parts Q_i^(k)
+    # and scales once; the rational route substitutes P_i^(k) itself.  The
+    # values are equal and print the same
+    got, args = equation()
+    expected = thetas_by_rational_substitution(*args)
+    assert list(got) == list(expected)
+    for r, theta in got.items():
+        assert theta == expected[r]
+        assert str(theta) == str(expected[r])
+
+
 def test_p_form_at_points_matches_nonlinear_ode():
     ctx = JetContext(4)
     rhs = parse_jet_expression("x*y3^2 + y*y2 - y1^3", ctx)
     ode = NonlinearODE(4, rhs)
-    dmap = on_equation_derivative_map(ctx, 4, rhs)
-    p_jet = _jet_table(
-        lambda i: rhs.partial(ctx.jet_name(4 - i)) * Fraction(-1, comb(4, i)),
-        lambda f: f.derivative(dmap),
-    )
+    _, p_of, derive, _ = _on_equation(ode)
+    p_jet = _jet_table(p_of, derive)
     point = {"x": Fraction(2, 3), "y": Fraction(-1, 2), "y1": Fraction(3),
              "y2": Fraction(1, 5), "y3": Fraction(-2)}
     expected = _p_form_values(4, p_jet, lambda f: f.evaluate(point))
@@ -1079,7 +1175,8 @@ def test_theta_values_at_sampled_jets_match_term_by_term(seed):
     thetas = curve_thetas(ctx)
     for jets in cli.cuspidal_jet_samples(200, seed):
         for th in thetas:
-            assert th.num.evaluate(jets) == term_by_term_value(th.num, jets)
+            num = th.prim.scale(th.unit)
+            assert num.evaluate(jets) == term_by_term_value(num, jets)
             assert th.evaluate(jets) == term_by_term_function_value(th, jets)
 
 
