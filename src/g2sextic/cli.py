@@ -150,7 +150,7 @@ def criterion_signatures() -> list:
             "only after swapping the order; see the signature convention "
             "section of the README")
     return [_signature_report(f"c05.signature-{tag}", tag, note, {})
-            for tag in ("split", "su3", "su21")]
+            for tag in orbit.REAL_FORMS]
 
 
 def criterion_invariant_theory(seed: int = 0) -> list:
@@ -283,8 +283,6 @@ def cuspidal_jet_samples(count: int, seed: int) -> Iterator[dict]:
             n = [[sum(n[a][k] * e[k][b] for k in range(3)) for b in range(3)] for a in range(3)]
         # z_a(t) = n[a][0] t^2 + n[a][1] t^3 + n[a][2], coefficients by power of t
         z = [[row[2], 0, row[0], row[1]] for row in n]
-        if not any(z[2]):
-            continue
         for _ in range(5):
             if drawn >= count:
                 break
@@ -293,7 +291,7 @@ def cuspidal_jet_samples(count: int, seed: int) -> Iterator[dict]:
                 jets = wilczynski.jets_along_curve((z[0], z[2]), (z[1], z[2]), 7, t0)
             except (PoleError, DegenerateCurveError):
                 continue
-            if not jets.get("y2"):
+            if not jets["y2"]:
                 continue
             if not wilczynski.halphen_numerator(*(jets[f"y{k}"] for k in (2, 3, 4, 5))):
                 continue
@@ -448,23 +446,20 @@ def suite_ode_generalized(kappa_text: str | None = None, rhs_text: str | None = 
     if rhs_text is not None:
         order = 7 if order is None else order
         thetas = _rhs_thetas(rhs_text, order)
-        return [
-            _report(f"ode.generalized-theta{r}", None, v,
-                    details={"is_zero": v.is_zero(), "order": order})
-            for r, v in sorted(thetas.items())
-        ]
-    if order is not None:
-        raise ValueError("--order needs --rhs")
-    kappa = None if kappa_text in (None, "symbolic") else parse_rational(kappa_text)
-    if kappa == 0:
-        raise ValueError("kappa must be nonzero")
-    thetas = wilczynski.curvature_thetas()
-    if kappa is not None:
-        thetas = wilczynski.specialize_kappa(thetas, kappa)
+        equation = {"order": order}
+    else:
+        if order is not None:
+            raise ValueError("--order needs --rhs")
+        kappa = None if kappa_text in (None, "symbolic") else parse_rational(kappa_text)
+        if kappa == 0:
+            raise ValueError("kappa must be nonzero")
+        thetas = wilczynski.curvature_thetas()
+        if kappa is not None:
+            thetas = wilczynski.specialize_kappa(thetas, kappa)
+        equation = {"kappa": "symbolic" if kappa is None else str(kappa)}
     return [
         _report(f"ode.generalized-theta{r}", None, v,
-                details={"is_zero": v.is_zero(),
-                         "kappa": "symbolic" if kappa is None else str(kappa)})
+                details={"is_zero": v.is_zero(), **equation})
         for r, v in sorted(thetas.items())
     ]
 

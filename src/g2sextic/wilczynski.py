@@ -5,10 +5,10 @@ rings.  Conjugation by exp(-int p1) produces the semi-invariants P_i; the
 formal change of independent variable is done in a ring carrying
 v = sqrt(xi'), eta = xi''/xi' and the P_i, whose derivation implements the
 substitutions  xi'' = xi' eta  and  eta' = (1/2) eta^2 + 6/(n+1) P2.
-The ring stores 2(n+1) times that derivation, whose images are integral,
-so the assembly multiplies and derives integer polynomials only and
-divides out the powers of 2(n+1) once per Theta_r (Gauss's lemma; Knuth,
-TAOCP vol. 2, 4.6.1).
+The ring stores the images of m E = v^(-2) m d, m = 2(n+1), with d that
+derivation; they are integral, so the assembly multiplies and derives
+integer polynomials only and divides out the powers of m once per Theta_r
+(Gauss's lemma; Knuth, TAOCP vol. 2, 4.6.1).
 
 A differential operator sum_j M_(c_j) G^j is the plain list [c_0, c_1, ...]
 of its Poly coefficients.  _compose(a, b, derive) composes two of them with
@@ -26,9 +26,10 @@ and every eta must cancel - a residual eta is a hard failure.
 Every equation - a linear ODE in x, a graph y = y(x), y^(n) = F, or the
 generic equation, whose p_i^(k) are variables - gets its Theta_r from the
 P-form by one fraction-free substitution of its semi-invariants
-P_i^(k) = c_i D^k(Q_i(p)) (_Equation.theta); the generic Theta_r is the
-p-form.  For y^(n) = F, p_r^(k) is -binom(n,r)^(-1) D_x^k(dF/dy^(n-r))
-with D_x the on-equation total derivative.
+P_i^(k) = D^k(P_i(p)), each P_i an integer polynomial (_Equation.theta);
+the generic Theta_r is the p-form.  For y^(n) = F, p_r^(k) is
+-binom(n,r)^(-1) D_x^k(dF/dy^(n-r)) with D_x the on-equation total
+derivative.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial, gcd
 from types import MappingProxyType
 
@@ -122,9 +123,12 @@ def _w_ring(n: int):
 
     Returns (ctx, images, keys) with keys[v] = (i, k) for the variable
     P_i^(k) and None for v and eta.  images, the map of _poly_derive, holds
-    the image of each variable index under m = 2(n+1) times the derivation
-    v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2, P_i^(k)' = P_i^(k+1)
-    (none for k = n + 3), so that every image is an integer polynomial.
+    the image of each variable index under m E = v^(-2) m d, m = 2(n+1),
+    with d the derivation v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2,
+    P_i^(k)' = P_i^(k+1) (none for k = n + 3): v -> (n+1) v^(-1) eta,
+    eta -> ((n+1) eta^2 + 12 P2) v^(-2), P_i^(k) -> m v^(-2) P_i^(k+1).
+    Every image is an integer polynomial, and every one but eta's is one
+    term.
     """
     depth = n + 3
     keys = (None, None) + tuple(
@@ -132,15 +136,16 @@ def _w_ring(n: int):
     )
     names = ["v", "eta"] + [f"P{i}_{k}" for i, k in keys[2:]]
     ctx = JetContext.plain(tuple(names))
-    v, eta = ctx.var("v"), ctx.var("eta")
+    v_idx, eta_idx = ctx.index["v"], ctx.index["eta"]
     m = 2 * (n + 1)
     images = {
-        ctx.index["v"]: (v * eta).scale(n + 1),
-        ctx.index["eta"]: (eta * eta).scale(n + 1) + ctx.var("P2_0").scale(12),
+        v_idx: ctx.monomial(((v_idx, -1), (eta_idx, 1)), n + 1),
+        eta_idx: ctx.monomial(((v_idx, -2), (eta_idx, 2)), n + 1)
+        + ctx.monomial(((v_idx, -2), (ctx.index["P2_0"], 1)), 12),
     }
     for w, (i, k) in enumerate(keys[2:], start=2):
         if k < depth:
-            images[w] = ctx.var(f"P{i}_{k + 1}").scale(m)
+            images[w] = ctx.monomial(((v_idx, -2), (ctx.index[f"P{i}_{k + 1}"], 1)), m)
     return ctx, images, keys
 
 
@@ -231,10 +236,10 @@ def classical_theta(n: int) -> dict:
     P-forms are assembled with m E, m = 2(n+1), in place of E and scaled by
     one rational per Theta_r, and each p-form is summed over one common
     denominator (_Equation.theta).  Fractions appear only in those
-    scalars and in the returned forms.  Each derivation is one Poly.derive
-    pass (_poly_derive): every image but eta's is one term, so its pieces
-    are written straight into one dict, with no product and no copy of a
-    running sum.
+    scalars and in the returned forms.  Each m E is one Poly.derive pass
+    (_poly_derive) over the images of _w_ring: every image but eta's is one
+    term, so its pieces are written straight into one dict, with no
+    product and no copy of a running sum.
     """
     if n < 3:
         raise ValueError("need order n >= 3")
@@ -245,12 +250,11 @@ def classical_theta(n: int) -> dict:
         """v^e; e may be negative."""
         return ctx.monomial(((v_idx, e),))
 
-    vm2 = v_power(-2)
     m = 2 * (n + 1)
 
     def e_derive(g: Poly) -> Poly:
-        """m E(g) = v^(-2) (m d)(g): integral on integer polynomials."""
-        return _poly_derive(g, images) * vm2
+        """m E(g): integral on integer polynomials."""
+        return _poly_derive(g, images)
 
     # The ladder runs on B = M_(v^2) (m E) = m D_x, so that every operator
     # coefficient is an integer polynomial: the equation's operator
@@ -362,26 +366,21 @@ class _Equation:
     """An order-n equation seen through its semi-invariants.
 
     p_of(i) is the coefficient p_i, derive the x-derivation of the ring it
-    lives in and one that ring's unit.  P_i^(k) = c_i Q_i^(k), with
-    (c_i, Q_i) = semi_invariants(n)[i].primitive() taken on first use;
-    Q_i^(0) is Q_i(p) with p_i^(k) = derive^k(p_of(i)), and
-    Q_i^(k+1) = derive(Q_i^(k)).
+    lives in and one that ring's unit.  P_i^(0) is the integer polynomial
+    semi_invariants(n)[i] with p_i^(k) = derive^k(p_of(i)), and
+    P_i^(k+1) = derive(P_i^(k)).
     """
 
     def __init__(self, n: int, p_of, derive, one):
         self.n, self.p_of, self.derive, self.one = n, p_of, derive, one
         self._jets: dict = {}
 
-    @cached_property
-    def _parts(self) -> dict:
-        return {i: semi.primitive() for i, semi in semi_invariants(self.n).items()}
-
-    def _primitive_of_p(self, i: int):
+    def _semi_of_p(self, i: int):
         p_keys = _p_ring(self.n)[2]
-        return _substitute(self._parts[i][1], lambda v: self._jet("p", *p_keys[v]), self.one)
+        return _substitute(semi_invariants(self.n)[i], lambda v: self._jet("p", *p_keys[v]), self.one)
 
     def _jet(self, kind: str, i: int, k: int):
-        """p_i^(k) for kind "p", Q_i^(k) for kind "Q"."""
+        """p_i^(k) for kind "p", P_i^(k) for kind "P"."""
         key = (kind, i, k)
         if key not in self._jets:
             if k:
@@ -389,30 +388,25 @@ class _Equation:
             elif kind == "p":
                 value = self.p_of(i)
             else:
-                value = self._primitive_of_p(i)
+                value = self._semi_of_p(i)
             self._jets[key] = value
         return self._jets[key]
 
     def P(self, i: int, k: int = 0):
-        return self._jet("Q", i, k) * self._parts[i][0]
+        return self._jet("P", i, k)
 
     def theta(self, form: Poly):
-        """The Theta_r whose P-form is form: the scalars coef prod c_i^e of
-        its monomials are cleared to ints over one denominator, the integer
-        products of the Q_i^(k) are summed as they are made, with the powers
-        cached per call, and the sum is scaled by 1/den once (Gauss's lemma;
-        Knuth, TAOCP vol. 2, 4.6.1)."""
+        """The Theta_r whose P-form is form: its coefficients are cleared to
+        ints over one denominator, the integer products of the P_i^(k) are
+        summed as they are made, with the powers cached per call, and the
+        sum is scaled by 1/den once (Gauss's lemma; Knuth, TAOCP vol. 2,
+        4.6.1)."""
         w_keys = _w_ring(self.n)[2]
         monomials = form.monomials()
-        scalars = []
-        for powers, coef in monomials:
-            for v, e in powers:
-                coef *= self._parts[w_keys[v][0]][0] ** e
-            scalars.append(coef)
-        ints, den = cleared(scalars)
+        ints, den = cleared([coef for _, coef in monomials])
         total = _substitute_monomials(
             [(powers, c) for (powers, _), c in zip(monomials, ints)],
-            lambda v: self._jet("Q", *w_keys[v]),
+            lambda v: self._jet("P", *w_keys[v]),
             self.one,
         )
         return total * Fraction(1, den)
@@ -425,14 +419,15 @@ class _Equation:
 
 class _GenericEquation(_Equation):
     """The generic order-n equation, whose p_i^(k) is the variable p{i}_{k}
-    of _p_ring(n), so that Q_i(p) is Q_i and theta gives the p-form."""
+    of _p_ring(n), so that P_i(p) is semi_invariants(n)[i] itself and theta
+    gives the p-form."""
 
     def __init__(self, n: int):
         ctx, images, _ = _p_ring(n)
         super().__init__(n, None, lambda f: _poly_derive(f, images), ctx.const(1))
 
-    def _primitive_of_p(self, i: int) -> Poly:
-        return self._parts[i][1]
+    def _semi_of_p(self, i: int) -> Poly:
+        return semi_invariants(self.n)[i]
 
 
 # -- linear ODEs ----------------------------------------------------------------

@@ -292,6 +292,21 @@ def test_option_word_is_not_taken_as_a_value(capsys):
     assert "argument --kappa: expected one argument" in err
 
 
+
+def test_double_dash_ends_the_options(capsys):
+    # words after "--" are positionals, wherever the options stand
+    dashed = _outcome(["orbit", "--format", "json", "--", "2", "3"], capsys)
+    assert dashed == _outcome(["orbit", "2", "3", "--format", "json"], capsys)
+    assert dashed[0] == 0
+
+
+def test_words_after_double_dash_are_not_joined(capsys):
+    # "--format -1" after "--" reaches argparse as two words, not as
+    # "--format=-1"
+    code, out, err = _outcome(["orbit", "--", "--format", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert "argument p: invalid int value: '--format'" in err
+
 def test_kappa_and_rhs_are_exclusive(capsys):
     # --kappa names the curvature equation and --rhs another one
     with pytest.raises(SystemExit) as exc:
@@ -527,6 +542,33 @@ def test_sampler_draw_stream_is_pinned(monkeypatch):
         "fd877083e3ad64023e76927b4138eddde8cc0f3d16de3becfe6455a6bb053374"
     )
 
+
+
+def test_sampler_skips_jets_with_y2_or_halphen_zero(monkeypatch):
+    # no seeded draw reaches these two guards, so two draws are replaced:
+    # the second by a jet with y2 = 0, the fourth by one with
+    # y3 = y4 = y5 = 0, whose Halphen numerator H is 0
+    jets_along_curve = wilczynski.jets_along_curve
+    drawn, kept = [], []
+
+    def doctored(*args):
+        jets = jets_along_curve(*args)
+        drawn.append(jets)
+        if len(drawn) == 2:
+            return {**jets, "y2": 0}
+        if len(drawn) == 4:
+            assert jets["y2"]
+            return {**jets, "y3": 0, "y4": 0, "y5": 0}
+        kept.append(jets)
+        return jets
+
+    monkeypatch.setattr(wilczynski, "jets_along_curve", doctored)
+    samples = list(cuspidal_jet_samples(6, 1))
+    assert len(drawn) == 8
+    assert samples == kept and len(samples) == 6
+    for jets in samples:
+        assert jets["y2"]
+        assert wilczynski.halphen_numerator(*(jets[f"y{k}"] for k in (2, 3, 4, 5)))
 
 def test_each_evaluated_poly_builds_its_evaluation_plan_once(monkeypatch):
     # C10 evaluates the numerators and factors of Theta_3 and Theta_8 at

@@ -5,9 +5,10 @@ only another one defines, and the package, perfbench or the tests read
 every public name it defines.  Only scalar.py takes math.lcm, so
 scalar.cleared stays the one routine that clears denominators.  Every
 Python file of the package, the tests and perfbench parses with the
-grammar of Python 3.10, the floor that pyproject.toml declares."""
+grammar of the Python floor that pyproject.toml declares."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import g2sextic
 PACKAGE_DIR = Path(g2sextic.__file__).parent
 TESTS_DIR = Path(__file__).parent
 PERFBENCH_DIR = TESTS_DIR.parent / "perfbench"
+PYPROJECT = TESTS_DIR.parent / "pyproject.toml"
 
 
 def foreign_imports(path: Path):
@@ -219,7 +221,15 @@ def test_taking_lcm_is_reported(tmp_path):
     assert lcm_lines(module) == [2, 4]
 
 
-def files_above_the_floor(paths, floor=(3, 10)):
+def declared_python_floor(text: str) -> tuple[int, int]:
+    """(major, minor) of requires-python = ">=X.Y" in a pyproject.toml
+    text (tomllib is Python 3.11, above the floor it would read)."""
+    match = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.MULTILINE)
+    assert match, "pyproject.toml declares no requires-python floor"
+    return int(match[1]), int(match[2])
+
+
+def files_above_the_floor(paths, floor):
     """(path, message) for every file that does not parse with the grammar
     of Python floor."""
     found = []
@@ -234,7 +244,8 @@ def files_above_the_floor(paths, floor=(3, 10)):
 def test_every_file_parses_at_the_declared_python_floor():
     paths = [p for d in (PACKAGE_DIR, TESTS_DIR, PERFBENCH_DIR) for p in sorted(d.rglob("*.py"))]
     assert len(paths) > 30
-    assert files_above_the_floor(paths) == []
+    floor = declared_python_floor(PYPROJECT.read_text(encoding="utf-8"))
+    assert files_above_the_floor(paths, floor) == []
 
 
 def test_a_file_above_the_floor_is_reported(tmp_path):
@@ -243,7 +254,7 @@ def test_a_file_above_the_floor_is_reported(tmp_path):
     newer.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
     floor = tmp_path / "floor.py"
     floor.write_text("match 1:\n    case 1:\n        pass\n")
-    assert [name for name, _ in files_above_the_floor([newer, floor])] == ["newer.py"]
+    assert [name for name, _ in files_above_the_floor([newer, floor], (3, 10))] == ["newer.py"]
     assert [name for name, _ in files_above_the_floor([floor], (3, 9))] == ["floor.py"]
 
 

@@ -123,6 +123,41 @@ def test_semi_invariants_by_leibniz():
                 assert total == semi_invariants(n)[i] * comb(n, i)
 
 
+
+def test_semi_invariants_are_integer_with_unit_leading_coefficient():
+    # P_i = sum_k C(i,k) p_k B_(i-k) has int coefficients and p_i enters
+    # with coefficient 1, so every equation substitutes P_i itself: no
+    # content to split off and no rational scalar per monomial
+    for n in range(3, 13):
+        ctx = _p_ring(n)[0]
+        for i, semi in semi_invariants(n).items():
+            assert all(type(c) is int for c in semi.terms.values()), (n, i)
+            (p_i,) = ctx.var(f"p{i}_0").terms
+            assert semi.terms[p_i] == 1, (n, i)
+
+
+def test_w_ring_images_are_those_of_m_E():
+    # m E = v^(-2) m d with m = 2(n+1) and d the change-of-variable
+    # derivation v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2,
+    # P_i^(k)' = P_i^(k+1); the top order k = n + 3 has no image
+    for n in range(3, 10):
+        ctx, images, keys = _w_ring(n)
+        m = 2 * (n + 1)
+        v, eta = ctx.var("v"), ctx.var("eta")
+        m_d = {
+            ctx.index["v"]: v * eta * (n + 1),
+            ctx.index["eta"]: eta * eta * (n + 1) + ctx.var("P2_0") * 12,
+        }
+        for w, (i, k) in enumerate(keys[2:], start=2):
+            if k < n + 3:
+                m_d[w] = ctx.var(f"P{i}_{k + 1}") * m
+        vm2 = ctx.monomial(((ctx.index["v"], -2),))
+        assert set(images) == set(m_d)
+        for w, image in m_d.items():
+            assert _same_terms(images[w], image * vm2), (n, ctx.names[w])
+            assert all(type(c) is int for c in images[w].terms.values())
+        assert all(len(images[w].terms) == 1 for w in images if w != ctx.index["eta"])
+
 def _apply(op, f, derive):
     """(sum_j M_(c_j) G^j) f = sum_j c_j derive^j(f)."""
     total = f.ctx.const(0)
@@ -146,10 +181,9 @@ def test_compose_is_composition(ring):
     else:
         ctx, dmap, _ = _w_ring(n)
         names = ["v", "eta", "P2_0", "P3_1"]
-        vm2 = ctx.monomial(((ctx.index["v"], -2),))
 
-        def derive(f):
-            return _poly_derive(f, dmap) * vm2
+        def derive(f):  # m E
+            return _poly_derive(f, dmap)
 
     def random_poly():
         total = ctx.const(rng.randint(-3, 3))
