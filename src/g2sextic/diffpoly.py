@@ -73,16 +73,6 @@ EXPONENT_BOUND = 1 << (FIELD_BITS - 3)
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
-def _div(a, b):
-    """The exact quotient a / b of two coefficients."""
-    if b == 1:
-        return a
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return exact(Fraction(a, b))
-
-
 class JetContext:
     """Fixed variable universe: jet coordinates plus optional constants.
 
@@ -165,8 +155,7 @@ class JetContext:
     # -- polynomial constructors -------------------------------------------
 
     def const(self, c) -> "Poly":
-        c = exact(c)
-        return _poly(self, {self._one: c} if c else {})
+        return self.monomial((), c)
 
     def var(self, name: str) -> "Poly":
         return _poly(self, {self._one + (1 << self._shifts[self.index[name]]): 1})
@@ -275,8 +264,8 @@ class Poly:
         for e, c in out.items():
             if (e + top) & mask != top:
                 raise ctx._range_error(e, 4)
-            if type(c) is not int and c.denominator == 1:
-                out[e] = c.numerator
+            if type(c) is not int:
+                out[e] = exact(c)
         return _poly(ctx, out)
 
     __rmul__ = __mul__
@@ -333,9 +322,12 @@ class Poly:
         return tuple((tuple(powers(e)), c) for e, c in self.terms.items())
 
     def variables(self):
-        """The indices of the variables with a nonzero exponent in some
-        term, inserted in ascending order: the set fields of the OR of
-        every key ^ _one, the most significant (variable 0) first."""
+        """The set of indices of the variables with a nonzero exponent in
+        some term: the set fields of the OR of every key ^ _one, added from
+        the most significant (variable 0) on.  A set of ints iterates in
+        hash-slot order, which is not always ascending (an index past the
+        table size wraps round), so a caller that needs ascending order
+        sorts."""
         ctx = self.ctx
         differs = 0
         for e in self.terms:
@@ -350,8 +342,9 @@ class Poly:
 
     def derive(self, images) -> "Poly":
         """sum_v d(self)/dv * images[v] over the used variables v, in the
-        order of variables(): the derivation with images[v] the image of
-        variable index v.  An unmapped used variable raises KeyError(v).
+        iteration order of the set variables() returns (not always
+        ascending): the derivation with images[v] the image of variable
+        index v.  An unmapped used variable raises KeyError(v).
 
         Every piece is added into one dict as it is made, in place of a
         running sum copied once per variable (Monagan & Pearce, CASC
@@ -487,6 +480,8 @@ class Poly:
         self = F / scale and divisor = unit * D with F integral and D
         primitive integral.  By Gauss's lemma F / D is integral when it
         exists, so the first non-integer quotient coefficient disproves it.
+        Either integer quotient (for a monomial, self's coefficients under
+        the shift) is scaled once by Poly.scale, unless the factor is 1.
         The loop pops the remainder's leading keys from a heap (Monagan &
         Pearce, CASC 2007), not a scan of the whole remainder per step.
         """
@@ -507,10 +502,10 @@ class Poly:
                     if (qe + bias) & top != top:  # a negative exponent
                         return None
                     over = qe
-                out[qe] = _div(c, dc)
+                out[qe] = c
             if over is not None:  # no exponent negative, one too large
                 raise ctx._range_error(over, 3)
-            return _poly(ctx, out)
+            return _poly(ctx, out) if dc == 1 else _poly(ctx, out).scale(1 / Fraction(dc))
         de = max(divisor.terms)
         # a leading exponent past the top is left to the tests below
         if (max(self.terms) - de + one + bias) & top != top:
@@ -549,9 +544,8 @@ class Poly:
                     rem[e] = nc
                 else:
                     rem.pop(e, None)
-        if scale != 1 or unit != 1:
-            out = {e: _div(c, scale * unit) for e, c in out.items()}
-        return _poly(ctx, out)
+        den = scale * unit
+        return _poly(ctx, out) if den == 1 else _poly(ctx, out).scale(1 / den)
 
     def __str__(self):
         if not self.terms:
@@ -581,11 +575,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     degree (Brown, J. ACM 18, 1971; Knuth, TAOCP vol. 2, 4.6.1): each
     pseudo-remainder is divided by its content in that variable and by its
     integer content, so the coefficients do not grow from step to step.
+    That variable is one both operands use: a common divisor of two
+    nonzero polynomials uses no other, so with none shared the gcd is 1.
     """
     if a.is_zero() or b.is_zero():
         return (a + b).primitive()[1]
     ctx = a.ctx
-    used = a.variables() | b.variables()
+    used = a.variables() & b.variables()
     if not used:
         return ctx.const(1)
     v = min(used, key=lambda w: max(a.degree(ctx.names[w]), b.degree(ctx.names[w])))
@@ -627,9 +623,10 @@ def _content_split(p: Poly, name: str) -> tuple[Poly, Poly]:
 
 
 def _jet(ctx: JetContext, unit, prim: Poly, factors: dict) -> "JetFunction":
-    """The JetFunction unit * prim * prod f^e as given: unit exact, prim
-    primitive (the zero Poly when unit is 0) and the table in normal form,
-    trial-reduced against prim."""
+    """The JetFunction unit * prim * prod f^e as given, for parts already
+    in normal form: unit exact, prim primitive (the zero Poly when unit is
+    0) and the table trial-reduced against prim.  Any other value goes
+    through JetFunction(...)."""
     f = object.__new__(JetFunction)
     f.ctx, f.unit, f.prim, f.factors = ctx, unit, prim, factors
     return f
@@ -684,17 +681,6 @@ def _trial_reduce(prim: Poly, factors: dict) -> Poly:
     return prim
 
 
-def _normal(ctx: JetContext, unit, prim: Poly, factors: dict) -> tuple:
-    """(unit, prim, table) of unit * prim * prod f^e in normal form, for a
-    primitive prim and a table of factors; a zero factor makes the zero
-    function, or a ZeroDivisionError under a negative exponent."""
-    if unit:
-        unit, factors = _split_monomials(ctx, unit, factors)
-    if not unit:
-        return 0, _poly(ctx, {}), {}
-    return unit, _trial_reduce(prim, factors), factors
-
-
 class JetFunction:
     """unit * prim * prod f^e: a rational unit, a primitive integer prim
     and a table of primitive integer factors f (e in Z, nonzero).
@@ -712,8 +698,15 @@ class JetFunction:
     __slots__ = ("ctx", "unit", "prim", "factors")
 
     def __init__(self, ctx: JetContext, num: Poly, factors: dict | None = None):
+        """num * prod f^e in normal form; a zero factor makes the zero
+        function, or a ZeroDivisionError under a negative exponent."""
         self.ctx = ctx
-        self.unit, self.prim, self.factors = _normal(ctx, *num.primitive(), factors or {})
+        unit, prim = num.primitive()
+        if unit:
+            unit, factors = _split_monomials(ctx, unit, factors or {})
+        if not unit:
+            unit, prim, factors = 0, _poly(ctx, {}), {}
+        self.unit, self.prim, self.factors = unit, _trial_reduce(prim, factors), factors
 
     @staticmethod
     def from_polys(num: Poly, den: Poly) -> "JetFunction":
@@ -805,7 +798,7 @@ class JetFunction:
             raise ZeroDivisionError("inverse of zero jet function")
         factors = {f: -e for f, e in self.factors.items()}
         factors[self.prim] = factors.get(self.prim, 0) - 1
-        return _jet(self.ctx, *_normal(self.ctx, 1 / Fraction(self.unit), self.ctx.const(1), factors))
+        return JetFunction(self.ctx, self.ctx.const(1 / Fraction(self.unit)), factors)
 
     def __truediv__(self, other):
         o = self._coerce(self.ctx, other)
@@ -839,7 +832,7 @@ class JetFunction:
             return self
         factors = dict(self.factors)
         factors[self.prim] = factors.get(self.prim, 0) + 1
-        return _jet(self.ctx, *_normal(self.ctx, self.unit, self.ctx.const(1), factors))
+        return JetFunction(self.ctx, self.ctx.const(self.unit), factors)
 
     # -- expanded views -------------------------------------------------------
 

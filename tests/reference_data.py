@@ -65,7 +65,6 @@ from g2sextic.diffpoly import (
     JetFunction,
     PoleError,
     Poly,
-    _div,
     _poly,
     free_total_derivative_map,
     poly_gcd,
@@ -90,7 +89,7 @@ from g2sextic.orbit import (
     rational_signature,
     threeform_from_sextic,
 )
-from g2sextic.scalar import AlgebraicScalar, I, ONE, SQRT10, ZERO, cleared
+from g2sextic.scalar import AlgebraicScalar, I, ONE, SQRT10, ZERO, cleared, exact
 from g2sextic.wilczynski import (
     DegenerateCurveError,
     EtaResidueError,
@@ -622,7 +621,7 @@ def long_division(dividend: Poly, divisor: Poly):
                 if (qe + bias) & top != top:
                     return None
                 over = qe
-            out[qe] = _div(c, dc)
+            out[qe] = exact(Fraction(c) / dc)
         if over is not None:
             raise ctx._range_error(over, 3)
         return _poly(ctx, out)
@@ -652,7 +651,7 @@ def long_division(dividend: Poly, divisor: Poly):
                 rem[e] = nc
             else:
                 rem.pop(e, None)
-    return _poly(ctx, {e: _div(c, scale * unit) for e, c in out.items()})
+    return _poly(ctx, {e: exact(Fraction(c) / (scale * unit)) for e, c in out.items()})
 
 
 def derive_by_partials(p: Poly, dmap: dict) -> Poly:

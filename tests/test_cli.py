@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from g2sextic import wilczynski
+from g2sextic import diffpoly, wilczynski
 from g2sextic.cli import (
     InvariantReport,
     build_parser,
+    criterion_eta_and_triviality,
     criterion_lemma,
     criterion_sampling_oracle,
     cuspidal_jet_samples,
@@ -20,7 +21,7 @@ from g2sextic.cli import (
     main,
     suite_ode_generalized,
 )
-from g2sextic.diffpoly import JetContext, Poly, parse_jet_expression
+from g2sextic.diffpoly import ExtendedJetFunction, JetContext, Poly, parse_jet_expression
 
 
 def run_cli(argv):
@@ -114,6 +115,27 @@ def test_ode_generalized_schwarzian():
     assert '"is_zero": true' in text
 
 
+def test_printed_invariants_take_gcds_in_shared_variables_only(monkeypatch):
+    # y*y1 occurs only in the denominator 1 + 2*y*y1: a gcd whose main
+    # variable one operand lacks recursed over every coefficient, and
+    # printing these invariants made 277 gcd calls
+    calls = []
+    poly_gcd = diffpoly.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(diffpoly, "poly_gcd", counted)
+    code, text = run_cli(
+        ["ode", "generalized", "--rhs", "y4/(1+2*y*y1)", "--order", "5", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b3b58084fe4d3a64a8bd826caf5e59d05ac341caab2b229f1a091ac52e0a4f55"
+    )
+    assert len(calls) <= 50
+
+
 def _count_generalized_theta(monkeypatch):
     """The list of generalized_theta calls made from now on, from a
     cleared cache of the symbolic-kappa invariants."""
@@ -149,6 +171,44 @@ def test_criterion_lemma_derives_the_lemma_once(monkeypatch):
     reports = criterion_lemma()
     assert len(calls) == 1
     assert [r.status for r in reports] == ["pass"] * 8
+
+
+def test_c08_reports_a_u_bearing_theta_as_a_fail(monkeypatch):
+    thetas = dict(wilczynski.curvature_thetas())
+    ctx = thetas[7].ctx
+    zero = ctx.fn(0)
+    thetas[7] = ExtendedJetFunction(zero, ctx.fn("y2"), zero, ctx.fn("kappa"))
+    monkeypatch.setattr(wilczynski, "curvature_thetas", lambda: thetas)
+    reports = {r.check_id: r for r in criterion_lemma()}
+    assert reports["c08.theta7-vanishes"].status == "fail"
+    assert reports["c08.theta7-vanishes"].lhs == str(thetas[7])
+    assert "(1*y2)*u" in str(thetas[7])
+    assert reports["c08.u-components-vanish"].status == "fail"
+    assert reports["c08.u-components-vanish"].lhs == f"Theta_7 = {thetas[7]}"
+
+
+def test_c09_reports_an_eta_residue_as_a_verdict(monkeypatch):
+    # an assembly that keeps an eta monomial fails both checks of its
+    # order, and verify-all still prints every report
+    classical_theta = wilczynski.classical_theta
+
+    def doctored(n):
+        if n == 5:
+            raise wilczynski.EtaResidueError("Theta_5 kept an eta monomial")
+        return classical_theta(n)
+
+    monkeypatch.setattr(wilczynski, "classical_theta", doctored)
+    reports = criterion_eta_and_triviality()
+    assert len(reports) == 10
+    assert {r.status for r in reports} == {"pass", "fail"}
+    assert [r.check_id for r in reports if r.status == "fail"] == [
+        "c09.eta-free-n5", "c09.trivial-equation-n5"]
+    code, text = run_cli(["verify-all", "--format", "json"])
+    assert code == 1
+    status = {r["check"]: r["status"] for r in json.loads(text)}
+    assert len(status) == 53
+    assert status["c09.eta-free-n5"] == status["c09.trivial-equation-n5"] == "fail"
+    assert status["c09.eta-free-n4"] == status["c09.trivial-equation-n6"] == "pass"
 
 
 def test_ode_sample_small():

@@ -43,6 +43,14 @@ def test_values_are_fractions_never_floats():
     y = CTX.var("y")
     ((_, coef),) = (3 * y).exact_div(2 * y).monomials()
     assert type(coef) is Fraction and coef == Fraction(3, 2)
+    # a monomial quotient is scaled by 1 / divisor coefficient into normal form
+    for quotient, expected in [
+        ((4 * y).exact_div(-2 * y), -2),
+        ((3 * y).exact_div(-2 * y), Fraction(-3, 2)),
+        (y.exact_div(y.scale(Fraction(1, 2))), 2),
+    ]:
+        ((_, coef),) = quotient.monomials()
+        assert type(coef) is type(expected) and coef == expected
 
 
 def test_total_derivative_examples():
