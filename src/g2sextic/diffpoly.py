@@ -619,6 +619,20 @@ def _content_split(p: Poly, name: str) -> tuple[Poly, Poly]:
     return content, p.primitive()[1]
 
 
+def _is_linear_prime(f: Poly) -> bool:
+    """A primitive integer f is irreducible by degree 1: a + b v in some
+    variable v with a constant content gcd(a, b) (_content_split), so a
+    factor of f is a constant or f itself.  Integer primitivity alone is
+    not enough: x*y1 + x*y2 has the factor x."""
+    names = f.ctx.names
+    return any(
+        f.degree(names[v]) == 1
+        and set(f.coefficients(names[v])) <= {0, 1}
+        and _content_split(f, names[v])[0].is_constant()
+        for v in f.variables()
+    )
+
+
 # -- rational jet functions ---------------------------------------------------
 
 
@@ -857,18 +871,28 @@ class JetFunction:
         a time, by gcd(N, f h) = gcd(N, f) gcd(N / gcd(N, f), h): each
         copy of a factor f with e < 0 divides its gcd with N out of both,
         and once that gcd is 1 the remaining copies of f go into den at once.
+        For an irreducible f (_is_linear_prime) that gcd is f or 1, and
+        one exact_div settles it without poly_gcd.
         """
         num = self.numerator_polynomial()
         den = self.ctx.const(1)
         if num.is_zero():
             return num, den
         for f, e in self.factors.items():
+            prime = _is_linear_prime(f)
             while e < 0:
+                if prime:
+                    q = num.exact_div(f)
+                    if q is None:
+                        break
+                    num, e = q, e + 1
+                    continue
                 g = poly_gcd(num, f)
                 if g.is_constant():
-                    den = den * f ** -e
                     break
                 num, den, e = num.exact_div(g), den * f.exact_div(g), e + 1
+            if e < 0:
+                den = den * f ** -e
         return num, den
 
     def normalize(self) -> "JetFunction":

@@ -1,35 +1,40 @@
 """Wilczynski invariants: classical, on curves, and generalized.
 
-The classical pipeline works in two abstract differential polynomial
-rings.  Conjugation by exp(-int p1) produces the semi-invariants P_i; the
-formal change of independent variable is done in a ring carrying
-v = sqrt(xi'), eta = xi''/xi' and the P_i, whose derivation implements the
-substitutions  xi'' = xi' eta  and  eta' = (1/2) eta^2 + 6/(n+1) P2.
-The ring stores the images of m E = v^(-2) m d, m = 2(n+1), with d that
-derivation; they are integral, so the assembly multiplies and derives
-integer polynomials only and divides out the powers of m once per Theta_r
-(Gauss's lemma; Knuth, TAOCP vol. 2, 4.6.1).
+Every equation - a linear ODE in x, a graph y = y(x), y^(n) = F, or the
+generic equation, whose p_i^(k) are variables - builds its semi-invariants
+P_i in its own ring (_Equation).  Conjugating the operator by lambda with
+lambda'/lambda = -p1 replaces D by D - p1, and Leibniz's rule gives the
+result in closed form: with B_0 = 1, B_(j+1) = D B_j - p1 B_j and p_0 = 1,
+
+    P_i = sum_(k=0..i) C(i,k) p_k B_(i-k),
+
+an integer combination whose p_i term has coefficient 1.  The generic
+P_i are semi_invariants(n).
+
+The classical pipeline works in a ring carrying v = sqrt(xi'),
+eta = xi''/xi' and the P_i, whose derivation implements the substitutions
+xi'' = xi' eta  and  eta' = (1/2) eta^2 + 6/(n+1) P2.  The ring stores the
+images of m E = v^(-2) m d, m = 2(n+1), with d that derivation; they are
+integral, so the assembly multiplies and derives integer polynomials only
+and divides out the powers of m once per Theta_r (Gauss's lemma; Knuth,
+TAOCP vol. 2, 4.6.1).
 
 A differential operator sum_j M_(c_j) G^j is the plain list [c_0, c_1, ...]
 of its Poly coefficients.  _compose(a, b, derive) composes two of them with
-the rule G M_f = M_f G + M_(derive f): G is D with the ring's derivation for
-the semi-invariants, and E with derive = v^(-2) d for the change of
-variable, where D_x = v^2 E is the list [0, v^2].  The powers of a base
-operator come from one ladder B^k = B o B^(k-1).  The invariants Theta_r
-are assembled from the canonical-form coefficients by
+the rule G M_f = M_f G + M_(derive f): G is E with derive = v^(-2) d for
+the change of variable, where D_x = v^2 E is the list [0, v^2].  The powers
+of a base operator come from one ladder B^k = B o B^(k-1).  The invariants
+Theta_r are assembled from the canonical-form coefficients by
 
     Theta_r = 1/2 sum_s (-1)^s (r-2)! r! (2r-s-2)!
               / ((r-s-1)! (r-s)! (2r-3)! s!) q_(r-s)^(s)
 
 and every eta must cancel - a residual eta is a hard failure.
 
-Every equation - a linear ODE in x, a graph y = y(x), y^(n) = F, or the
-generic equation, whose p_i^(k) are variables - gets its Theta_r from the
-P-form by one fraction-free substitution of its semi-invariants
-P_i^(k) = D^k(P_i(p)), each P_i an integer polynomial (_Equation.theta);
-the generic Theta_r is the p-form.  For y^(n) = F, p_r^(k) is
--binom(n,r)^(-1) D_x^k(dF/dy^(n-r)) with D_x the on-equation total
-derivative.
+Each equation gets its Theta_r from the P-form by one fraction-free
+substitution of its P_i^(k) = D^k(P_i) (_Equation.theta); the generic
+Theta_r is the p-form.  For y^(n) = F, p_r is -binom(n,r)^(-1) dF/dy^(n-r)
+and D is D_x, the on-equation total derivative.
 """
 
 from __future__ import annotations
@@ -106,15 +111,19 @@ def _poly_derive(p: Poly, images: dict) -> Poly:
 def _p_ring(n: int):
     """Ring of p_i and their formal x-derivatives, i = 1..n.
 
-    Returns (ctx, images, keys) with keys[v] = (i, k) for the variable
-    p_i^(k) and images[v] = p_i^(k+1) for k < n + 3, the map of
-    _poly_derive.
+    Returns (ctx, images) with images[v] = p_i^(k+1) for the variable
+    v = p_i^(k), k < n + 3, the map of _poly_derive.
     """
     depth = n + 3
-    keys = tuple((i, k) for i in range(1, n + 1) for k in range(depth + 1))
-    ctx = JetContext.plain(tuple(f"p{i}_{k}" for i, k in keys))
-    images = {v: ctx.var(f"p{i}_{k + 1}") for v, (i, k) in enumerate(keys) if k < depth}
-    return ctx, images, keys
+    ctx = JetContext.plain(
+        tuple(f"p{i}_{k}" for i in range(1, n + 1) for k in range(depth + 1))
+    )
+    images = {
+        ctx.index[f"p{i}_{k}"]: ctx.var(f"p{i}_{k + 1}")
+        for i in range(1, n + 1)
+        for k in range(depth)
+    }
+    return ctx, images
 
 
 @lru_cache(maxsize=None)
@@ -192,24 +201,10 @@ def _operator(base: list, n: int, coeffs, derive) -> list:
 
 @lru_cache(maxsize=None)
 def semi_invariants(n: int) -> dict:
-    """P_2..P_n as differential polynomials in the p_i.
-
-    Conjugating the operator by lambda with lambda'/lambda = -p1 replaces
-    D by D - p1; the Y^(n-1) coefficient of the result vanishes
-    identically (asserted).
-    """
-    ctx, images, _ = _p_ring(n)
-    one = ctx.const(1)
-    op = _operator(
-        [-ctx.var("p1_0"), one],  # D - p1
-        n,
-        [(i, ctx.var(f"p{i}_0")) for i in range(1, n + 1)],
-        lambda f: _poly_derive(f, images),
-    )
-    if not op[n - 1].is_zero():
-        raise EtaResidueError("semi-canonical reduction left a Y^(n-1) term")
-    assert op[n] == one
-    return {i: op[n - i].scale(Fraction(1, comb(n, i))) for i in range(2, n + 1)}
+    """P_2..P_n of the generic order-n equation: integer polynomials in the
+    p_i^(k) of _p_ring(n), each with its p_i term at coefficient 1."""
+    generic = _GenericEquation(n)
+    return {i: generic.P(i) for i in range(2, n + 1)}
 
 
 def wil_coefficient(r: int, s: int) -> Fraction:
@@ -366,8 +361,10 @@ class _Equation:
     """An order-n equation seen through its semi-invariants.
 
     p_of(i) is the coefficient p_i, derive the x-derivation of the ring it
-    lives in and one that ring's unit.  P_i^(0) is the integer polynomial
-    semi_invariants(n)[i] with p_i^(k) = derive^k(p_of(i)), and
+    lives in and one that ring's unit.  P(i, k) is P_i^(k): the first read
+    reads each p_i once and builds P_2..P_n by Leibniz's rule,
+    P_i = sum_(k=0..i) C(i,k) p_k B_(i-k) with p_0 = 1, B_0 = 1 and
+    B_(j+1) = derive(B_j) - p1 B_j, dropping the B_j once they are summed;
     P_i^(k+1) = derive(P_i^(k)).
     """
 
@@ -375,25 +372,26 @@ class _Equation:
         self.n, self.p_of, self.derive, self.one = n, p_of, derive, one
         self._jets: dict = {}
 
-    def _semi_of_p(self, i: int):
-        p_keys = _p_ring(self.n)[2]
-        return _substitute(semi_invariants(self.n)[i], lambda v: self._jet("p", *p_keys[v]), self.one)
-
-    def _jet(self, kind: str, i: int, k: int):
-        """p_i^(k) for kind "p", P_i^(k) for kind "P"."""
-        key = (kind, i, k)
-        if key not in self._jets:
-            if k:
-                value = self.derive(self._jet(kind, i, k - 1))
-            elif kind == "p":
-                value = self.p_of(i)
-            else:
-                value = self._semi_of_p(i)
-            self._jets[key] = value
-        return self._jets[key]
+    def _semi_invariants(self) -> None:
+        n = self.n
+        p = {i: self.p_of(i) for i in range(1, n + 1)}
+        b = [self.one, -p[1]]
+        for _ in range(2, n + 1):
+            b.append(self.derive(b[-1]) - p[1] * b[-1])
+        for i in range(2, n + 1):
+            # the terms k = 0 and k = i carry p_0 = 1 and B_0 = 1
+            total = b[i] + p[i]
+            for k in range(1, i):
+                total = total + p[k] * b[i - k] * comb(i, k)
+            self._jets[i, 0] = total
 
     def P(self, i: int, k: int = 0):
-        return self._jet("P", i, k)
+        if (i, k) not in self._jets:
+            if k:
+                self._jets[i, k] = self.derive(self.P(i, k - 1))
+            else:
+                self._semi_invariants()
+        return self._jets[i, k]
 
     def theta(self, form: Poly):
         """The Theta_r whose P-form is form: its coefficients are cleared to
@@ -406,7 +404,7 @@ class _Equation:
         ints, den = cleared([coef for _, coef in monomials])
         total = _substitute_monomials(
             [(powers, c) for (powers, _), c in zip(monomials, ints)],
-            lambda v: self._jet("P", *w_keys[v]),
+            lambda v: self.P(*w_keys[v]),
             self.one,
         )
         return total * Fraction(1, den)
@@ -419,15 +417,14 @@ class _Equation:
 
 class _GenericEquation(_Equation):
     """The generic order-n equation, whose p_i^(k) is the variable p{i}_{k}
-    of _p_ring(n), so that P_i(p) is semi_invariants(n)[i] itself and theta
-    gives the p-form."""
+    of _p_ring(n): its P_i are semi_invariants(n), and theta gives the
+    p-form."""
 
     def __init__(self, n: int):
-        ctx, images, _ = _p_ring(n)
-        super().__init__(n, None, lambda f: _poly_derive(f, images), ctx.const(1))
-
-    def _semi_of_p(self, i: int) -> Poly:
-        return semi_invariants(self.n)[i]
+        ctx, images = _p_ring(n)
+        super().__init__(
+            n, lambda i: ctx.var(f"p{i}_0"), lambda f: _poly_derive(f, images), ctx.const(1)
+        )
 
 
 # -- linear ODEs ----------------------------------------------------------------

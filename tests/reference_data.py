@@ -733,6 +733,27 @@ def prolongation(xi: JetFunction, eta: JetFunction, order: int):
     return apply
 
 
+def semi_invariants_by_conjugation(n: int) -> dict:
+    """P_2..P_n as differential polynomials in the p_i.
+
+    Conjugating the operator by lambda with lambda'/lambda = -p1 replaces
+    D by D - p1; the Y^(n-1) coefficient of the result vanishes
+    identically (asserted).
+    """
+    ctx, images = _p_ring(n)
+    one = ctx.const(1)
+    op = _operator(
+        [-ctx.var("p1_0"), one],  # D - p1
+        n,
+        [(i, ctx.var(f"p{i}_0")) for i in range(1, n + 1)],
+        lambda f: _poly_derive(f, images),
+    )
+    if not op[n - 1].is_zero():
+        raise EtaResidueError("semi-canonical reduction left a Y^(n-1) term")
+    assert op[n] == one
+    return {i: op[n - i].scale(Fraction(1, comb(n, i))) for i in range(2, n + 1)}
+
+
 def generic_theta_by_substitution(n: int) -> dict:
     """{r: {"P", "p"}} for Theta_3..Theta_n of order n by the rational route.
 
@@ -740,7 +761,7 @@ def generic_theta_by_substitution(n: int) -> dict:
     derivation v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2,
     P_i^(k)' = P_i^(k+1) with its Fraction images, and q_i and Theta_r
     scaled term by term.  The p-forms substitute the generic equation's
-    P_i^(k), the rational semi_invariants(n)[i] derived k times in the
+    P_i^(k), semi_invariants(n)[i] derived k times in the
     p-ring, into them.
     """
     ctx, _, keys = _w_ring(n)
@@ -777,7 +798,7 @@ def generic_theta_by_substitution(n: int) -> dict:
                 g = e_derive(g)
             theta[i + s] = theta[i + s] + g.scale(wil_coefficient(i + s, s))
 
-    p_ctx, p_dmap, _ = _p_ring(n)
+    p_ctx, p_dmap = _p_ring(n)
     chains = {i: [semi] for i, semi in semi_invariants(n).items()}
 
     def generic_P(i, k):
@@ -794,12 +815,15 @@ def generic_theta_by_substitution(n: int) -> dict:
 
 
 def thetas_by_rational_substitution(n: int, p_of, derive, one) -> dict:
-    """{r: Theta_r} of a concrete order-n equation by the rational route:
-    each P-form of classical_theta(n) with every P_i^(k) replaced by
-    derive^k(P_i(p)), P_i(p) the rational semi_invariants(n)[i] with
-    p_i^(k) = derive^k(p_of(i)).  p_of, derive and one are those of
-    wilczynski._Equation."""
-    p_keys, w_keys = _p_ring(n)[2], _w_ring(n)[2]
+    """{r: Theta_r} of a concrete order-n equation by the substitution
+    route: each P-form of classical_theta(n) with every P_i^(k) replaced
+    by derive^k(P_i(p)), P_i(p) the generic semi_invariants(n)[i] with
+    p_i^(k) = derive^k(p_of(i)) substituted for its variables.  p_of,
+    derive and one are those of wilczynski._Equation, which sums P_i in
+    the equation's own ring instead."""
+    p_ctx, w_keys = _p_ring(n)[0], _w_ring(n)[2]
+    # the variable p{i}_{k} of the p-ring stands for p_i^(k)
+    p_keys = [tuple(int(k) for k in name[1:].split("_")) for name in p_ctx.names]
     jets = {}
 
     def jet(kind, i, k):

@@ -136,6 +136,29 @@ def test_printed_invariants_take_gcds_in_shared_variables_only(monkeypatch):
     assert len(calls) <= 50
 
 
+def test_printed_invariants_settle_linear_factors_by_division(monkeypatch):
+    # every denominator factor of these invariants is linear with a
+    # constant content, so irreducible: normalize_pair divides by it
+    # instead of taking a gcd.  The gcds took 5 s (203 calls) here
+    argv = ["ode", "generalized", "--rhs", "y4*y3/(1+2*y*y1)", "--order", "5",
+            "--format", "json"]
+    code, out, err = run_cli_bounded(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4d57771e3a528125ae831a34310eb76ac053970791f2ca5ea6d79eb55beb5e0b"
+    )
+    calls = []
+    poly_gcd = diffpoly.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(diffpoly, "poly_gcd", counted)
+    assert run_cli(argv) == (0, out)
+    assert len(calls) <= 10
+
+
 def _count_generalized_theta(monkeypatch):
     """The list of generalized_theta calls made from now on, from a
     cleared cache of the symbolic-kappa invariants."""

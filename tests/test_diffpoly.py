@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from g2sextic import diffpoly
 from g2sextic.diffpoly import (
     ExtendedJetFunction,
     JetContext,
@@ -120,6 +122,56 @@ def test_normalize_preserves_value():
         # cross-multiplied equality before/after
         assert f == g
         assert g.denominator_polynomial().degree("y2") <= den.numerator_polynomial().degree("y2")
+
+
+def test_normalize_pair_settles_a_linear_factor_by_its_content():
+    # x*y1 + x*y2 is integer-primitive and linear in y1, but its content x
+    # in y1 is a factor, so it is no prime: the gcd with x is x.  y1 + 1
+    # is linear with content 1 in y1, so prime: it divides x*y1 + x
+    x, y1, y2 = CTX.var("x"), CTX.var("y1"), CTX.var("y2")
+    one = CTX.const(1)
+    assert JetFunction(CTX, x, {x * y1 + x * y2: -1}).normalize_pair() == (one, y1 + y2)
+    assert JetFunction(CTX, one, {x * y1 + x: 1, y1 + one: -1}).normalize_pair() == (x, one)
+    assert JetFunction(CTX, y1, {y1 + one: -2}).normalize_pair() == (y1, (y1 + one) ** 2)
+
+
+def _point_transform_rhs(n: int) -> JetFunction:
+    """F of y^(n) = F, the transform of y^(n) = 0 by X = x + y^2,
+    Y = y + x: Y_1 = D(Y)/D(X), Y_(k+1) = D(Y_k)/D(X), and
+    Y_n = A y_n + B gives F = -B/A."""
+    ctx = JetContext(n)
+    dmap = free_total_derivative_map(ctx)
+    x, y = ctx.fn("x"), ctx.fn("y")
+    dx = (x + y * y).derivative(dmap)
+    yk = y + x
+    for _ in range(n):
+        yk = yk.derivative(dmap) / dx
+    top = ctx.fn(ctx.jet_name(n))
+    a = yk.partial(ctx.jet_name(n))
+    return -(yk - a * top) / a
+
+
+def test_printing_a_transformed_equation_takes_almost_no_gcd(monkeypatch):
+    # F has a 111-term numerator over (2*y*y1 + 1)^4 (2*y - 1); both
+    # factors are linear with a constant content, so printing F divides
+    # by them and takes gcds only for that content (117 gcd calls with
+    # poly_gcd for every factor)
+    f = _point_transform_rhs(6)
+    assert len(f.numerator_polynomial().terms) == 111
+    calls = []
+    poly_gcd = diffpoly.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(diffpoly, "poly_gcd", counted)
+    text = str(f)
+    assert len(calls) <= 5
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c81c8604544d9c9684a5fbc4c4f93b56dc502e846361acd6a46de14b85473f5a"
+    )
+    assert parse_jet_expression(text, f.ctx) == f
 
 
 def test_poly_gcd():

@@ -67,6 +67,7 @@ from g2sextic.wilczynski import (
 from reference_data import (
     derive_by_partials,
     generic_theta_by_substitution,
+    semi_invariants_by_conjugation,
     specialize_kappa_by_substitution,
     symbolic_jets_along_curve,
     thetas_by_rational_substitution,
@@ -95,7 +96,9 @@ def test_semi_invariants_printed_forms():
 
 
 def test_semi_canonical_reduction_all_orders():
-    # the Y^(n-1) coefficient vanishing is asserted inside; P2 is universal
+    # P2 = p2 - p1^2 - p1' for every order; that the Y^(n-1) coefficient
+    # vanishes is asserted by the conjugation oracle, which
+    # test_semi_invariants_by_leibniz runs
     for n in range(3, 8):
         P = semi_invariants(n)
         ctx = P[2].ctx
@@ -104,24 +107,12 @@ def test_semi_canonical_reduction_all_orders():
 
 
 def test_semi_invariants_by_leibniz():
-    # a second derivation: with lambda'/lambda = -p1, B_j = lambda^(j)/lambda
-    # obeys B_0 = 1, B_(j+1) = D B_j - p1 B_j, and Leibniz's rule gives
-    # C(n,i) P_i = sum_k C(n,k) C(n-k, n-i) p_k B_(i-k) with p_0 = 1
-    for n in range(3, 9):
-        ctx, dmap, _ = _p_ring(n)
-        p = [ctx.const(1)] + [ctx.var(f"p{k}_0") for k in range(1, n + 1)]
-        b = [ctx.const(1)]
-        for _ in range(n):
-            b.append(_poly_derive(b[-1], dmap) - p[1] * b[-1])
-        for i in range(1, n + 1):
-            total = ctx.const(0)
-            for k in range(i + 1):
-                total = total + p[k] * b[i - k] * (comb(n, k) * comb(n - k, n - i))
-            if i == 1:
-                assert total.is_zero()
-            else:
-                assert total == semi_invariants(n)[i] * comb(n, i)
-
+    # semi_invariants(n) sums Leibniz's rule, C(i,k) p_k B_(i-k) with
+    # B_(j+1) = D B_j - p1 B_j, in the generic equation; the oracle
+    # conjugates the operator D^n + sum_i C(n,i) p_i D^(n-i) by lambda,
+    # lambda'/lambda = -p1, through the operator ladder
+    for n in range(3, 13):
+        assert semi_invariants(n) == semi_invariants_by_conjugation(n), n
 
 
 def test_semi_invariants_are_integer_with_unit_leading_coefficient():
@@ -173,7 +164,7 @@ def test_compose_is_composition(ring):
     rng = random.Random(5)
     n = 4
     if ring == "p":
-        ctx, dmap, _ = _p_ring(n)
+        ctx, dmap = _p_ring(n)
         names = ["p1_0", "p1_1", "p2_0", "p3_0"]
 
         def derive(f):
@@ -318,14 +309,16 @@ def _recorded_derivations(monkeypatch, run):
 def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
     # every derivation and every Poly product of a fresh classical_theta(9)
     # and of the expansion of all its p-forms has int coefficients on both
-    # sides: the derivations of the operator ladder and of the p-form
-    # chains, with their images and results, and the products of the p-form
-    # expansion (_Equation.theta) and of the ladder alike.  Poly * number is
-    # Poly.scale, not a product: by ints in the p-form sums, and by a
-    # Fraction only in the one scale by 1/den that ends each of the seven
-    # p-forms.  A derivation adds one piece d/dv * image(v) per used
-    # variable v; the 184 derivations of classical_theta(9) and its p-forms
-    # add 983 pieces
+    # sides: the derivations of the assembly's operator ladder, of the
+    # generic equation's B chain and of its P_i^(k) chains, with their
+    # images and results, and the products of the assembly, of the
+    # semi-invariants (the B chain and Leibniz's sum, _semi_invariants) and
+    # of the p-form expansion (_Equation.theta) alike.  Poly * number is
+    # Poly.scale, not a product: by ints in the sums, and by a Fraction
+    # only in the one scale by 1/den that ends each of the seven p-forms.
+    # A derivation adds one piece d/dv * image(v) per used variable v; the
+    # 147 derivations of classical_theta(9) and its p-forms add 899 pieces,
+    # and the semi-invariants take 44 products, the p-forms 73
     classical_theta.cache_clear()
     semi_invariants.cache_clear()
     multiply = Poly.__mul__
@@ -342,6 +335,8 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
             return multiply(self, other)
         if "derive" in callers:
             kind = "derivation"
+        elif "_semi_invariants" in callers:
+            kind = "semi-invariant"
         elif "theta" in callers:
             kind = "p-form"
         else:
@@ -355,9 +350,10 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
     derivations = _recorded_derivations(monkeypatch, lambda: _read_p_forms((9,)))
     assert fractional == Counter()
     assert scales[Fraction] == 7 and set(scales) == {int, Fraction}
-    assert products["p-form"] > 200
+    assert products["semi-invariant"] > 40
+    assert products["p-form"] > 70
     assert products["assembly"] > 100
-    assert len(derivations) > 150
+    assert len(derivations) > 140
     assert sum(len(operand.variables()) for operand, _, _ in derivations) > 500
     for operand, images, result in derivations:
         assert _integral(operand) and _integral(result)
@@ -479,6 +475,36 @@ def test_no_command_expands_a_p_form(monkeypatch):
     assert expanded == []
 
 
+def test_c08_invariants_build_their_semi_invariants_in_the_jet_ring(monkeypatch):
+    # from cold caches, each equation behind curvature_thetas() sums its
+    # P_i by Leibniz's rule in its own ring: no _Equation substitutes its
+    # p_i^(k) into the generic semi_invariants(n).  That substitution
+    # took 2,452 Poly products here; Leibniz's rule takes 1,908
+    curvature_thetas.cache_clear()
+    classical_theta.cache_clear()
+    semi_invariants.cache_clear()
+    multiply = Poly.__mul__
+    products, generic = [], []
+
+    def counted(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    def recorded(n):
+        generic.append(n)
+        return semi_invariants(n)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(wilczynski, "semi_invariants", recorded)
+    try:
+        thetas = curvature_thetas()
+    finally:
+        monkeypatch.undo()
+    assert sorted(thetas) == [3, 4, 5, 6, 7]
+    assert generic == []
+    assert len(products) <= 2100
+
+
 def test_rational_route_derivations_match_the_partials_route(monkeypatch):
     # the Fraction images of the rational assembly: v' = v eta / 2 and the
     # two-term eta' = eta^2 / 2 + 6/(n+1) P2
@@ -492,7 +518,7 @@ def test_rational_route_derivations_match_the_partials_route(monkeypatch):
 
 @pytest.mark.parametrize("derive", [_poly_derive, derive_by_partials])
 def test_deriving_the_top_order_is_an_eta_residue(derive):
-    ctx, images, _ = _p_ring(8)
+    ctx, images = _p_ring(8)
     f = ctx.var("p2_3") * ctx.var("p1_11") + ctx.var("p1_0")
     with pytest.raises(EtaResidueError) as info:
         derive(f, images)
