@@ -1267,7 +1267,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             raise ParseError("expected integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ParseError("too many digits", start) from None
 
     def _name(self) -> str:
         start = self.pos

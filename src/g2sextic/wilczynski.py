@@ -19,12 +19,15 @@ integral, so the assembly multiplies and derives integer polynomials only
 and divides out the powers of m once per Theta_r (Gauss's lemma; Knuth,
 TAOCP vol. 2, 4.6.1).
 
-A differential operator sum_j M_(c_j) G^j is the plain list [c_0, c_1, ...]
-of its Poly coefficients.  _compose(a, b, derive) composes two of them with
-the rule G M_f = M_f G + M_(derive f): G is E with derive = v^(-2) d for
-the change of variable, where D_x = v^2 E is the list [0, v^2].  The powers
-of a base operator come from one ladder B^k = B o B^(k-1).  The invariants
-Theta_r are assembled from the canonical-form coefficients by
+A differential operator sum_j M_(c_j) E^j is the plain list [c_0, c_1, ...]
+of its Poly coefficients, with E = v^(-2) d for the change of variable and
+D_x = v^2 E.  The equation's operator sum_i C(n,i) P_i D_x^(n-i) acts on
+Y = v^(1-n) W, so it is sum_i C(n,i) P_i L_(n-i) with L_k = D_x^k o M_f,
+f = v^(1-n): one ladder L_k = D_x o L_(k-1) from L_0 = [f] gives every
+power it needs, and no composition follows.  D_x o L prepends a zero,
+adds E of each entry at its own index (E M_g = M_g E + M_(E g)) and
+multiplies every entry by v^2.  The invariants Theta_r are assembled from
+the canonical-form coefficients by
 
     Theta_r = 1/2 sum_s (-1)^s (r-2)! r! (2r-s-2)!
               / ((r-s-1)! (r-s)! (2r-3)! s!) q_(r-s)^(s)
@@ -158,44 +161,6 @@ def _w_ring(n: int):
     return ctx, images, keys
 
 
-def _compose(a: list, b: list, derive) -> list:
-    """a o b for operators sum_j M_(c_j) G^j given as coefficient lists
-    [c_0, c_1, ...], with G M_f = M_f G + M_(derive f)."""
-    out: list = []
-    cur = b
-    for i, c in enumerate(a):
-        if i:
-            # cur = G o cur
-            shifted = [cur[0].ctx.const(0)] + cur
-            for j, f in enumerate(cur):
-                df = derive(f)
-                if not df.is_zero():
-                    shifted[j] = shifted[j] + df
-            cur = shifted
-        if not c.is_zero():
-            out = _add_ops(out, [c * f for f in cur])
-    return out
-
-
-def _add_ops(a: list, b: list) -> list:
-    size = min(len(a), len(b))
-    return [f + g for f, g in zip(a, b)] + a[size:] + b[size:]
-
-
-def _operator(base: list, n: int, coeffs, derive) -> list:
-    """base^n + sum_i C(n,i) M_(c_i) base^(n-i) for (i, c_i) in coeffs.
-
-    The powers come from one ladder base^k = base o base^(k-1)."""
-    powers = [[base[0].ctx.const(1)]]
-    for _ in range(n):
-        powers.append(_compose(base, powers[-1], derive))
-    op = powers[n]
-    for i, c in coeffs:
-        c = c.scale(comb(n, i))
-        op = _add_ops(op, [c * f for f in powers[n - i]])
-    return op
-
-
 # -- semi-invariants ------------------------------------------------------------
 
 
@@ -226,15 +191,18 @@ def classical_theta(n: int) -> dict:
     "P" and "p" (_ThetaForms): the P-form is built here, and the generic
     p-form is expanded from it on its first read and then kept, so a
     caller that reads only "P" pays for no p-form.  Raises
-    EtaResidueError if any eta monomial survives the assembly.  Every
-    polynomial product and derivation runs on integer coefficients: the
-    P-forms are assembled with m E, m = 2(n+1), in place of E and scaled by
-    one rational per Theta_r, and each p-form is summed over one common
-    denominator (_Equation.theta).  Fractions appear only in those
-    scalars and in the returned forms.  Each m E is one Poly.derive pass
-    (_poly_derive) over the images of _w_ring: every image but eta's is one
-    term, so its pieces are written straight into one dict, with no
-    product and no copy of a running sum.
+    EtaResidueError if any eta monomial survives the assembly.  The
+    canonical-form coefficients come from one ladder L_k = B o L_(k-1),
+    B = m D_x, climbed once from L_0 = [v^(1-n)] and summed as
+    L_n + sum_i C(n,i) m^i P_i L_(n-i): no operator composition follows
+    it.  Every polynomial product and derivation runs on integer
+    coefficients: the P-forms are assembled with m E, m = 2(n+1), in place
+    of E and scaled by one rational per Theta_r, and each p-form is summed
+    over one common denominator (_Equation.theta).  Fractions appear only
+    in those scalars and in the returned forms.  Each m E is one
+    Poly.derive pass (_poly_derive) over the images of _w_ring: every
+    image but eta's is one term, so its pieces are written straight into
+    one dict, with no product and no copy of a running sum.
     """
     if n < 3:
         raise ValueError("need order n >= 3")
@@ -252,18 +220,20 @@ def classical_theta(n: int) -> dict:
         return _poly_derive(g, images)
 
     # The ladder runs on B = M_(v^2) (m E) = m D_x, so that every operator
-    # coefficient is an integer polynomial: the equation's operator
-    # sum_i C(n,i) P_i D_x^(n-i) (P_0 = 1) is m^(-n) times
-    # sum_i C(n,i) m^i P_i B^(n-i), whose coefficient of (m E)^j is
-    # m^(n-j) times the coefficient of E^j.
-    op = _operator(
-        [ctx.const(0), v_power(2)],
-        n,
-        [(i, ctx.var(f"P{i}_0").scale(m ** i)) for i in range(2, n + 1)],
-        e_derive,
-    )
-    # compose with multiplication by v^(1-n):  Y = (xi')^(-(n-1)/2) W
-    op = _compose(op, [v_power(1 - n)], e_derive)
+    # coefficient is an integer polynomial: the equation's operator on
+    # Y = v^(1-n) W is m^(-n) times sum_i C(n,i) m^i P_i L_(n-i)
+    # (P_0 = 1), whose coefficient of (m E)^j is m^(n-j) times that of E^j.
+    v2 = v_power(2)
+    ladder = [[v_power(1 - n)]]
+    for _ in range(n):
+        rung = [ctx.const(0)] + ladder[-1]
+        for j, f in enumerate(ladder[-1]):
+            rung[j] = rung[j] + e_derive(f)
+        ladder.append([f * v2 for f in rung])
+    op = ladder[n]
+    for i in range(2, n + 1):
+        c = ctx.var(f"P{i}_0").scale(comb(n, i) * m ** i)
+        op = [f + c * g for f, g in zip(op, ladder[n - i])] + op[n - i + 1:]
     if op[n] != v_power(n + 1):
         raise EtaResidueError("unexpected leading coefficient in canonical form")
     coeffs = [c * v_power(-(n + 1)) for c in op]

@@ -36,7 +36,12 @@ here the rational way, with the change-of-variable derivation E itself
 and its Fraction coefficients, and the generic p-forms come from
 substituting the generic equation's rational semi-invariants and their
 p-ring derivatives into them, independently of the integer arithmetic of
-``wilczynski.classical_theta`` and ``wilczynski._Equation.theta``.  The
+``wilczynski.classical_theta`` and ``wilczynski._Equation.theta``.
+Operators are composed here as coefficient lists, and the rational
+assembly can also climb its ladder from 1 and compose the whole operator
+with M_(v^(1-n)) afterwards, the two-stage route
+``wilczynski.classical_theta`` took before it climbed one ladder from
+v^(1-n).  The
 Theta_r of a concrete equation are computed here by substituting its
 rational semi-invariants P_i^(k) into the P-forms, the route
 ``wilczynski._Equation`` took before it cleared the contents of the
@@ -93,8 +98,6 @@ from g2sextic.scalar import AlgebraicScalar, I, ONE, SQRT10, ZERO, cleared, exac
 from g2sextic.wilczynski import (
     DegenerateCurveError,
     EtaResidueError,
-    _compose,
-    _operator,
     _p_ring,
     _poly_derive,
     _substitute,
@@ -733,6 +736,49 @@ def prolongation(xi: JetFunction, eta: JetFunction, order: int):
     return apply
 
 
+# -- operators as coefficient lists ---------------------------------------------
+
+
+def compose(a: list, b: list, derive) -> list:
+    """a o b for operators sum_j M_(c_j) G^j given as coefficient lists
+    [c_0, c_1, ...], with G M_f = M_f G + M_(derive f)."""
+    out: list = []
+    cur = b
+    for i, c in enumerate(a):
+        if i:
+            # cur = G o cur
+            shifted = [cur[0].ctx.const(0)] + cur
+            for j, f in enumerate(cur):
+                df = derive(f)
+                if not df.is_zero():
+                    shifted[j] = shifted[j] + df
+            cur = shifted
+        if not c.is_zero():
+            out = add_ops(out, [c * f for f in cur])
+    return out
+
+
+def add_ops(a: list, b: list) -> list:
+    size = min(len(a), len(b))
+    return [f + g for f, g in zip(a, b)] + a[size:] + b[size:]
+
+
+def operator(base: list, n: int, coeffs, derive, seed: list) -> list:
+    """(base^n + sum_i C(n,i) M_(c_i) base^(n-i)) o seed for (i, c_i) in
+    coeffs.
+
+    The powers come from one ladder base^k o seed = base o (base^(k-1) o
+    seed), each rung by compose."""
+    powers = [seed]
+    for _ in range(n):
+        powers.append(compose(base, powers[-1], derive))
+    op = powers[n]
+    for i, c in coeffs:
+        c = c.scale(comb(n, i))
+        op = add_ops(op, [c * f for f in powers[n - i]])
+    return op
+
+
 def semi_invariants_by_conjugation(n: int) -> dict:
     """P_2..P_n as differential polynomials in the p_i.
 
@@ -742,11 +788,12 @@ def semi_invariants_by_conjugation(n: int) -> dict:
     """
     ctx, images = _p_ring(n)
     one = ctx.const(1)
-    op = _operator(
+    op = operator(
         [-ctx.var("p1_0"), one],  # D - p1
         n,
         [(i, ctx.var(f"p{i}_0")) for i in range(1, n + 1)],
         lambda f: _poly_derive(f, images),
+        [one],
     )
     if not op[n - 1].is_zero():
         raise EtaResidueError("semi-canonical reduction left a Y^(n-1) term")
@@ -754,15 +801,17 @@ def semi_invariants_by_conjugation(n: int) -> dict:
     return {i: op[n - i].scale(Fraction(1, comb(n, i))) for i in range(2, n + 1)}
 
 
-def generic_theta_by_substitution(n: int) -> dict:
-    """{r: {"P", "p"}} for Theta_3..Theta_n of order n by the rational route.
+def rational_P_forms(n: int, two_stage: bool = False) -> dict:
+    """{r: P-form of Theta_r} for Theta_3..Theta_n of order n by the
+    rational route.
 
-    The P-forms come from the operator D_x = v^2 E with E = v^(-2) d, d the
-    derivation v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2,
-    P_i^(k)' = P_i^(k+1) with its Fraction images, and q_i and Theta_r
-    scaled term by term.  The p-forms substitute the generic equation's
-    P_i^(k), semi_invariants(n)[i] derived k times in the
-    p-ring, into them.
+    The operator D_x = v^2 E with E = v^(-2) d, d the derivation
+    v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2, P_i^(k)' = P_i^(k+1)
+    with its Fraction images, acts on Y = v^(1-n) W; q_i and Theta_r are
+    scaled term by term.  The ladder of D_x climbs from M_(v^(1-n)), or,
+    with two_stage, from 1, and the whole operator is then composed with
+    M_(v^(1-n)): the route classical_theta took before it seeded its one
+    ladder with v^(1-n).
     """
     ctx, _, keys = _w_ring(n)
     v, eta = ctx.var("v"), ctx.var("eta")
@@ -782,13 +831,16 @@ def generic_theta_by_substitution(n: int) -> dict:
     def e_derive(g: Poly) -> Poly:
         return _poly_derive(g, dmap) * v_power(-2)
 
-    op = _operator(
+    twist = [v_power(1 - n)]
+    op = operator(
         [ctx.const(0), v_power(2)],
         n,
         [(i, ctx.var(f"P{i}_0")) for i in range(2, n + 1)],
         e_derive,
+        [ctx.const(1)] if two_stage else twist,
     )
-    op = _compose(op, [v_power(1 - n)], e_derive)
+    if two_stage:
+        op = compose(op, twist, e_derive)
     coeffs = [c * v_power(-(n + 1)) for c in op]
     theta = {r: ctx.const(0) for r in range(3, n + 1)}
     for i in range(n, 2, -1):
@@ -797,7 +849,17 @@ def generic_theta_by_substitution(n: int) -> dict:
             if s:
                 g = e_derive(g)
             theta[i + s] = theta[i + s] + g.scale(wil_coefficient(i + s, s))
+    return {r: theta[r].coefficients("v")[-2 * r] for r in sorted(theta)}
 
+
+def generic_theta_by_substitution(n: int) -> dict:
+    """{r: {"P", "p"}} for Theta_3..Theta_n of order n by the rational route.
+
+    The P-forms are rational_P_forms(n).  The p-forms substitute the
+    generic equation's P_i^(k), semi_invariants(n)[i] derived k times in
+    the p-ring, into them.
+    """
+    keys = _w_ring(n)[2]
     p_ctx, p_dmap = _p_ring(n)
     chains = {i: [semi] for i, semi in semi_invariants(n).items()}
 
@@ -807,11 +869,10 @@ def generic_theta_by_substitution(n: int) -> dict:
             chain.append(_poly_derive(chain[-1], p_dmap))
         return chain[k]
 
-    out = {}
-    for r in sorted(theta):
-        form = theta[r].coefficients("v")[-2 * r]
-        out[r] = {"P": form, "p": _substitute(form, lambda w: generic_P(*keys[w]), p_ctx.const(1))}
-    return out
+    return {
+        r: {"P": form, "p": _substitute(form, lambda w: generic_P(*keys[w]), p_ctx.const(1))}
+        for r, form in rational_P_forms(n).items()
+    }
 
 
 def thetas_by_rational_substitution(n: int, p_of, derive, one) -> dict:

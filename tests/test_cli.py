@@ -322,6 +322,11 @@ def test_order_below_three_rejected(order, capsys):
      "exponent 8192 of y2 outside [-8192, 8192)"),
     (["ode", "generalized", "--rhs", "y2^8000/y2^-8000"],
      "exponent 15999 of y2 outside [-8192, 8192)"),
+    # more digits than int() converts
+    (["ode", "generalized", "--rhs", "7" * 5000 + "*y2", "--order", "3"],
+     "too many digits (at position 0)"),
+    (["ode", "generalized", "--rhs", "y2^" + "7" * 5000, "--order", "3"],
+     "too many digits (at position 3)"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict

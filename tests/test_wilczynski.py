@@ -32,7 +32,6 @@ from g2sextic.wilczynski import (
     LinearODE,
     NonlinearODE,
     X_CTX,
-    _compose,
     _constant_value,
     _p_ring,
     _poly_derive,
@@ -65,8 +64,10 @@ from g2sextic.wilczynski import (
 )
 
 from reference_data import (
+    compose,
     derive_by_partials,
     generic_theta_by_substitution,
+    rational_P_forms,
     semi_invariants_by_conjugation,
     specialize_kappa_by_substitution,
     symbolic_jets_along_curve,
@@ -186,7 +187,7 @@ def test_compose_is_composition(ring):
         a = [random_poly() for _ in range(rng.randint(1, 3))]
         b = [random_poly() for _ in range(rng.randint(1, 3))]
         f = random_poly() * ctx.var(rng.choice(names))
-        assert _apply(_compose(a, b, derive), f, derive) == _apply(
+        assert _apply(compose(a, b, derive), f, derive) == _apply(
             a, _apply(b, f, derive), derive
         )
 
@@ -276,6 +277,18 @@ def test_classical_theta_matches_the_rational_route(n):
             assert list(data[kind].terms.items()) == list(expected[r][kind].terms.items())
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_classical_theta_matches_the_two_stage_route(n):
+    # the one ladder L_k = D_x o L_(k-1) from L_0 = [v^(1-n)] gives the
+    # P-forms, by value, of the ladder from 1 composed with M_(v^(1-n))
+    # afterwards
+    expected = rational_P_forms(n, two_stage=True)
+    thetas = classical_theta(n)
+    assert list(thetas) == list(expected)
+    for r, forms in thetas.items():
+        assert forms["P"] == expected[r], (n, r)
+
+
 def _integral(operand) -> bool:
     if isinstance(operand, Poly):
         return all(type(c) is int for c in operand.terms.values())
@@ -317,8 +330,9 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
     # Poly.scale, not a product: by ints in the sums, and by a Fraction
     # only in the one scale by 1/den that ends each of the seven p-forms.
     # A derivation adds one piece d/dv * image(v) per used variable v; the
-    # 147 derivations of classical_theta(9) and its p-forms add 899 pieces,
-    # and the semi-invariants take 44 products, the p-forms 73
+    # 102 derivations of classical_theta(9) and its p-forms add 774 pieces,
+    # the assembly takes 100 products, the semi-invariants 44 and the
+    # p-forms 73
     classical_theta.cache_clear()
     semi_invariants.cache_clear()
     multiply = Poly.__mul__
@@ -352,9 +366,9 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
     assert scales[Fraction] == 7 and set(scales) == {int, Fraction}
     assert products["semi-invariant"] > 40
     assert products["p-form"] > 70
-    assert products["assembly"] > 100
-    assert len(derivations) > 140
-    assert sum(len(operand.variables()) for operand, _, _ in derivations) > 500
+    assert products["assembly"] > 95
+    assert len(derivations) > 100
+    assert sum(len(operand.variables()) for operand, _, _ in derivations) > 750
     for operand, images, result in derivations:
         assert _integral(operand) and _integral(result)
         assert all(_integral(image) for image in images.values())
@@ -370,7 +384,8 @@ def _same_terms(a: Poly, b: Poly) -> bool:
 def test_every_assembly_derivation_matches_the_partials_route(monkeypatch):
     # each derivation of the semi-invariants, the integer assembly and the
     # p-form chains for n = 3..9 equals the sum of diff(v) * image(v) term
-    # for term, in the same order and with the same coefficient types
+    # for term, in the same order and with the same coefficient types; there
+    # are 371 of them
     def run():
         classical_theta.cache_clear()
         semi_invariants.cache_clear()
@@ -379,7 +394,7 @@ def test_every_assembly_derivation_matches_the_partials_route(monkeypatch):
             _read_p_forms((n,))
 
     calls = _recorded_derivations(monkeypatch, run)
-    assert len(calls) > 500
+    assert len(calls) > 360
     rings = {id(images) for _, images, _ in calls}
     assert rings == {id(_p_ring(n)[1]) for n in range(3, 10)} | {
         id(_w_ring(n)[1]) for n in range(3, 10)
@@ -505,12 +520,46 @@ def test_c08_invariants_build_their_semi_invariants_in_the_jet_ring(monkeypatch)
     assert len(products) <= 2100
 
 
+def test_classical_theta_climbs_one_ladder(monkeypatch):
+    # from cold caches, the P-forms of n = 3..12 take 1,246 Poly x Poly
+    # products and 525 derivations: one ladder from v^(1-n) and the E^s
+    # chains of the Theta_r.  The ladder from 1 followed by a composition
+    # with M_(v^(1-n)) took 1,911 products and 885 derivations
+    classical_theta.cache_clear()
+    multiply, derive = Poly.__mul__, Poly.derive
+    products, derivations = [], []
+
+    def counted(self, other):
+        if isinstance(other, Poly):
+            products.append(1)
+        return multiply(self, other)
+
+    def recorded(self, images):
+        derivations.append(1)
+        return derive(self, images)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "derive", recorded)
+    try:
+        for n in range(3, 13):
+            classical_theta(n)
+    finally:
+        monkeypatch.undo()
+    assert len(products) <= 1400
+    assert len(derivations) <= 600
+
+
 def test_rational_route_derivations_match_the_partials_route(monkeypatch):
     # the Fraction images of the rational assembly: v' = v eta / 2 and the
-    # two-term eta' = eta^2 / 2 + 6/(n+1) P2
-    calls = _recorded_derivations(monkeypatch, lambda: generic_theta_by_substitution(6))
+    # two-term eta' = eta^2 / 2 + 6/(n+1) P2, in its one ladder (27
+    # derivations) and in its two-stage route (48)
+    def run():
+        generic_theta_by_substitution(6)
+        rational_P_forms(6, two_stage=True)
+
+    calls = _recorded_derivations(monkeypatch, run)
     fractional = [c for c in calls if not all(_integral(i) for i in c[1].values())]
-    assert len(fractional) > 40
+    assert len(fractional) > 70
     assert any(not _integral(result) for _, _, result in fractional)
     for operand, images, result in calls:
         assert _same_terms(result, derive_by_partials(operand, images))
