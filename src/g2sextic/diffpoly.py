@@ -1167,6 +1167,22 @@ def _is_digit(ch: str) -> bool:
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
+# int() converts a literal of at most 4,300 digits (CPython's default
+# int_max_str_digits), and a power of a constant may build none larger;
+# 10^4300 < 2^_LITERAL_BITS
+_LITERAL_DIGITS = 4300
+_LITERAL_BITS = (10 ** _LITERAL_DIGITS).bit_length()
+
+
+def _power_exceeds_literals(unit, exponent: int) -> bool:
+    """The bit lengths show, before the power is taken, that unit^exponent
+    has a numerator or denominator of more than _LITERAL_DIGITS digits:
+    an int a of bit length b has |a|^e >= 2^((b-1) e).  No power that
+    fits is rejected."""
+    q = Fraction(unit)
+    bits = max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+    return (bits - 1) * abs(exponent) >= _LITERAL_BITS
+
 
 class _Parser:
     """Tokens: names from the context, integer literals, + - * / ^ ( )."""
@@ -1228,6 +1244,11 @@ class _Parser:
             exponent = self._integer()
             if exponent < 0 and base.is_zero():
                 raise ParseError("negative power of zero", caret)
+            if _power_exceeds_literals(base.unit, exponent):
+                raise ParseError(
+                    f"power {exponent} gives a constant factor of more than "
+                    f"{_LITERAL_DIGITS} digits", caret
+                )
             try:
                 base = base ** exponent
             except ExponentRangeError:

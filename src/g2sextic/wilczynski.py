@@ -30,9 +30,12 @@ multiplies every entry by v^2.  The invariants Theta_r are assembled from
 the canonical-form coefficients by
 
     Theta_r = 1/2 sum_s (-1)^s (r-2)! r! (2r-s-2)!
-              / ((r-s-1)! (r-s)! (2r-3)! s!) q_(r-s)^(s)
+              / ((r-s-1)! (r-s)! (2r-3)! s!) q_(r-s)^(s),
 
-and every eta must cancel - a residual eta is a hard failure.
+summed by Horner's rule in E (Knuth, TAOCP vol. 2, 4.6.4): with w_s the
+weight of q_(r-s)^(s), h = w_(r-3) q_3 and h = E(h) + w_s q_(r-s) for
+s = r-4, ..., 0.  Every eta must cancel in the whole sum - a residual eta
+is a hard failure.
 
 Each equation gets its Theta_r from the P-form by one fraction-free
 substitution of its P_i^(k) = D^k(P_i) (_Equation.theta); the generic
@@ -199,10 +202,13 @@ def classical_theta(n: int) -> dict:
     coefficients: the P-forms are assembled with m E, m = 2(n+1), in place
     of E and scaled by one rational per Theta_r, and each p-form is summed
     over one common denominator (_Equation.theta).  Fractions appear only
-    in those scalars and in the returned forms.  Each m E is one
-    Poly.derive pass (_poly_derive) over the images of _w_ring: every
-    image but eta's is one term, so its pieces are written straight into
-    one dict, with no product and no copy of a running sum.
+    in those scalars and in the returned forms.  Each Theta_r is summed by
+    Horner's rule in m E, so each derivation acts on a partial sum in
+    which eta has partly cancelled, and the eta and weight checks read
+    the whole sum.  Each m E is one Poly.derive pass (_poly_derive) over
+    the images of _w_ring: every image but eta's is one term, so its
+    pieces are written straight into one dict, with no product and no
+    copy of a running sum.
     """
     if n < 3:
         raise ValueError("need order n >= 3")
@@ -243,33 +249,28 @@ def classical_theta(n: int) -> dict:
     # Theta_r = sum_s wil_coefficient(r, s) E^s(q_(r-s)), where
     # q_i = coeffs[n-i] / (m^i C(n,i)) and E^s = (m E)^s / m^s: every term
     # of Theta_r carries 1/m^r, and the scalars wil_coefficient(r, s) /
-    # C(n, r-s) are cleared to ints over one denominator per r.  Each
-    # (m E)^s(coeffs[n-i]) is derived once and added into Theta_(i+s); i
-    # descends so that every Theta_r sums its terms in the order s = 0, 1, ...
-    weights = {
-        r: cleared([wil_coefficient(r, s) / comb(n, r - s) for s in range(r - 2)])
-        for r in range(3, n + 1)
-    }
-    theta = {r: ctx.const(0) for r in range(3, n + 1)}
-    for i in range(n, 2, -1):
-        g = coeffs[n - i]
-        for s in range(n - i + 1):
-            if s:
-                g = e_derive(g)
-            theta[i + s] = theta[i + s] + g.scale(weights[i + s][0][s])
+    # C(n, r-s) are cleared to ints w_s over one denominator per r.  m E is
+    # linear, so the sum is taken by Horner's rule in m E (Knuth, TAOCP
+    # vol. 2, 4.6.4): h = w_(r-3) coeffs[n-3], then h = m E(h) + w_s
+    # coeffs[n-r+s] for s = r-4, ..., 0.  Each derivation acts on a partial
+    # sum in which eta has partly cancelled; no term is dropped, and the
+    # checks below read the whole Theta_r.
     theta_P = {}
     for r in range(3, n + 1):
-        if set(theta[r].coefficients("eta")) - {0}:
+        w, den = cleared([wil_coefficient(r, s) / comb(n, r - s) for s in range(r - 2)])
+        h = coeffs[n - 3].scale(w[r - 3])
+        for s in range(r - 4, -1, -1):
+            h = e_derive(h) + coeffs[n - r + s].scale(w[s])
+        if set(h.coefficients("eta")) - {0}:
             raise EtaResidueError(
                 f"Theta_{r} kept an eta monomial for order n = {n}"
             )
-        by_weight = theta[r].coefficients("v")
+        by_weight = h.coefficients("v")
         if set(by_weight) - {-2 * r}:
             raise EtaResidueError(
                 f"Theta_{r} is not homogeneous of weight {r} in xi'"
             )
-        den = weights[r][1] * m ** r
-        theta_P[r] = by_weight.get(-2 * r, ctx.const(0)).scale(Fraction(1, den))
+        theta_P[r] = by_weight.get(-2 * r, ctx.const(0)).scale(Fraction(1, den * m ** r))
 
     generic = _GenericEquation(n)
     return {r: _ThetaForms(poly, generic) for r, poly in theta_P.items()}

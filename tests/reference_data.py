@@ -801,7 +801,7 @@ def semi_invariants_by_conjugation(n: int) -> dict:
     return {i: op[n - i].scale(Fraction(1, comb(n, i))) for i in range(2, n + 1)}
 
 
-def rational_P_forms(n: int, two_stage: bool = False) -> dict:
+def rational_P_forms(n: int, two_stage: bool = False, chains: bool = False) -> dict:
     """{r: P-form of Theta_r} for Theta_3..Theta_n of order n by the
     rational route.
 
@@ -811,7 +811,10 @@ def rational_P_forms(n: int, two_stage: bool = False) -> dict:
     scaled term by term.  The ladder of D_x climbs from M_(v^(1-n)), or,
     with two_stage, from 1, and the whole operator is then composed with
     M_(v^(1-n)): the route classical_theta took before it seeded its one
-    ladder with v^(1-n).
+    ladder with v^(1-n).  Each Theta_r = sum_s w(r, s) E^s(q_(r-s)) is
+    summed by Horner's rule in E, or, with chains, from the chains
+    E^s(q_i), each derived once and shared by every Theta_(i+s): the sum
+    classical_theta took before it used Horner's rule.
     """
     ctx, _, keys = _w_ring(n)
     v, eta = ctx.var("v"), ctx.var("eta")
@@ -842,13 +845,21 @@ def rational_P_forms(n: int, two_stage: bool = False) -> dict:
     if two_stage:
         op = compose(op, twist, e_derive)
     coeffs = [c * v_power(-(n + 1)) for c in op]
+    q = {i: coeffs[n - i].scale(Fraction(1, comb(n, i))) for i in range(3, n + 1)}
     theta = {r: ctx.const(0) for r in range(3, n + 1)}
-    for i in range(n, 2, -1):
-        g = coeffs[n - i].scale(Fraction(1, comb(n, i)))  # q_i
-        for s in range(n - i + 1):
-            if s:
-                g = e_derive(g)
-            theta[i + s] = theta[i + s] + g.scale(wil_coefficient(i + s, s))
+    if chains:
+        for i in range(n, 2, -1):
+            g = q[i]
+            for s in range(n - i + 1):
+                if s:
+                    g = e_derive(g)
+                theta[i + s] = theta[i + s] + g.scale(wil_coefficient(i + s, s))
+    else:
+        for r in theta:
+            h = q[3].scale(wil_coefficient(r, r - 3))
+            for s in range(r - 4, -1, -1):
+                h = e_derive(h) + q[r - s].scale(wil_coefficient(r, s))
+            theta[r] = h
     return {r: theta[r].coefficients("v")[-2 * r] for r in sorted(theta)}
 
 

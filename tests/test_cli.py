@@ -327,6 +327,11 @@ def test_order_below_three_rejected(order, capsys):
      "too many digits (at position 0)"),
     (["ode", "generalized", "--rhs", "y2^" + "7" * 5000, "--order", "3"],
      "too many digits (at position 3)"),
+    # a power whose constant factor would pass that limit, before it is taken
+    (["ode", "generalized", "--rhs", "7^30000000*y2", "--order", "3"],
+     "power 30000000 gives a constant factor of more than 4300 digits (at position 1)"),
+    (["ode", "generalized", "--rhs", "(7^8191)^8191", "--order", "3"],
+     "power 8191 gives a constant factor of more than 4300 digits (at position 2)"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,27 @@ def test_parser_errors_and_grammar():
     assert fn("-y2^2") == -(fn("y2") ** 2)
     assert fn("2^3") == 8
     assert fn("y2^2^2") == fn("y2^4")  # iterated exponents
+
+
+def test_a_constant_power_past_the_literal_limit_is_placed():
+    # the bit lengths reject the power before it is taken: 7^30000000
+    # took 73 s of CPU to build.  2^14284 has 4,300 digits, 2^14285 4,301
+    start = time.process_time()
+    with pytest.raises(ParseError) as err:
+        fn("7^30000000*y2")
+    assert time.process_time() - start < 0.5
+    assert err.value.position == 1
+    assert str(err.value) == (
+        "power 30000000 gives a constant factor of more than 4300 digits (at position 1)"
+    )
+    for text, caret in [("(7^8191)^8191", 2), ("(7^4000)^4000", 8), ("(1/7)^-30000000", 5),
+                        ("(7^4000*y2)^8000", 11), ("2^14285", 1)]:
+        with pytest.raises(ParseError) as err:
+            fn(text)
+        assert err.value.position == caret, text
+    assert fn("7^100*y2") == fn("y2") * 7 ** 100
+    assert fn("2^14284") == 2 ** 14284
+    assert fn("1^30000000*y2") == fn("(-1)^30000000*y2") == fn("y2")
 
 
 def test_factored_form_kept_reduced():

@@ -289,6 +289,37 @@ def test_classical_theta_matches_the_two_stage_route(n):
         assert forms["P"] == expected[r], (n, r)
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_classical_theta_matches_the_chain_route(n):
+    # Horner's rule in E gives the P-forms, by value, of the sum of the
+    # shared chains E^s(q_i), each added into every Theta_(i+s)
+    expected = rational_P_forms(n, chains=True)
+    thetas = classical_theta(n)
+    assert list(thetas) == list(expected)
+    for r, forms in thetas.items():
+        assert forms["P"] == expected[r], (n, r)
+
+
+@pytest.mark.parametrize("r, s", [(4, 1), (5, 1), (6, 2), (7, 3)])
+def test_a_wrong_horner_weight_leaves_eta(monkeypatch, r, s):
+    # the eta postcondition reads the whole Horner sum: doubling one
+    # weight w(r, s) leaves an eta monomial in Theta_r
+    wil = wilczynski.wil_coefficient
+
+    def doubled(*key):
+        return wil(*key) * (2 if key == (r, s) else 1)
+
+    classical_theta.cache_clear()
+    monkeypatch.setattr(wilczynski, "wil_coefficient", doubled)
+    try:
+        with pytest.raises(EtaResidueError) as info:
+            classical_theta(7)
+    finally:
+        monkeypatch.undo()
+        classical_theta.cache_clear()
+    assert str(info.value) == f"Theta_{r} kept an eta monomial for order n = 7"
+
+
 def _integral(operand) -> bool:
     if isinstance(operand, Poly):
         return all(type(c) is int for c in operand.terms.values())
@@ -330,9 +361,10 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
     # Poly.scale, not a product: by ints in the sums, and by a Fraction
     # only in the one scale by 1/den that ends each of the seven p-forms.
     # A derivation adds one piece d/dv * image(v) per used variable v; the
-    # 102 derivations of classical_theta(9) and its p-forms add 774 pieces,
-    # the assembly takes 100 products, the semi-invariants 44 and the
-    # p-forms 73
+    # 102 derivations of classical_theta(9) and its p-forms add 730 pieces
+    # (774 when each Theta_r summed the shared chains E^s(q_i): Horner's
+    # rule derives partial sums that use fewer variables), the assembly
+    # takes 100 products, the semi-invariants 44 and the p-forms 73
     classical_theta.cache_clear()
     semi_invariants.cache_clear()
     multiply = Poly.__mul__
@@ -368,7 +400,7 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
     assert products["p-form"] > 70
     assert products["assembly"] > 95
     assert len(derivations) > 100
-    assert sum(len(operand.variables()) for operand, _, _ in derivations) > 750
+    assert sum(len(operand.variables()) for operand, _, _ in derivations) > 700
     for operand, images, result in derivations:
         assert _integral(operand) and _integral(result)
         assert all(_integral(image) for image in images.values())
@@ -521,10 +553,15 @@ def test_c08_invariants_build_their_semi_invariants_in_the_jet_ring(monkeypatch)
 
 
 def test_classical_theta_climbs_one_ladder(monkeypatch):
-    # from cold caches, the P-forms of n = 3..12 take 1,246 Poly x Poly
-    # products and 525 derivations: one ladder from v^(1-n) and the E^s
-    # chains of the Theta_r.  The ladder from 1 followed by a composition
-    # with M_(v^(1-n)) took 1,911 products and 885 derivations
+    # from cold caches, the P-forms of n = 3..12 take 1,210 Poly x Poly
+    # products and 525 derivations: one ladder from v^(1-n) and one Horner
+    # sum in m E per Theta_r.  The ladder from 1 followed by a composition
+    # with M_(v^(1-n)) took 1,911 products and 885 derivations.  The
+    # derivation work, terms times used variables of each operand, is
+    # 119,339; the shared chains E^s(q_i) derived the same 525 times for
+    # 187,438 and took 1,246 products, 36 more, since a derivation
+    # multiplies only for eta's two-term image and fewer of their
+    # operands were eta-free
     classical_theta.cache_clear()
     multiply, derive = Poly.__mul__, Poly.derive
     products, derivations = [], []
@@ -535,7 +572,7 @@ def test_classical_theta_climbs_one_ladder(monkeypatch):
         return multiply(self, other)
 
     def recorded(self, images):
-        derivations.append(1)
+        derivations.append(len(self.terms) * len(self.variables()))
         return derive(self, images)
 
     monkeypatch.setattr(Poly, "__mul__", counted)
@@ -547,6 +584,7 @@ def test_classical_theta_climbs_one_ladder(monkeypatch):
         monkeypatch.undo()
     assert len(products) <= 1400
     assert len(derivations) <= 600
+    assert sum(derivations) <= 130_000
 
 
 def test_rational_route_derivations_match_the_partials_route(monkeypatch):
