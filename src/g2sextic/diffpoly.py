@@ -6,6 +6,9 @@ Three layers:
   by the const, var and monomial of a JetContext (a fixed variable
   universe).  A coefficient is an int when integral and a Fraction
   otherwise; each monomial is one packed int key (see JetContext).
+  Poly.derive is the one derivation kernel, over a table from variable
+  index to a Poly image or Ellipsis (declared, with no image); a variable
+  missing from the table is a constant.
 * JetFunction - rational functions stored as  unit * prim * prod f_i^e_i
   with a rational unit, and prim and the f_i primitive integer
   polynomials (content and primitive part, Knuth, TAOCP vol. 2, 4.6.1);
@@ -18,7 +21,9 @@ Three layers:
   pipelines reduced without any multivariate gcd; a product with a
   constant, whose table is reduced already, needs none.  normalize()
   reduces fully: the numerator takes its gcd with one denominator factor
-  at a time.
+  at a time.  A derivation is (table, rhs), with rhs = (v, F) when D v is
+  the right-hand side F of an equation: a polynomial is derived by one
+  Poly.derive call and at most one product by F.
 * ExtendedJetFunction - rank-3 algebraic extension by a formal generator u
   with u^3 = R, derivations acting by D(u) = (1/3)(D R / R) u.  Every
   element declares its cube base R and carries u: a u-free result of the
@@ -321,30 +326,27 @@ class Poly:
         powers = self.ctx._powers
         return tuple((tuple(powers(e)), c) for e, c in self.terms.items())
 
-    def variables(self):
-        """The set of indices of the variables with a nonzero exponent in
-        some term: the set fields of the OR of every key ^ _one, added from
-        the most significant (variable 0) on.  A set of ints iterates in
-        hash-slot order, which is not always ascending (an index past the
-        table size wraps round), so a caller that needs ascending order
-        sorts."""
+    def variables(self) -> list:
+        """The indices of the variables with a nonzero exponent in some
+        term, ascending: the set fields of the OR of every key ^ _one, met
+        from the most significant (variable 0) on."""
         ctx = self.ctx
         differs = 0
         for e in self.terms:
             differs |= e ^ ctx._one
-        out = set()
+        out = []
         last = ctx.nvars - 1
         while differs:
             field = (differs.bit_length() - 1) // FIELD_BITS
-            out.add(last - field)
+            out.append(last - field)
             differs &= (1 << (field * FIELD_BITS)) - 1
         return out
 
     def derive(self, images) -> "Poly":
-        """sum_v d(self)/dv * images[v] over the used variables v, in the
-        iteration order of the set variables() returns (not always
-        ascending): the derivation with images[v] the image of variable
-        index v.  An unmapped used variable raises KeyError(v).
+        """sum_v d(self)/dv * images[v] over the used variables v in
+        ascending order, for a derivation table images keyed by variable
+        index: a variable missing from it is a constant, and one marked
+        Ellipsis (declared, with no image) raises KeyError(v).
 
         Every piece is added into one dict as it is made, in place of a
         running sum copied once per variable (Monagan & Pearce, CASC
@@ -363,7 +365,11 @@ class Poly:
         out: dict = {}
         get, pop = out.get, out.pop
         for v in self.variables():
-            image = images[v]
+            image = images.get(v)
+            if image is None:
+                continue
+            if image is Ellipsis:
+                raise KeyError(v)
             if len(image.terms) != 1:
                 _add_into(out, (self.diff(names[v]) * image).terms)
                 continue
@@ -439,7 +445,7 @@ class Poly:
         term's exponent k, and scalar.cleared of the coefficients."""
         ctx = self.ctx
         rows = []
-        for v in sorted(self.variables()):
+        for v in self.variables():
             shift = ctx._shifts[v]
             ks = [((e >> shift) & _FIELD_MASK) - EXPONENT_BOUND for e in self.terms]
             lo, hi = min(min(ks), 0), max(max(ks), 0)
@@ -581,7 +587,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return (a + b).primitive()[1]
     ctx = a.ctx
-    used = a.variables() & b.variables()
+    used = sorted(set(a.variables()) & set(b.variables()))
     if not used:
         return ctx.const(1)
     v = min(used, key=lambda w: max(a.degree(ctx.names[w]), b.degree(ctx.names[w])))
@@ -901,20 +907,19 @@ class JetFunction:
 
     # -- calculus ---------------------------------------------------------------
 
-    def partial(self, name: str) -> "JetFunction":
-        return self.derivative({name: self.ctx.fn(1)})
+    def partial(self, name: str):
+        return self.derivative(({self.ctx.index[name]: self.ctx.const(1)}, None))
 
-    def derivative(self, dmap: dict):
-        """Derivation given by dmap: name -> image (JetFunction/Extended/
-        Ellipsis for 'needed but undefined')."""
+    def derivative(self, derivation: tuple):
+        """The derivation (images, rhs) of _derive_poly, by Leibniz's rule."""
         ctx, unit, prim, factors = self.ctx, self.unit, self.prim, self.factors
         if not unit:
             return ctx.fn(0)
         # each term keeps prim and a table that differs from self's in one
         # lowered exponent, so it is reduced against prim already
-        total = _derive_poly(ctx, prim, dmap) * _jet(ctx, unit, ctx.const(1), factors)
+        total = _derive_poly(prim, derivation) * _jet(ctx, unit, ctx.const(1), factors)
         for f, e in factors.items():
-            dfv = _derive_poly(ctx, f, dmap)
+            dfv = _derive_poly(f, derivation)
             if isinstance(dfv, JetFunction) and dfv.is_zero():
                 continue
             shifted = dict(factors)
@@ -925,12 +930,12 @@ class JetFunction:
             total = dfv * _jet(ctx, exact(unit * e), prim, shifted) + total
         return total
 
-    def log_derivative(self, dmap: dict):
+    def log_derivative(self, derivation: tuple):
         """D(self)/self computed term-by-term; stays in the localization."""
         ctx = self.ctx
-        total = _derive_poly(ctx, self.prim, dmap) / JetFunction(ctx, self.prim, {})
+        total = _derive_poly(self.prim, derivation) / JetFunction(ctx, self.prim, {})
         for f, e in self.factors.items():
-            dfv = _derive_poly(ctx, f, dmap)
+            dfv = _derive_poly(f, derivation)
             total = total + dfv * _jet(ctx, e, ctx.const(1), {f: -1})
         return total
 
@@ -967,53 +972,50 @@ class JetFunction:
     __repr__ = __str__
 
 
-def _derive_poly(ctx: JetContext, p: Poly, dmap: dict):
-    """Sum over variables of dp/dv * dmap[v]; promotes to Extended as needed."""
-    total = ctx.fn(0)
-    for v in p.variables():
-        name = ctx.names[v]
-        image = dmap.get(name)
-        if image is None:
-            continue
-        dp = p.diff(name)
-        if image is Ellipsis:
-            raise MissingJetError(
-                f"derivative of {name} undefined: supply the equation right-hand side"
-            )
-        total = JetFunction(ctx, dp, {}) * image + total
+def _derive_poly(p: Poly, derivation: tuple):
+    """D(p) for the derivation (images, rhs): one Poly.derive over the
+    table images, plus dp/dv * F when rhs = (v, F) and p uses v; F may
+    carry u.  Deriving a variable marked Ellipsis is a MissingJetError."""
+    images, rhs = derivation
+    try:
+        total = JetFunction(p.ctx, p.derive(images))
+    except KeyError as missing:
+        name = p.ctx.names[missing.args[0]]
+        raise MissingJetError(
+            f"derivative of {name} undefined: supply the equation right-hand side"
+        ) from None
+    if rhs is not None and rhs[0] in p.variables():
+        total = JetFunction(p.ctx, p.diff(p.ctx.names[rhs[0]])) * rhs[1] + total
     return total
 
 
-def free_total_derivative_map(ctx: JetContext) -> dict:
-    """D_x shifting each jet variable up; the top order raises if touched."""
-    dmap = {"x": ctx.fn(1)} if "x" in ctx.index else {}
+def free_total_derivative_map(ctx: JetContext) -> tuple:
+    """D_x as the derivation (images, None), the top order marked Ellipsis."""
+    images = {ctx.index["x"]: ctx.const(1)} if "x" in ctx.index else {}
     if "y" in ctx.index:
-        prev = "y"
-        for k in range(1, (ctx.max_order or 0) + 1):
-            dmap[prev] = ctx.fn(f"y{k}")
-            prev = f"y{k}"
-        dmap[prev] = Ellipsis
-    return dmap
+        jets = [ctx.jet_name(k) for k in range((ctx.max_order or 0) + 1)]
+        images.update({ctx.index[a]: ctx.var(b) for a, b in zip(jets, jets[1:])})
+        images[ctx.index[jets[-1]]] = Ellipsis
+    return images, None
 
 
-def on_equation_derivative_map(ctx: JetContext, order: int, rhs) -> dict:
-    """D_x with y_(order) replaced by the right-hand side."""
-    dmap = free_total_derivative_map(ctx)
-    dmap[ctx.jet_name(order - 1)] = rhs
-    return dmap
+def on_equation_derivative_map(ctx: JetContext, order: int, rhs) -> tuple:
+    """D_x on y_(order) = rhs: the table of free_total_derivative_map
+    without v = y_(order-1), whose image rhs is kept beside it as (v, rhs)."""
+    images, _ = free_total_derivative_map(ctx)
+    v = ctx.index[ctx.jet_name(order - 1)]
+    images.pop(v, None)
+    return images, (v, rhs)
 
 
 def total_derivative(f, rhs=None, order: int | None = None):
     """The total derivative D_x; with rhs given, on the equation
     y^(order) = rhs."""
-    ctx = f.ctx
     if rhs is None:
-        dmap = free_total_derivative_map(ctx)
-    else:
-        if order is None:
-            raise ValueError("order required together with rhs")
-        dmap = on_equation_derivative_map(ctx, order, rhs)
-    return f.derivative(dmap)
+        return f.derivative(free_total_derivative_map(f.ctx))
+    if order is None:
+        raise ValueError("order required together with rhs")
+    return f.derivative(on_equation_derivative_map(f.ctx, order, rhs))
 
 
 # -- the cube-root extension ---------------------------------------------------
@@ -1112,18 +1114,17 @@ class ExtendedJetFunction:
             return NotImplemented
         return (self - other).is_zero()
 
-    def partial(self, name: str):
-        return self.derivative({name: self.ctx.fn(1)})
+    partial = JetFunction.partial
 
-    def derivative(self, dmap: dict):
-        # D(u) = rho u; the images under dmap may carry u-components (the
-        # on-equation total derivative does), and so may each D(c_k)
-        rho = self.base.log_derivative(dmap) / 3
-        out = self.c0.derivative(dmap)
+    def derivative(self, derivation: tuple):
+        # D(u) = rho u; the right-hand side F and each D(c_k) may carry u
+        rho = self.base.log_derivative(derivation) / 3
+        out = self.c0.derivative(derivation)
         if self.c1:
-            out = out + self._times_u(self.c1.derivative(dmap) + rho * self.c1)
+            out = out + self._times_u(self.c1.derivative(derivation) + rho * self.c1)
         if self.c2:
-            out = out + self._times_u(self._times_u(self.c2.derivative(dmap) + rho * (self.c2 * 2)))
+            c2 = self.c2
+            out = out + self._times_u(self._times_u(c2.derivative(derivation) + rho * (c2 * 2)))
         return out
 
     def _times_u(self, x):

@@ -101,9 +101,9 @@ def x_derivative(f: JetFunction) -> JetFunction:
 
 
 def _poly_derive(p: Poly, images: dict) -> Poly:
-    """The ring derivation of p, Poly.derive over the index-keyed images of
-    _p_ring or _w_ring.  A variable of the top order k = n + 3 has no image:
-    deriving it is an EtaResidueError."""
+    """The ring derivation of p, Poly.derive over the table of _p_ring or
+    _w_ring.  The top order k = n + 3 is marked Ellipsis there: deriving
+    it is an EtaResidueError."""
     try:
         return p.derive(images)
     except KeyError as missing:
@@ -117,17 +117,17 @@ def _poly_derive(p: Poly, images: dict) -> Poly:
 def _p_ring(n: int):
     """Ring of p_i and their formal x-derivatives, i = 1..n.
 
-    Returns (ctx, images) with images[v] = p_i^(k+1) for the variable
-    v = p_i^(k), k < n + 3, the map of _poly_derive.
+    Returns (ctx, images), the table of _poly_derive: p_i^(k) -> p_i^(k+1)
+    for k < n + 3, and Ellipsis for k = n + 3.
     """
     depth = n + 3
     ctx = JetContext.plain(
         tuple(f"p{i}_{k}" for i in range(1, n + 1) for k in range(depth + 1))
     )
     images = {
-        ctx.index[f"p{i}_{k}"]: ctx.var(f"p{i}_{k + 1}")
+        ctx.index[f"p{i}_{k}"]: ctx.var(f"p{i}_{k + 1}") if k < depth else Ellipsis
         for i in range(1, n + 1)
-        for k in range(depth)
+        for k in range(depth + 1)
     }
     return ctx, images
 
@@ -137,13 +137,13 @@ def _w_ring(n: int):
     """Ring carrying v = sqrt(xi'), eta, and the semi-invariants P_i.
 
     Returns (ctx, images, keys) with keys[v] = (i, k) for the variable
-    P_i^(k) and None for v and eta.  images, the map of _poly_derive, holds
-    the image of each variable index under m E = v^(-2) m d, m = 2(n+1),
-    with d the derivation v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2,
-    P_i^(k)' = P_i^(k+1) (none for k = n + 3): v -> (n+1) v^(-1) eta,
-    eta -> ((n+1) eta^2 + 12 P2) v^(-2), P_i^(k) -> m v^(-2) P_i^(k+1).
-    Every image is an integer polynomial, and every one but eta's is one
-    term.
+    P_i^(k) and None for v and eta.  images, the table of _poly_derive,
+    holds the image of each variable index under m E = v^(-2) m d,
+    m = 2(n+1), with d the derivation v' = v eta / 2,
+    eta' = eta^2 / 2 + 6/(n+1) P2, P_i^(k)' = P_i^(k+1) (Ellipsis for
+    k = n + 3): v -> (n+1) v^(-1) eta, eta -> ((n+1) eta^2 + 12 P2) v^(-2),
+    P_i^(k) -> m v^(-2) P_i^(k+1), the variable after P_i^(k).  Every
+    image is an integer polynomial, and every one but eta's is one term.
     """
     depth = n + 3
     keys = (None, None) + tuple(
@@ -158,9 +158,8 @@ def _w_ring(n: int):
         eta_idx: ctx.monomial(((v_idx, -2), (eta_idx, 2)), n + 1)
         + ctx.monomial(((v_idx, -2), (ctx.index["P2_0"], 1)), 12),
     }
-    for w, (i, k) in enumerate(keys[2:], start=2):
-        if k < depth:
-            images[w] = ctx.monomial(((v_idx, -2), (ctx.index[f"P{i}_{k + 1}"], 1)), m)
+    for w, (_, k) in enumerate(keys[2:], start=2):
+        images[w] = ctx.monomial(((v_idx, -2), (w + 1, 1)), m) if k < depth else Ellipsis
     return ctx, images, keys
 
 
@@ -492,9 +491,9 @@ HALPHEN_VS_SEMI = Fraction(-54)  # halphen_theta3 == -54 * (P3 - 3/2 P2')
 
 def _graph_equation(ctx: JetContext) -> _Equation:
     """The graph y = y(x) as a third-order equation in the jet variables."""
-    dmap = free_total_derivative_map(ctx)
+    derivation = free_total_derivative_map(ctx)
     p = _graph_coefficients(ctx.fn("y2"), ctx.fn("y3"))
-    return _Equation(3, lambda i: p[i - 1], lambda f: f.derivative(dmap), ctx.fn(1))
+    return _Equation(3, lambda i: p[i - 1], lambda f: f.derivative(derivation), ctx.fn(1))
 
 
 def theta8(theta3: JetFunction, p2: JetFunction, derive) -> JetFunction:
@@ -635,11 +634,11 @@ def generalized_theta(ode: NonlinearODE) -> dict:
     p_r^(k) -> -binom(n,r)^(-1) D_x^k(dF/dy^(n-r))."""
     n = ode.order
     ctx = ode.ctx
-    dmap = on_equation_derivative_map(ctx, n, ode.rhs)
+    derivation = on_equation_derivative_map(ctx, n, ode.rhs)
     equation = _Equation(
         n,
         lambda i: ode.rhs.partial(ctx.jet_name(n - i)) * Fraction(-1, comb(n, i)),
-        lambda f: f.derivative(dmap),
+        lambda f: f.derivative(derivation),
         ctx.fn(1),
     )
     return equation.thetas()
@@ -690,9 +689,9 @@ def wunschmann_relations(theta3, theta4, ode: NonlinearODE):
     if ode.order != 7:
         raise ValueError("the printed relations are for order 7")
     ctx = ode.ctx
-    dmap = on_equation_derivative_map(ctx, 7, ode.rhs)
+    derivation = on_equation_derivative_map(ctx, 7, ode.rhs)
     w1 = theta3 * (-3430)
-    d_theta3 = (ctx.fn(1) * theta3).derivative(dmap)
+    d_theta3 = (ctx.fn(1) * theta3).derivative(derivation)
     w2 = (
         theta4
         + d_theta3 * Fraction(2, 5)

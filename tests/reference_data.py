@@ -28,7 +28,9 @@ has a negative exponent and took leading terms from a heap.  A ring
 derivation sum_v dp/dv * image(v) is taken here by one Poly.diff pass,
 one product and one copy of the running sum per variable, the route
 ``wilczynski._poly_derive`` took before ``Poly.derive`` wrote every piece
-into one dict.  The eight
+into one dict, and a derivation of the jet layer by one JetFunction
+product and sum per variable, the route ``diffpoly._derive_poly`` took
+before it made one Poly.derive call.  The eight
 projective vector fields of the plane are listed here with their
 prolongation to jets, which reads only D_x and partial derivatives, not
 the Wilczynski assembly.  The classical invariants Theta_r are assembled
@@ -68,6 +70,7 @@ from g2sextic.diffpoly import (
     ExtendedJetFunction,
     JetContext,
     JetFunction,
+    MissingJetError,
     PoleError,
     Poly,
     _poly,
@@ -547,7 +550,7 @@ def prs_gcd(a: Poly, b: Poly) -> Poly:
         return b.primitive()[1] if not b.is_zero() else ctx.const(0)
     if b.is_zero():
         return a.primitive()[1]
-    used = a.variables() | b.variables()
+    used = sorted({*a.variables(), *b.variables()})
     if not used:
         return ctx.const(1)
     v = min(used, key=lambda w: max(a.degree(ctx.names[w]), b.degree(ctx.names[w])))
@@ -660,15 +663,47 @@ def long_division(dividend: Poly, divisor: Poly):
 def derive_by_partials(p: Poly, dmap: dict) -> Poly:
     """sum_v dp/dv * dmap[v] over p.variables() with dmap keyed by variable
     index, as a running sum of Poly.diff(v) * dmap[v]; a used variable with
-    no image raises wilczynski's EtaResidueError."""
+    no image is a constant, and one marked Ellipsis raises wilczynski's
+    EtaResidueError."""
     total = p.ctx.const(0)
     for v in p.variables():
         img = dmap.get(v)
         if img is None:
+            continue
+        if img is Ellipsis:
             raise EtaResidueError(
                 f"derivative of {p.ctx.names[v]} exceeds the declared order budget"
             )
         total = total + p.diff(p.ctx.names[v]) * img
+    return total
+
+
+def derive_by_jet_sum(p: Poly, derivation: tuple):
+    """D(p) for a derivation (images, rhs) of diffpoly, as a running sum of
+    JetFunction(dp/dv) * image(v), one per used variable, over the
+    name-keyed map of JetFunction images (Ellipsis where undefined) that
+    the table and rhs = (v, F) stand for: the route diffpoly._derive_poly
+    took before it made one Poly.derive call."""
+    ctx = p.ctx
+    images, rhs = derivation
+    dmap = {
+        ctx.names[v]: img if img is Ellipsis else JetFunction(ctx, img)
+        for v, img in images.items()
+    }
+    if rhs is not None:
+        dmap[ctx.names[rhs[0]]] = rhs[1]
+    total = ctx.fn(0)
+    for v in p.variables():
+        name = ctx.names[v]
+        image = dmap.get(name)
+        if image is None:
+            continue
+        dp = p.diff(name)
+        if image is Ellipsis:
+            raise MissingJetError(
+                f"derivative of {name} undefined: supply the equation right-hand side"
+            )
+        total = JetFunction(ctx, dp, {}) * image + total
     return total
 
 
@@ -825,8 +860,7 @@ def rational_P_forms(n: int, two_stage: bool = False, chains: bool = False) -> d
     }
     depth = n + 3
     for w, (i, k) in enumerate(keys[2:], start=2):
-        if k < depth:
-            dmap[w] = ctx.var(f"P{i}_{k + 1}")
+        dmap[w] = ctx.var(f"P{i}_{k + 1}") if k < depth else Ellipsis
 
     def v_power(e: int) -> Poly:
         return ctx.monomial(((ctx.index["v"], e),))

@@ -9,10 +9,12 @@ oracle, which has no leading-key test, on Laurent pairs near the exponent
 bound.  The JetFunction trial reduction is checked against
 Poly.exact_div, a printed JetFunction is checked to parse back to itself,
 and partial, the free and the on-equation D_x and the cube-root
-extension of a derivation are checked to be derivations.  Poly.derive is
-checked against the running sum of diff(v) * image(v), to keep the normal
-form and to obey Leibniz's rule on Laurent polynomials with one- and
-two-term images, and variables() against a test of every field.  poly_gcd is
+extension of a derivation are checked to be derivations, and to equal by
+value the route that adds one JetFunction product per used variable.
+Poly.derive is checked against the running sum of diff(v) * image(v) over
+tables with missing and Ellipsis entries, to keep the normal form and to
+obey Leibniz's rule on Laurent polynomials with one- and two-term images,
+and variables() against a test of every field.  poly_gcd is
 checked against the primitive PRS oracle, and the per-factor reduction
 of normalize_pair against one gcd with the expanded denominator.  The
 cube-root extension is checked to be a ring by evaluation at rational
@@ -48,8 +50,10 @@ from g2sextic.diffpoly import (
     parse_jet_expression,
     poly_gcd,
 )
+from g2sextic.wilczynski import EtaResidueError
 
 from reference_data import (
+    derive_by_jet_sum,
     derive_by_partials,
     expanded_normalize_pair,
     long_division,
@@ -363,16 +367,37 @@ image_maps = st.tuples(*[images] * len(NAMES)).map(
 )
 
 
+# variables to leave out of a table (constants) or to mark Ellipsis
+holes = st.dictionaries(st.integers(0, len(NAMES) - 1), st.sampled_from((None, Ellipsis)))
+
+
 def typed_terms(p):
     return [(e, c, type(c)) for e, c in p.terms.items()]
 
 
-@given(laurent, image_maps)
-def test_derive_matches_the_partials_route(a, imgs):
+@given(laurent, image_maps, holes)
+def test_derive_matches_the_partials_route(a, imgs, holes):
     # the same keys, coefficients, coefficient types and term order as the
-    # running sum of diff(v) * image(v)
+    # running sum of diff(v) * image(v); a variable missing from the table
+    # is a constant, and the first used one marked Ellipsis raises, as
+    # KeyError(v) in the kernel and as EtaResidueError in the oracle
     pa = build(a)
-    assert typed_terms(pa.derive(imgs)) == typed_terms(derive_by_partials(pa, imgs))
+    for v, hole in holes.items():
+        if hole is None:
+            del imgs[v]
+        else:
+            imgs[v] = hole
+    undefined = [v for v in pa.variables() if imgs.get(v) is Ellipsis]
+    if not undefined:
+        assert typed_terms(pa.derive(imgs)) == typed_terms(derive_by_partials(pa, imgs))
+        return
+    with pytest.raises(KeyError) as info:
+        pa.derive(imgs)
+    assert info.value.args == (undefined[0],)
+    with pytest.raises(EtaResidueError) as info:
+        derive_by_partials(pa, imgs)
+    name = NAMES[undefined[0]]
+    assert str(info.value) == f"derivative of {name} exceeds the declared order budget"
 
 
 @given(laurent, image_maps)
@@ -447,14 +472,16 @@ def wide(d):
 @given(wide_terms)
 def test_variables_matches_the_full_field_scan_in_iteration_order(d):
     p = wide(d)
-    assert list(p.variables()) == list(full_field_scan(p))
+    assert p.variables() == sorted(full_field_scan(p))
 
 
-def test_variables_keeps_an_order_that_is_not_ascending():
-    # in a 200-variable ring the set {7, 192} iterates as 192, 7; the
-    # derivations sum their pieces in that order
+def test_variables_are_ascending_where_a_set_is_not():
+    # in a 200-variable ring the set {7, 192} iterates as 192, 7;
+    # variables() lists 7 first, and the derivations sum their pieces in
+    # that order
     p = WIDE.monomial(((7, 1), (192, -2)))
-    assert list(p.variables()) == list(full_field_scan(p)) == [192, 7]
+    assert list(full_field_scan(p)) == [192, 7]
+    assert p.variables() == [7, 192]
 
 
 @pytest.mark.parametrize("order", ["b-first", "a-first"])
@@ -776,7 +803,7 @@ def test_cube_root_extension_is_a_derivation(base, r0, r1, kind):
     assume(base)
     u = ExtendedJetFunction(JET_CTX.fn(0), JET_CTX.fn(1), JET_CTX.fn(0), base)
     if kind == "partial":
-        dmap = {"y1": JET_CTX.fn(1)}
+        dmap = ({JET_CTX.index["y1"]: JET_CTX.const(1)}, None)
     elif kind == "free":
         dmap = free_total_derivative_map(JET_CTX)
     else:
@@ -785,6 +812,37 @@ def test_cube_root_extension_is_a_derivation(base, r0, r1, kind):
     assert (u * u * u).derivative(dmap) == base.derivative(dmap)
     assert (u * u).derivative(dmap) == du * u * 2
     assert (u * u * u).derivative(dmap) == du * u * u * 3
+
+
+@settings(max_examples=40)
+@given(low_functions(), low_functions(), low_functions(), low_functions(),
+       st.sampled_from(("partial", "free", "on-equation", "u-bearing")))
+def test_derivations_match_the_jet_sum_route(f, base, r0, r1, kind):
+    # one Poly.derive call per polynomial, plus one product by the
+    # on-equation right-hand side F, equals by value the running sum of
+    # JetFunction(dp/dv) * image(v) over the used variables, in
+    # derivative, log_derivative and the cube-root extension's derivative;
+    # F is a JetFunction, or r0 + r1 u carrying u
+    assume(f and base)
+    u = ExtendedJetFunction(JET_CTX.fn(0), JET_CTX.fn(1), JET_CTX.fn(0), base)
+    if kind == "partial":
+        derivation = ({JET_CTX.index["y1"]: JET_CTX.const(1)}, None)
+    elif kind == "free":
+        derivation = free_total_derivative_map(JET_CTX)
+    else:
+        rhs = r0 if kind == "on-equation" else u * r1 + r0
+        derivation = on_equation_derivative_map(JET_CTX, 3, rhs)
+    element = ExtendedJetFunction(f, r0, r1, base)
+
+    def derivatives():
+        return [f.derivative(derivation), f.log_derivative(derivation),
+                element.derivative(derivation)]
+
+    kernel = derivatives()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diffpoly, "_derive_poly", derive_by_jet_sum)
+        oracle = derivatives()
+    assert kernel == oracle
 
 
 # -- the cube-root extension as a ring ---------------------------------------------------

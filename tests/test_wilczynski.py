@@ -131,7 +131,7 @@ def test_semi_invariants_are_integer_with_unit_leading_coefficient():
 def test_w_ring_images_are_those_of_m_E():
     # m E = v^(-2) m d with m = 2(n+1) and d the change-of-variable
     # derivation v' = v eta / 2, eta' = eta^2 / 2 + 6/(n+1) P2,
-    # P_i^(k)' = P_i^(k+1); the top order k = n + 3 has no image
+    # P_i^(k)' = P_i^(k+1); the top order k = n + 3 is marked Ellipsis
     for n in range(3, 10):
         ctx, images, keys = _w_ring(n)
         m = 2 * (n + 1)
@@ -140,15 +140,20 @@ def test_w_ring_images_are_those_of_m_E():
             ctx.index["v"]: v * eta * (n + 1),
             ctx.index["eta"]: eta * eta * (n + 1) + ctx.var("P2_0") * 12,
         }
+        top = set()
         for w, (i, k) in enumerate(keys[2:], start=2):
             if k < n + 3:
                 m_d[w] = ctx.var(f"P{i}_{k + 1}") * m
+            else:
+                top.add(w)
         vm2 = ctx.monomial(((ctx.index["v"], -2),))
-        assert set(images) == set(m_d)
+        assert len(top) == n - 1
+        assert set(images) == set(m_d) | top
+        assert all(images[w] is Ellipsis for w in top)
         for w, image in m_d.items():
             assert _same_terms(images[w], image * vm2), (n, ctx.names[w])
             assert all(type(c) is int for c in images[w].terms.values())
-        assert all(len(images[w].terms) == 1 for w in images if w != ctx.index["eta"])
+        assert all(len(images[w].terms) == 1 for w in m_d if w != ctx.index["eta"])
 
 def _apply(op, f, derive):
     """(sum_j M_(c_j) G^j) f = sum_j c_j derive^j(f)."""
@@ -403,7 +408,7 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
     assert sum(len(operand.variables()) for operand, _, _ in derivations) > 700
     for operand, images, result in derivations:
         assert _integral(operand) and _integral(result)
-        assert all(_integral(image) for image in images.values())
+        assert all(_integral(image) for image in images.values() if image is not Ellipsis)
 
 
 def _same_terms(a: Poly, b: Poly) -> bool:
@@ -552,6 +557,30 @@ def test_c08_invariants_build_their_semi_invariants_in_the_jet_ring(monkeypatch)
     assert len(products) <= 2100
 
 
+def test_c08_derives_each_polynomial_in_one_pass(monkeypatch):
+    # from cold caches, curvature_thetas() makes 815 JetFunction sums: a
+    # derivation of the jet layer derives each polynomial by one
+    # Poly.derive call and adds at most one product by the right-hand
+    # side.  One JetFunction product and sum per used variable made 1,406
+    curvature_thetas.cache_clear()
+    classical_theta.cache_clear()
+    semi_invariants.cache_clear()
+    add = JetFunction.__add__
+    sums = []
+
+    def counted(self, other):
+        sums.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(JetFunction, "__add__", counted)
+    try:
+        thetas = curvature_thetas()
+    finally:
+        monkeypatch.undo()
+    assert sorted(thetas) == [3, 4, 5, 6, 7]
+    assert len(sums) <= 1000
+
+
 def test_classical_theta_climbs_one_ladder(monkeypatch):
     # from cold caches, the P-forms of n = 3..12 take 1,210 Poly x Poly
     # products and 525 derivations: one ladder from v^(1-n) and one Horner
@@ -596,7 +625,9 @@ def test_rational_route_derivations_match_the_partials_route(monkeypatch):
         rational_P_forms(6, two_stage=True)
 
     calls = _recorded_derivations(monkeypatch, run)
-    fractional = [c for c in calls if not all(_integral(i) for i in c[1].values())]
+    fractional = [
+        c for c in calls if not all(_integral(i) for i in c[1].values() if i is not Ellipsis)
+    ]
     assert len(fractional) > 70
     assert any(not _integral(result) for _, _, result in fractional)
     for operand, images, result in calls:
