@@ -223,7 +223,10 @@ def parse_form(text: str, degree: int | None = None) -> BinaryForm:
         if "=" in piece:
             name = piece.split("=", 1)[0].strip()
             if name != f"v{len(values)}":
-                raise ValueError(f"expected v{len(values)}, got {name!r}")
+                at = start + len(piece) - len(piece.lstrip())
+                raise ValueError(
+                    f"expected v{len(values)}, got {name!r} in {text!r} (at position {at})"
+                )
             start += piece.index("=") + 1
         values.append(parse_rational(text, start, end))
         start = end + 1

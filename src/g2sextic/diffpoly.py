@@ -19,7 +19,7 @@ Three layers:
   trial division by Poly.exact_div, which divides by a monomial with an
   exponent shift, keeps the localized arithmetic of the invariant
   pipelines reduced without any multivariate gcd; a product with a
-  constant, whose table is reduced already, needs none.  normalize()
+  constant, whose table is reduced already, needs none.  normalize_pair()
   reduces fully: the numerator takes its gcd with one denominator factor
   at a time.  A derivation is (table, rhs), with rhs = (v, F) when D v is
   the right-hand side F of an equation: a polynomial is derived by one
@@ -728,12 +728,6 @@ class JetFunction:
             unit, prim, factors = 0, _poly(ctx, {}), {}
         self.unit, self.prim, self.factors = unit, _trial_reduce(prim, factors), factors
 
-    @staticmethod
-    def from_polys(num: Poly, den: Poly) -> "JetFunction":
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        return JetFunction(num.ctx, num, {den: -1})
-
     def is_zero(self) -> bool:
         return not self.unit
 
@@ -863,13 +857,6 @@ class JetFunction:
                 out = out * f ** e
         return out.scale(self.unit)
 
-    def denominator_polynomial(self) -> Poly:
-        out = self.ctx.const(1)
-        for f, e in self.factors.items():
-            if e < 0:
-                out = out * f ** (-e)
-        return out
-
     def normalize_pair(self) -> tuple[Poly, Poly]:
         """Fully reduced (num, den); den primitive > 0.
 
@@ -900,10 +887,6 @@ class JetFunction:
             if e < 0:
                 den = den * f ** -e
         return num, den
-
-    def normalize(self) -> "JetFunction":
-        num, den = self.normalize_pair()
-        return JetFunction.from_polys(num, den)
 
     # -- calculus ---------------------------------------------------------------
 
@@ -1006,16 +989,6 @@ def on_equation_derivative_map(ctx: JetContext, order: int, rhs) -> tuple:
     v = ctx.index[ctx.jet_name(order - 1)]
     images.pop(v, None)
     return images, (v, rhs)
-
-
-def total_derivative(f, rhs=None, order: int | None = None):
-    """The total derivative D_x; with rhs given, on the equation
-    y^(order) = rhs."""
-    if rhs is None:
-        return f.derivative(free_total_derivative_map(f.ctx))
-    if order is None:
-        raise ValueError("order required together with rhs")
-    return f.derivative(on_equation_derivative_map(f.ctx, order, rhs))
 
 
 # -- the cube-root extension ---------------------------------------------------

@@ -9,8 +9,6 @@ with volume form theta^{1...7}.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .scalar import AlgebraicScalar, ZERO
 
 NUM_INDICES = 8
@@ -186,12 +184,6 @@ def interior(vector, alpha: ExteriorForm) -> ExteriorForm:
 
 def volume_form() -> ExteriorForm:
     return theta(*BASIC_INDICES)
-
-
-def all_basis_monomials():
-    """Every increasing index tuple over {1..8}, all degrees (256 of them)."""
-    for k in range(NUM_INDICES + 1):
-        yield from combinations(range(1, NUM_INDICES + 1), k)
 
 
 def format_form(alpha: ExteriorForm) -> str:

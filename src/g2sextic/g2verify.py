@@ -55,18 +55,6 @@ class G2Certificate:
     tau: ExteriorForm
     checks: dict = field(default_factory=dict)
 
-    def recheck(self) -> dict:
-        """Re-derive every identity from the stored fields alone."""
-        out = {}
-        out["star_phi"] = forms_equal(hodge_star(self.phi), self.star_phi)
-        out["d_star_phi_zero"] = is_zero(self.d_star_phi)
-        lhs = self.d_phi
-        rhs = add(scale(self.star_phi, self.lam), hodge_star(self.tau))
-        out["torsion_identity"] = forms_equal(lhs, rhs)
-        out["phi_wedge_tau"] = is_zero(wedge(self.phi, self.tau))
-        out["phi_wedge_star_tau"] = is_zero(wedge(self.phi, hodge_star(self.tau)))
-        return out
-
 
 def verify_cocalibrated(phi: ExteriorForm, dtheta) -> G2Certificate:
     if not is_basic(phi):

@@ -62,12 +62,6 @@ class Matrix3:
     def __eq__(self, other):
         return isinstance(other, Matrix3) and self.rows == other.rows
 
-    def is_zero(self) -> bool:
-        return all(not x for r in self.rows for x in r)
-
-    def trace(self) -> AlgebraicScalar:
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
-
     def conj_transpose(self) -> "Matrix3":
         return Matrix3(
             tuple(self.rows[b][a].conj() for b in range(3)) for a in range(3)
@@ -218,7 +212,3 @@ def derive_invariance_form(basis) -> Matrix3:
         raise ClosureError("cannot normalize eta by its (1,1) entry")
     return eta * lead.inv()
 
-
-def is_in_unitary_algebra(x: Matrix3, eta: Matrix3) -> bool:
-    """Membership test: tr x = 0 and x^dagger eta + eta x = 0."""
-    return (not x.trace()) and (x.conj_transpose() * eta + eta * x).is_zero()

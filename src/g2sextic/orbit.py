@@ -378,14 +378,6 @@ def aloff_wallach_from_pq(p: int, q: int) -> tuple[int, int]:
     return (-p - 2 * q, 2 * p + q)
 
 
-def pq_from_aloff_wallach(k: int, l: int) -> tuple[Fraction, Fraction]:
-    p = Fraction(2 * l + k, 3)
-    q = Fraction(-(l + 2 * k), 3)
-    if p.denominator != 1 or q.denominator != 1:
-        raise ValueError(f"(k, l) = ({k}, {l}) gives non-integer (p, q) = ({p}, {q})")
-    return p, q
-
-
 def aloff_wallach_report(p: int, q: int) -> dict:
     """Both index parameterizations side by side; reported, not asserted.
 

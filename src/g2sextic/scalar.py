@@ -177,11 +177,6 @@ class AlgebraicScalar:
             raise ValueError(f"{self} is not rational")
         return Fraction(self.coords[0])
 
-    def real_part(self) -> "AlgebraicScalar":
-        return AlgebraicScalar(
-            tuple(c if not idx & _I_BIT else 0 for idx, c in enumerate(self.coords))
-        )
-
     def to_complex(self) -> complex:
         """Float view, for human-readable annotations only."""
         r2, r5, r10 = 2 ** 0.5, 5 ** 0.5, 10 ** 0.5

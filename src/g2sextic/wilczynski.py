@@ -9,7 +9,7 @@ result in closed form: with B_0 = 1, B_(j+1) = D B_j - p1 B_j and p_0 = 1,
     P_i = sum_(k=0..i) C(i,k) p_k B_(i-k),
 
 an integer combination whose p_i term has coefficient 1.  The generic
-P_i are semi_invariants(n).
+equation's P_i are _GenericEquation(n).P(i).
 
 The classical pipeline works in a ring carrying v = sqrt(xi'),
 eta = xi''/xi' and the P_i, whose derivation implements the substitutions
@@ -62,7 +62,7 @@ from .diffpoly import (
     free_total_derivative_map,
     on_equation_derivative_map,
 )
-from .scalar import cleared, row_reduce
+from .scalar import cleared
 
 
 class EtaResidueError(DiffAlgebraError):
@@ -164,14 +164,6 @@ def _w_ring(n: int):
 
 
 # -- semi-invariants ------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def semi_invariants(n: int) -> dict:
-    """P_2..P_n of the generic order-n equation: integer polynomials in the
-    p_i^(k) of _p_ring(n), each with its p_i term at coefficient 1."""
-    generic = _GenericEquation(n)
-    return {i: generic.P(i) for i in range(2, n + 1)}
 
 
 def wil_coefficient(r: int, s: int) -> Fraction:
@@ -305,28 +297,6 @@ class _ThetaForms(Mapping):
         return 2
 
 
-def _substitute(poly: Poly, image, one):
-    """poly with each variable v replaced by image(v), a Poly, JetFunction
-    or ExtendedJetFunction; one is the unit of the target ring."""
-    return _substitute_monomials(poly.monomials(), image, one)
-
-
-def _substitute_monomials(monomials, image, one):
-    """sum coef prod image(v)^k over the (powers, coef) pairs of monomials,
-    as in Poly.monomials(), added up in their order."""
-    powers: dict = {}
-    total = None
-    for monomial, coef in monomials:
-        term = None
-        for v, k in monomial:
-            if (v, k) not in powers:
-                powers[v, k] = image(v) ** k
-            term = powers[v, k] if term is None else term * powers[v, k]
-        piece = (one if term is None else term) * coef
-        total = piece if total is None else total + piece
-    return one * 0 if total is None else total
-
-
 class _Equation:
     """An order-n equation seen through its semi-invariants.
 
@@ -368,16 +338,21 @@ class _Equation:
         ints over one denominator, the integer products of the P_i^(k) are
         summed as they are made, with the powers cached per call, and the
         sum is scaled by 1/den once (Gauss's lemma; Knuth, TAOCP vol. 2,
-        4.6.1)."""
+        4.6.1).  The monomials are summed in Poly.monomials() order."""
         w_keys = _w_ring(self.n)[2]
         monomials = form.monomials()
         ints, den = cleared([coef for _, coef in monomials])
-        total = _substitute_monomials(
-            [(powers, c) for (powers, _), c in zip(monomials, ints)],
-            lambda v: self.P(*w_keys[v]),
-            self.one,
-        )
-        return total * Fraction(1, den)
+        powers: dict = {}
+        total = None
+        for (monomial, _), coef in zip(monomials, ints):
+            term = None
+            for v, k in monomial:
+                if (v, k) not in powers:
+                    powers[v, k] = self.P(*w_keys[v]) ** k
+                term = powers[v, k] if term is None else term * powers[v, k]
+            piece = (self.one if term is None else term) * coef
+            total = piece if total is None else total + piece
+        return (self.one * 0 if total is None else total) * Fraction(1, den)
 
     def thetas(self) -> dict:
         """Theta_r of the equation from the P-forms of classical_theta."""
@@ -387,8 +362,8 @@ class _Equation:
 
 class _GenericEquation(_Equation):
     """The generic order-n equation, whose p_i^(k) is the variable p{i}_{k}
-    of _p_ring(n): its P_i are semi_invariants(n), and theta gives the
-    p-form."""
+    of _p_ring(n): its P_i are integer polynomials in them, each with its
+    p_i term at coefficient 1, and theta gives the p-form."""
 
     def __init__(self, n: int):
         ctx, images = _p_ring(n)
@@ -436,11 +411,6 @@ def _slope_ode(d1: JetFunction) -> LinearODE:
     return LinearODE(3, _graph_coefficients(d2, x_derivative(d2)))
 
 
-def graph_ode(f: JetFunction) -> LinearODE:
-    """Third-order ODE annihilating [1, x, f(x)]."""
-    return _slope_ode(x_derivative(f))
-
-
 def power_curve_ode(gamma: Fraction) -> LinearODE:
     """The graph ODE of y = x^gamma, whose f'''/f'' is (gamma - 2)/x."""
     gamma = Fraction(gamma)
@@ -458,35 +428,12 @@ def log_curve_ode() -> LinearODE:
     return _slope_ode(x_fn(1) / x_fn("x"))
 
 
-def ode_from_basis(basis) -> LinearODE:
-    """Solve Y''' + 3 p1 Y'' + 3 p2 Y' + p3 Y = 0 for rational-in-x basis."""
-    rows = []
-    for f in basis:
-        d1 = x_derivative(f)
-        d2 = x_derivative(d1)
-        d3 = x_derivative(d2)
-        rows.append([d2 * 3, d1 * 3, f, -d3])
-    rows, pivots = row_reduce(rows, 3)
-    if len(pivots) < 3:
-        raise DegenerateCurveError("degenerate curve basis")
-    return LinearODE(3, tuple(row[3] for row in rows[:3]))
-
-
 # -- curve invariants in jet variables ------------------------------------------
 
 
 def halphen_numerator(y2, y3, y4, y5):
     """H = 9 y2^2 y5 - 45 y2 y3 y4 + 40 y3^3 over any ring (Fraction, Poly, jets)."""
     return y2 * y2 * y5 * 9 - y2 * y3 * y4 * 45 + y3 ** 3 * 40
-
-
-def halphen_theta3(ctx: JetContext) -> JetFunction:
-    """H / y2^3 in the jet variables."""
-    y2, y3, y4, y5 = (ctx.fn(f"y{k}") for k in (2, 3, 4, 5))
-    return halphen_numerator(y2, y3, y4, y5) / y2 ** 3
-
-
-HALPHEN_VS_SEMI = Fraction(-54)  # halphen_theta3 == -54 * (P3 - 3/2 P2')
 
 
 def _graph_equation(ctx: JetContext) -> _Equation:
@@ -511,7 +458,7 @@ def _theta3_theta8(equation: _Equation) -> tuple:
 
 def curve_thetas(ctx: JetContext) -> tuple[JetFunction, JetFunction]:
     """(Theta_3, Theta_8) on graphs, from one graph equation: Theta_3 =
-    P3 - (3/2) P2' equals halphen_theta3 / (-54)."""
+    P3 - (3/2) P2' equals -H / (54 y2^3), H = halphen_numerator(y2..y5)."""
     return _theta3_theta8(_graph_equation(ctx))
 
 
@@ -576,25 +523,6 @@ class NonlinearODE:
     @property
     def ctx(self) -> JetContext:
         return self.rhs.ctx
-
-
-def linear_as_nonlinear(ode: LinearODE, ctx: JetContext) -> NonlinearODE:
-    """View the linear equation as y^(n) = F with linear F."""
-    n = ode.order
-    embed = _embed_x_function
-    total = ctx.fn(0)
-    for i in range(1, n + 1):
-        total = total + embed(ode.p[i - 1], ctx) * ctx.fn(ctx.jet_name(n - i)) * comb(n, i)
-    return NonlinearODE(n, -total)
-
-
-def _embed_x_function(f: JetFunction, ctx: JetContext) -> JetFunction:
-    x, one = ctx.var("x"), ctx.const(1)
-
-    def embed(poly: Poly) -> Poly:
-        return _substitute(poly, lambda v: x, one)
-
-    return JetFunction(ctx, embed(f.prim), {embed(p): e for p, e in f.factors.items()}) * f.unit
 
 
 def curvature_context(symbolic: bool) -> JetContext:
@@ -682,22 +610,6 @@ def specialize_kappa(thetas, k) -> dict:
         return ExtendedJetFunction.of(*(specialize(c) for c in (t.c0, t.c1, t.c2, t.base)))
 
     return {r: specialize_value(t) for r, t in thetas.items()}
-
-
-def wunschmann_relations(theta3, theta4, ode: NonlinearODE):
-    """W1 = -3430 T3;  W2 = -240100 (T4 + 2/5 D T3 - 12/35 dF/dy6 T3)."""
-    if ode.order != 7:
-        raise ValueError("the printed relations are for order 7")
-    ctx = ode.ctx
-    derivation = on_equation_derivative_map(ctx, 7, ode.rhs)
-    w1 = theta3 * (-3430)
-    d_theta3 = (ctx.fn(1) * theta3).derivative(derivation)
-    w2 = (
-        theta4
-        + d_theta3 * Fraction(2, 5)
-        - ode.rhs.partial("y6") * theta3 * Fraction(12, 35)
-    ) * (-240100)
-    return w1, w2
 
 
 # -- rational jets along parametrized curves -----------------------------------------

@@ -59,7 +59,11 @@ element is rebuilt as c0 + c1 u + c2 u^2: the route
 coefficients in kappa.  The scalar and Ricci curvature of the homogeneous
 metric on SU(2,1)/U(1) are computed here from the structure constants
 alone, independently of ``d``, the Hodge star and the torsion of the
-co-calibration certificate.
+co-calibration certificate.  A polynomial is substituted into here
+monomial by monomial (substitute), the sum that
+``wilczynski._Equation.theta`` takes over a P-form, and a jet function's
+expanded denominator and a scalar's real part are taken here for the
+tests that compare against them.
 """
 
 import random
@@ -101,17 +105,22 @@ from g2sextic.scalar import AlgebraicScalar, I, ONE, SQRT10, ZERO, cleared, exac
 from g2sextic.wilczynski import (
     DegenerateCurveError,
     EtaResidueError,
+    _GenericEquation,
     _p_ring,
     _poly_derive,
-    _substitute,
     _w_ring,
     classical_theta,
-    semi_invariants,
     wil_coefficient,
 )
 
 R10 = SQRT10
 T_CTX = JetContext.plain(("t",))
+
+
+def real_part(a: AlgebraicScalar) -> AlgebraicScalar:
+    """a with its i-bearing coordinates (the odd ones, as in
+    AlgebraicScalar.is_real) set to 0."""
+    return AlgebraicScalar(tuple(0 if idx % 2 else c for idx, c in enumerate(a.coords)))
 
 
 def _combo(degree, *pairs):
@@ -587,13 +596,23 @@ def _coeff_gcd(polys):
     return out.primitive()[1] if not out.is_zero() else out
 
 
+def denominator_polynomial(f) -> Poly:
+    """The expanded denominator of a JetFunction: the product of its table
+    factors with a negative exponent, each to its power."""
+    out = f.ctx.const(1)
+    for g, e in f.factors.items():
+        if e < 0:
+            out = out * g ** (-e)
+    return out
+
+
 def expanded_normalize_pair(f):
     """(num, den) of a JetFunction reduced by one poly_gcd of its expanded
     numerator against its expanded denominator; den primitive > 0.  The
     PRS oracle is too slow here: it ran for more than 20 s on -5*a^2*c^3
     + b^3 over (a*b*c + 2*a + b^2*c + 2*b)^3 (a^2 + a*b - a*c + a - b*c + b)."""
     num = f.numerator_polynomial()
-    den = f.denominator_polynomial()
+    den = denominator_polynomial(f)
     if num.is_zero():
         return num, num.ctx.const(1)
     g = poly_gcd(num, den)
@@ -897,16 +916,35 @@ def rational_P_forms(n: int, two_stage: bool = False, chains: bool = False) -> d
     return {r: theta[r].coefficients("v")[-2 * r] for r in sorted(theta)}
 
 
+def substitute(poly: Poly, image, one):
+    """poly with each variable v replaced by image(v), a Poly, JetFunction
+    or ExtendedJetFunction; one is the unit of the target ring.  The
+    monomials are summed in Poly.monomials() order, with the powers
+    image(v)^k cached, as wilczynski._Equation.theta sums a P-form."""
+    powers: dict = {}
+    total = None
+    for monomial, coef in poly.monomials():
+        term = None
+        for v, k in monomial:
+            if (v, k) not in powers:
+                powers[v, k] = image(v) ** k
+            term = powers[v, k] if term is None else term * powers[v, k]
+        piece = (one if term is None else term) * coef
+        total = piece if total is None else total + piece
+    return one * 0 if total is None else total
+
+
 def generic_theta_by_substitution(n: int) -> dict:
     """{r: {"P", "p"}} for Theta_3..Theta_n of order n by the rational route.
 
     The P-forms are rational_P_forms(n).  The p-forms substitute the
-    generic equation's P_i^(k), semi_invariants(n)[i] derived k times in
-    the p-ring, into them.
+    generic equation's P_i^(k), _GenericEquation(n).P(i) derived k times
+    in the p-ring, into them.
     """
     keys = _w_ring(n)[2]
     p_ctx, p_dmap = _p_ring(n)
-    chains = {i: [semi] for i, semi in semi_invariants(n).items()}
+    generic = _GenericEquation(n)
+    chains = {i: [generic.P(i)] for i in range(2, n + 1)}
 
     def generic_P(i, k):
         chain = chains[i]
@@ -915,7 +953,7 @@ def generic_theta_by_substitution(n: int) -> dict:
         return chain[k]
 
     return {
-        r: {"P": form, "p": _substitute(form, lambda w: generic_P(*keys[w]), p_ctx.const(1))}
+        r: {"P": form, "p": substitute(form, lambda w: generic_P(*keys[w]), p_ctx.const(1))}
         for r, form in rational_P_forms(n).items()
     }
 
@@ -923,11 +961,12 @@ def generic_theta_by_substitution(n: int) -> dict:
 def thetas_by_rational_substitution(n: int, p_of, derive, one) -> dict:
     """{r: Theta_r} of a concrete order-n equation by the substitution
     route: each P-form of classical_theta(n) with every P_i^(k) replaced
-    by derive^k(P_i(p)), P_i(p) the generic semi_invariants(n)[i] with
+    by derive^k(P_i(p)), P_i(p) the generic _GenericEquation(n).P(i) with
     p_i^(k) = derive^k(p_of(i)) substituted for its variables.  p_of,
     derive and one are those of wilczynski._Equation, which sums P_i in
     the equation's own ring instead."""
     p_ctx, w_keys = _p_ring(n)[0], _w_ring(n)[2]
+    generic = _GenericEquation(n)
     # the variable p{i}_{k} of the p-ring stands for p_i^(k)
     p_keys = [tuple(int(k) for k in name[1:].split("_")) for name in p_ctx.names]
     jets = {}
@@ -939,14 +978,12 @@ def thetas_by_rational_substitution(n: int, p_of, derive, one) -> dict:
             elif kind == "p":
                 value = p_of(i)
             else:
-                value = _substitute(
-                    semi_invariants(n)[i], lambda v: jet("p", *p_keys[v]), one
-                )
+                value = substitute(generic.P(i), lambda v: jet("p", *p_keys[v]), one)
             jets[kind, i, k] = value
         return jets[kind, i, k]
 
     return {
-        r: _substitute(forms["P"], lambda v: jet("P", *w_keys[v]), one)
+        r: substitute(forms["P"], lambda v: jet("P", *w_keys[v]), one)
         for r, forms in sorted(classical_theta(n).items())
     }
 
@@ -964,7 +1001,7 @@ def specialize_kappa_by_substitution(thetas, k) -> dict:
         return value if v == kappa_idx else ctx.monomial(((v, 1),))
 
     def specialize(f):
-        return JetFunction(ctx, _substitute(f.prim.scale(f.unit), image, one), f.factors)
+        return JetFunction(ctx, substitute(f.prim.scale(f.unit), image, one), f.factors)
 
     def specialize_value(t):
         if isinstance(t, JetFunction):

@@ -332,6 +332,9 @@ def test_order_below_three_rejected(order, capsys):
      "power 30000000 gives a constant factor of more than 4300 digits (at position 1)"),
     (["ode", "generalized", "--rhs", "(7^8191)^8191", "--order", "3"],
      "power 8191 gives a constant factor of more than 4300 digits (at position 2)"),
+    # a coefficient name out of turn is placed at the name
+    (["forms", "i2", "--coeffs", "v0=1,v2=2,3,4,5,6,7"],
+     "expected v1, got 'v2' in 'v0=1,v2=2,3,4,5,6,7' (at position 5)"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict

@@ -30,16 +30,17 @@ CASES = {
         lambda: wilczynski.curvature_kappa_of_ode(LinearODE(4, (x_fn(0),) * 4)), ValueError,
         "curvature needs the third-order curve ODE"),
     "kappa-of-conic": (
-        lambda: wilczynski.curvature_kappa_of_ode(wilczynski.graph_ode(x_fn("x") ** 2)),
+        lambda: wilczynski.curvature_kappa_of_ode(wilczynski._slope_ode(x_fn("x") * 2)),
         CurvatureUndefinedError, "Theta_3 vanishes"),
     "poly-negative-power": (lambda: X ** -1, ValueError, "negative power of a Poly"),
     "poly-constant-value": (
         lambda: X.constant_value(), ValueError, "not a constant polynomial"),
     "poly-exact-div-by-zero": (
         lambda: X.exact_div(X_CTX.const(0)), ZeroDivisionError, "division by zero polynomial"),
+    # a zero factor under a negative exponent, as JetFunction's constructor documents
     "jet-zero-denominator": (
-        lambda: JetFunction.from_polys(X, X_CTX.const(0)), ZeroDivisionError,
-        "zero denominator"),
+        lambda: JetFunction(X_CTX, X, {X_CTX.const(0): -1}), ZeroDivisionError,
+        "division by zero polynomial"),
     "binary-form-coefficient-count": (
         lambda: BinaryForm(2, [1, 0]), ValueError, "need 3 coefficients for degree 2"),
     "i2-of-a-quadratic": (

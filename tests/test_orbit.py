@@ -19,7 +19,6 @@ from g2sextic.orbit import (
     identity_gram,
     legendrian_lift_smooth,
     metric_from_sextic,
-    pq_from_aloff_wallach,
     pullout_power,
     rational_signature,
     realize_metric,
@@ -269,6 +268,14 @@ def test_stabilizer_checks():
     for p, q in [(2, 3), (1, 4), (3, 5), (2, 7)]:
         assert stabilizer_check(p, q)  # the general diagonal family
     assert not stabilizer_check(2, 3, weights=(1, 0, 0))
+
+
+def pq_from_aloff_wallach(k: int, l: int) -> tuple[Fraction, Fraction]:
+    """(p, q) = ((2l + k)/3, -(l + 2k)/3), the inverse of aloff_wallach_from_pq."""
+    p, q = Fraction(2 * l + k, 3), Fraction(-(l + 2 * k), 3)
+    if p.denominator != 1 or q.denominator != 1:
+        raise ValueError(f"(k, l) = ({k}, {l}) gives non-integer (p, q) = ({p}, {q})")
+    return p, q
 
 
 def test_aloff_wallach_indices():

@@ -5,8 +5,9 @@ line with exit status 2; anything else would reach a user as a traceback.
 Inputs are short strings over small alphabets, so that no power can grow
 large.  The alphabet of rationals has an `e` and that of jet expressions
 the Arabic-Indic digit three; both must be rejected.  A positioned error
-must point inside the text, and a parsed form has one coefficient per
-comma-separated entry.
+must point inside the text, and so must every error of a coefficient
+list but the one for a list with no entry; a parsed form has one
+coefficient per comma-separated entry.
 """
 
 import re
@@ -59,10 +60,16 @@ def test_rational_parser(text):
 @given(st.text("01-/ ,=va", max_size=8))
 @example("1,,0,0,0,0,0,1")
 @example("1,0,")
+@example("v1=0")
 def test_form_parser(text):
     try:
         form = parse_form(text)
-    except ValueError:
+    except ValueError as err:
+        if not text.replace(",", "").strip():
+            assert str(err) == f"no coefficients in {text!r}"
+            return
+        match = POSITION.search(str(err))
+        assert match and int(match.group(1)) <= len(text), str(err)
         return
     assert isinstance(form, BinaryForm)
     assert len(form.coeffs) == text.count(",") + 1

@@ -23,19 +23,20 @@ from g2sextic.diffpoly import (
     parse_jet_expression,
     poly_gcd,
 )
+from g2sextic.scalar import row_reduce
 from g2sextic.targets import KAPPA_CUSPIDAL
 from g2sextic.wilczynski import (
-    HALPHEN_VS_SEMI,
     CurvatureUndefinedError,
     DegenerateCurveError,
     EtaResidueError,
     LinearODE,
     NonlinearODE,
     X_CTX,
+    _GenericEquation,
     _constant_value,
     _p_ring,
     _poly_derive,
-    _substitute,
+    _slope_ode,
     _w_ring,
     classical_theta,
     classical_theta_of_ode,
@@ -46,19 +47,13 @@ from g2sextic.wilczynski import (
     curvature_thetas,
     curve_thetas,
     generalized_theta,
-    graph_ode,
-    halphen_theta3,
     jets_along_curve,
     kappa_closed_form,
-    linear_as_nonlinear,
     log_curve_ode,
-    ode_from_basis,
     power_curve_ode,
-    semi_invariants,
     specialize_kappa,
     theta8,
     wil_coefficient,
-    wunschmann_relations,
     x_derivative,
     x_fn,
 )
@@ -70,6 +65,7 @@ from reference_data import (
     rational_P_forms,
     semi_invariants_by_conjugation,
     specialize_kappa_by_substitution,
+    substitute,
     symbolic_jets_along_curve,
     thetas_by_rational_substitution,
     t_polynomial,
@@ -82,6 +78,12 @@ T_SQUARED, T_CUBED = ([0, 0, 1], [1]), ([0, 0, 0, 1], [1])
 
 
 # -- semi-invariants and classical thetas --------------------------------------
+
+
+def semi_invariants(n: int) -> dict:
+    """P_2..P_n of the generic order-n equation, over _p_ring(n)."""
+    generic = _GenericEquation(n)
+    return {i: generic.P(i) for i in range(2, n + 1)}
 
 
 def test_semi_invariants_printed_forms():
@@ -371,7 +373,6 @@ def test_classical_theta_multiplies_integer_polynomials(monkeypatch):
     # rule derives partial sums that use fewer variables), the assembly
     # takes 100 products, the semi-invariants 44 and the p-forms 73
     classical_theta.cache_clear()
-    semi_invariants.cache_clear()
     multiply = Poly.__mul__
     products, fractional, scales = Counter(), Counter(), Counter()
 
@@ -425,7 +426,6 @@ def test_every_assembly_derivation_matches_the_partials_route(monkeypatch):
     # are 371 of them
     def run():
         classical_theta.cache_clear()
-        semi_invariants.cache_clear()
         for n in range(3, 10):
             semi_invariants(n)
             _read_p_forms((n,))
@@ -460,7 +460,6 @@ def test_reading_the_p_forms_derives_nothing_in_the_p_ring(monkeypatch):
     # "p") cost no p-form expansion and no derivation in any p-ring: every
     # derivation is one of the w-ring assembly
     classical_theta.cache_clear()
-    semi_invariants.cache_clear()
     expanded = _counted_p_forms(monkeypatch)
 
     def run():
@@ -491,10 +490,8 @@ def test_p_forms_do_not_depend_on_the_order_of_reading():
     # the same p-forms term for term
     orders = range(3, 10)
     classical_theta.cache_clear()
-    semi_invariants.cache_clear()
     ascending = _read_p_forms(orders)
     classical_theta.cache_clear()
-    semi_invariants.cache_clear()
     descending = {
         (n, r): classical_theta(n)[r]["p"]
         for n in reversed(orders)
@@ -530,24 +527,25 @@ def test_no_command_expands_a_p_form(monkeypatch):
 def test_c08_invariants_build_their_semi_invariants_in_the_jet_ring(monkeypatch):
     # from cold caches, each equation behind curvature_thetas() sums its
     # P_i by Leibniz's rule in its own ring: no _Equation substitutes its
-    # p_i^(k) into the generic semi_invariants(n).  That substitution
-    # took 2,452 Poly products here; Leibniz's rule takes 1,908
+    # p_i^(k) into the generic equation's P_i, so no generic equation
+    # builds them.  That substitution took 2,452 Poly products here;
+    # Leibniz's rule takes 1,908
     curvature_thetas.cache_clear()
     classical_theta.cache_clear()
-    semi_invariants.cache_clear()
-    multiply = Poly.__mul__
+    multiply, build = Poly.__mul__, wilczynski._Equation._semi_invariants
     products, generic = [], []
 
     def counted(self, other):
         products.append(1)
         return multiply(self, other)
 
-    def recorded(n):
-        generic.append(n)
-        return semi_invariants(n)
+    def recorded(self):
+        if isinstance(self, wilczynski._GenericEquation):
+            generic.append(self.n)
+        return build(self)
 
     monkeypatch.setattr(Poly, "__mul__", counted)
-    monkeypatch.setattr(wilczynski, "semi_invariants", recorded)
+    monkeypatch.setattr(wilczynski._Equation, "_semi_invariants", recorded)
     try:
         thetas = curvature_thetas()
     finally:
@@ -564,7 +562,6 @@ def test_c08_derives_each_polynomial_in_one_pass(monkeypatch):
     # side.  One JetFunction product and sum per used variable made 1,406
     curvature_thetas.cache_clear()
     classical_theta.cache_clear()
-    semi_invariants.cache_clear()
     add = JetFunction.__add__
     sums = []
 
@@ -705,7 +702,7 @@ def test_thetas_invariant_under_rescaling_y(n):
 def _at(f: JetFunction, phi: JetFunction) -> JetFunction:
     """f(phi(x)) for rational functions f and phi of x."""
     def at_phi(poly):
-        return _substitute(poly, lambda v: phi, x_fn(1))
+        return substitute(poly, lambda v: phi, x_fn(1))
 
     out = at_phi(f.prim) * f.unit
     for poly, e in f.factors.items():
@@ -758,13 +755,14 @@ def test_thetas_are_relative_invariants_of_weight_r_under_a_change_of_x(n, phi_n
 
 
 def test_graph_ode_conic():
-    ode = graph_ode(x_fn("x") ** 2)
+    # the graph ODE of y = f(x), the third-order ODE annihilating [1, x, f]
+    ode = _slope_ode(x_derivative(x_fn("x") ** 2))
     assert ode.p[0].is_zero() and ode.p[1].is_zero() and ode.p[2].is_zero()
 
 
 def test_graph_ode_line_degenerates():
     with pytest.raises(DegenerateCurveError):
-        graph_ode(x_fn("x"))
+        _slope_ode(x_derivative(x_fn("x")))
 
 
 def test_power_curve_p1():
@@ -779,6 +777,20 @@ def test_log_curve_p1():
     assert ode.p[0] == x_fn(2) / (x_fn("x") * 3)
 
 
+def ode_from_basis(basis) -> LinearODE:
+    """Solve Y''' + 3 p1 Y'' + 3 p2 Y' + p3 Y = 0 for a rational-in-x
+    basis, by row reduction of the Wronskian rows."""
+    rows = []
+    for f in basis:
+        d1 = x_derivative(f)
+        d2 = x_derivative(d1)
+        rows.append([d2 * 3, d1 * 3, f, -x_derivative(d2)])
+    rows, pivots = row_reduce(rows, 3)
+    if len(pivots) < 3:
+        raise DegenerateCurveError("degenerate curve basis")
+    return LinearODE(3, tuple(row[3] for row in rows[:3]))
+
+
 def test_ode_from_basis():
     # [1, x, x^3]: Y''' - (3/x) Y'' ... gives p1 = -1/(3x)
     ode = ode_from_basis([x_fn(1), x_fn("x"), x_fn("x") ** 3])
@@ -789,6 +801,12 @@ def test_ode_from_basis():
 
 
 # -- Halphen expression and theta8 ------------------------------------------------
+
+
+def halphen_theta3(ctx: JetContext) -> JetFunction:
+    """H / y2^3 in the jet variables, H = halphen_numerator(y2, .., y5)."""
+    y2, y3, y4, y5 = (ctx.fn(f"y{k}") for k in (2, 3, 4, 5))
+    return wilczynski.halphen_numerator(y2, y3, y4, y5) / y2 ** 3
 
 
 def test_halphen_values():
@@ -832,7 +850,8 @@ def _halphen_numerator_on_power_curve(q):
 
 def test_halphen_vs_semi_calibration():
     ctx = JetContext(7)
-    assert halphen_theta3(ctx) == curve_thetas(ctx)[0] * HALPHEN_VS_SEMI
+    # H / y2^3 = -54 (P3 - 3/2 P2')
+    assert halphen_theta3(ctx) == curve_thetas(ctx)[0] * -54
 
 
 def test_theta8_zero_input():
@@ -1115,6 +1134,22 @@ def test_generalized_trivial_equation():
     assert all(v.is_zero() for v in generalized_theta(ode).values())
 
 
+def linear_as_nonlinear(ode: LinearODE, ctx: JetContext) -> NonlinearODE:
+    """The linear equation as y^(n) = F with linear F over ctx, each p_i
+    embedded by x -> x."""
+    x, one = ctx.var("x"), ctx.const(1)
+
+    def embed(f: JetFunction) -> JetFunction:
+        factors = {substitute(p, lambda v: x, one): e for p, e in f.factors.items()}
+        return JetFunction(ctx, substitute(f.prim, lambda v: x, one), factors) * f.unit
+
+    n = ode.order
+    total = ctx.fn(0)
+    for i in range(1, n + 1):
+        total = total + embed(ode.p[i - 1]) * ctx.fn(ctx.jet_name(n - i)) * comb(n, i)
+    return NonlinearODE(n, -total)
+
+
 def test_generalized_matches_classical_on_linear():
     lin = LinearODE(3, (x_fn("x"), x_fn(1), x_fn(0)))
     classical = classical_theta_of_ode(lin)
@@ -1231,6 +1266,14 @@ def test_p_form_at_points_matches_nonlinear_ode():
     gen = generalized_theta(ode)
     assert {r: f.evaluate(point) for r, f in gen.items()} == expected
     assert any(expected.values())
+
+
+def wunschmann_relations(theta3, theta4, ode: NonlinearODE):
+    """W1 = -3430 T3;  W2 = -240100 (T4 + 2/5 D T3 - 12/35 dF/dy6 T3)."""
+    derivation = on_equation_derivative_map(ode.ctx, 7, ode.rhs)
+    d_theta3 = (ode.ctx.fn(1) * theta3).derivative(derivation)
+    w2 = theta4 + d_theta3 * Fraction(2, 5) - ode.rhs.partial("y6") * theta3 * Fraction(12, 35)
+    return theta3 * (-3430), w2 * (-240100)
 
 
 def test_wunschmann_relations():
