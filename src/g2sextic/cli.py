@@ -276,13 +276,14 @@ def cuspidal_jet_samples(count: int, seed: int) -> Iterator[dict]:
     rng = random.Random(seed)
     drawn = 0
     while drawn < count:
-        # product of elementary shears: determinant exactly one
+        # product of elementary shears: determinant exactly one; the shear
+        # I + c E_ij multiplies on the right as column j += c column i
         n = [[int(a == b) for b in range(3)] for a in range(3)]
         for _ in range(6):
             i, j = rng.sample(range(3), 2)
-            e = [[int(a == b) for b in range(3)] for a in range(3)]
-            e[i][j] = rng.randint(-2, 2)
-            n = [[sum(n[a][k] * e[k][b] for k in range(3)) for b in range(3)] for a in range(3)]
+            c = rng.randint(-2, 2)
+            for row in n:
+                row[j] += c * row[i]
         # z_a(t) = n[a][0] t^2 + n[a][1] t^3 + n[a][2], coefficients by power of t
         z = [[row[2], 0, row[0], row[1]] for row in n]
         for _ in range(5):

@@ -617,9 +617,14 @@ def specialize_kappa(thetas, k) -> dict:
 
 # A power series in s = t - t0, truncated after its n-th coefficient, is a
 # pair (coeffs, den): the coefficient of s^i is coeffs[i] / den, with int
-# coeffs and a positive int den.  Every product and inverse divides out the
-# gcd of the pair once, which keeps the integers near the size of the
-# reduced fractions without a gcd per coefficient operation.
+# coeffs and a positive int den.  For x = a/b and y = c/d the derivatives
+# are quotients of integer polynomials in t, x' = W(a, b) / b^2 and
+# y' = W(c, d) / d^2, with the Wronskian numerator W(p, q) = p'q - pq'.
+# So y1 = y'/x' and the step factor 1/x' share the one denominator
+# Q = W(a, b) d^2 (W(a, b) when d = b), and a jet takes one series inverse
+# (Knuth, TAOCP vol. 2, 4.7).  The two products with 1/Q divide out their
+# gcd once; the derivation ladder after them takes no gcd, and each jet is
+# reduced once, by Fraction.
 
 
 def _reduced(coeffs: list, den: int) -> tuple:
@@ -627,15 +632,13 @@ def _reduced(coeffs: list, den: int) -> tuple:
     return [c // g for c in coeffs], den // g
 
 
-def _derive_series(series: tuple) -> tuple:
-    coeffs, den = series
-    return [i * c for i, c in enumerate(coeffs) if i], den
-
-
-def _series_mul(p: tuple, q: tuple) -> tuple:
-    (a, da), (b, db) = p, q
-    n = min(len(a), len(b))
-    return _reduced([sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n)], da * db)
+def _times(p: list, q: list, n: int) -> list:
+    """The first n coefficients of p q for coefficient lists p and q."""
+    out = [0] * n
+    for i, u in enumerate(p[:n]):
+        for j, v in enumerate(q[:n - i], i):
+            out[j] += u * v
+    return out
 
 
 def _series_inv(series: tuple) -> tuple:
@@ -652,6 +655,17 @@ def _series_inv(series: tuple) -> tuple:
         r.append(-sum(b[j] * r[i - j] * powers[j - 1] for j in range(1, i + 1)))
     sign = 1 if powers[n] > 0 else -1
     return _reduced([sign * den * r[i] * powers[n - 1 - i] for i in range(n)], sign * powers[n])
+
+
+def _wronskian(p: list, q: list) -> list:
+    """p'q - pq' for int coefficient lists: p_i q_j t^(i+j) contributes
+    (i - j) p_i q_j t^(i+j-1)."""
+    out = [0] * max(len(p) + len(q) - 2, 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            if i != j:
+                out[i + j - 1] += (i - j) * u * v
+    return out
 
 
 def _taylor_shift(p: list, t0: Fraction, n: int) -> tuple:
@@ -672,15 +686,6 @@ def _taylor_shift(p: list, t0: Fraction, n: int) -> tuple:
     return [c[i] * b ** i if i <= d else 0 for i in range(n)], b ** d
 
 
-def _inverse_at(den: list, t0: Fraction, n: int) -> tuple:
-    """1 / den(t0 + s) to n coefficients; a PoleError when den vanishes
-    at t0."""
-    shifted = _taylor_shift(den, t0, n)
-    if not shifted[0][0]:
-        raise PoleError(f"the denominator vanishes at t = {t0}")
-    return _series_inv(shifted)
-
-
 def jets_along_curve(x: tuple, y: tuple, k: int, t0: Fraction) -> dict:
     """Exact jets y1..y_k of the curve (x(t), y(t)) at t = t0.
 
@@ -691,32 +696,60 @@ def jets_along_curve(x: tuple, y: tuple, k: int, t0: Fraction) -> dict:
     given, not reduced.
 
     y1 = y'/x', then y_(j+1) = (d y_j / dt) / x', done on power series in
-    s = t - t0 truncated after s^k, the fewest terms that still fix y_k:
-    x and y become series by Taylor shifts of their numerator and
-    denominator, a series inverse of the denominator and one product
-    (Knuth, TAOCP vol. 2, 4.7); when y's denominator equals x's, as on
-    every curve (z0/z2, z1/z2) of the sampler, y reuses x's inverse.
-    w = 1/x' is one more series inverse, and each step derives the series
-    and multiplies it by w, which drops its last coefficient.  The
-    constant coefficient of the j-th series is y_j.
+    s = t - t0 truncated after s^(k-1), the fewest terms that still fix
+    y_k.  For x = a/b and y = c/d, with W(p, q) = p'q - pq' and
+    Q = W(a, b) d^2, y1 = W(c, d) b^2 / Q and 1/x' = b^2 d^2 / Q; when
+    d = b, as on every curve (z0/z2, z1/z2) of the sampler, Q = W(a, b),
+    y1 = W(c, d) / Q and 1/x' = b^2 / Q.  The numerators and Q become
+    series by Taylor shifts, Q takes the one series inverse, and each step
+    derives the series and multiplies it by 1/x', which drops its last
+    coefficient.  The constant coefficient of the j-th series is y_j.
 
     Rejects, in this order: a pole of x at t0 (PoleError), x'(t0) = 0
-    (DegenerateCurveError), a pole of y at t0 (PoleError).
+    (DegenerateCurveError), a pole of y at t0 (PoleError); for every k,
+    k = 0 included.
     """
     t0 = Fraction(t0)
-    n = max(k, 1) + 1
-    inverse = _inverse_at(x[1], t0, n)
-    xs = _series_mul(_taylor_shift(x[0], t0, n), inverse)
-    dx = _derive_series(xs)
-    if not dx[0][0]:
+    (a, b), (c, d) = x, y
+
+    def at(p: list) -> tuple:  # (v, e) with p(t0) = v / e
+        (value,), den = _taylor_shift(p, t0, 1)
+        return value, den
+
+    def quotient(num: tuple, den: tuple) -> Fraction:
+        return Fraction(num[0] * den[1], num[1] * den[0])
+
+    xb = at(b)
+    if not xb[0]:
+        raise PoleError(f"the denominator vanishes at t = {t0}")
+    wx = _wronskian(a, b)
+    qs = _taylor_shift(wx, t0, max(k, 1))
+    if not qs[0][0]:
         raise DegenerateCurveError("x'(t0) = 0: not a graph over x near the point")
-    if y[1] != x[1]:
-        inverse = _inverse_at(y[1], t0, n)
-    ys = _series_mul(_taylor_shift(y[0], t0, n), inverse)
-    jets = {"x": Fraction(xs[0][0], xs[1]), "y": Fraction(ys[0][0], ys[1])}
-    w = _series_inv(dx)
-    cur = ys
-    for j in range(1, k + 1):
-        cur = _series_mul(_derive_series(cur), w)
-        jets[f"y{j}"] = Fraction(cur[0][0], cur[1])
+    shared = d == b
+    yd = xb if shared else at(d)
+    if not yd[0]:
+        raise PoleError(f"the denominator vanishes at t = {t0}")
+    jets = {"x": quotient(at(a), xb), "y": quotient(at(c), yd)}
+    if not k:
+        return jets
+
+    def mul(p: list, q: list) -> list:
+        return _times(p, q, len(p) + len(q) - 1)
+
+    wy, b2 = _wronskian(c, d), mul(b, b)
+    if shared:
+        py, pw = wy, b2
+    else:
+        d2 = mul(d, d)
+        qs = _taylor_shift(mul(wx, d2), t0, k)
+        py, pw = mul(wy, b2), mul(b2, d2)
+    inverse, inverse_den = _series_inv(qs)
+    (ys, y_den), (ws, w_den) = _taylor_shift(py, t0, k), _taylor_shift(pw, t0, k - 1)
+    cur, den = _reduced(_times(ys, inverse, k), y_den * inverse_den)
+    w, w_den = _reduced(_times(ws, inverse, k - 1), w_den * inverse_den)
+    jets["y1"] = Fraction(cur[0], den)
+    for j in range(2, k + 1):
+        cur, den = _times([i * v for i, v in enumerate(cur) if i], w, k + 1 - j), den * w_den
+        jets[f"y{j}"] = Fraction(cur[0], den)
     return jets

@@ -639,6 +639,30 @@ def test_sampler_draw_stream_is_pinned(monkeypatch):
     )
 
 
+def test_sampler_takes_one_series_inverse_per_accepted_jet(monkeypatch):
+    # a work counter beside the sampler's wall time: jets_along_curve
+    # inverts one series per call that passes its pole and x' tests (601
+    # inverses over these draws when x and 1/x' took one each)
+    jets_along_curve, series_inv = wilczynski.jets_along_curve, wilczynski._series_inv
+    calls, rejected, inverses = [], [], []
+
+    def counted(*args):
+        calls.append(args)
+        try:
+            return jets_along_curve(*args)
+        except (diffpoly.PoleError, wilczynski.DegenerateCurveError) as err:
+            rejected.append(err)
+            raise
+
+    def counted_inv(series):
+        inverses.append(series)
+        return series_inv(series)
+
+    monkeypatch.setattr(wilczynski, "jets_along_curve", counted)
+    monkeypatch.setattr(wilczynski, "_series_inv", counted_inv)
+    assert len(list(cuspidal_jet_samples(300, 1107))) == 300
+    assert (len(calls), len(rejected), len(inverses)) == (301, 1, 300)
+
 
 def test_sampler_skips_jets_with_y2_or_halphen_zero(monkeypatch):
     # no seeded draw reaches these two guards, so two draws are replaced:

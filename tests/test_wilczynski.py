@@ -1325,22 +1325,23 @@ def test_jets_along_curve_shared_root_is_a_pole(shared_in):
 
 
 @pytest.mark.parametrize("k", [0, 3, 7])
-def test_jets_along_curve_shared_denominator_is_inverted_once(k, monkeypatch):
-    # every sampler curve is (z0/z2, z1/z2); an equal but distinct list
-    # shares the inverse too, and an unequal one takes its own
-    inverse_at, calls = wilczynski._inverse_at, []
+def test_jets_along_curve_takes_one_series_inverse(k, monkeypatch):
+    # 1/Q with Q = W(a, b) d^2 serves y1 and 1/x' alike: one inverse for
+    # the sampler's shared denominator, an equal copy and a distinct one,
+    # and none at k = 0, which needs only the values at t0
+    series_inv, calls = wilczynski._series_inv, []
 
-    def counted(den, t0, n):
-        calls.append(den)
-        return inverse_at(den, t0, n)
+    def counted(series):
+        calls.append(series)
+        return series_inv(series)
 
-    monkeypatch.setattr(wilczynski, "_inverse_at", counted)
+    monkeypatch.setattr(wilczynski, "_series_inv", counted)
     den, t0 = [3, -1, 0, 2], Fraction(5, 3)
     x, y = ([1, 0, -2, 1], den), ([-4, 1, 0, 1], list(den))
-    for curve, inverses in (((x, y), 1), ((x, (y[0], den)), 1), ((x, ([-4, 1, 0, 1], [1, 1])), 2)):
+    for curve in ((x, y), (x, (y[0], den)), (x, ([-4, 1, 0, 1], [1, 1]))):
         calls.clear()
         assert jets_along_curve(*curve, k, t0) == symbolic_jets_along_curve(*curve, k, t0)
-        assert len(calls) == inverses
+        assert len(calls) == (1 if k else 0)
 
 
 def test_jets_along_curve_shared_denominator_pole_comes_first():
@@ -1355,6 +1356,21 @@ def test_jets_along_curve_shared_denominator_pole_comes_first():
     with pytest.raises(DegenerateCurveError):
         jets_along_curve(([1, -2, 1], [1]), y, 4, Fraction(1))
     assert _outcome(symbolic_jets_along_curve, ([1, 0, 0, 1], shared), y, 4, Fraction(1)) is PoleError
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 7])
+def test_jets_along_curve_rejection_order(k):
+    # at t0 = 1, for every k: a pole of x, then x'(t0) = 0, then a pole of
+    # y.  x = (t - 1)^2 has W(a, b)(1) = 0; y = (t^2 + 2) / (t - 1) has a
+    # pole there; x = (t - 1)^3 / (t - 1) has both a pole and W(a, b)(1) = 0
+    t0, pole = Fraction(1), [-1, 1]
+    critical, graph, y = ([1, -2, 1], [1]), ([0, 1], [1]), ([2, 0, 1], pole)
+    for x, error in ((critical, DegenerateCurveError), (graph, PoleError)):
+        with pytest.raises(error):
+            jets_along_curve(x, y, k, t0)
+        assert _outcome(symbolic_jets_along_curve, x, y, k, t0) is error
+    with pytest.raises(PoleError):
+        jets_along_curve(([-1, 3, -3, 1], pole), graph, k, t0)
 
 
 # -- series jets against the symbolic chain -------------------------------------------
@@ -1442,3 +1458,11 @@ def test_series_jets_match_symbolic_chain(a, b, c, d, p, q, pole_x, pole_y, crit
     expected = _outcome(symbolic_jets_along_curve, x, y, k, t0)
     assert _outcome(jets_along_curve, x, y, k, t0) == expected
 
+
+@given(p=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+       q=st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+def test_wronskian_is_p_prime_q_minus_p_q_prime(p, q):
+    # against Poly arithmetic in t; x' = W(a, b) / b^2 and y' = W(c, d) / d^2
+    # in jets_along_curve rest on it
+    f, g = t_polynomial(p), t_polynomial(q)
+    assert t_polynomial(wilczynski._wronskian(p, q)) == f.diff("t") * g - f * g.diff("t")
