@@ -51,29 +51,6 @@ class BinaryForm:
         """Coefficient of t^(n-k) s^k for k = 0..n."""
         return tuple(c * comb(self.degree, k) for k, c in enumerate(self.coeffs))
 
-    def evaluate(self, s, t):
-        total = self.coeffs[0] - self.coeffs[0]
-        n = self.degree
-        for k, c in enumerate(self.coeffs):
-            total = total + c * comb(n, k) * t ** (n - k) * s ** k
-        return total
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return BinaryForm(
-            self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        return BinaryForm(self.degree, tuple(-a for a in self.coeffs))
-
-    def scale(self, c):
-        return BinaryForm(self.degree, tuple(a * c for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, BinaryForm)

@@ -14,7 +14,6 @@ import json
 import random
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -40,13 +39,14 @@ from .wilczynski import (
 )
 
 
-@dataclass
 class InvariantReport:
-    check_id: str
-    status: str  # pass | fail | recorded
-    lhs: str = ""
-    rhs: str = ""
-    details: dict = field(default_factory=dict)
+    __slots__ = ("check_id", "status", "lhs", "rhs", "details")
+
+    def __init__(self, check_id: str, status: str, lhs: str = "", rhs: str = "",
+                 details: dict | None = None):
+        self.check_id, self.status = check_id, status  # pass | fail | recorded
+        self.lhs, self.rhs = lhs, rhs
+        self.details = {} if details is None else details
 
     def to_json(self) -> dict:
         return {
@@ -61,7 +61,7 @@ class InvariantReport:
 def _report(check_id, ok, lhs="", rhs="", details=None) -> InvariantReport:
     """The one report constructor: ok True/False is pass/fail, None is recorded."""
     status = "recorded" if ok is None else "pass" if ok else "fail"
-    return InvariantReport(check_id, status, str(lhs), str(rhs), details or {})
+    return InvariantReport(check_id, status, str(lhs), str(rhs), details)
 
 
 def _signature_report(check_id, tag, note, details) -> InvariantReport:

@@ -1158,6 +1158,27 @@ def _power_exceeds_literals(unit, exponent: int) -> bool:
     return (bits - 1) * abs(exponent) >= _LITERAL_BITS
 
 
+# A power may expand its base's numerator to at most this many terms; a
+# negative power moves the numerator to the factor table, which is
+# expanded as soon as the function is derived or printed.  The cap bounds
+# the parse only: deriving a right-hand side near it still takes long.
+_POWER_TERMS = 1000
+
+
+def _power_exceeds_terms(terms: int, exponent: int) -> bool:
+    """C(exponent + terms - 1, terms - 1), the number of monomials of degree
+    exponent in terms letters, passes _POWER_TERMS: it bounds the terms of
+    a terms-term polynomial to that power, exactly for a two-term base in
+    one variable such as y2 + 2.  Built one factor at a time, it stops as
+    soon as it passes the cap."""
+    bound = 1
+    for i in range(1, terms):
+        bound = bound * (exponent + i) // i
+        if bound > _POWER_TERMS:
+            return True
+    return False
+
+
 class _Parser:
     """Tokens: names from the context, integer literals, + - * / ^ ( )."""
 
@@ -1222,6 +1243,12 @@ class _Parser:
                 raise ParseError(
                     f"power {exponent} gives a constant factor of more than "
                     f"{_LITERAL_DIGITS} digits", caret
+                )
+            terms = len(base.prim.terms)
+            if abs(exponent) > 1 and _power_exceeds_terms(terms, abs(exponent)):
+                raise ParseError(
+                    f"power {exponent} of a {terms}-term polynomial can expand to "
+                    f"more than {_POWER_TERMS} terms", caret
                 )
             try:
                 base = base ** exponent

@@ -21,7 +21,6 @@ valued through it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exterior import (
@@ -45,15 +44,15 @@ from .scalar import ZERO, AlgebraicScalar, I
 ORIENTATION = "theta1^...^theta7"
 
 
-@dataclass
 class G2Certificate:
-    phi: ExteriorForm
-    star_phi: ExteriorForm
-    d_phi: ExteriorForm
-    d_star_phi: ExteriorForm
-    lam: AlgebraicScalar
-    tau: ExteriorForm
-    checks: dict = field(default_factory=dict)
+    __slots__ = ("phi", "star_phi", "d_phi", "d_star_phi", "lam", "tau", "checks")
+
+    def __init__(self, phi: ExteriorForm, star_phi: ExteriorForm, d_phi: ExteriorForm,
+                 d_star_phi: ExteriorForm, lam: AlgebraicScalar, tau: ExteriorForm,
+                 checks: dict | None = None):
+        self.phi, self.star_phi, self.d_phi, self.d_star_phi = phi, star_phi, d_phi, d_star_phi
+        self.lam, self.tau = lam, tau
+        self.checks = {} if checks is None else checks
 
 
 def verify_cocalibrated(phi: ExteriorForm, dtheta) -> G2Certificate:
@@ -81,15 +80,7 @@ def verify_cocalibrated(phi: ExteriorForm, dtheta) -> G2Certificate:
     checks["phi_wedge_star_tau_zero"] = is_zero(wedge(phi, hodge_star(tau)))
     checks["tau_nonzero"] = not is_zero(tau)
 
-    return G2Certificate(
-        phi=phi,
-        star_phi=star_phi,
-        d_phi=d_phi,
-        d_star_phi=d_star_phi,
-        lam=lam,
-        tau=tau,
-        checks=checks,
-    )
+    return G2Certificate(phi, star_phi, d_phi, d_star_phi, lam, tau, checks)
 
 
 def metric_of_vector(vector):

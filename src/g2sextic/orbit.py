@@ -121,9 +121,6 @@ class SymTensor:
     def __eq__(self, other):
         return isinstance(other, SymTensor) and self.terms == other.terms
 
-    def is_zero(self):
-        return not self.terms
-
     def __str__(self):
         names = ["s%d%d" % s for s in SYMBOLS]
         parts = [

@@ -46,7 +46,6 @@ and D is D_x, the on-equation total derivative.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
@@ -375,16 +374,15 @@ class _GenericEquation(_Equation):
 # -- linear ODEs ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LinearODE:
     """Y^(n) + C(n,1) p1 Y^(n-1) + ... + p_n Y = 0 with rational-in-x p_i."""
 
-    order: int
-    p: tuple
+    __slots__ = ("order", "p")
 
-    def __post_init__(self):
-        if len(self.p) != self.order:
+    def __init__(self, order: int, p: tuple):
+        if len(p) != order:
             raise ValueError("need exactly n coefficient functions")
+        self.order, self.p = order, p
 
 
 def _linear_equation(ode: LinearODE) -> _Equation:
@@ -503,7 +501,6 @@ def curvature_kappa(gamma: Fraction) -> Fraction:
 # -- the 7th-order curvature ODE --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NonlinearODE:
     """y^(n) = F(x, y, y1, .., y_(n-1)), F free of y_n.
 
@@ -512,13 +509,13 @@ class NonlinearODE:
     ExtendedJetFunction over u^3 = kappa Theta_3^8.
     """
 
-    order: int
-    rhs: JetFunction | ExtendedJetFunction
+    __slots__ = ("order", "rhs")
 
-    def __post_init__(self):
-        top = self.rhs.ctx.jet_name(self.order)
-        if top in self.rhs.ctx.index and not self.rhs.partial(top).is_zero():
+    def __init__(self, order: int, rhs: JetFunction | ExtendedJetFunction):
+        top = rhs.ctx.jet_name(order)
+        if top in rhs.ctx.index and not rhs.partial(top).is_zero():
             raise ValueError(f"right-hand side must not contain {top}")
+        self.order, self.rhs = order, rhs
 
     @property
     def ctx(self) -> JetContext:

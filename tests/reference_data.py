@@ -51,7 +51,8 @@ semi-invariants over one denominator per Theta_r.  The mixed partial
 derivatives of a binary form's monomial list are taken here one d/dt or
 d/ds at a time, and the powers of a linear form by repeated convolution,
 independently of the falling-factorial and binomial closed forms in
-``binform``.
+``binform``; a form is valued here through its monomial coefficients,
+and forms are combined linearly coefficient by coefficient.
 kappa -> k is done here by substituting k for kappa, and every other
 variable by itself, term by term in each numerator, and an extension
 element is rebuilt as c0 + c1 u + c2 u^2: the route
@@ -70,6 +71,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+from g2sextic.binform import BinaryForm
 from g2sextic.diffpoly import (
     ExtendedJetFunction,
     JetContext,
@@ -752,6 +754,19 @@ def binomial_powers_by_convolution(linear, n):
                 out[i + j] += a * b
         pows.append(out)
     return pows
+
+
+def form_value(form: BinaryForm, s, t):
+    """sum m_k t^(n-k) s^k over the monomial coefficients m_k = C(n,k) v_k."""
+    n = form.degree
+    return sum(m * t ** (n - k) * s ** k for k, m in enumerate(form.monomial_coeffs()))
+
+
+def form_combination(*pairs) -> BinaryForm:
+    """sum c F over the (c, F) pairs, forms of one degree."""
+    (degree,) = {form.degree for _, form in pairs}
+    return BinaryForm(degree, [sum(c * form.coeffs[k] for c, form in pairs)
+                               for k in range(degree + 1)])
 
 
 # -- projective vector fields and their prolongation ----------------------------

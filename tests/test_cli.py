@@ -335,6 +335,14 @@ def test_order_below_three_rejected(order, capsys):
     # a coefficient name out of turn is placed at the name
     (["forms", "i2", "--coeffs", "v0=1,v2=2,3,4,5,6,7"],
      "expected v1, got 'v2' in 'v0=1,v2=2,3,4,5,6,7' (at position 5)"),
+    # a power of a multi-term base whose expansion could pass 1,000 terms,
+    # before it is taken
+    (["ode", "generalized", "--rhs", "(y2+2)^4000", "--order", "3"],
+     "power 4000 of a 2-term polynomial can expand to more than 1000 terms (at position 6)"),
+    (["ode", "generalized", "--rhs", "(y2+2)^8191", "--order", "3"],
+     "power 8191 of a 2-term polynomial can expand to more than 1000 terms (at position 6)"),
+    (["ode", "generalized", "--rhs", "y1 + (y2+2)^-8191", "--order", "3"],
+     "power -8191 of a 2-term polynomial can expand to more than 1000 terms (at position 11)"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict
@@ -342,6 +350,19 @@ def test_bad_input_is_one_error_line(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_a_power_past_the_term_cap_is_rejected_before_it_is_taken(monkeypatch):
+    # an exponent of 1 expands nothing, whatever the number of terms
+    base = "+".join(f"y2^{k}" for k in range(1, 1002))
+    assert len(parse_jet_expression(f"({base})^1", JetContext(3)).prim.terms) == 1001
+
+    def no_power(*args):
+        raise AssertionError("the power was taken")
+
+    monkeypatch.setattr(diffpoly, "power", no_power)
+    with pytest.raises(diffpoly.ParseError, match=r"\(at position 6\)"):
+        parse_jet_expression("(y2+2)^8191", JetContext(3))
 
 
 def test_a_power_past_the_range_on_its_own_is_not_a_parse_error():
@@ -594,6 +615,16 @@ def test_emit_exit_codes():
     rec = InvariantReport("c", "recorded")
     assert emit([ok, rec], "text", io.StringIO()) == 0
     assert emit([ok, bad], "text", io.StringIO()) == 1
+
+
+def test_reports_built_without_details_do_not_share_one_dict():
+    # _signature_report writes a note into details; a shared default
+    # would carry it into every other report
+    first, second = InvariantReport("a", "pass"), InvariantReport("b", "pass")
+    first.details["note"] = "reversed"
+    assert first.details is not second.details
+    assert second.details == {}
+    assert InvariantReport("c", "pass").to_json()["details"] == {}
 
 
 def test_report_ordering_by_check_id():

@@ -17,6 +17,7 @@ from g2sextic.exterior import (
     wedge,
 )
 from g2sextic.g2verify import (
+    G2Certificate,
     contraction_gram,
     contraction_value,
     g2_identities,
@@ -102,6 +103,14 @@ def test_certificate_is_self_verifying():
 
 def test_verdict_true():
     assert all(CERT.checks.values())
+
+
+def test_certificates_built_without_checks_do_not_share_one_dict():
+    fields = (CERT.phi, CERT.star_phi, CERT.d_phi, CERT.d_star_phi, CERT.lam, CERT.tau)
+    first, second = G2Certificate(*fields), G2Certificate(*fields)
+    first.checks["tau_nonzero"] = True
+    assert first.checks is not second.checks
+    assert second.checks == {}
 
 
 def test_identities_report():

@@ -126,7 +126,8 @@ def test_frame_layer_coordinates_are_exact(monkeypatch):
     eta = derive_invariance_form(su21_basis())
     assert all(exact_coordinates(entry) for row in eta.rows for entry in row)
     cert = g2verify.verify_cocalibrated(targets.unit_three_form(), dtheta)
-    forms = [value for value in vars(cert).values() if isinstance(value, ExteriorForm)]
+    fields = [getattr(cert, name) for name in cert.__slots__]
+    forms = [value for value in fields if isinstance(value, ExteriorForm)]
     assert len(forms) == 5
     assert all(exact_coordinates(c) for form in forms for c in form.terms.values())
     assert exact_coordinates(cert.lam)

@@ -5,10 +5,15 @@ only another one defines, and the package or perfbench reads every
 public name it defines: a name that only the tests read is not kept.  Only scalar.py takes math.lcm, so
 scalar.cleared stays the one routine that clears denominators.  Every
 Python file of the package, the tests and perfbench parses with the
-grammar of the Python floor that pyproject.toml declares."""
+grammar of the Python floor that pyproject.toml declares.  Every command
+is a fresh interpreter, so importing the CLI loads none of dataclasses,
+inspect, ast, dis and tokenize, whose import chain would add several
+milliseconds to every command's cold start."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +23,9 @@ PACKAGE_DIR = Path(g2sextic.__file__).parent
 TESTS_DIR = Path(__file__).parent
 PERFBENCH_DIR = TESTS_DIR.parent / "perfbench"
 PYPROJECT = TESTS_DIR.parent / "pyproject.toml"
+# stdlib modules that importing the CLI must not load; typing is left out,
+# since site may load it through an installed package's .pth file
+COLD_START_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def foreign_imports(path: Path):
@@ -356,3 +364,13 @@ def test_an_unread_public_name_is_reported(tmp_path):
     ]
     assert unread_public_names([module], [module, bench]) == unread_public_names(
         [module], [module, test_file])
+
+
+def test_importing_the_cli_loads_no_dataclasses_chain():
+    # one fresh interpreter, as a command runs
+    probe = ("import sys; import g2sextic.cli; "
+             f"print(' '.join(m for m in {COLD_START_FREE!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert run.stdout.split() == []
