@@ -9,9 +9,9 @@ feeds coframe-valued coefficients through them, and its metric is I2
 polarized, read from the same I2_PAIRING as invariant_I2).
 transvectant, invariant_I3 and gl2_act take rational coefficients only
 (ints and Fractions).  They clear each input's denominators once with
-scalar.cleared, run their inner loops on ints, and divide once per output
-coefficient, so their results are in scalar.exact's int-or-Fraction
-normal form.
+scalar.cleared, run on integer monomial lists from input to output, and
+divide once per output value, so their results are in scalar.exact's
+int-or-Fraction normal form.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .scalar import cleared, exact, parse_rational
+from .scalar import cleared, parse_rational
 
 # I2(V) = c6 * <V,V>_6 for the bare 1/p! transvectant; fixed by the
 # brute-force expansion oracle in the test suite.
@@ -40,16 +40,13 @@ class BinaryForm:
 
     @staticmethod
     def from_monomial_coeffs(degree: int, monomial):
-        """Inverse of monomial_coeffs: divide out the binomial weights."""
+        """The form whose coefficient of t^(n-k) s^k is monomial[k]: divide
+        out the binomial weights."""
         monomial = tuple(monomial)
         return BinaryForm(
             degree,
             tuple(c * Fraction(1, comb(degree, k)) for k, c in enumerate(monomial)),
         )
-
-    def monomial_coeffs(self):
-        """Coefficient of t^(n-k) s^k for k = 0..n."""
-        return tuple(c * comb(self.degree, k) for k, c in enumerate(self.coeffs))
 
     def __eq__(self, other):
         return (
@@ -72,10 +69,23 @@ class BinaryForm:
 # lcm L of its denominators, and the result is divided by L once.
 
 
+def _cleared_monomials(f: BinaryForm):
+    """(ints, den) with ints[k] / den the coefficient of t^(n-k) s^k of the
+    rational form f."""
+    ints, den = cleared(f.coeffs)
+    return [c * comb(f.degree, k) for k, c in enumerate(ints)], den
+
+
+def _quotient(c: int, den: int):
+    """c / den for den > 0 in scalar.exact's normal form."""
+    q, r = divmod(c, den)
+    return Fraction(c, den) if r else q
+
+
 def _from_cleared_monomials(mono, den) -> BinaryForm:
     """The form whose monomial coefficient list is mono / den."""
     n = len(mono) - 1
-    return BinaryForm(n, [exact(Fraction(c, den * comb(n, k))) for k, c in enumerate(mono)])
+    return BinaryForm(n, [_quotient(c, den * comb(n, k)) for k, c in enumerate(mono)])
 
 
 def _mixed_derivative(mono, dt_count, ds_count):
@@ -88,13 +98,18 @@ def _mixed_derivative(mono, dt_count, ds_count):
             for k in range(n - dt_count - ds_count + 1)]
 
 
-def _mono_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
+def _transvectant(mu, mv, p):
+    """p! <U,V>_p on the monomial lists of U and V."""
+    acc = [0] * (len(mu) + len(mv) - 2 * p - 1)
+    for i in range(p + 1):
+        dv = _mixed_derivative(mv, i, p - i)
+        sign = comb(p, i) if i % 2 == 0 else -comb(p, i)
+        for j, a in enumerate(_mixed_derivative(mu, p - i, i)):
+            if a:
+                a *= sign
+                for k, b in enumerate(dv, j):
+                    acc[k] += a * b
+    return acc
 
 
 def transvectant(u: BinaryForm, v: BinaryForm, p: int) -> BinaryForm:
@@ -107,14 +122,8 @@ def transvectant(u: BinaryForm, v: BinaryForm, p: int) -> BinaryForm:
         raise ValueError(f"transvectant order {p} is negative")
     if p > min(n, m):
         raise ValueError(f"transvectant order {p} exceeds min degree ({n}, {m})")
-    (mu, den_u), (mv, den_v) = cleared(u.monomial_coeffs()), cleared(v.monomial_coeffs())
-    acc = [0] * (n + m - 2 * p + 1)
-    for i in range(p + 1):
-        term = _mono_mul(_mixed_derivative(mu, p - i, i), _mixed_derivative(mv, i, p - i))
-        sign = comb(p, i) if i % 2 == 0 else -comb(p, i)
-        for k, c in enumerate(term):
-            acc[k] += sign * c
-    return _from_cleared_monomials(acc, den_u * den_v * factorial(p))
+    (mu, den_u), (mv, den_v) = _cleared_monomials(u), _cleared_monomials(v)
+    return _from_cleared_monomials(_transvectant(mu, mv, p), den_u * den_v * factorial(p))
 
 
 # -- invariants ---------------------------------------------------------------
@@ -122,6 +131,10 @@ def transvectant(u: BinaryForm, v: BinaryForm, p: int) -> BinaryForm:
 
 # I2 as a pairing of coefficients: (j, k, w) contributes w v_j v_k.
 I2_PAIRING = ((0, 6, 1), (1, 5, -6), (2, 4, 15), (3, 3, -10))
+# <X,W>_6 of two sextics on their monomial lists x, w: six derivatives keep
+# only t^(6-i) s^i of X against t^i s^(6-i) of W, so it is the integer
+# pairing sum_i (-1)^i i! (6-i)! x_i w_(6-i), 1440 times I2 polarized
+_SEXTIC_PAIRING = tuple((-1) ** i * factorial(i) * factorial(6 - i) for i in range(7))
 
 
 def invariant_I2(v: BinaryForm):
@@ -137,12 +150,15 @@ def invariant_I3(u: BinaryForm, v: BinaryForm, w: BinaryForm):
 
     The inner bracket has degree six, so the outer pairing is forced to
     be the sixth transvectant; antisymmetric in any pair of arguments.
+    Both brackets run on integer monomial lists, with one division.
     """
     for f in (u, v, w):
         if f.degree != 6:
             raise ValueError("I3 needs degree-6 forms")
-    paired = transvectant(transvectant(u, v, 3), w, 6)
-    return paired.coeffs[0]
+    (mu, den_u), (mv, den_v), (mw, den_w) = map(_cleared_monomials, (u, v, w))
+    inner = _transvectant(mu, mv, 3)
+    paired = sum(c * x * y for c, x, y in zip(_SEXTIC_PAIRING, inner, reversed(mw)))
+    return _quotient(paired, den_u * den_v * den_w * factorial(3))
 
 
 # -- GL(2) action -------------------------------------------------------------
@@ -153,28 +169,21 @@ def gl2_act(v: BinaryForm, matrix) -> BinaryForm:
 
     With this convention an invariant of weight w picks up det(N)^w.
     """
-    (a, b, c, dd), den_m = cleared([*matrix[0], *matrix[1]])
+    (a, b, c, d), den_m = cleared([*matrix[0], *matrix[1]])
+    mono, den_v = _cleared_monomials(v)
     n = v.degree
-    mono, den_v = cleared(v.monomial_coeffs())
-    # new_t = a t + b s, new_s = c t + d s; expand sum m[k] new_t^(n-k) new_s^k,
-    # which is den_m^n times the substitution by the cleared matrix
-    t_pows = _power_list((a, b), n)
-    s_pows = _power_list((c, dd), n)
-    out = [0] * (n + 1)
-    for k, coef in enumerate(mono):
-        if not coef:
-            continue
-        prod = _mono_mul(t_pows[n - k], s_pows[k])
-        for j, p in enumerate(prod):
-            out[j] += coef * p
+    # sum m[k] T^(n-k) S^k for T = a t + b s and S = c t + d s, which is
+    # den_m^n times the substitution by N; Horner's rule in S from R = m[n]:
+    # R <- R S + m[k] T^(n-k) for k = n-1..0
+    t_pows = [[1]]
+    for _ in range(n):
+        prev = t_pows[-1]
+        t_pows.append([a * x + b * y for x, y in zip(prev + [0], [0] + prev)])
+    out = [mono[n]]
+    for k in range(n - 1, -1, -1):
+        out = [c * x + d * y + mono[k] * z
+               for x, y, z in zip(out + [0], [0] + out, t_pows[n - k])]
     return _from_cleared_monomials(out, den_v * den_m ** n)
-
-
-def _power_list(linear, n):
-    """Powers (x t + y s)^k for k = 0..n as monomial lists, by the binomial
-    theorem: the coefficient of t^(k-j) s^j is C(k, j) x^(k-j) y^j."""
-    x, y = linear
-    return [[comb(k, j) * x ** (k - j) * y ** j for j in range(k + 1)] for k in range(n + 1)]
 
 
 def det2(matrix):
@@ -208,5 +217,5 @@ def parse_form(text: str, degree: int | None = None) -> BinaryForm:
         values.append(parse_rational(text, start, end))
         start = end + 1
     if degree is not None and len(values) != degree + 1:
-        raise ValueError(f"expected {degree + 1} coefficients")
+        raise ValueError(f"expected {degree + 1} coefficients, got {len(values)} in {text!r}")
     return BinaryForm(len(values) - 1, values)

@@ -49,10 +49,14 @@ rational semi-invariants P_i^(k) into the P-forms, the route
 ``wilczynski._Equation`` took before it cleared the contents of the
 semi-invariants over one denominator per Theta_r.  The mixed partial
 derivatives of a binary form's monomial list are taken here one d/dt or
-d/ds at a time, and the powers of a linear form by repeated convolution,
-independently of the falling-factorial and binomial closed forms in
-``binform``; a form is valued here through its monomial coefficients,
-and forms are combined linearly coefficient by coefficient.
+d/ds at a time, independently of the falling-factorial closed form in
+``binform``.  The GL(2) substitution is taken here as the sum of
+m_k (a t + b s)^(n-k) (c t + d s)^k, each power by the binomial theorem
+(checked against repeated convolution) and each product by convolution:
+the route ``binform.gl2_act`` took before Horner's rule.  A form's
+monomial coefficients m_k = C(n,k) v_k are read here, a form is valued
+through them, and forms are combined linearly coefficient by
+coefficient.
 kappa -> k is done here by substituting k for kappa, and every other
 variable by itself, term by term in each numerator, and an extension
 element is rebuilt as c0 + c1 u + c2 u^2: the route
@@ -742,24 +746,56 @@ def mixed_derivative_by_steps(mono, dt_count, ds_count):
     return mono
 
 
+def _convolution(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def binomial_powers_by_convolution(linear, n):
     """Powers (x t + y s)^k for k = 0..n as monomial lists, each the
     convolution of the one before with [x, y]."""
     pows = [[1]]
     for _ in range(n):
-        prev = pows[-1]
-        out = [0] * (len(prev) + len(linear) - 1)
-        for i, a in enumerate(prev):
-            for j, b in enumerate(linear):
-                out[i + j] += a * b
-        pows.append(out)
+        pows.append(_convolution(pows[-1], linear))
     return pows
+
+
+def binomial_powers(linear, n):
+    """Powers (x t + y s)^k for k = 0..n as monomial lists, by the binomial
+    theorem: the coefficient of t^(k-j) s^j is C(k, j) x^(k-j) y^j."""
+    x, y = linear
+    return [[comb(k, j) * x ** (k - j) * y ** j for j in range(k + 1)] for k in range(n + 1)]
+
+
+def gl2_act_by_power_lists(form: BinaryForm, matrix) -> BinaryForm:
+    """(t, s) -> (a t + b s, c t + d s) for matrix [[a, b], [c, d]]: the sum
+    of m_k (a t + b s)^(n-k) (c t + d s)^k on cleared integers, each power
+    from binomial_powers and each product a convolution, divided once per
+    coefficient."""
+    (a, b, c, d), den_m = cleared([*matrix[0], *matrix[1]])
+    n = form.degree
+    mono, den_v = cleared(monomial_coeffs(form))
+    t_pows, s_pows = binomial_powers((a, b), n), binomial_powers((c, d), n)
+    out = [0] * (n + 1)
+    for k, m in enumerate(mono):
+        for j, p in enumerate(_convolution(t_pows[n - k], s_pows[k])):
+            out[j] += m * p
+    den = den_v * den_m ** n
+    return BinaryForm(n, [exact(Fraction(x, den * comb(n, j))) for j, x in enumerate(out)])
+
+
+def monomial_coeffs(form: BinaryForm):
+    """The coefficient m_k = C(n,k) v_k of t^(n-k) s^k for k = 0..n."""
+    return tuple(c * comb(form.degree, k) for k, c in enumerate(form.coeffs))
 
 
 def form_value(form: BinaryForm, s, t):
     """sum m_k t^(n-k) s^k over the monomial coefficients m_k = C(n,k) v_k."""
     n = form.degree
-    return sum(m * t ** (n - k) * s ** k for k, m in enumerate(form.monomial_coeffs()))
+    return sum(m * t ** (n - k) * s ** k for k, m in enumerate(monomial_coeffs(form)))
 
 
 def form_combination(*pairs) -> BinaryForm:

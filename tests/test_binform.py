@@ -3,14 +3,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from g2sextic import binform, cli
 from g2sextic.binform import (
     I2_CALIBRATION,
     BinaryForm,
     _mixed_derivative,
-    _power_list,
     det2,
     gl2_act,
     invariant_I2,
@@ -20,10 +20,13 @@ from g2sextic.binform import (
 )
 
 from reference_data import (
+    binomial_powers,
     binomial_powers_by_convolution,
     form_combination,
     form_value,
+    gl2_act_by_power_lists,
     mixed_derivative_by_steps,
+    monomial_coeffs,
 )
 
 # --- independent brute-force oracle: dict-based bivariate polynomials -------
@@ -116,7 +119,7 @@ def test_transvectant_first_order():
     s2 = BinaryForm(2, [0, 0, 1])  # s^2
     out = transvectant(t2, s2, 1)
     assert out.degree == 2
-    assert out.monomial_coeffs() == (Fraction(0), Fraction(4), Fraction(0))  # 4 t s
+    assert monomial_coeffs(out) == (0, 4, 0)  # 4 t s
 
 
 def test_transvectant_odd_self_vanishes():
@@ -231,7 +234,7 @@ def test_gl2_action_is_substitution():
 
 def test_evaluation_binomial_convention():
     v = BinaryForm(6, [1, 1, 0, 0, 0, 0, 0])  # t^6 + 6 t^5 s
-    assert v.monomial_coeffs() == (1, 6, 0, 0, 0, 0, 0)
+    assert monomial_coeffs(v) == (1, 6, 0, 0, 0, 0, 0)
     assert BinaryForm.from_monomial_coeffs(6, (1, 6, 0, 0, 0, 0, 0)) == v
     s0, t0 = Fraction(1), Fraction(2)
     assert form_value(v, s0, t0) == 2 ** 6 + 6 * 2 ** 5
@@ -330,4 +333,65 @@ def test_mixed_derivative_matches_one_derivative_at_a_time(mono):
 
 @given(ints, ints, st.integers(0, 12))
 def test_power_list_matches_repeated_convolution(x, y, n):
-    assert _power_list((x, y), n) == binomial_powers_by_convolution((x, y), n)
+    assert binomial_powers((x, y), n) == binomial_powers_by_convolution((x, y), n)
+
+
+# -- the integer kernels against the routes they replaced ----------------------
+
+rationals = st.one_of(
+    st.integers(-40, 40),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from(UNLIKE_DENOMINATORS)),
+)
+forms = st.integers(0, 12).flatmap(
+    lambda n: st.lists(rationals, min_size=n + 1, max_size=n + 1).map(
+        lambda coeffs: BinaryForm(len(coeffs) - 1, coeffs)))
+sextics = st.lists(rationals, min_size=7, max_size=7).map(lambda coeffs: BinaryForm(6, coeffs))
+# a general matrix, or a singular one: its second row a multiple of its first
+matrices = st.one_of(
+    st.tuples(st.tuples(rationals, rationals), st.tuples(rationals, rationals)),
+    st.builds(lambda a, b, k: ((a, b), (k * a, k * b)), rationals, rationals, rationals),
+)
+
+
+def same_coefficients(got: BinaryForm, expected: BinaryForm) -> bool:
+    """Equal degree and values, and each coefficient of the same type."""
+    return (got.degree == expected.degree and got.coeffs == expected.coeffs
+            and [type(c) for c in got.coeffs] == [type(c) for c in expected.coeffs])
+
+
+@given(forms, matrices)
+@example(BinaryForm(0, [Fraction(5, 7)]), ((Fraction(1, 2), 3), (Fraction(-2, 9), 1)))
+@example(BinaryForm(6, [0] * 7), ((1, Fraction(2, 3)), (Fraction(5, 6), 4)))
+@example(BinaryForm(12, [Fraction(k - 6, 35) for k in range(13)]), ((2, -4), (-1, 2)))
+@example(BinaryForm(5, [1, -2, 3, -4, 5, -6]), ((0, 0), (0, 0)))
+def test_gl2_act_matches_power_lists(form, matrix):
+    assert same_coefficients(gl2_act(form, matrix), gl2_act_by_power_lists(form, matrix))
+
+
+@given(sextics, sextics, sextics)
+def test_i3_is_the_nested_transvectant(u, v, w):
+    expected = transvectant(transvectant(u, v, 3), w, 6).coeffs[0]
+    got = invariant_I3(u, v, w)
+    assert got == expected and type(got) is type(expected)
+
+
+def test_invariant_kernels_build_no_intermediate_form(monkeypatch):
+    # I3 pairs its inner bracket with W as integers, and gl2_act builds
+    # only its result; C06's sample forms, its 20 calibration brackets and
+    # its 80 acted forms make 180 constructions
+    built = []
+    init = BinaryForm.__init__
+    transvectant_calls = []
+    monkeypatch.setattr(BinaryForm, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    monkeypatch.setattr(binform, "transvectant",
+                        lambda *args: transvectant_calls.append(1) or transvectant(*args))
+    u, v, w = (BinaryForm(6, [Fraction(k + j, 3) for k in range(7)]) for j in range(3))
+    built.clear()
+    invariant_I3(u, v, w)
+    assert (len(built), len(transvectant_calls)) == (0, 0)
+    gl2_act(u, ((1, 2), (Fraction(1, 2), 5)))
+    assert len(built) == 1
+    built.clear()
+    cli.criterion_invariant_theory(0)
+    assert len(built) <= 200

@@ -276,7 +276,7 @@ def test_order_below_three_rejected(order, capsys):
     (["forms", "transvectant", "--v", "0,0,1", "-p", "1"], "forms transvectant needs --u"),
     (["ode", "generalized", "--rhs", "y2 + nope", "--order", "7"],
      "unknown variable 'nope' (at position 5)"),
-    (["forms", "i2", "--coeffs", "1,0"], "expected 7 coefficients"),
+    (["forms", "i2", "--coeffs", "1,0"], "expected 7 coefficients, got 2 in '1,0'"),
     (["forms", "transvectant", "--u", "1,0,0", "--v", "0,0,1"], "forms transvectant needs -p"),
     (["orbit", "2", "4"], "(p, q) = (2, 4) must be coprime with 0 < p < q"),
     (["ode", "curvature", "--gamma", "2"], "gamma = 2 excluded (gamma != 0, 1, -1, 2, 1/2)"),
@@ -343,6 +343,9 @@ def test_order_below_three_rejected(order, capsys):
      "power 8191 of a 2-term polynomial can expand to more than 1000 terms (at position 6)"),
     (["ode", "generalized", "--rhs", "y1 + (y2+2)^-8191", "--order", "3"],
      "power -8191 of a 2-term polynomial can expand to more than 1000 terms (at position 11)"),
+    # a short form names its own text among --u, --v and --w
+    (["forms", "i3", "--u", "1,0,0,0,0,0,1", "--v", "1,2,3", "--w", "0,1,0,0,0,0,0"],
+     "expected 7 coefficients, got 3 in '1,2,3'"),
 ])
 def test_bad_input_is_one_error_line(argv, message, capsys):
     # exit code 2 and a single error line, never a traceback or a verdict
