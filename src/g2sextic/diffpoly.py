@@ -1107,17 +1107,6 @@ class ExtendedJetFunction:
             return self._of(self._join_base(x) * x.c2, x.c0, x.c1)
         return self._of(self.ctx.fn(0), x, self.ctx.fn(0))
 
-    def evaluate(self, point: dict, root) -> Fraction:
-        """The value at point with u = root; a ValueError unless root^3
-        is the base's value there."""
-        if root ** 3 != self.base.evaluate(point):
-            raise ValueError(f"{root} is not a cube root of the base at the point")
-        return (
-            self.c0.evaluate(point)
-            + self.c1.evaluate(point) * root
-            + self.c2.evaluate(point) * root ** 2
-        )
-
     def __str__(self):
         return f"({self.c0}) + ({self.c1})*u + ({self.c2})*u^2  [u^3 = {self.base}]"
 

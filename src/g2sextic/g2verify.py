@@ -96,18 +96,13 @@ def contraction_pairing(phi: ExteriorForm, u, w) -> AlgebraicScalar:
     return seven_form.terms.get(tuple(range(1, 8)), ZERO)
 
 
-def contraction_value(phi: ExteriorForm, vector) -> AlgebraicScalar:
-    """Coefficient c_V in (V -| phi) ^ (V -| phi) ^ phi = c_V vol."""
-    return contraction_pairing(phi, vector, vector)
-
-
 def contraction_gram(phi: ExteriorForm) -> list:
     """Bryant's B_phi: the 7 x 7 matrix of contraction_pairing on the basis
     dual to theta^1..theta^7.  It is symmetric, because two-forms commute."""
     units = [[int(k == i) for k in range(7)] for i in range(7)]
     gram = [[ZERO] * 7 for _ in range(7)]
     for i in range(7):
-        gram[i][i] = contraction_value(phi, units[i])
+        gram[i][i] = contraction_pairing(phi, units[i], units[i])
         for j in range(i + 1, 7):
             gram[i][j] = gram[j][i] = contraction_pairing(phi, units[i], units[j])
     return gram

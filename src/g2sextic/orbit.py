@@ -3,9 +3,12 @@
 Builds the coframe-valued form attached to the projective family of
 y^p = x^q curves and derives the quadratic form and three-form it induces;
 in a coframe, both are read off the family form with its coefficients
-realized once.  Computes signatures of the three real slices, and handles
-stabilizers, Aloff-Wallach index bookkeeping and the Legendrian lift
-smoothness criterion.
+realized once.  Computes signatures of the three real slices: the inertia
+of a nonsingular symmetric matrix is read off its integer characteristic
+polynomial, built by the Faddeev-LeVerrier recursion, by Descartes' rule
+of signs, which counts the positive roots of a real-rooted polynomial
+exactly.  Also handles stabilizers, Aloff-Wallach index bookkeeping and
+the Legendrian lift smoothness criterion.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from math import gcd
 
 from .binform import I2_PAIRING, BinaryForm
 from .exterior import ExteriorForm, add as form_add, scale as form_scale, wedge
-from .scalar import I, ONE, SQRT10, ZERO, AlgebraicScalar
+from .scalar import I, ONE, SQRT10, ZERO, AlgebraicScalar, cleared
 
 # Independent sigma symbols after eliminating sigma^3_3 = -s11 - s22.
 SYMBOLS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
@@ -307,40 +310,31 @@ def signature(tag: str) -> tuple[int, int]:
 
 
 def rational_signature(gram) -> tuple[int, int]:
-    """Sylvester counts via exact congruence (Lagrange) elimination."""
+    """(n+, n-) of a nonsingular symmetric rational matrix A; a ValueError
+    for det A = 0.
+
+    A symmetric matrix has only real eigenvalues, so by Descartes' rule of
+    signs, which is exact on a real-rooted polynomial, n+ is the number of
+    sign changes in the coefficients of det(x I - A).  A is cleared to
+    integers first (a positive scale keeps the inertia), and the coefficients
+    come from the Faddeev-LeVerrier recursion M_k = A M_(k-1) + c_(n-k+1) I,
+    c_(n-k) = -tr(A M_k) / k, from M_0 = 0 and c_n = 1; on integers each
+    division by k is exact.
+    """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]  # an int pivot would divide to a float
-    pos = neg = 0
-    for k in range(n):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][i]), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j]), None)
-                if j is None:
-                    continue  # residual block row is zero; handled below
-                for col in range(n):
-                    a[k][col] += a[j][col]
-                for row in a:
-                    row[k] += row[j]
-        pivot = a[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k] / pivot
-            if f:
-                for col in range(n):
-                    a[i][col] -= f * a[k][col]
-                for row in a:
-                    row[i] -= f * row[k]
-    if pos + neg < n:
+    ints, _ = cleared([x for row in gram for x in row])
+    a = [ints[i * n : (i + 1) * n] for i in range(n)]
+    coeffs = [1]  # c_n, c_(n-1), ..., c_0
+    am = [[0] * n for _ in range(n)]  # A M_(k-1)
+    for k in range(1, n + 1):
+        m = [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
+        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in a]
+        coeffs.append(-sum(am[i][i] for i in range(n)) // k)
+    if not coeffs[-1]:
         raise ValueError("degenerate Gram matrix")
-    return pos, neg
+    signs = [c > 0 for c in coeffs if c]
+    plus = sum(s != t for s, t in zip(signs, signs[1:]))
+    return plus, n - plus
 
 
 # -- stabilizers and index bookkeeping ----------------------------------------

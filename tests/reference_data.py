@@ -4,7 +4,11 @@ The eight structure equations, the unit-coefficient three-form and its
 dual are transcribed here once; tests compare engine output against these
 exactly.  The three real slices of sl(3, C) are derived here from their
 reality conditions as the kernel of one linear system, independently of
-the slice coordinates that ``orbit`` writes down from them.  The family
+the slice coordinates that ``orbit`` writes down from them, and an
+inertia is counted here by symmetric congruence elimination, with a
+pivot swap or a hyperbolic fold at a zero pivot, independently of the
+characteristic polynomial and Descartes' rule of
+``orbit.rational_signature``.  The family
 metric and three-form are pushed forward to a coframe here from their
 sigma-level tensors, bilinearly and trilinearly term by term, the route
 ``orbit`` took before it realized the family form's coefficients once.
@@ -61,7 +65,8 @@ kappa -> k is done here by substituting k for kappa, and every other
 variable by itself, term by term in each numerator, and an extension
 element is rebuilt as c0 + c1 u + c2 u^2: the route
 ``wilczynski.specialize_kappa`` took before it evaluated each numerator's
-coefficients in kappa.  The scalar and Ricci curvature of the homogeneous
+coefficients in kappa.  An extension element is valued here at a point,
+given a cube root of its base there.  The scalar and Ricci curvature of the homogeneous
 metric on SU(2,1)/U(1) are computed here from the structure constants
 alone, independently of ``d``, the Hodge star and the torsion of the
 co-calibration certificate.  A polynomial is substituted into here
@@ -97,14 +102,13 @@ from g2sextic.exterior import (
     volume_form,
     wedge,
 )
-from g2sextic.g2verify import contraction_value, metric_of_vector
+from g2sextic.g2verify import contraction_pairing, metric_of_vector
 from g2sextic.liealg import Matrix3, diag, rational_kernel
 from g2sextic.orbit import (
     SYMBOLS,
     RealityError,
     family_sextic,
     metric_from_sextic,
-    rational_signature,
     threeform_from_sextic,
 )
 from g2sextic.scalar import AlgebraicScalar, I, ONE, SQRT10, ZERO, cleared, exact
@@ -307,7 +311,46 @@ def metric_gram(vectors):
 def slice_inertia(tag):
     """(n+, n-) of the family metric on the slice, modulo the stabiliser line."""
     gram = metric_gram(slice_frame(tag)[:7])
-    return rational_signature(gram)
+    return congruence_inertia(gram)
+
+
+def congruence_inertia(gram) -> tuple[int, int]:
+    """Sylvester counts via exact congruence (Lagrange) elimination: a zero
+    pivot is swapped with a later nonzero diagonal entry, or, with none,
+    folded with a hyperbolic partner; a ValueError for a singular matrix."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]  # an int pivot would divide to a float
+    pos = neg = 0
+    for k in range(n):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if j is None:
+                    continue  # residual block row is zero; handled below
+                for col in range(n):
+                    a[k][col] += a[j][col]
+                for row in a:
+                    row[k] += row[j]
+        pivot = a[k][k]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k] / pivot
+            if f:
+                for col in range(n):
+                    a[i][col] -= f * a[k][col]
+                for row in a:
+                    row[i] -= f * row[k]
+    if pos + neg < n:
+        raise ValueError("degenerate Gram matrix")
+    return pos, neg
 
 
 def realized_threeform(tag):
@@ -411,13 +454,13 @@ def homogeneous_ricci(dtheta):
 def polarized_bryant_form(phi):
     """B(x, y) in (x -| phi) ^ (y -| phi) ^ phi = B(x, y) vol, by polarization."""
     units = [[ONE if k == j else ZERO for k in range(7)] for j in range(7)]
-    diagonal = [contraction_value(phi, e) for e in units]
+    diagonal = [contraction_pairing(phi, e, e) for e in units]
 
     def entry(i, j):
         if i == j:
             return diagonal[i]
         both = [x + y for x, y in zip(units[i], units[j])]
-        return (contraction_value(phi, both) - diagonal[i] - diagonal[j]) * Fraction(1, 2)
+        return (contraction_pairing(phi, both, both) - diagonal[i] - diagonal[j]) * Fraction(1, 2)
 
     return [[entry(i, j) for j in range(7)] for i in range(7)]
 
@@ -437,7 +480,7 @@ def sampled_g2_identities(phi, samples, seed):
     for _ in range(samples):
         vector = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(7)]
         gvv = metric_of_vector(vector)
-        cval = contraction_value(phi, vector)
+        cval = contraction_pairing(phi, vector, vector)
         if not gvv:
             consistent = consistent and not cval
             continue
@@ -452,7 +495,7 @@ def sampled_g2_identities(phi, samples, seed):
     )
     null_vector = [ONE, I, ZERO, ZERO, ZERO, ZERO, ZERO]
     out["null_direction_vanishes"] = (not metric_of_vector(null_vector)) and (
-        not contraction_value(phi, null_vector)
+        not contraction_pairing(phi, null_vector, null_vector)
     )
     return out
 
@@ -521,6 +564,14 @@ def term_by_term_function_value(f, point):
             raise PoleError("denominator factor vanishes at the point")
         value *= base ** e
     return value
+
+
+def extended_value(f: ExtendedJetFunction, point: dict, root):
+    """The value of c0 + c1 u + c2 u^2 at point with u = root; a ValueError
+    unless root^3 is the base's value there."""
+    if root ** 3 != f.base.evaluate(point):
+        raise ValueError(f"{root} is not a cube root of the base at the point")
+    return f.c0.evaluate(point) + f.c1.evaluate(point) * root + f.c2.evaluate(point) * root ** 2
 
 
 def _from_univar(ctx: JetContext, v: int, coeffs: dict) -> Poly:

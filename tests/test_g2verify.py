@@ -19,7 +19,7 @@ from g2sextic.exterior import (
 from g2sextic.g2verify import (
     G2Certificate,
     contraction_gram,
-    contraction_value,
+    contraction_pairing,
     g2_identities,
     metric_of_vector,
     verify_cocalibrated,
@@ -126,7 +126,7 @@ def test_contraction_direct_example():
     # V = dual of theta^1: (V -| phi)^(V -| phi)^phi = 6 vol, g(V,V) = 1
     vector = [Fraction(1), 0, 0, 0, 0, 0, 0]
     assert metric_of_vector(vector) == AlgebraicScalar.rational(1)
-    assert contraction_value(PHI, vector) == AlgebraicScalar.rational(6)
+    assert contraction_pairing(PHI, vector, vector) == AlgebraicScalar.rational(6)
 
 
 def test_rejects_non_basic_phi():
@@ -174,7 +174,7 @@ def test_a_changed_coefficient_breaks_proportionality(seed):
     rng = random.Random(seed)
     first = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(7)]
     assert metric_of_vector(first)
-    expected = contraction_value(phi, first) * (1 / metric_of_vector(first))
+    expected = contraction_pairing(phi, first, first) * (1 / metric_of_vector(first))
     assert report["contraction_constant"] == expected
 
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from g2sextic import cli
 from g2sextic.binform import BinaryForm
@@ -33,6 +35,7 @@ from g2sextic.orbit import (
 from g2sextic.scalar import BASIS_SYMBOLS, AlgebraicScalar
 
 from reference_data import (
+    congruence_inertia,
     expected_phi,
     frame_covectors,
     metric_gram,
@@ -210,7 +213,7 @@ def test_real_slice_inertia_from_reality_condition(tag):
     assert real_rank(solved + [stabiliser(tag)]) == 8
     gram = metric_gram(slice_frame(tag))
     # the stabiliser (last frame vector) pairs to zero with the whole
-    # slice; rational_signature raises on a degenerate complement, so the
+    # slice; slice_inertia raises on a degenerate complement, so the
     # radical is exactly the stabiliser line
     assert not any(gram[7])
     assert slice_inertia(tag) == SLICE_INERTIA[tag] == signature(tag)
@@ -240,7 +243,7 @@ def test_phi_metric_inertia(tag):
     assert len(units) == 1
     (unit,) = units
     assert BASIS_SYMBOLS[unit] in ("1", "r2", "r5", "r10")
-    plus, minus = rational_signature([[entry.coords[unit] for entry in row] for row in form])
+    plus, minus = congruence_inertia([[entry.coords[unit] for entry in row] for row in form])
     # det(B) has the sign (-1)^minus, and its real ninth root keeps it
     phi_inertia = (plus, minus) if minus % 2 == 0 else (minus, plus)
     assert phi_inertia == SLICE_INERTIA[tag] == signature(tag)
@@ -260,6 +263,66 @@ def test_rational_signature_of_int_entries_is_exact():
         rational_signature([[25, 55], [55, 121]])
     assert rational_signature([[25, 55], [55, 122]]) == (2, 0)
     assert rational_signature([[0, 3], [3, 0]]) == (1, 1)
+
+
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=4),
+    st.just(0),
+)
+
+
+def symmetric(draw, n, diagonal):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(diagonal)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(entries)
+    return rows
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """(matrix, singular): a random symmetric matrix of size 1..8, with
+    zero diagonal entries, hyperbolic 2 x 2 blocks or a repeated row."""
+    kind = draw(st.sampled_from(("random", "zero diagonal", "hyperbolic", "repeated row")))
+    n = draw(st.integers(2 if kind == "repeated row" else 1, 8))
+    if kind == "random":
+        return symmetric(draw, n, entries), False
+    if kind == "zero diagonal":
+        return symmetric(draw, n, st.just(0)), False
+    if kind == "hyperbolic":
+        # blocks [[0, b], [b, 0]] and a nonzero 1 x 1 block, rows and
+        # columns permuted: the elimination swaps or folds at zero pivots
+        nonzero = entries.filter(bool)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(0, n - 1, 2):
+            rows[i][i + 1] = rows[i + 1][i] = draw(nonzero)
+        if n % 2:
+            rows[n - 1][n - 1] = draw(nonzero)
+        order = draw(st.permutations(list(range(n))))
+        return [[rows[i][j] for j in order] for i in order], False
+    # rows i and j equal: det = 0
+    base = symmetric(draw, n, entries)
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    order = [i if k == j else k for k in range(n)]
+    return [[base[a][b] for b in order] for a in order], True
+
+
+@given(symmetric_matrices())
+def test_rational_signature_matches_congruence_elimination(case):
+    # Descartes' rule on the characteristic polynomial against Lagrange's
+    # congruence elimination, on ints and Fractions alike
+    gram, singular = case
+    try:
+        expected = congruence_inertia(gram)
+    except ValueError as err:
+        assert str(err) == "degenerate Gram matrix"
+        with pytest.raises(ValueError, match="degenerate Gram matrix"):
+            rational_signature(gram)
+        return
+    assert not singular
+    assert rational_signature(gram) == expected
 
 
 def test_stabilizer_checks():
