@@ -16,7 +16,6 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import gcd, perm
 
 from . import binform, g2verify, orbit, targets, wilczynski
@@ -291,7 +290,7 @@ def cuspidal_jet_samples(count: int, seed: int) -> Iterator[dict]:
                 break
             t0 = Fraction(rng.randint(1, 40), rng.randint(1, 6))
             try:
-                jets = wilczynski.jets_along_curve((z[0], z[2]), (z[1], z[2]), 7, t0)
+                jets = wilczynski.jets_along_curve(z[0], z[1], z[2], 7, t0)
             except (PoleError, DegenerateCurveError):
                 continue
             if not jets["y2"]:
@@ -302,25 +301,16 @@ def cuspidal_jet_samples(count: int, seed: int) -> Iterator[dict]:
             yield jets
 
 
-_RESIDUAL_BATCH = 100  # jets per batch of C10 residuals
-
-
 def criterion_sampling_oracle(samples: int = 50, seed: int = 0) -> list:
     """C10: Theta_8^3 - kappa0 Theta_3^8 = 0 at `samples` exact cubic jets
     drawn from the seeded stream of cuspidal_jet_samples."""
     ctx = JetContext(7)
     th3, th8 = wilczynski.curve_thetas(ctx)
     kappa0 = targets.KAPPA_CUSPIDAL
-    # The residuals are taken per batch of drawn jets, so at most one batch
-    # is held at once.  Batches rather than single jets: at 1,500 samples,
-    # alternating the sampler and the evaluator jet by jet ran about 5%
-    # slower (CPython 3.11, 2-vCPU Xeon); batches of 50 to 200 did not.
-    stream = cuspidal_jet_samples(samples, seed)
     count, largest = 0, 0
-    while batch := list(islice(stream, _RESIDUAL_BATCH)):
-        count += len(batch)
-        for jets in batch:
-            largest = max(largest, abs(th8.evaluate(jets) ** 3 - kappa0 * th3.evaluate(jets) ** 8))
+    for jets in cuspidal_jet_samples(samples, seed):
+        count += 1
+        largest = max(largest, abs(th8.evaluate(jets) ** 3 - kappa0 * th3.evaluate(jets) ** 8))
     return [
         _report("c10.cubic-jet-membership", largest == 0,
                 details={"samples": count, "seed": seed,

@@ -784,9 +784,6 @@ class JetFunction:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(self.ctx, other)
         if o is None:
@@ -913,15 +910,6 @@ class JetFunction:
             total = dfv * _jet(ctx, exact(unit * e), prim, shifted) + total
         return total
 
-    def log_derivative(self, derivation: tuple):
-        """D(self)/self computed term-by-term; stays in the localization."""
-        ctx = self.ctx
-        total = _derive_poly(self.prim, derivation) / JetFunction(ctx, self.prim, {})
-        for f, e in self.factors.items():
-            dfv = _derive_poly(f, derivation)
-            total = total + dfv * _jet(ctx, e, ctx.const(1), {f: -1})
-        return total
-
     def evaluate(self, point: dict) -> Fraction:
         """The value at point; a PoleError when any denominator factor
         vanishes there, whatever the order of the factor table.
@@ -1033,9 +1021,6 @@ class ExtendedJetFunction:
     def is_zero(self) -> bool:
         return self.c0.is_zero() and self.c1.is_zero() and self.c2.is_zero()
 
-    def __bool__(self):
-        return not self.is_zero()
-
     def __add__(self, other):
         if isinstance(other, _SCALARS):
             return self._of(self.c0 + other, self.c1, self.c2)
@@ -1052,9 +1037,6 @@ class ExtendedJetFunction:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self._of(self.c0 * other, self.c1 * other, self.c2 * other)
@@ -1070,28 +1052,17 @@ class ExtendedJetFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, ExtendedJetFunction):
-            raise ValueError("division by u-bearing element not supported")
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.fn(other)
-        return self * other.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of extended element")
         return power(self, n, self.ctx.fn(1))
 
-    def __eq__(self, other):
-        if not isinstance(other, (*_SCALARS, ExtendedJetFunction)):
-            return NotImplemented
-        return (self - other).is_zero()
-
     partial = JetFunction.partial
 
     def derivative(self, derivation: tuple):
-        # D(u) = rho u; the right-hand side F and each D(c_k) may carry u
-        rho = self.base.log_derivative(derivation) / 3
+        # D(u) = rho u with rho = D(base) / (3 base); the right-hand side F,
+        # and with it D(base) and each D(c_k), may carry u
+        rho = self.base.derivative(derivation) * (self.base * 3).inverse()
         out = self.c0.derivative(derivation)
         if self.c1:
             out = out + self._times_u(self.c1.derivative(derivation) + rho * self.c1)

@@ -139,16 +139,8 @@ class AlgebraicScalar:
         prod = x1 * x2 * x3
         return AlgebraicScalar(tuple(c / norm for c in prod.coords))
 
-    def __truediv__(self, other):
-        return self * AlgebraicScalar.coerce(other).inv()
-
     def __rtruediv__(self, other):
         return AlgebraicScalar.coerce(other) * self.inv()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        return power(self, n, ONE)
 
     # -- structure ---------------------------------------------------------
 
@@ -201,10 +193,10 @@ SQRT10 = AlgebraicScalar((0, 0, 0, 0, 0, 0, 1, 0))
 # -- algorithms shared by every exact coefficient type -----------------------
 #
 # The one square-and-multiply, the one Gauss-Jordan loop and the one
-# denominator clearing of the package.  power serves AlgebraicScalar and
-# diffpoly's Poly, JetFunction and ExtendedJetFunction, each passing its own
-# unit, which only a zeroth power returns (the JetFunction 1 for the
-# cube-root extension, whose elements all carry u); row_reduce solves over
+# denominator clearing of the package.  power serves diffpoly's Poly,
+# JetFunction and ExtendedJetFunction, each passing its own unit, which
+# only a zeroth power returns (the JetFunction 1 for the cube-root
+# extension, whose elements all carry u); row_reduce solves over
 # Fraction, AlgebraicScalar and JetFunction; cleared puts the rational
 # kernels on ints: binform's transvectant and GL(2) action, and Poly's
 # evaluate, exact_div and primitive.

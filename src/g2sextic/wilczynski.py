@@ -547,7 +547,7 @@ def curvature_ode(kappa=None) -> NonlinearODE:
     kappa_fn = ctx.fn("kappa") if symbolic else ctx.fn(Fraction(kappa))
     base = kappa_fn * theta3.as_factored() ** 8
     u = ExtendedJetFunction(ctx.fn(0), ctx.fn(1), ctx.fn(0), base)
-    rhs = (u - b_part) / a_coef
+    rhs = (u - b_part) * a_coef.inverse()
     return NonlinearODE(7, rhs)
 
 
@@ -614,14 +614,14 @@ def specialize_kappa(thetas, k) -> dict:
 
 # A power series in s = t - t0, truncated after its n-th coefficient, is a
 # pair (coeffs, den): the coefficient of s^i is coeffs[i] / den, with int
-# coeffs and a positive int den.  For x = a/b and y = c/d the derivatives
+# coeffs and a positive int den.  For x = a/b and y = c/b the derivatives
 # are quotients of integer polynomials in t, x' = W(a, b) / b^2 and
-# y' = W(c, d) / d^2, with the Wronskian numerator W(p, q) = p'q - pq'.
-# So y1 = y'/x' and the step factor 1/x' share the one denominator
-# Q = W(a, b) d^2 (W(a, b) when d = b), and a jet takes one series inverse
-# (Knuth, TAOCP vol. 2, 4.7).  The two products with 1/Q divide out their
-# gcd once; the derivation ladder after them takes no gcd, and each jet is
-# reduced once, by Fraction.
+# y' = W(c, b) / b^2, with the Wronskian numerator W(p, q) = p'q - pq'.
+# So y1 = y'/x' = W(c, b) / W(a, b) and the step factor 1/x' = b^2 / W(a, b)
+# share the one denominator W(a, b), and a jet takes one series inverse
+# (Knuth, TAOCP vol. 2, 4.7).  The two products with 1/W(a, b) divide out
+# their gcd once; the derivation ladder after them takes no gcd, and each
+# jet is reduced once, by Fraction.
 
 
 def _reduced(coeffs: list, den: int) -> tuple:
@@ -683,31 +683,26 @@ def _taylor_shift(p: list, t0: Fraction, n: int) -> tuple:
     return [c[i] * b ** i if i <= d else 0 for i in range(n)], b ** d
 
 
-def jets_along_curve(x: tuple, y: tuple, k: int, t0: Fraction) -> dict:
-    """Exact jets y1..y_k of the curve (x(t), y(t)) at t = t0.
+def jets_along_curve(a: list, c: list, b: list, k: int, t0: Fraction) -> dict:
+    """Exact jets y1..y_k of the curve x = a/b, y = c/b at t = t0.
 
-    x and y are (numerator, denominator) pairs of nonempty int coefficient
-    lists, index i holding the coefficient of t^i; the denominators are not
-    the zero polynomial.  A given denominator that vanishes at t0 is a
-    pole, even when its numerator shares that root: the pair is taken as
-    given, not reduced.
+    a, c and b are nonempty int coefficient lists, index i holding the
+    coefficient of t^i, and b is not the zero polynomial.  A b that
+    vanishes at t0 is a pole, even when a and c share that root: the
+    quotients are taken as given, not reduced.
 
     y1 = y'/x', then y_(j+1) = (d y_j / dt) / x', done on power series in
     s = t - t0 truncated after s^(k-1), the fewest terms that still fix
-    y_k.  For x = a/b and y = c/d, with W(p, q) = p'q - pq' and
-    Q = W(a, b) d^2, y1 = W(c, d) b^2 / Q and 1/x' = b^2 d^2 / Q; when
-    d = b, as on every curve (z0/z2, z1/z2) of the sampler, Q = W(a, b),
-    y1 = W(c, d) / Q and 1/x' = b^2 / Q.  The numerators and Q become
-    series by Taylor shifts, Q takes the one series inverse, and each step
+    y_k.  With W(p, q) = p'q - pq', y1 = W(c, b) / W(a, b) and
+    1/x' = b^2 / W(a, b).  The numerators and W(a, b) become series by
+    Taylor shifts, W(a, b) takes the one series inverse, and each step
     derives the series and multiplies it by 1/x', which drops its last
     coefficient.  The constant coefficient of the j-th series is y_j.
 
-    Rejects, in this order: a pole of x at t0 (PoleError), x'(t0) = 0
-    (DegenerateCurveError), a pole of y at t0 (PoleError); for every k,
-    k = 0 included.
+    Rejects, in this order: b(t0) = 0 (PoleError), x'(t0) = 0
+    (DegenerateCurveError); for every k, k = 0 included.
     """
     t0 = Fraction(t0)
-    (a, b), (c, d) = x, y
 
     def at(p: list) -> tuple:  # (v, e) with p(t0) = v / e
         (value,), den = _taylor_shift(p, t0, 1)
@@ -716,33 +711,18 @@ def jets_along_curve(x: tuple, y: tuple, k: int, t0: Fraction) -> dict:
     def quotient(num: tuple, den: tuple) -> Fraction:
         return Fraction(num[0] * den[1], num[1] * den[0])
 
-    xb = at(b)
-    if not xb[0]:
+    bt = at(b)
+    if not bt[0]:
         raise PoleError(f"the denominator vanishes at t = {t0}")
-    wx = _wronskian(a, b)
-    qs = _taylor_shift(wx, t0, max(k, 1))
+    qs = _taylor_shift(_wronskian(a, b), t0, max(k, 1))
     if not qs[0][0]:
         raise DegenerateCurveError("x'(t0) = 0: not a graph over x near the point")
-    shared = d == b
-    yd = xb if shared else at(d)
-    if not yd[0]:
-        raise PoleError(f"the denominator vanishes at t = {t0}")
-    jets = {"x": quotient(at(a), xb), "y": quotient(at(c), yd)}
+    jets = {"x": quotient(at(a), bt), "y": quotient(at(c), bt)}
     if not k:
         return jets
-
-    def mul(p: list, q: list) -> list:
-        return _times(p, q, len(p) + len(q) - 1)
-
-    wy, b2 = _wronskian(c, d), mul(b, b)
-    if shared:
-        py, pw = wy, b2
-    else:
-        d2 = mul(d, d)
-        qs = _taylor_shift(mul(wx, d2), t0, k)
-        py, pw = mul(wy, b2), mul(b2, d2)
     inverse, inverse_den = _series_inv(qs)
-    (ys, y_den), (ws, w_den) = _taylor_shift(py, t0, k), _taylor_shift(pw, t0, k - 1)
+    ys, y_den = _taylor_shift(_wronskian(c, b), t0, k)
+    ws, w_den = _taylor_shift(_times(b, b, 2 * len(b) - 1), t0, k - 1)
     cur, den = _reduced(_times(ys, inverse, k), y_den * inverse_den)
     w, w_den = _reduced(_times(ws, inverse, k - 1), w_den * inverse_den)
     jets["y1"] = Fraction(cur[0], den)

@@ -34,7 +34,10 @@ one product and one copy of the running sum per variable, the route
 ``wilczynski._poly_derive`` took before ``Poly.derive`` wrote every piece
 into one dict, and a derivation of the jet layer by one JetFunction
 product and sum per variable, the route ``diffpoly._derive_poly`` took
-before it made one Poly.derive call.  The eight
+before it made one Poly.derive call.  A logarithmic derivative D(f)/f
+is taken here term by term over f's factor table, the route
+``ExtendedJetFunction.derivative`` took to rho = D(base) / (3 base)
+before it derived the base once and divided.  The eight
 projective vector fields of the plane are listed here with their
 prolongation to jets, which reads only D_x and partial derivatives, not
 the Wilczynski assembly.  The classical invariants Theta_r are assembled
@@ -80,6 +83,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+from g2sextic import diffpoly
 from g2sextic.binform import BinaryForm
 from g2sextic.diffpoly import (
     ExtendedJetFunction,
@@ -780,6 +784,18 @@ def derive_by_jet_sum(p: Poly, derivation: tuple):
                 f"derivative of {name} undefined: supply the equation right-hand side"
             )
         total = JetFunction(ctx, dp, {}) * image + total
+    return total
+
+
+def log_derivative(f: JetFunction, derivation: tuple):
+    """D(f)/f computed term by term, so it stays in the localization:
+    D(prim)/prim plus e D(g)/g for each table factor g^e.  Each D is one
+    diffpoly._derive_poly call, looked up when called, and may carry u."""
+    ctx = f.ctx
+    total = diffpoly._derive_poly(f.prim, derivation) * JetFunction(ctx, f.prim, {}).inverse()
+    for g, e in f.factors.items():
+        dg = diffpoly._derive_poly(g, derivation)
+        total = total + dg * diffpoly._jet(ctx, e, ctx.const(1), {g: -1})
     return total
 
 

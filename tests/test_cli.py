@@ -646,8 +646,7 @@ def test_seed_changes_sample_points_not_verdicts():
     assert ja != jb  # different points, same exact verdict
 
 
-def test_sampling_oracle_counts_across_residual_batches():
-    # 250 jets: two full batches of residuals and a partial one
+def test_sampling_oracle_counts_every_sample():
     (report,) = criterion_sampling_oracle(samples=250, seed=3)
     assert report.status == "pass"
     assert report.details["samples"] == 250
@@ -661,7 +660,7 @@ def test_sampler_draw_stream_is_pinned(monkeypatch):
     jets_along_curve = wilczynski.jets_along_curve
 
     def counted(*args):
-        calls.append(args[3])
+        calls.append(args[4])
         return jets_along_curve(*args)
 
     monkeypatch.setattr(wilczynski, "jets_along_curve", counted)

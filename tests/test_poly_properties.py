@@ -58,6 +58,7 @@ from reference_data import (
     derive_by_partials,
     expanded_normalize_pair,
     extended_value,
+    log_derivative,
     long_division,
     prs_gcd,
     term_by_term_function_value,
@@ -796,6 +797,12 @@ def test_on_equation_total_derivative_is_a_derivation(f, g, c, rhs):
     assert_derivation(lambda h: h.derivative(dmap), f, g, c)
 
 
+def same(x, y):
+    """x and y are one value, where either may carry u: one type, since a
+    u-free result is a JetFunction, and a zero difference."""
+    return type(x) is type(y) and (x - y).is_zero()
+
+
 @settings(max_examples=50)
 @given(low_functions(), low_functions(), low_functions(),
        st.sampled_from(("partial", "free", "on-equation")))
@@ -811,9 +818,9 @@ def test_cube_root_extension_is_a_derivation(base, r0, r1, kind):
     else:
         dmap = on_equation_derivative_map(JET_CTX, 3, u * r1 + r0)
     du = u.derivative(dmap)
-    assert (u * u * u).derivative(dmap) == base.derivative(dmap)
-    assert (u * u).derivative(dmap) == du * u * 2
-    assert (u * u * u).derivative(dmap) == du * u * u * 3
+    assert same((u * u * u).derivative(dmap), base.derivative(dmap))
+    assert same((u * u).derivative(dmap), du * u * 2)
+    assert same((u * u * u).derivative(dmap), du * u * u * 3)
 
 
 @settings(max_examples=40)
@@ -823,8 +830,11 @@ def test_derivations_match_the_jet_sum_route(f, base, r0, r1, kind):
     # one Poly.derive call per polynomial, plus one product by the
     # on-equation right-hand side F, equals by value the running sum of
     # JetFunction(dp/dv) * image(v) over the used variables, in
-    # derivative, log_derivative and the cube-root extension's derivative;
-    # F is a JetFunction, or r0 + r1 u carrying u
+    # derivative and the cube-root extension's derivative; F is a
+    # JetFunction, or r0 + r1 u carrying u.  The extension's
+    # D(c0) + (D c1 + rho c1) u + (D c2 + 2 rho c2) u^2 with
+    # rho = D(base) / (3 base) also equals that sum with rho taken term by
+    # term, as log_derivative(base) / 3
     assume(f and base)
     u = ExtendedJetFunction(JET_CTX.fn(0), JET_CTX.fn(1), JET_CTX.fn(0), base)
     if kind == "partial":
@@ -837,14 +847,18 @@ def test_derivations_match_the_jet_sum_route(f, base, r0, r1, kind):
     element = ExtendedJetFunction(f, r0, r1, base)
 
     def derivatives():
-        return [f.derivative(derivation), f.log_derivative(derivation),
-                element.derivative(derivation)]
+        rho = log_derivative(base, derivation) * Fraction(1, 3)
+        by_log_derivative = (f.derivative(derivation)
+                             + u * (r0.derivative(derivation) + rho * r0)
+                             + u * u * (r1.derivative(derivation) + rho * r1 * 2))
+        return [f.derivative(derivation), element.derivative(derivation), by_log_derivative]
 
     kernel = derivatives()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(diffpoly, "_derive_poly", derive_by_jet_sum)
         oracle = derivatives()
-    assert kernel == oracle
+    assert all(same(k, o) for k, o in zip(kernel, oracle))
+    assert same(kernel[1], kernel[2])
 
 
 # -- the cube-root extension as a ring ---------------------------------------------------
@@ -874,7 +888,7 @@ def test_cube_root_extension_is_a_ring(h, parts, point):
     assert value(ab) == va * vb == value(b * a)
     assert value(ab * c) == va * vb * vc == value(a * (b * c))
     assert value(a * (b + c)) == va * (vb + vc)
-    assert a * 1 == a and (a + 0) == a and not (a - a)
+    assert (a - a * 1).is_zero() and (a - (a + 0)).is_zero() and not (a - a)
 
 
 @settings(max_examples=50)
@@ -889,14 +903,12 @@ def test_u_freeness_survives_u_free_operands(h, f, g, k):
     a, b = ExtendedJetFunction(f, zero, zero, base), ExtendedJetFunction(g, zero, zero, base)
     u = ExtendedJetFunction(zero, one, zero, base)
     results = [(a + b, f + g), (a - b, f - g), (a * b, f * g), (a * g, f * g), (a * k, f * k),
-               (a / k, f / k), (g * a, g * f), (k * a, k * f), (a + g, f + g), (g + a, g + f),
-               (a + k, f + k), (k + a, k + f), (a - g, f - g), (g - a, g - f), (k - a, k - f),
+               (g * a, g * f), (k * a, k * f), (a + g, f + g), (g + a, g + f),
+               (a + k, f + k), (k + a, k + f), (a - g, f - g), (-a + g, -f + g), (-a + k, -f + k),
                (-a, -f), (a ** (k + 1), f ** (k + 1)), (a ** 0, one), ((u * f) * (u * u * g), f * g * base),
                ((u + f) - u, f), (u ** 3 * f, base * f)]
     if g:
-        results += [(a / g, f / g)]
-        with pytest.raises(ValueError):
-            a / b  # an element is never a divisor
+        results += [(a * g.inverse(), f / g)]
     for ext, plain in results:
         assert type(ext) is JetFunction
         assert ext == plain
@@ -918,10 +930,7 @@ def test_no_arithmetic_result_is_a_u_free_element(h, parts, g, k):
     results = [-x for x in operands] + [x ** k for x in operands]
     for x in operands:
         for y in operands + scalars:
-            results += [x + y, y + x, x - y, y - x, x * y, y * x]
-        for y in scalars:
-            if y:
-                results.append(x / y)
+            results += [x + y, y + x, x + (-y), -x + y, x * y, y * x]
         results += [x.partial("y1"), x.derivative(free_total_derivative_map(JET_CTX))]
     for r in results:
         assert isinstance(r, (JetFunction, ExtendedJetFunction))
@@ -988,7 +997,7 @@ def test_operations_keep_an_integer_primitive_numerator(f, g, n, c, name):
     num = f.prim.scale(f.unit)
     results = [f, g, JetFunction(CTX, num * 3, f.factors), JetFunction(CTX, num, g.factors),
                JetFunction(CTX, num, {p.scale(-2): e for p, e in g.factors.items()}),
-               f + g, f - g, f - f, f + c, c - f, f * g, f * c, c * f, -f, f.as_factored(),
+               f + g, f - g, f - f, f + c, -f + c, f * g, f * c, c * f, -f, f.as_factored(),
                f.partial(name)]
     if f or n >= 0:
         results.append(f ** n)
@@ -1009,4 +1018,4 @@ def test_derivations_keep_an_integer_primitive_numerator(f, g, rhs, name):
         assert_integer_numerator(h.derivative(free_total_derivative_map(JET_CTX)))
         assert_integer_numerator(h.derivative(dmap))
         if h:
-            assert_integer_numerator(h.log_derivative(dmap))
+            assert_integer_numerator(log_derivative(h, dmap))

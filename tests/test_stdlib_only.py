@@ -2,7 +2,11 @@
 it and the tests read every name they import, the package reads every
 private name it defines, no package module reads a private name that
 only another one defines, and the package or perfbench reads every
-public name it defines: a name that only the tests read is not kept.  Only scalar.py takes math.lcm, so
+public name it defines: a name that only the tests read is not kept.
+That rule matches by name and leaves dunders out, so the cube-root
+extension, whose methods are mostly operators, is held to it by a run:
+C08's derivation calls every method it defines but its u-bearing report
+path.  Only scalar.py takes math.lcm, so
 scalar.cleared stays the one routine that clears denominators.  Every
 Python file of the package, the tests and perfbench parses with the
 grammar of the Python floor that pyproject.toml declares.  Every command
@@ -15,9 +19,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from types import FunctionType
 
 import g2sextic
+from g2sextic import targets, wilczynski
+from g2sextic.diffpoly import ExtendedJetFunction
 
 PACKAGE_DIR = Path(g2sextic.__file__).parent
 TESTS_DIR = Path(__file__).parent
@@ -364,6 +372,40 @@ def test_an_unread_public_name_is_reported(tmp_path):
     ]
     assert unread_public_names([module], [module, bench]) == unread_public_names(
         [module], [module, test_file])
+
+
+def test_c08_runs_every_method_of_the_cube_root_extension(monkeypatch):
+    # the public-name rule cannot see an operator that only tests call;
+    # a cold curvature_thetas() and its specializations at kappa0 and 1,
+    # which C08 reports on, must call every function the extension
+    # defines, but is_zero, __str__ and __repr__: C08's report path for an
+    # invariant that carries u, which its invariants never do
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    defined = []
+    for name, value in list(vars(ExtendedJetFunction).items()):
+        if isinstance(value, FunctionType):
+            wrapped = counted(name, value)
+        elif isinstance(value, staticmethod):
+            wrapped = staticmethod(counted(name, value.__func__))
+        elif isinstance(value, property):
+            wrapped = property(counted(name, value.fget))
+        else:
+            continue
+        defined.append(name)
+        monkeypatch.setattr(ExtendedJetFunction, name, wrapped)
+    wilczynski.curvature_thetas.cache_clear()
+    thetas = wilczynski.curvature_thetas()
+    for k in (targets.KAPPA_CUSPIDAL, 1):
+        wilczynski.specialize_kappa(thetas, k)
+    assert len(defined) > 15
+    assert sorted(name for name in defined if not calls[name]) == ["__repr__", "__str__", "is_zero"]
 
 
 def test_importing_the_cli_loads_no_dataclasses_chain():

@@ -75,7 +75,7 @@ from reference_data import (
 )
 
 KAPPA0 = Fraction(3 ** 9 * 7 ** 3, 2 ** 4 * 5 ** 2)
-T_SQUARED, T_CUBED = ([0, 0, 1], [1]), ([0, 0, 0, 1], [1])
+CUSP = ([0, 0, 1], [0, 0, 0, 1], [1])  # x = t^2, y = t^3 as (a, c, b)
 
 
 # -- semi-invariants and classical thetas --------------------------------------
@@ -942,7 +942,7 @@ def test_cubic_jets_satisfy_curvature_equation():
     ctx = JetContext(7)
     th3, th8 = curve_thetas(ctx)
     for t0 in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-3)):
-        jets = jets_along_curve(T_SQUARED, T_CUBED, 7, t0)
+        jets = jets_along_curve(*CUSP, 7, t0)
         assert th8.evaluate(jets) ** 3 - KAPPA0 * th3.evaluate(jets) ** 8 == 0
 
 
@@ -973,7 +973,7 @@ def test_power_curve_jets_constant_curvature():
         checked = 0
         for t0 in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)):
             try:
-                jets = jets_along_curve((z[0], z[2]), (z[1], z[2]), 7, t0)
+                jets = jets_along_curve(z[0], z[1], z[2], 7, t0)
                 lhs = th8.evaluate(jets) ** 3 - kappa * th3.evaluate(jets) ** 8
             except (PoleError, DegenerateCurveError, ZeroDivisionError):
                 continue
@@ -1298,28 +1298,34 @@ def test_wunschmann_relations_of_a_constant_theta3():
 
 
 def test_jets_along_curve_examples():
-    jets = jets_along_curve(T_SQUARED, T_CUBED, 1, Fraction(1))
+    jets = jets_along_curve(*CUSP, 1, Fraction(1))
     assert jets["y1"] == Fraction(3, 2)
-    jets = jets_along_curve(([0, 1], [1]), T_CUBED, 2, Fraction(2))
+    jets = jets_along_curve([0, 1], [0, 0, 0, 1], [1], 2, Fraction(2))
     assert jets["y2"] == 12
 
 
 def test_jets_along_curve_rejects_critical_point():
     with pytest.raises(DegenerateCurveError):
-        jets_along_curve(T_SQUARED, T_CUBED, 3, Fraction(0))
+        jets_along_curve(*CUSP, 3, Fraction(0))
 
 
 def test_jets_along_curve_pole():
+    # x = 1/t and y = t^2/t over the one denominator t
     with pytest.raises(PoleError):
-        jets_along_curve(([1], [0, 1]), ([0, 1], [1]), 2, Fraction(0))
+        jets_along_curve([1], [0, 0, 1], [0, 1], 2, Fraction(0))
 
 
 @pytest.mark.parametrize("shared_in", ["x", "y"])
 def test_jets_along_curve_shared_root_is_a_pole(shared_in):
-    # the pair is taken as given: (t^2 - t) / (t - 1) is a pole at t = 1,
-    # although the reduced function t is finite there
-    shared, t = ([0, -1, 1], [-1, 1]), ([0, 1], [1])
-    curve, reduced = ((shared, T_CUBED), (t, T_CUBED)) if shared_in == "x" else ((t, shared), (t, t))
+    # the quotients are taken as given: shared_in is the coordinate
+    # (t^2 - t) / (t - 1), and the other, t^3 or t, is written over the
+    # same denominator t - 1; the curve is a pole at t = 1, although its
+    # reduced form (t, t^3) or (t, t) is finite there
+    b, one = [-1, 1], [1]
+    if shared_in == "x":
+        curve, reduced = ([0, -1, 1], [0, 0, 0, -1, 1], b), ([0, 1], [0, 0, 0, 1], one)
+    else:
+        curve, reduced = ([0, -1, 1], [0, -1, 1], b), ([0, 1], [0, 1], one)
     with pytest.raises(PoleError):
         jets_along_curve(*curve, 3, Fraction(1))
     assert jets_along_curve(*curve, 3, Fraction(2)) == jets_along_curve(*reduced, 3, Fraction(2))
@@ -1327,9 +1333,8 @@ def test_jets_along_curve_shared_root_is_a_pole(shared_in):
 
 @pytest.mark.parametrize("k", [0, 3, 7])
 def test_jets_along_curve_takes_one_series_inverse(k, monkeypatch):
-    # 1/Q with Q = W(a, b) d^2 serves y1 and 1/x' alike: one inverse for
-    # the sampler's shared denominator, an equal copy and a distinct one,
-    # and none at k = 0, which needs only the values at t0
+    # 1/W(a, b) serves y1 and 1/x' alike: one inverse, and none at k = 0,
+    # which needs only the values at t0
     series_inv, calls = wilczynski._series_inv, []
 
     def counted(series):
@@ -1337,41 +1342,35 @@ def test_jets_along_curve_takes_one_series_inverse(k, monkeypatch):
         return series_inv(series)
 
     monkeypatch.setattr(wilczynski, "_series_inv", counted)
-    den, t0 = [3, -1, 0, 2], Fraction(5, 3)
-    x, y = ([1, 0, -2, 1], den), ([-4, 1, 0, 1], list(den))
-    for curve in ((x, y), (x, (y[0], den)), (x, ([-4, 1, 0, 1], [1, 1]))):
-        calls.clear()
-        assert jets_along_curve(*curve, k, t0) == symbolic_jets_along_curve(*curve, k, t0)
-        assert len(calls) == (1 if k else 0)
+    a, c, b, t0 = [1, 0, -2, 1], [-4, 1, 0, 1], [3, -1, 0, 2], Fraction(5, 3)
+    assert jets_along_curve(a, c, b, k, t0) == symbolic_jets_along_curve((a, b), (c, b), k, t0)
+    assert len(calls) == (1 if k else 0)
 
 
 def test_jets_along_curve_shared_denominator_pole_comes_first():
-    # a shared denominator that vanishes at t0 = 1 is a pole of x, raised
-    # before the x' test: also for x = (t - 1)^3 / (t - 1), whose reduced
-    # form (t - 1)^2 is critical there
-    shared = [-1, 1]
-    y = ([2, 0, 1], list(shared))
-    for x in (([1, 0, 0, 1], shared), ([-1, 3, -3, 1], shared)):
+    # a denominator that vanishes at t0 = 1 is a pole, raised before the
+    # x' test: also for x = (t - 1)^3 / (t - 1), whose reduced form
+    # (t - 1)^2 is critical there
+    b, c = [-1, 1], [2, 0, 1]
+    for a in ([1, 0, 0, 1], [-1, 3, -3, 1]):
         with pytest.raises(PoleError):
-            jets_along_curve(x, y, 4, Fraction(1))
+            jets_along_curve(a, c, b, 4, Fraction(1))
     with pytest.raises(DegenerateCurveError):
-        jets_along_curve(([1, -2, 1], [1]), y, 4, Fraction(1))
-    assert _outcome(symbolic_jets_along_curve, ([1, 0, 0, 1], shared), y, 4, Fraction(1)) is PoleError
+        jets_along_curve([1, -2, 1], c, [1], 4, Fraction(1))
+    assert _outcome(symbolic_jets_along_curve, ([1, 0, 0, 1], b), (c, b), 4, Fraction(1)) is PoleError
 
 
 @pytest.mark.parametrize("k", [0, 1, 4, 7])
 def test_jets_along_curve_rejection_order(k):
-    # at t0 = 1, for every k: a pole of x, then x'(t0) = 0, then a pole of
-    # y.  x = (t - 1)^2 has W(a, b)(1) = 0; y = (t^2 + 2) / (t - 1) has a
-    # pole there; x = (t - 1)^3 / (t - 1) has both a pole and W(a, b)(1) = 0
-    t0, pole = Fraction(1), [-1, 1]
-    critical, graph, y = ([1, -2, 1], [1]), ([0, 1], [1]), ([2, 0, 1], pole)
-    for x, error in ((critical, DegenerateCurveError), (graph, PoleError)):
-        with pytest.raises(error):
-            jets_along_curve(x, y, k, t0)
-        assert _outcome(symbolic_jets_along_curve, x, y, k, t0) is error
+    # at t0 = 1, for every k: a pole, then x'(t0) = 0.  x = (t - 1)^2 has
+    # W(a, b)(1) = 0; x = (t - 1)^3 / (t - 1) has both a pole and
+    # W(a, b)(1) = 0
+    t0, critical, c, one = Fraction(1), [1, -2, 1], [0, 1], [1]
+    with pytest.raises(DegenerateCurveError):
+        jets_along_curve(critical, c, one, k, t0)
+    assert _outcome(symbolic_jets_along_curve, (critical, one), (c, one), k, t0) is DegenerateCurveError
     with pytest.raises(PoleError):
-        jets_along_curve(([-1, 3, -3, 1], pole), graph, k, t0)
+        jets_along_curve([-1, 3, -3, 1], c, [-1, 1], k, t0)
 
 
 # -- series jets against the symbolic chain -------------------------------------------
@@ -1391,9 +1390,9 @@ def test_sampler_jets_match_symbolic_chain(seed, monkeypatch):
     series = wilczynski.jets_along_curve
     outcomes = []
 
-    def checked(x, y, k, t0):
-        expected = _outcome(symbolic_jets_along_curve, x, y, k, t0)
-        got = _outcome(series, x, y, k, t0)
+    def checked(a, c, b, k, t0):
+        expected = _outcome(symbolic_jets_along_curve, (a, b), (c, b), k, t0)
+        got = _outcome(series, a, c, b, k, t0)
         assert got == expected
         outcomes.append(got)
         if isinstance(got, type):
@@ -1434,36 +1433,30 @@ def _coprime(num, den):
 
 
 @settings(max_examples=600)
-@given(a=_POLY, b=_POLY, c=_POLY, d=_POLY, p=st.integers(-4, 4), q=st.integers(1, 3),
-       pole_x=st.booleans(), pole_y=st.booleans(), critical=st.booleans(),
-       k=st.integers(0, 7), shared=st.sampled_from(("no", "same", "equal")))
-def test_series_jets_match_symbolic_chain(a, b, c, d, p, q, pole_x, pole_y, critical, k, shared):
-    # x = A/B, y = C/D with A..D of degree <= 3, at t0 = p/q; the flags put
-    # a pole of x or y, or a critical point of x, at t0; shared makes D the
-    # list B itself or an equal copy, as on the sampler's curves (z0/z2, z1/z2)
-    assume(any(b) and any(d))
+@given(a=_POLY, b=_POLY, c=_POLY, p=st.integers(-4, 4), q=st.integers(1, 3),
+       pole=st.booleans(), critical=st.booleans(), k=st.integers(0, 7))
+def test_series_jets_match_symbolic_chain(a, b, c, p, q, pole, critical, k):
+    # x = A/B, y = C/B with A, B, C of degree <= 3, at t0 = p/q, as on the
+    # sampler's curves (z0/z2, z1/z2); the flags put a pole, or a critical
+    # point of x, at t0
+    assume(any(b))
     t0 = Fraction(p, q)
     root = [-p, q]
-    if pole_x:
+    if pole:
         b = _times(b, root)
-    if shared != "no":
-        d = b if shared == "same" else list(b)
-    elif pole_y:
-        d = _times(d, root)
     if critical:  # x = root^2 A/B + 1
         a = [u + v for u, v in zip_longest(_times(_times(a, root), root), b, fillvalue=0)]
     # the oracle's rational functions cancel a denominator that divides
-    # the numerator, where jets_along_curve takes the pair as given
-    assume(_coprime(a, b) and _coprime(c, d))
-    x, y = (a, b), (c, d)
-    expected = _outcome(symbolic_jets_along_curve, x, y, k, t0)
-    assert _outcome(jets_along_curve, x, y, k, t0) == expected
+    # the numerator, where jets_along_curve takes the quotients as given
+    assume(_coprime(a, b) and _coprime(c, b))
+    expected = _outcome(symbolic_jets_along_curve, (a, b), (c, b), k, t0)
+    assert _outcome(jets_along_curve, a, c, b, k, t0) == expected
 
 
 @given(p=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
        q=st.lists(st.integers(-9, 9), min_size=1, max_size=6))
 def test_wronskian_is_p_prime_q_minus_p_q_prime(p, q):
-    # against Poly arithmetic in t; x' = W(a, b) / b^2 and y' = W(c, d) / d^2
+    # against Poly arithmetic in t; x' = W(a, b) / b^2 and y' = W(c, b) / b^2
     # in jets_along_curve rest on it
     f, g = t_polynomial(p), t_polynomial(q)
     assert t_polynomial(wilczynski._wronskian(p, q)) == f.diff("t") * g - f * g.diff("t")
