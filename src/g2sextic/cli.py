@@ -29,7 +29,7 @@ from .diffpoly import (
 )
 from .exterior import format_form, forms_equal, is_basic
 from .liealg import derive_invariance_form, extract_structure_constants, sigma_in_theta, su21_basis
-from .scalar import format_algebraic, parse_rational
+from .scalar import cleared, format_algebraic, parse_rational
 from .wilczynski import (
     DegenerateCurveError,
     LinearODE,
@@ -295,7 +295,10 @@ def cuspidal_jet_samples(count: int, seed: int) -> Iterator[dict]:
                 continue
             if not jets["y2"]:
                 continue
-            if not wilczynski.halphen_numerator(*(jets[f"y{k}"] for k in (2, 3, 4, 5))):
+            # H is homogeneous of degree 3, so H(L y) = L^3 H(y) and the
+            # zero test runs on the jets cleared to ints over one L
+            ints, _ = cleared([jets[f"y{k}"] for k in (2, 3, 4, 5)])
+            if not wilczynski.halphen_numerator(*ints):
                 continue
             drawn += 1
             yield jets

@@ -402,23 +402,28 @@ class Poly:
         Every variable the polynomial uses needs a value (else ValueError),
         and a zero value under a negative exponent is a PoleError; both are
         checked before any arithmetic.  The sum runs on ints over one common
-        denominator: for each used variable v = n/d let lo = min(0, least
-        exponent) and hi = max(0, largest), and let L be the lcm of the
-        coefficient denominators; then the term c prod v^k is the int
-        c L prod n^(k-lo) d^(hi-k) over L prod n^(-lo) d^hi (Knuth, TAOCP
-        vol. 2, 4.6.4; Monagan & Pearce, CASC 2007).
+        denominator of the point: scalar.cleared gives each used value as
+        N / L over one L, the lcm of their denominators.  For each used
+        variable let lo = min(0, least exponent), let top be the largest
+        total degree of a term and let C be the lcm of the coefficient
+        denominators; then the term c prod v^k of total degree deg is the
+        int c C prod N^(k-lo) L^(top-deg) over C prod N^(-lo) L^top, and
+        L^(-top) multiplies the sum when top < 0 (Knuth, TAOCP vol. 2,
+        4.6.4; Monagan & Pearce, CASC 2007).
 
         What depends only on the polynomial is its evaluation plan, built
         by the first call and kept: the used variables in order with their
         names, each one's exponent column as indices k - lo with lo and hi,
-        and the cleared column c L with L.  The plan's slot is one that
-        _poly leaves unset, so building a Poly costs nothing more.  A call
-        checks the point, raises powers and sums ints.
+        the cleared column c C with C, top, and the column of offsets
+        top - deg when the terms' total degrees differ (None when they are
+        equal).  The plan's slot is one that _poly leaves unset, so building
+        a Poly costs nothing more.  A call checks the point, raises each N
+        and L to powers and sums ints.
         """
         try:
-            rows, column, den = self._plan
+            rows, column, den, top, offsets = self._plan
         except AttributeError:
-            rows, column, den = self._plan = self._evaluation_plan()
+            rows, column, den, top, offsets = self._plan = self._evaluation_plan()
         values = []
         for name, _, lo, _ in rows:
             if name not in point:
@@ -427,30 +432,42 @@ class Poly:
             if lo < 0 and not value:
                 raise PoleError(f"negative power of zero at {name}")
             values.append(value)
-        for value, (_, index, lo, hi) in zip(values, rows):
-            n, d = value.numerator, value.denominator
-            npow, dpow = [1], [1]
+        nums, common = cleared(values)
+        for n, (_, index, lo, hi) in zip(nums, rows):
+            # n^(k-lo) of exponent k, at index k - lo
+            powers = [1]
             for _ in range(hi - lo):
-                npow.append(npow[-1] * n)
-                dpow.append(dpow[-1] * d)
-            # the factor n^(k-lo) d^(hi-k) of exponent k, at index k - lo
-            table = [a * b for a, b in zip(npow, reversed(dpow))]
-            column = [c * table[i] for c, i in zip(column, index)]
-            den *= npow[-lo] * dpow[hi]
-        return Fraction(sum(column), den)
+                powers.append(powers[-1] * n)
+            column = [c * powers[i] for c, i in zip(column, index)]
+            den *= powers[-lo]
+        if offsets is not None and common != 1:
+            # L^(top-deg) of a term of total degree deg, at index top - deg
+            powers = [1]
+            for _ in range(max(offsets)):
+                powers.append(powers[-1] * common)
+            column = [c * powers[i] for c, i in zip(column, offsets)]
+        if top < 0:
+            return Fraction(sum(column) * common ** -top, den)
+        return Fraction(sum(column), den * common ** top)
 
     def _evaluation_plan(self) -> tuple:
-        """(rows, column, den) for evaluate: one row (name, index, lo, hi)
-        per used variable in index order, index holding k - lo for each
-        term's exponent k, and scalar.cleared of the coefficients."""
+        """(rows, column, den, top, offsets) for evaluate: one row (name,
+        index, lo, hi) per used variable in index order, index holding
+        k - lo for each term's exponent k; scalar.cleared of the
+        coefficients; the largest total degree top of a term; and each
+        term's top - deg, or None when every term has degree top."""
         ctx = self.ctx
         rows = []
+        degrees = [0] * len(self.terms)
         for v in self.variables():
             shift = ctx._shifts[v]
             ks = [((e >> shift) & _FIELD_MASK) - EXPONENT_BOUND for e in self.terms]
             lo, hi = min(min(ks), 0), max(max(ks), 0)
             rows.append((ctx.names[v], [k - lo for k in ks], lo, hi))
-        return (tuple(rows), *cleared(self.terms.values()))
+            degrees = [d + k for d, k in zip(degrees, ks)]
+        top = max(degrees, default=0)
+        offsets = None if min(degrees, default=top) == top else [top - d for d in degrees]
+        return (tuple(rows), *cleared(self.terms.values()), top, offsets)
 
     # -- integer normal form -------------------------------------------------
 
@@ -1171,12 +1188,21 @@ class _Parser:
             raise ParseError(str(exc), at) from None
 
     def _expr(self):
-        value = self._term()
+        """A sum of terms, added pairwise as a balanced tree: a left fold
+        builds the whole running sum again at every + or -, in quadratic
+        time.  The sum of two neighbouring runs of terms is placed at the
+        operator between them."""
+        terms, ats = [self._term()], []
         while (op := self._peek()) in ("+", "-"):
-            at = self.pos
+            ats.append(self.pos)
             self.pos += 1
-            value = self._apply(op, at, value, self._term())
-        return value
+            term = self._term()
+            terms.append(term if op == "+" else -term)
+        # ats[i] joins terms[i] and terms[i + 1]
+        while len(terms) > 1:
+            pairs = [self._apply("+", at, a, b) for at, a, b in zip(ats[::2], terms[::2], terms[1::2])]
+            terms, ats = pairs + terms[len(pairs) * 2:], ats[1::2]
+        return terms[0]
 
     def _term(self):
         value = self._factor()

@@ -17,7 +17,9 @@ y_(j+1) = y_j'/x' on rational functions of t, independently
 of the power-series route of ``wilczynski.jets_along_curve``.  Values of
 polynomials and rational functions are computed here term by term on
 Fractions, independently of the common-denominator integer sum of
-``Poly.evaluate``.  The G2 compatibility identity is checked here by
+``Poly.evaluate``, and over one n/d power table per variable, the route
+``Poly.evaluate`` took before it cleared the point over one
+denominator.  The G2 compatibility identity is checked here by
 contracting phi with every sampled vector, independently of the Gram
 matrix B_phi that ``g2verify.g2_identities`` values them through, and
 B_phi itself is derived here by polarization of the direct contraction.
@@ -555,6 +557,36 @@ def term_by_term_value(poly, point):
             term *= base ** k
         total += term
     return total
+
+
+def per_variable_table_value(poly, point):
+    """The value of a Poly at point over per-variable tables, the route
+    Poly.evaluate took before it cleared the point over one denominator:
+    for each used variable v = n/d let lo = min(0, least exponent) and
+    hi = max(0, largest), and let C be the lcm of the coefficient
+    denominators; then the term c prod v^k is the int
+    c C prod n^(k-lo) d^(hi-k) over C prod n^(-lo) d^hi, each factor read
+    from a table of n^i d^(hi-lo-i).  Raises what Poly.evaluate raises,
+    before any arithmetic."""
+    names = poly.ctx.names
+    exponents = [dict(powers) for powers, _ in poly.monomials()]
+    values = []
+    for v in poly.variables():
+        ks = [e.get(v, 0) for e in exponents]
+        lo, hi = min(min(ks), 0), max(max(ks), 0)
+        if names[v] not in point:
+            raise ValueError(f"no value for {names[v]}")
+        value = Fraction(point[names[v]])
+        if lo < 0 and not value:
+            raise PoleError(f"negative power of zero at {names[v]}")
+        values.append((value, ks, lo, hi))
+    column, den = cleared(list(poly.terms.values()))
+    for value, ks, lo, hi in values:
+        n, d = value.numerator, value.denominator
+        table = [n ** i * d ** (hi - lo - i) for i in range(hi - lo + 1)]
+        column = [c * table[k - lo] for c, k in zip(column, ks)]
+        den *= n ** -lo * d ** hi
+    return Fraction(sum(column), den)
 
 
 def term_by_term_function_value(f, point):

@@ -419,6 +419,49 @@ def test_parser_errors_and_grammar():
     assert fn("y2^2^2") == fn("y2^4")  # iterated exponents
 
 
+def test_a_long_sum_is_added_as_a_balanced_tree(monkeypatch):
+    # a left fold builds the running sum again at every +, 500,500 operand
+    # terms for y2^1 + ... + y2^1000; added pairwise it is about 1,000 per
+    # level of ten
+    added = []
+    poly_add = Poly.__add__
+
+    def counted(self, other):
+        added.append(len(self.terms) + len(other.terms))
+        return poly_add(self, other)
+
+    terms = [fn(f"y2^{i}") for i in range(1, 1001)]
+    monkeypatch.setattr(Poly, "__add__", counted)
+    total = fn(" + ".join(f"y2^{i}" for i in range(1, 1001)))
+    assert len(added) == 999 and sum(added) <= 11_000
+    monkeypatch.undo()
+    left_fold = terms[0]
+    for term in terms[1:]:
+        left_fold = left_fold + term
+    assert total == left_fold and str(total) == str(left_fold)
+
+
+def test_a_sum_of_rational_terms_equals_the_left_fold():
+    texts = [f"{k}*y{k % 5 + 2}/(y2 + {k})" for k in range(1, 40)]
+    ops = ["+" if k % 3 else "-" for k in range(1, 39)]
+    total = fn(texts[0] + "".join(f" {op} {t}" for op, t in zip(ops, texts[1:])))
+    left_fold = fn(texts[0])
+    for op, text in zip(ops, texts[1:]):
+        left_fold = left_fold + fn(text) if op == "+" else left_fold - fn(text)
+    assert total == left_fold and str(total) == str(left_fold)
+
+
+def test_an_exponent_overflow_in_a_sum_is_placed_at_the_joining_operator():
+    # y2 + y3 and y2^-8000 + y2^8000 are added first, the second at the
+    # operator between its two terms; the left fold overflowed there too
+    with pytest.raises(ParseError) as err:
+        fn("y2 + y3 + y2^-8000 + y2^8000")
+    assert str(err.value) == "exponent 16000 of y2 outside [-8192, 8192) (at position 19)"
+    with pytest.raises(ParseError) as err:
+        fn("y2^-8000 - y3 - y2^8000")
+    assert err.value.position == 14
+
+
 def test_a_constant_power_past_the_literal_limit_is_placed():
     # the bit lengths reject the power before it is taken: 7^30000000
     # took 73 s of CPU to build.  2^14284 has 4,300 digits, 2^14285 4,301

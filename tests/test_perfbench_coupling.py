@@ -5,7 +5,8 @@ methods it wraps by module and attribute path, and the high-order
 workload (perfbench/workloads.py) names the p-ring variables it evaluates
 at.  A rename or a smaller ring would otherwise show only in the slow
 perfbench tests; these tests load the perfbench modules by path, without
-installing anything, and resolve each name.
+installing anything, and resolve each name.  The traced count of
+Poly.evaluate calls is tied here to C10's four evaluations per jet.
 """
 
 import importlib
@@ -13,6 +14,7 @@ import importlib.util
 from collections.abc import Mapping
 from pathlib import Path
 
+from g2sextic import cli, wilczynski
 from g2sextic.diffpoly import Poly
 from g2sextic.wilczynski import _p_ring, classical_theta
 
@@ -60,3 +62,27 @@ def test_classical_theta_p_forms_are_polys_over_the_p_ring():
         for r, forms in classical_theta(n).items():
             assert isinstance(forms, Mapping)
             assert isinstance(forms["p"], Poly) and forms["p"].ctx is ctx, (n, r)
+
+
+def test_c10_makes_four_evaluate_calls_per_jet_and_tests_halphen_on_ints(monkeypatch):
+    # the tracer's diffpoly.evaluate.calls (6,000 on jet-sampling's 1,500
+    # jets, 200 on verify-all's 50) counts Poly.evaluate: Theta_3's and
+    # Theta_8's numerators and their two y2 factors at each jet, and not
+    # the sampler's Halphen zero test, which runs on ints
+    evaluate, halphen = Poly.evaluate, wilczynski.halphen_numerator
+    calls, argument_types = [], set()
+
+    def counted_evaluate(self, point):
+        calls.append(self)
+        return evaluate(self, point)
+
+    def typed_halphen(*ys):
+        argument_types.update(type(y) for y in ys)
+        return halphen(*ys)
+
+    monkeypatch.setattr(Poly, "evaluate", counted_evaluate)
+    monkeypatch.setattr(wilczynski, "halphen_numerator", typed_halphen)
+    (report,) = cli.criterion_sampling_oracle(200, 1)
+    assert report.status == "pass" and report.details["samples"] == 200
+    assert len(calls) == 800
+    assert argument_types == {int}

@@ -60,6 +60,7 @@ from reference_data import (
     extended_value,
     log_derivative,
     long_division,
+    per_variable_table_value,
     prs_gcd,
     term_by_term_function_value,
     term_by_term_value,
@@ -315,6 +316,49 @@ def test_a_raising_call_between_two_values_leaves_the_plan_correct():
     assert p._plan is plan
     assert p.evaluate(unlike) == term_by_term_value(p, unlike)
     assert p.evaluate(good) == value
+
+
+@given(st.dictionaries(laurent_exps, unlike_coefs, max_size=6), point_sequences)
+def test_evaluate_matches_the_per_variable_tables(a, sequence):
+    # one denominator for the whole point gives the value, or the error,
+    # of one n/d power table per variable
+    pa = build(a)
+    for at in sequence:
+        value = value_or_error(Poly.evaluate, pa, at)
+        assert value == value_or_error(per_variable_table_value, pa, at)
+        assert type(value) is Fraction or value in (ValueError, PoleError)
+
+
+Y = JetContext.plain(("y2", "y3", "y4"))
+
+
+def y_poly(*terms):
+    """The Poly sum of c * y2^i * y3^j * y4^k over the (c, (i, j, k))."""
+    total = Y.const(0)
+    for c, exps in terms:
+        total = total + Y.monomial(tuple(enumerate(exps)), c)
+    return total
+
+
+@pytest.mark.parametrize("terms, at, value, top, offsets", [
+    # negative total degree: top = -2, so L^2 multiplies the sum
+    ([(1, (-1, -1, 0))], {"y2": Fraction(2, 3), "y3": Fraction(5, 7)}, Fraction(21, 10), -2, None),
+    # mixed total degrees 3, 1 and 2
+    ([(Fraction(1, 6), (2, 1, 0)), (Fraction(-3, 10), (0, 0, 1)), (5, (-1, 3, 0))],
+     {"y2": Fraction(2, 3), "y3": Fraction(-5, 4), "y4": Fraction(7, 9)},
+     Fraction(1, 6) * Fraction(2, 3) ** 2 * Fraction(-5, 4) - Fraction(3, 10) * Fraction(7, 9)
+     + 5 * Fraction(-5, 4) ** 3 / Fraction(2, 3), 3, [0, 2, 1]),
+    # pairwise coprime denominators, homogeneous of degree 2
+    ([(Fraction(1, 7), (1, 1, 0)), (Fraction(2, 11), (0, 0, 2)), (-1, (2, 0, 0))],
+     {"y2": Fraction(3, 2), "y3": Fraction(-4, 3), "y4": Fraction(6, 5)},
+     Fraction(1, 7) * Fraction(3, 2) * Fraction(-4, 3) + Fraction(2, 11) * Fraction(6, 5) ** 2
+     - Fraction(3, 2) ** 2, 2, None),
+], ids=["negative-total-degree", "mixed-total-degrees", "coprime-denominators"])
+def test_evaluate_over_the_points_one_denominator(terms, at, value, top, offsets):
+    p = y_poly(*terms)
+    assert p.evaluate(at) == value == per_variable_table_value(p, at) == term_by_term_value(p, at)
+    assert type(p.evaluate(at)) is Fraction
+    assert p._plan[3:] == (top, offsets)
 
 
 # -- the packed exponent range --------------------------------------------------------

@@ -23,7 +23,7 @@ from g2sextic.diffpoly import (
     parse_jet_expression,
     poly_gcd,
 )
-from g2sextic.scalar import row_reduce
+from g2sextic.scalar import cleared, row_reduce
 from g2sextic.targets import KAPPA_CUSPIDAL
 from g2sextic.wilczynski import (
     CurvatureUndefinedError,
@@ -847,6 +847,20 @@ def _halphen_numerator_on_power_curve(q):
 
     y2, y3, y4, y5 = jet(2), jet(3), jet(4), jet(5)
     return y2 * y2 * y5 * 9 - y2 * y3 * y4 * 45 + y3 * y3 * y3 * 40
+
+
+jet_values = st.integers(-9, 9) | st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
+
+
+@given(st.tuples(*[jet_values] * 4))
+def test_halphen_numerator_scales_by_the_cube_of_the_common_denominator(ys):
+    # H is homogeneous of degree 3, so the sampler may test H = 0 on the
+    # jets cleared to ints over one L: H(L y) = L^3 H(y)
+    ints, den = cleared(ys)
+    assert all(type(n) is int for n in ints)
+    value = wilczynski.halphen_numerator(*ints)
+    assert type(value) is int
+    assert value == den ** 3 * wilczynski.halphen_numerator(*ys)
 
 
 def test_halphen_vs_semi_calibration():
